@@ -59,8 +59,9 @@ is decided at most once no matter how many jobs ask it.
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # statetier imports state which is import-light, but
@@ -89,7 +90,7 @@ from repro.sat.planner import (
     Planner,
     execute_plan,
 )
-from repro.sat.registry import decider_backend, decider_traits, get_decider
+from repro.sat.registry import decider_traits, get_decider
 from repro.sat.telemetry import LATENCY_BUCKETS_MS, PlanTelemetry, verdict_name
 from repro.xpath.rewrite import get_pass
 from repro.xpath.ast import Path
@@ -173,27 +174,47 @@ class JobResult:
         return record
 
 
+def _counter(line: str, label: str, help_text: str) -> Any:
+    """Declare one per-run count of :class:`EngineStats`.  The declaration
+    is the counter's only one: it prints as ``<value> <label>`` on
+    ``line`` of :meth:`EngineStats.describe`, keeps its field name as its
+    :meth:`EngineStats.as_dict` key, and registers as
+    ``repro_<name>_total`` with ``help_text`` in
+    :meth:`EngineStats.register_metrics`."""
+    return field(default=0, metadata={"line": line, "label": label, "help": help_text})
+
+
 @dataclass
 class EngineStats:
     """Aggregate counters for one :meth:`BatchEngine.run`."""
 
-    jobs: int = 0
-    errors: int = 0
-    decide_calls: int = 0
-    inline_decides: int = 0
-    pool_decides: int = 0
-    cache_hits: int = 0
-    coalesced: int = 0
-    planner_invocations: int = 0   # plans built during this run
-    plan_cache_hits: int = 0       # routing resolved from a plan cache
+    jobs: int = _counter("jobs", "jobs", "jobs submitted")
+    errors: int = _counter("jobs", "errors", "jobs that errored")
+    decide_calls: int = _counter(
+        "decide() calls", "total", "decision procedure invocations")
+    inline_decides: int = _counter(
+        "decide() calls", "inline", "decisions executed in-process")
+    pool_decides: int = _counter(
+        "decide() calls", "pooled", "decisions executed on worker lanes")
+    cache_hits: int = _counter(
+        "cache", "hits", "jobs answered from the decision cache")
+    coalesced: int = _counter(
+        "cache", "coalesced", "duplicate in-flight questions coalesced")
+    planner_invocations: int = _counter("planner", "plans built", "plans built")
+    plan_cache_hits: int = _counter(
+        "planner", "plan-cache hits", "routings resolved from a plan cache")
     # plan-grouped scheduling (this run): chunks dispatched, unique jobs
     # executed inside a chunk, jobs that reused a groupmate's prepare()
     # context, and chunks whose *primary* prepare() failed (they fell
     # back to ungrouped per-job execution but still ran as one task)
-    plan_groups: int = 0
-    grouped_jobs: int = 0
-    setup_reuse: int = 0
-    prepare_fallbacks: int = 0
+    plan_groups: int = _counter(
+        "plan groups", "dispatched", "plan-group chunks dispatched")
+    grouped_jobs: int = _counter(
+        "plan groups", "jobs grouped", "jobs executed inside a group chunk")
+    setup_reuse: int = _counter(
+        "plan groups", "setup reuses", "jobs that reused a groupmate's prepare()")
+    prepare_fallbacks: int = _counter(
+        "plan groups", "prepare fallbacks", "chunks degraded to per-job setup")
     group_sizes: list[int] = field(default_factory=list)
     # executor layer (this run): lanes in the pool (0 = no pool was
     # needed), whether schema-affinity scheduling was on, DTDs actually
@@ -206,16 +227,21 @@ class EngineStats:
     # retry (see tests/test_engine.py::TestWorkerDeathRecovery).
     lanes: int = 0
     affinity: bool = True
-    dtd_ships: int = 0
-    runtime_context_hits: int = 0
-    affinity_spills: int = 0
-    lane_respawns: int = 0
-    chunk_retries: int = 0
+    dtd_ships: int = _counter("executor", "DTD ships", "DTDs pickled to a lane")
+    runtime_context_hits: int = _counter(
+        "executor", "runtime-context hits", "chunks served from a warm runtime")
+    affinity_spills: int = _counter(
+        "executor", "spills", "chunks spilled off their preferred lane")
+    lane_respawns: int = _counter(
+        "executor", "respawns", "worker lanes respawned after death")
+    chunk_retries: int = _counter(
+        "executor", "chunk retries", "in-flight chunks retried after lane death")
     # warm executors discarded this run because a tunable flipped (e.g.
     # `affinity` changed between runs): each reset throws away a
     # runtime's cached DTDs and contexts, so a nonzero value explains a
     # cold-looking run on a long-lived engine
-    executor_resets: int = 0
+    executor_resets: int = _counter(
+        "executor", "executor resets", "warm executors discarded after a tunable flip")
     # lane health (this run): per-chunk enqueue→absorb dwell (queue +
     # IPC time, executor execution excluded), and per-lane gauges — the
     # runtime context-cache occupancy and lifetime evictions reported by
@@ -227,11 +253,8 @@ class EngineStats:
     lane_peak_depth: dict[int, int] = field(default_factory=dict)
     # cost-model epsilon-exploration probes run this pass (timing a
     # fallback chain member the normal path would never measure)
-    explore_probes: int = 0
-    # answered decisions by the answering decider's kernel backend
-    # ("object" vs "bitset") — where a cost-model promotion of the
-    # packed kernels becomes visible at the engine level
-    backend_answers: dict[str, int] = field(default_factory=dict)
+    explore_probes: int = _counter(
+        "planner", "explore probes", "cost-model exploration probes")
     # answered decisions whose answering decider is schema-trait gated,
     # keyed by decider name — the engine-level view of how much traffic
     # the real-world PTIME fast paths absorb instead of the EXPTIME lanes
@@ -287,37 +310,19 @@ class EngineStats:
         }
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "jobs": self.jobs,
-            "errors": self.errors,
-            "decide_calls": self.decide_calls,
-            "inline_decides": self.inline_decides,
-            "pool_decides": self.pool_decides,
-            "cache_hits": self.cache_hits,
-            "coalesced": self.coalesced,
-            "planner_invocations": self.planner_invocations,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_groups": self.plan_groups,
-            "grouped_jobs": self.grouped_jobs,
-            "setup_reuse": self.setup_reuse,
-            "prepare_fallbacks": self.prepare_fallbacks,
+        record: dict[str, Any] = {
+            spec.name: getattr(self, spec.name) for spec in COUNTERS
+        }
+        record.update({
             "jobs_per_group_p50": self.jobs_per_group(0.5),
             "jobs_per_group_p90": self.jobs_per_group(0.9),
             "lanes": self.lanes,
             "affinity": self.affinity,
-            "dtd_ships": self.dtd_ships,
-            "runtime_context_hits": self.runtime_context_hits,
-            "affinity_spills": self.affinity_spills,
-            "lane_respawns": self.lane_respawns,
-            "chunk_retries": self.chunk_retries,
-            "executor_resets": self.executor_resets,
             "chunk_dwell_p50_ms": round(self.dwell_percentile(0.5), 4),
             "chunk_dwell_p90_ms": round(self.dwell_percentile(0.9), 4),
             "lane_health": {
                 str(lane): health for lane, health in self.lane_health().items()
             },
-            "explore_probes": self.explore_probes,
-            "backend_answers": dict(self.backend_answers),
             "trait_routed_answers": dict(self.trait_routed_answers),
             "persisted_plans_loaded": self.persisted_plans_loaded,
             "persisted_decisions_loaded": self.persisted_decisions_loaded,
@@ -326,94 +331,60 @@ class EngineStats:
             "cache": dict(self.cache),
             "registry": dict(self.registry),
             "plans": dict(self.plans),
-        }
+        })
+        return record
 
     def describe(self) -> str:
+        counts: dict[str, list[str]] = {}
+        for spec in COUNTERS:
+            counts.setdefault(spec.metadata["line"], []).append(
+                f"{getattr(self, spec.name)} {spec.metadata['label']}"
+            )
+        context = {
+            "decide() calls": f"{self.workers} workers",
+            "planner": f"{self.persisted_plans_loaded} persisted plans loaded",
+            "plan groups": f"p50 {self.jobs_per_group(0.5)}, "
+            f"p90 {self.jobs_per_group(0.9)} jobs/group",
+            "executor": f"{self.lanes} lanes, "
+            f"affinity {'on' if self.affinity else 'off'}",
+            "cache": f"{self.cache.get('size', 0)}/{self.cache.get('capacity', 0)} "
+            f"entries, {self.cache.get('evictions', 0)} evictions, "
+            f"lifetime hit rate {self.cache.get('hit_rate', 0.0):.1%}",
+        }
         lines = [
-            f"jobs          : {self.jobs} ({self.errors} errors)",
-            f"decide() calls: {self.decide_calls} "
-            f"({self.inline_decides} inline, {self.pool_decides} pooled, "
-            f"{self.workers} workers)",
-            f"planner       : {self.planner_invocations} plans built, "
-            f"{self.plan_cache_hits} plan-cache hits, "
-            f"{self.persisted_plans_loaded} persisted plans loaded, "
-            f"{self.explore_probes} explore probes",
-            f"plan groups   : {self.plan_groups} dispatched, "
-            f"{self.grouped_jobs} jobs grouped, {self.setup_reuse} setup reuses, "
-            f"{self.prepare_fallbacks} prepare fallbacks "
-            f"(p50 {self.jobs_per_group(0.5)}, p90 {self.jobs_per_group(0.9)} "
-            f"jobs/group)",
-            f"executor      : {self.lanes} lanes "
-            f"(affinity {'on' if self.affinity else 'off'}), "
-            f"{self.dtd_ships} DTD ships, "
-            f"{self.runtime_context_hits} runtime-context hits, "
-            f"{self.affinity_spills} spills, {self.lane_respawns} respawns, "
-            f"{self.chunk_retries} chunk retries, "
-            f"{self.executor_resets} executor resets",
-            f"backends      : " + (
-                ", ".join(
-                    f"{backend} {count}"
-                    for backend, count in sorted(self.backend_answers.items())
-                ) or "no answered decisions"
-            ),
-            f"trait routing : " + (
+            f"{line:<14}: {', '.join(parts)}"
+            + (f" ({context[line]})" if line in context else "")
+            for line, parts in counts.items()
+        ]
+        lines += [
+            "trait routing : " + (
                 ", ".join(
                     f"{decider} {count}"
                     for decider, count in sorted(self.trait_routed_answers.items())
                 ) or "no trait-gated answers"
             ),
-            f"cache         : {self.cache_hits} hits, {self.coalesced} coalesced, "
-            f"{self.cache.get('size', 0)}/{self.cache.get('capacity', 0)} entries, "
-            f"{self.cache.get('evictions', 0)} evictions "
-            f"(lifetime hit rate {self.cache.get('hit_rate', 0.0):.1%})",
             f"schemas       : {self.registry.get('schemas', 0)} registered, "
             f"{self.registry.get('builds', 0)} artifact builds, "
             f"{self.registry.get('dedup_hits', 0)} dedup hits",
-            f"wall time     : {self.elapsed_s:.3f}s",
         ]
         if self.chunk_dwell_ms:
-            lines.insert(
-                -1,
+            lines.append(
                 f"lane dwell    : p50 {self.dwell_percentile(0.5):.2f}ms, "
                 f"p90 {self.dwell_percentile(0.9):.2f}ms over "
-                f"{len(self.chunk_dwell_ms)} chunks",
+                f"{len(self.chunk_dwell_ms)} chunks"
             )
+        lines.append(f"wall time     : {self.elapsed_s:.3f}s")
         return "\n".join(lines)
 
     def register_metrics(self, registry: "MetricsRegistry") -> None:
         """Register this run's counters, lane-health gauges, and the
-        chunk-dwell histogram into a unified metrics registry."""
-        for name, help_text in (
-            ("jobs", "jobs submitted"),
-            ("errors", "jobs that errored"),
-            ("decide_calls", "decision procedure invocations"),
-            ("inline_decides", "decisions executed in-process"),
-            ("pool_decides", "decisions executed on worker lanes"),
-            ("cache_hits", "jobs answered from the decision cache"),
-            ("coalesced", "duplicate in-flight questions coalesced"),
-            ("planner_invocations", "plans built"),
-            ("plan_cache_hits", "routings resolved from a plan cache"),
-            ("plan_groups", "plan-group chunks dispatched"),
-            ("grouped_jobs", "jobs executed inside a group chunk"),
-            ("setup_reuse", "jobs that reused a groupmate's prepare()"),
-            ("prepare_fallbacks", "chunks degraded to per-job setup"),
-            ("dtd_ships", "DTDs pickled to a lane"),
-            ("runtime_context_hits", "chunks served from a warm runtime"),
-            ("affinity_spills", "chunks spilled off their preferred lane"),
-            ("lane_respawns", "worker lanes respawned after death"),
-            ("chunk_retries", "in-flight chunks retried after lane death"),
-            ("executor_resets", "warm executors discarded after a tunable flip"),
-            ("explore_probes", "cost-model exploration probes"),
-        ):
-            registry.counter(f"repro_{name}_total", help_text).inc(
-                getattr(self, name)
+        chunk-dwell histogram into a unified metrics registry.  Registering
+        several runs into one registry accumulates them: counters and the
+        histogram add up, gauges keep the newest run's value."""
+        for spec in COUNTERS:
+            registry.counter(f"repro_{spec.name}_total", spec.metadata["help"]).inc(
+                getattr(self, spec.name)
             )
-        for backend, count in sorted(self.backend_answers.items()):
-            registry.counter(
-                "repro_backend_answers_total",
-                "answered decisions by the answering decider's kernel backend",
-                {"backend": backend},
-            ).inc(count)
         for decider, count in sorted(self.trait_routed_answers.items()):
             registry.counter(
                 "repro_trait_routed_answers_total",
@@ -446,14 +417,23 @@ class EngineStats:
                 "repro_lane_context_cache_size",
                 "prepared contexts held by the lane runtime", labels,
             ).set(health["contexts"])
-            registry.counter(
+            # the lane reports its runtime's lifetime total: raise the
+            # counter to it rather than adding it once per run
+            evictions = registry.counter(
                 "repro_lane_context_evictions_total",
                 "contexts evicted by the lane runtime (lifetime)", labels,
-            ).inc(health["evictions"])
+            )
+            evictions.inc(max(0, health["evictions"] - evictions.value))
             registry.gauge(
                 "repro_lane_queue_depth_peak",
                 "deepest in-flight queue the lane reached", labels,
             ).set(health["peak_depth"])
+
+
+#: the counter table: every field declared with :func:`_counter`, in
+#: declaration order (``describe()`` prints each line where its first
+#: counter is declared)
+COUNTERS = tuple(spec for spec in fields(EngineStats) if "help" in spec.metadata)
 
 
 @dataclass
@@ -668,6 +648,11 @@ class BatchEngine:
         # handful of predictable `is not None` checks per job
         self.tracer = tracer
         self.last_stats: EngineStats | None = None
+        # engine-lifetime totals for metrics_registry(): every run's stats
+        # register into this one registry, so its counters and histogram
+        # only ever grow (last_stats covers one run — under `serve`, one
+        # micro-batch)
+        self._lifetime_metrics = MetricsRegistry()
         # extra stat sources folded into metrics_registry() (e.g. the
         # serving front-end registers its connection/inflight gauges
         # here so they land in the state dir's metrics.prom)
@@ -788,17 +773,15 @@ class BatchEngine:
         save_state(target, **components)
         return target
 
-    def metrics_registry(self, stats: EngineStats | None = None) -> MetricsRegistry:
+    def metrics_registry(self) -> MetricsRegistry:
         """One unified metrics registry over every stat silo the engine
-        holds: the given (or last run's) :class:`EngineStats`, the
-        per-plan telemetry table, the cost model, and — when a tracer is
-        attached — its trace counters.  Render with
+        holds: the :class:`EngineStats` of every run so far (counters
+        summed over the engine's life), the per-plan telemetry table, the
+        cost model, and — when a tracer is attached — its trace counters.
+        Render with
         :meth:`~repro.obs.metrics.MetricsRegistry.render_prometheus` or
         :meth:`~repro.obs.metrics.MetricsRegistry.as_dict`."""
-        registry = MetricsRegistry()
-        stats = stats if stats is not None else self.last_stats
-        if stats is not None:
-            stats.register_metrics(registry)
+        registry = copy.deepcopy(self._lifetime_metrics)
         self.telemetry.register_metrics(registry)
         self.cost_model.register_metrics(registry)
         if self.tracer is not None:
@@ -1296,6 +1279,7 @@ class BatchEngine:
         stats.registry = self.registry.stats()
         stats.plans = self.telemetry.summary()
         self.last_stats = stats
+        stats.register_metrics(self._lifetime_metrics)
         return BatchReport(results=[r for r in results if r is not None], stats=stats)
 
     # -- helpers ------------------------------------------------------------
@@ -1658,15 +1642,10 @@ class BatchEngine:
                 group_size=trace.group_size, group_lead=trace.group_lead,
                 shared_setup=trace.shared_setup, runtime_hit=trace.runtime_hit,
             )
-            if trace.decider is not None:
-                backend = decider_backend(trace.decider)
-                stats.backend_answers[backend] = (
-                    stats.backend_answers.get(backend, 0) + 1
+            if trace.decider is not None and decider_traits(trace.decider):
+                stats.trait_routed_answers[trace.decider] = (
+                    stats.trait_routed_answers.get(trace.decider, 0) + 1
                 )
-                if decider_traits(trace.decider):
-                    stats.trait_routed_answers[trace.decider] = (
-                        stats.trait_routed_answers.get(trace.decider, 0) + 1
-                    )
         bucket = artifacts.cost_bucket if artifacts else size_bucket(None)
         for name, attempt_ms, outcome in trace.attempts:
             if outcome in ("sat", "unsat"):

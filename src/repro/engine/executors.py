@@ -39,11 +39,11 @@ setup, never answers (``tests/test_metamorphic.py``).
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from multiprocessing import connection
 from typing import Any, Iterator, Protocol, runtime_checkable
 
 from repro.errors import EngineError
@@ -348,7 +348,8 @@ class InlineExecutor:
 
 def _worker_main(lane_id: int, caching: bool, requests, results) -> None:
     """Lane entry point: loop over chunk requests until the ``None``
-    sentinel, keeping one :class:`WorkerRuntime` alive across chunks."""
+    sentinel, keeping one :class:`WorkerRuntime` alive across chunks.
+    ``results`` is the write end of the lane's own result pipe."""
     runtime = WorkerRuntime(caching=caching)
     while True:
         message = requests.get()
@@ -360,7 +361,7 @@ def _worker_main(lane_id: int, caching: bool, requests, results) -> None:
         except BaseException as error:  # never let a lane die silently
             outcome = ChunkOutcome(error=f"{type(error).__name__}: {error}")
         try:
-            results.put((lane_id, task.task_id, outcome))
+            results.send((lane_id, task.task_id, outcome))
         except Exception:
             break  # parent gone; nothing sensible left to do
 
@@ -383,12 +384,14 @@ class _Lane:
     lane pays for one fork, not ``workers``.
     """
 
-    def __init__(self, lane_id: int, ctx, caching: bool, results) -> None:
+    def __init__(self, lane_id: int, ctx, caching: bool) -> None:
         self.lane_id = lane_id
         self._ctx = ctx
         self._caching = caching
-        self._results = results
         self.requests = None
+        #: read end of the lane's result pipe (its worker holds the only
+        #: write end)
+        self.results = None
         self.process = None
         self.shipped: set[str] = set()
         self.in_flight: dict[int, _InFlight] = {}
@@ -407,13 +410,19 @@ class _Lane:
     def ensure_started(self) -> None:
         if self.process is None:
             self.requests = self._ctx.Queue()
+            # one result pipe per lane, not one queue shared by all: a
+            # worker killed mid-write, or while holding a shared queue's
+            # cross-process write lock, would wedge every other lane's
+            # results for good.  Its own pipe just reads EOF, and
+            # recovery replaces it.
+            self.results, writer = self._ctx.Pipe(duplex=False)
             self.process = self._ctx.Process(
                 target=_worker_main,
-                args=(self.lane_id, self._caching, self.requests,
-                      self._results),
+                args=(self.lane_id, self._caching, self.requests, writer),
                 daemon=True,
             )
             self.process.start()
+            writer.close()
             _LOG.debug("lane %d forked (pid %s)", self.lane_id, self.process.pid)
 
     def send(self, entry: _InFlight, ship_always: bool) -> None:
@@ -446,6 +455,7 @@ class _Lane:
             self.process.join(timeout=2.0)
         self.requests.close()
         self.requests.cancel_join_thread()
+        self.results.close()
 
 
 class PersistentPoolExecutor:
@@ -488,10 +498,8 @@ class PersistentPoolExecutor:
             except ValueError:  # pragma: no cover - non-POSIX fallback
                 mp_context = multiprocessing.get_context()
         self._ctx = mp_context
-        self._results = mp_context.Queue()
         self._lanes = [
-            _Lane(lane_id, mp_context, affinity, self._results)
-            for lane_id in range(workers)
+            _Lane(lane_id, mp_context, affinity) for lane_id in range(workers)
         ]
         self._stats = ExecutorStats(lanes=workers)
         #: chunks whose retry also died, finished parent-side and waiting
@@ -544,14 +552,21 @@ class PersistentPoolExecutor:
         while True:
             while self._failed:
                 yield self._failed.pop(0)
-            if not any(lane.in_flight for lane in self._lanes):
+            busy = [lane for lane in self._lanes if lane.in_flight]
+            if not busy:
                 return
-            try:
-                lane_id, task_id, outcome = self._results.get(timeout=0.05)
-            except queue_module.Empty:
-                for lane in list(self._lanes):
-                    if not lane.alive() and lane.in_flight:
+            ready = connection.wait([lane.results for lane in busy], timeout=0.05)
+            if not ready:
+                for lane in busy:
+                    if not lane.alive():
                         self._recover(lane)
+                continue
+            lane = next(lane for lane in busy if lane.results is ready[0])
+            try:
+                lane_id, task_id, outcome = lane.results.recv()
+            except (EOFError, OSError):
+                # the worker died, possibly part-way through a message
+                self._recover(lane)
                 continue
             entry = self._pop_in_flight(task_id)
             if entry is None:
@@ -597,9 +612,11 @@ class PersistentPoolExecutor:
             if lane.requests is not None:
                 lane.requests.close()
                 lane.requests.cancel_join_thread()
+            if lane.results is not None:
+                lane.results.close()
         except Exception:
             pass
-        fresh = _Lane(lane.lane_id, self._ctx, self.affinity, self._results)
+        fresh = _Lane(lane.lane_id, self._ctx, self.affinity)
         self._lanes[index] = fresh
         self._stats.lane_respawns += 1
         targets = [fresh] + [
@@ -635,8 +652,6 @@ class PersistentPoolExecutor:
         self._closed = True
         for lane in self._lanes:
             lane.stop()
-        self._results.close()
-        self._results.cancel_join_thread()
 
     def __del__(self) -> None:
         # the pool is engine-lifetime: an engine dropped without close()

@@ -433,6 +433,11 @@ class EngineServer:
                 )
             except ReproError as exc:
                 error = str(exc)
+            except Exception as exc:
+                # a bug inside the engine: its jobs still get their error
+                # records below, and the connection keeps serving
+                _LOG.exception("engine run failed")
+                error = f"{type(exc).__name__}: {exc}"
         elapsed_ms = (time.perf_counter() - start) * 1e3
         self.stats.batches += 1
         self.stats.batch_ms.append(elapsed_ms)

@@ -85,11 +85,7 @@ def attempt_spans(
     """Child spans for a plan execution's decider-chain attempts
     (``ExecutionTrace.attempts``): one ``attempt:<decider>`` per member,
     laid out sequentially — their summed ``ms`` equals the trace's
-    ``elapsed_ms``, i.e. the latency telemetry records for the job.
-    Each span carries the decider's kernel ``backend`` tag so traces show
-    which representation (object vs bitset) the cost model routed to."""
-    from repro.sat.registry import decider_backend
-
+    ``elapsed_ms``, i.e. the latency telemetry records for the job."""
     spans = []
     offset = start_ms
     for decider, elapsed_ms, outcome in attempts:
@@ -98,7 +94,7 @@ def attempt_spans(
             start_ms=offset,
             ms=elapsed_ms,
             status=FAILED if outcome == FAILED else OK,
-            attrs={"verdict": outcome, "backend": decider_backend(decider)},
+            attrs={"verdict": outcome},
         ))
         offset += elapsed_ms
     return spans

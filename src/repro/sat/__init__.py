@@ -11,8 +11,7 @@ module                        fragment / setting                      theorem
 :mod:`repro.sat.conjunctive`  ``X(↓,↑,[],=)`` without DTDs            Thm 6.11(2)
 :mod:`repro.sat.sibling`      ``X(→,←)`` under any DTD                Thm 7.1
 :mod:`repro.sat.exptime_types`  ``X(↓,↓*,∪,[],¬)`` under any DTD      Thm 5.3 (downward case)
-:mod:`repro.sat.bits`         integer-packed kernels + the bitset
-                              variant of the Thm 5.3 fixpoint          Thm 5.3
+:mod:`repro.sat.bits`         integer-packed Glushkov kernels          —
 :mod:`repro.sat.positive`     positive XPath (Thm 4.4)                Thm 4.4
 :mod:`repro.sat.bounded`      bounded-model engine (semi-decision)    —
 :mod:`repro.sat.family`       no-DTD via universal-DTD family         Prop 3.1
@@ -34,7 +33,6 @@ from repro.sat.no_dtd import sat_no_dtd
 from repro.sat.conjunctive import sat_conjunctive_no_dtd
 from repro.sat.sibling import sat_sibling
 from repro.sat.exptime_types import sat_exptime_types
-from repro.sat.bits import sat_exptime_types_bits
 from repro.sat.positive import sat_positive
 from repro.sat.bounded import Bounds, sat_bounded, iter_conforming_trees
 from repro.sat.family import sat_universal_family
@@ -63,7 +61,6 @@ __all__ = [
     "sat_conjunctive_no_dtd",
     "sat_sibling",
     "sat_exptime_types",
-    "sat_exptime_types_bits",
     "sat_positive",
     "sat_universal_family",
     "Bounds",

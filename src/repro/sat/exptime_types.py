@@ -28,6 +28,25 @@ construction specialized to XPath):
 ``(p, D)`` is satisfiable iff some realizable root type makes ``p`` true.
 Each realizable type remembers one witnessing children word, so SAT
 answers come with a concrete conforming tree.
+
+Everything past the closure runs on machine integers:
+
+* :class:`CompiledClosure` — the closure compiled once per call into a
+  linear program of index-addressed bit operations: qualifier truths
+  become bits of one int, child facts test a mask against the fact
+  bitmask, and a child type's fact contribution reads precomputed terms;
+* node types pack into single ints ``label_id << (Q + D) | truth_bits <<
+  D | dtruth_bits``, and reachability nodes into ``fact_bits <<
+  state_shift | state``;
+* :class:`_LabelSearch` — the **semi-naive** per-label reachability BFS:
+  frontier, seen-set, and parent links persist across fixpoint rounds,
+  so round ``N`` only explores transitions enabled by the types round
+  ``N-1`` added.
+
+The Glushkov tables come from :mod:`repro.sat.bits`, whose packed word
+kernels the bounded and NEXPTIME deciders share.  ``first_cases`` and
+the step cases are also the query decomposition of
+:mod:`repro.sat.realworld`.
 """
 
 from __future__ import annotations
@@ -37,7 +56,7 @@ from dataclasses import dataclass
 
 from repro.dtd.model import DTD
 from repro.errors import FragmentError, ReproError
-from repro.regex.ops import cached_nfa
+from repro.sat.bits import cached_tables
 from repro.sat.registry import DeciderSpec, register_decider
 from repro.sat.result import SatResult
 from repro.xmltree.model import Node, XMLTree
@@ -48,15 +67,6 @@ from repro.xpath.fragments import REC_NEG_DOWN_UNION, Feature, features_of
 METHOD = "thm5.3-types-fixpoint"
 
 _TRUE = ast.PathExists(ast.Empty())
-
-
-@dataclass(frozen=True)
-class NodeType:
-    """Element type + truths of all tracked facts at the node."""
-
-    label: str
-    truths: frozenset[Qualifier]
-    dtruths: frozenset[Qualifier]
 
 
 # -- step-case decomposition -------------------------------------------------
@@ -222,93 +232,339 @@ class _Closure:
                 self._collect_path(case.residual, pending)
 
 
-# -- truth evaluation at (label, fact set) -------------------------------------
+# -- compiled qualifier closure --------------------------------------------------
 
-class _Evaluator:
-    def __init__(self, closure: _Closure, label: str, fact_bits: int):
-        self.closure = closure
-        self.label = label
-        self.fact_bits = fact_bits
-        self._truth_cache: dict[Qualifier, bool] = {}
-        self._pe_cache: dict[Path, bool] = {}
-
-    def has_fact(self, fact: tuple) -> bool:
-        index = self.closure.fact_index.get(fact)
-        if index is None:
-            raise AssertionError(f"untracked fact {fact!r}")
-        return bool(self.fact_bits >> index & 1)
-
-    def truth(self, qualifier: Qualifier) -> bool:
-        cached = self._truth_cache.get(qualifier)
-        if cached is None:
-            cached = self._truth(qualifier)
-            self._truth_cache[qualifier] = cached
-        return cached
-
-    def _truth(self, qualifier: Qualifier) -> bool:
-        if isinstance(qualifier, ast.PathExists):
-            return self.path_exists(qualifier.path)
-        if isinstance(qualifier, ast.LabelTest):
-            return qualifier.name == self.label
-        if isinstance(qualifier, ast.And):
-            return self.truth(qualifier.left) and self.truth(qualifier.right)
-        if isinstance(qualifier, ast.Or):
-            return self.truth(qualifier.left) or self.truth(qualifier.right)
-        if isinstance(qualifier, ast.Not):
-            return not self.truth(qualifier.inner)
-        raise FragmentError(f"unexpected qualifier {qualifier!r}")
-
-    def path_exists(self, path: Path) -> bool:
-        cached = self._pe_cache.get(path)
-        if cached is None:
-            cached = self._path_exists(path)
-            self._pe_cache[path] = cached
-        return cached
-
-    def _path_exists(self, path: Path) -> bool:
-        for case in first_cases(path):
-            if isinstance(case, Done):
-                return True
-            if isinstance(case, Child):
-                if self.has_fact(("c", case.label, _residual_qual(case.residual))):
-                    return True
-            elif isinstance(case, Desc):
-                residual = _residual_qual(case.residual) or _TRUE
-                if self.has_fact(("cd", residual)):
-                    return True
-            elif isinstance(case, Check):
-                if self.truth(case.qualifier) and self.path_exists(case.residual):
-                    return True
-        return False
+# opcodes of the compiled closure program (slots start False per run)
+_OP_TRUE = 0      # slot = True                      (Done case)
+_OP_FACT = 1      # slot |= bool(fact_bits & mask)   (Child/Desc cases)
+_OP_TERM = 2      # slot |= slots[a] and slots[b]    (Check case)
+_OP_LABEL = 3     # slot = (label_id == operand)     (LabelTest)
+_OP_COPY = 4      # slot = slots[a]                  (PathExists = its path)
+_OP_AND = 5
+_OP_OR = 6
+_OP_NOT = 7
 
 
-# -- shared per-schema setup ----------------------------------------------------
+class CompiledClosure:
+    """One query's residual-qualifier closure compiled to a bit program.
 
-@dataclass(frozen=True)
-class TypesContext:
-    """Schema-only precomputation shared across a plan group's queries
-    (the decider's ``prepare`` hook): the termination check, the sorted
-    element-type order the fixpoint sweeps, and the per-type Glushkov
-    automata the reachability step walks."""
+    ``evaluate(label_id, fact_bits)`` decides every closure qualifier at
+    a node: instead of recursive AST walks, a topologically ordered
+    instruction list fills a flat slot array (qualifier slots first, one
+    slot per distinct residual path after), and the truth and
+    ``↓*``-truth bitmasks are read off the qualifier slots.
+    ``contribution`` likewise reads precompiled per-fact terms instead
+    of re-scanning the fact list per node type.
+    """
 
-    labels: tuple[str, ...]
-    nfas: dict[str, object]
-
-
-def prepare_types(dtd: DTD) -> TypesContext:
-    dtd.require_terminating()
-    labels = tuple(sorted(dtd.element_types))
-    return TypesContext(
-        labels=labels,
-        nfas={label: cached_nfa(dtd.production(label)) for label in labels},
+    __slots__ = (
+        "qual_count", "dqual_count", "fact_count", "slot_count",
+        "ops", "dqual_terms", "c_terms", "cd_terms",
     )
 
+    def __init__(self, closure: _Closure, label_index: dict[str, int]):
+        qual_slot = {qual: index for index, qual in enumerate(closure.quals)}
+        self.qual_count = len(closure.quals)
+        self.fact_count = len(closure.facts)
+        path_slot: dict[Path, int] = {}
+        ops: list[tuple[int, ...]] = []
+        compiling: set = set()
+        slots = [self.qual_count]  # next free slot
 
-# -- the fixpoint ---------------------------------------------------------------
+        def compile_qual(qual) -> int:
+            slot = qual_slot[qual]
+            if qual in compiling:
+                raise FragmentError(f"cyclic qualifier closure at {qual!r}")
+            if any(op[1] == slot for op in ops):
+                return slot
+            compiling.add(qual)
+            if isinstance(qual, ast.PathExists):
+                source = compile_path(qual.path)
+                ops.append((_OP_COPY, slot, source))
+            elif isinstance(qual, ast.LabelTest):
+                ops.append((_OP_LABEL, slot, label_index.get(qual.name, -1)))
+            elif isinstance(qual, ast.And):
+                left = compile_qual(qual.left)
+                right = compile_qual(qual.right)
+                ops.append((_OP_AND, slot, left, right))
+            elif isinstance(qual, ast.Or):
+                left = compile_qual(qual.left)
+                right = compile_qual(qual.right)
+                ops.append((_OP_OR, slot, left, right))
+            elif isinstance(qual, ast.Not):
+                inner = compile_qual(qual.inner)
+                ops.append((_OP_NOT, slot, inner))
+            else:
+                raise FragmentError(f"unexpected qualifier {qual!r}")
+            compiling.discard(qual)
+            return slot
+
+        def compile_path(path: Path) -> int:
+            slot = path_slot.get(path)
+            if slot is not None:
+                if path in compiling:
+                    raise FragmentError(f"cyclic path closure at {path!r}")
+                return slot
+            slot = slots[0]
+            slots[0] += 1
+            path_slot[path] = slot
+            compiling.add(path)
+            mask = 0
+            term_ops: list[tuple[int, ...]] = []
+            done = False
+            for case in first_cases(path):
+                if isinstance(case, Done):
+                    done = True
+                    break
+                if isinstance(case, Child):
+                    fact = ("c", case.label, _residual_qual(case.residual))
+                    mask |= 1 << closure.fact_index[fact]
+                elif isinstance(case, Desc):
+                    residual = _residual_qual(case.residual) or _TRUE
+                    mask |= 1 << closure.fact_index[("cd", residual)]
+                else:  # Check
+                    qual = compile_qual(case.qualifier)
+                    residual = compile_path(case.residual)
+                    term_ops.append((_OP_TERM, slot, qual, residual))
+            if done:
+                ops.append((_OP_TRUE, slot))
+            else:
+                if mask:
+                    ops.append((_OP_FACT, slot, mask))
+                ops.extend(term_ops)
+            compiling.discard(path)
+            return slot
+
+        for qual in closure.quals:
+            compile_qual(qual)
+        self.slot_count = slots[0]
+        self.ops = tuple(ops)
+
+        # ↓*-truth bits, ordered by the qualifier's closure index so the
+        # bit layout is deterministic: bit j is set iff the qualifier
+        # holds here or the ("cd", q) fact (when tracked) is present
+        dqual_order = sorted(closure.dquals, key=lambda qual: qual_slot[qual])
+        self.dqual_count = len(dqual_order)
+        self.dqual_terms = tuple(
+            (qual_slot[qual], closure.fact_index.get(("cd", qual), -1))
+            for qual in dqual_order
+        )
+
+        # contribution terms: ("c", label, qual) facts gate on the child's
+        # label id (-1 = wildcard, -2 = label absent from the schema) and
+        # optionally a truth bit; ("cd", q) facts gate on a ↓*-truth bit
+        dqual_bit = {qual: bit for bit, qual in enumerate(dqual_order)}
+        c_terms = []
+        cd_terms = []
+        for index, fact in enumerate(closure.facts):
+            if fact[0] == "c":
+                _tag, label, qual = fact
+                if label is None:
+                    label_id = -1
+                else:
+                    label_id = label_index.get(label, -2)
+                c_terms.append((
+                    1 << index, label_id,
+                    -1 if qual is None else qual_slot[qual],
+                ))
+            else:
+                _tag, qual = fact
+                cd_terms.append((1 << index, dqual_bit[qual]))
+        self.c_terms = tuple(c_terms)
+        self.cd_terms = tuple(cd_terms)
+
+    def evaluate(self, label_id: int, fact_bits: int) -> tuple[int, int]:
+        """``(truth_bits, dtruth_bits)`` of every closure qualifier at a
+        node with element type ``label_id`` and child facts ``fact_bits``."""
+        slots = [False] * self.slot_count
+        for op in self.ops:
+            code = op[0]
+            if code == _OP_FACT:
+                if fact_bits & op[2]:
+                    slots[op[1]] = True
+            elif code == _OP_TERM:
+                if slots[op[2]] and slots[op[3]]:
+                    slots[op[1]] = True
+            elif code == _OP_COPY:
+                slots[op[1]] = slots[op[2]]
+            elif code == _OP_NOT:
+                slots[op[1]] = not slots[op[2]]
+            elif code == _OP_AND:
+                slots[op[1]] = slots[op[2]] and slots[op[3]]
+            elif code == _OP_OR:
+                slots[op[1]] = slots[op[2]] or slots[op[3]]
+            elif code == _OP_LABEL:
+                slots[op[1]] = label_id == op[2]
+            else:  # _OP_TRUE
+                slots[op[1]] = True
+        truth_bits = 0
+        for index in range(self.qual_count):
+            if slots[index]:
+                truth_bits |= 1 << index
+        dtruth_bits = 0
+        for bit, (qual, cd_fact) in enumerate(self.dqual_terms):
+            if slots[qual] or (cd_fact >= 0 and fact_bits >> cd_fact & 1):
+                dtruth_bits |= 1 << bit
+        return truth_bits, dtruth_bits
+
+    def contribution(self, label_id: int, truth_bits: int, dtruth_bits: int) -> int:
+        """Fact bits a child of this type adds to its parent's fact set."""
+        mask = 0
+        for fact_bit, label, qual in self.c_terms:
+            if (label == -1 or label == label_id) and (
+                qual == -1 or truth_bits >> qual & 1
+            ):
+                mask |= fact_bit
+        for fact_bit, dbit in self.cd_terms:
+            if dtruth_bits >> dbit & 1:
+                mask |= fact_bit
+        return mask
+
+
+# -- the semi-naive fixpoint -----------------------------------------------------
+
+class _LabelSearch:
+    """Persistent per-label reachability over (Glushkov state × fact
+    bitmask), the semi-naive half of the fixpoint.
+
+    A naive fixpoint re-runs this BFS from scratch for every label on
+    every round — round ``N`` repeats all of round ``N-1``'s
+    exploration.  Here the search keeps ``seen``/``parents``/``nodes``
+    across rounds and ``ptr[label]`` records how many of that label's
+    realizable types every settled node has been expanded against, so
+    :meth:`extend` only walks **new** transitions: settled nodes × types
+    added since the last round, plus full expansion of any node that
+    first becomes reachable.  Each call yields the newly achievable
+    ``(fact bitmask, witnessing child-type word)`` pairs.
+    """
+
+    __slots__ = ("arcs", "shift", "accept_mask", "seen", "parents",
+                 "nodes", "results", "ptr")
+
+    def __init__(
+        self,
+        arcs: tuple[tuple[tuple[int, int], ...], ...],
+        shift: int,
+        accept_mask: int,
+        label_count: int,
+    ):
+        self.arcs = arcs
+        self.shift = shift
+        self.accept_mask = accept_mask
+        self.seen: set[int] = set()
+        self.parents: dict[int, tuple[int, int]] = {}
+        self.nodes: list[int] = []          # settled (fully expanded) nodes
+        self.results: set[int] = set()      # fact masks already yielded
+        self.ptr = [0] * label_count
+
+    def extend(
+        self,
+        types_by_label: list[list[int]],
+        type_contrib: list[int],
+    ) -> list[tuple[int, tuple[int, ...]]]:
+        arcs = self.arcs
+        shift = self.shift
+        state_mask = (1 << shift) - 1
+        seen = self.seen
+        parents = self.parents
+        limits = [len(types) for types in types_by_label]
+        queue: deque[int] = deque()
+        if not seen:
+            # node 0 packs (state 0, empty fact set) — the BFS start
+            seen.add(0)
+            queue.append(0)
+        # phase 1: settled nodes × types added since this search last ran
+        ptr = self.ptr
+        for position in range(len(self.nodes)):
+            node = self.nodes[position]
+            state = node & state_mask
+            bits = node >> shift
+            for succ, child_label in arcs[state]:
+                types = types_by_label[child_label]
+                for index in range(ptr[child_label], limits[child_label]):
+                    child = types[index]
+                    succ_node = (bits | type_contrib[child]) << shift | succ
+                    if succ_node not in seen:
+                        seen.add(succ_node)
+                        parents[succ_node] = (node, child)
+                        queue.append(succ_node)
+        # phase 2: full BFS of the newly reachable frontier
+        accept = self.accept_mask
+        out: list[tuple[int, tuple[int, ...]]] = []
+        while queue:
+            node = queue.popleft()
+            self.nodes.append(node)
+            state = node & state_mask
+            bits = node >> shift
+            if accept >> state & 1 and bits not in self.results:
+                word: list[int] = []
+                current = node
+                while current:
+                    current, chosen = parents[current]
+                    word.append(chosen)
+                word.reverse()
+                self.results.add(bits)
+                out.append((bits, tuple(word)))
+            for succ, child_label in arcs[state]:
+                types = types_by_label[child_label]
+                for index in range(limits[child_label]):
+                    child = types[index]
+                    succ_node = (bits | type_contrib[child]) << shift | succ
+                    if succ_node not in seen:
+                        seen.add(succ_node)
+                        parents[succ_node] = (node, child)
+                        queue.append(succ_node)
+        self.ptr = limits
+        return out
+
+
+# -- shared per-schema setup -----------------------------------------------------
+
+class PackedTypesContext:
+    """Schema-side packed tables for :func:`sat_exptime_types` (the
+    decider's ``prepare`` hook): element types in sorted order, per-label
+    Glushkov arcs annotated with child label ids, and packed accepting
+    masks.  Like every ``prepare`` context this is a pure cache —
+    worker-lane runtimes keep it warm across chunks, and it can never
+    change a verdict.  It holds nothing per query: the closure is
+    compiled once per call, since the decision cache answers repeated
+    questions before any decider runs.
+    """
+
+    __slots__ = ("labels", "label_index", "arcs", "shifts", "accept_masks")
+
+    def __init__(self, dtd: DTD):
+        dtd.require_terminating()
+        self.labels = tuple(sorted(dtd.element_types))
+        self.label_index = {name: index for index, name in enumerate(self.labels)}
+        arcs = []
+        shifts = []
+        accept_masks = []
+        for name in self.labels:
+            tables = cached_tables(dtd.production(name))
+            arcs.append(tuple(
+                tuple(
+                    (succ, self.label_index[tables.symbols[succ]])
+                    for succ in state_arcs
+                )
+                for state_arcs in tables.arcs
+            ))
+            shifts.append(max(1, (len(tables.symbols) - 1).bit_length()))
+            accept_masks.append(tables.accept_mask)
+        self.arcs = tuple(arcs)
+        self.shifts = tuple(shifts)
+        self.accept_masks = tuple(accept_masks)
+
+
+def prepare_types(dtd: DTD) -> PackedTypesContext:
+    return PackedTypesContext(dtd)
+
+
+# -- the decider -----------------------------------------------------------------
 
 def sat_exptime_types(
     query: Path, dtd: DTD, max_facts: int = 22,
-    context: TypesContext | None = None,
+    context: PackedTypesContext | None = None,
 ) -> SatResult:
     """Decide ``(query, dtd)`` for ``query ∈ X(↓,↓*,∪,[],¬)``.
 
@@ -326,126 +582,100 @@ def sat_exptime_types(
         )
     if context is None:
         context = prepare_types(dtd)
-
     closure = _Closure()
-    seed = ast.PathExists(query)
-    closure.collect(seed)
+    closure.collect(ast.PathExists(query))
     if len(closure.facts) > max_facts:
         raise ReproError(
             f"{len(closure.facts)} child facts exceed max_facts={max_facts}; "
             "use sat_bounded for queries this large"
         )
+    compiled = CompiledClosure(closure, context.label_index)
 
-    fact_count = len(closure.facts)
-    types_by_label: dict[str, list[NodeType]] = {name: [] for name in context.labels}
-    type_set: set[NodeType] = set()
-    realization: dict[NodeType, tuple[NodeType, ...]] = {}
-    contribution_cache: dict[NodeType, int] = {}
-
-    def contribution(node_type: NodeType) -> int:
-        bits = contribution_cache.get(node_type)
-        if bits is None:
-            bits = 0
-            for index, fact in enumerate(closure.facts):
-                if fact[0] == "c":
-                    _tag, label, qual = fact
-                    if (label is None or label == node_type.label) and (
-                        qual is None or qual in node_type.truths
-                    ):
-                        bits |= 1 << index
-                else:
-                    _tag, qual = fact
-                    if qual in node_type.dtruths:
-                        bits |= 1 << index
-            contribution_cache[node_type] = bits
-        return bits
-
-    derive_cache: dict[tuple[str, int], NodeType] = {}
-
-    def derive(label: str, fact_bits: int) -> NodeType:
-        # memoized per (label, fact set): achievable() re-reports every
-        # fact set each round, so without the memo every round re-allocates
-        # an _Evaluator (and its two caches) per already-known type
-        node_type = derive_cache.get((label, fact_bits))
-        if node_type is None:
-            evaluator = _Evaluator(closure, label, fact_bits)
-            truths = frozenset(q for q in closure.quals if evaluator.truth(q))
-            dtruths = frozenset(
-                q
-                for q in closure.dquals
-                if evaluator.truth(q)
-                or (("cd", q) in closure.fact_index and evaluator.has_fact(("cd", q)))
-            )
-            node_type = NodeType(label, truths, dtruths)
-            derive_cache[(label, fact_bits)] = node_type
-        return node_type
-
-    def achievable(label: str) -> list[tuple[int, tuple[NodeType, ...]]]:
-        """All achievable (fact bitmask, witnessing word of child types)
-        for the content model of ``label``, given current types."""
-        nfa = context.nfas[label]
-        start = (0, 0)
-        parents: dict[tuple[int, int], tuple[tuple[int, int], NodeType]] = {}
-        seen = {start}
-        queue = deque([start])
-        results: dict[int, tuple[NodeType, ...]] = {}
-        while queue:
-            state, bits = queue.popleft()
-            if nfa.is_accepting(state) and bits not in results:
-                word: list[NodeType] = []
-                current = (state, bits)
-                while current != start:
-                    current, chosen = parents[current]
-                    word.append(chosen)
-                results[bits] = tuple(reversed(word))
-            for succ in nfa.successors(state):
-                symbol = nfa.symbols[succ]
-                assert symbol is not None
-                for child_type in types_by_label[symbol]:
-                    succ_node = (succ, bits | contribution(child_type))
-                    if succ_node not in seen:
-                        seen.add(succ_node)
-                        parents[succ_node] = ((state, bits), child_type)
-                        queue.append(succ_node)
-        return list(results.items())
+    label_count = len(context.labels)
+    searches = [
+        _LabelSearch(
+            context.arcs[index], context.shifts[index],
+            context.accept_masks[index], label_count,
+        )
+        for index in range(label_count)
+    ]
+    qd_shift = compiled.qual_count + compiled.dqual_count
+    d_shift = compiled.dqual_count
+    types_by_label: list[list[int]] = [[] for _ in range(label_count)]
+    type_labels: list[int] = []
+    type_truths: list[int] = []
+    type_realization: list[tuple[int, ...]] = []
+    type_contrib: list[int] = []
+    type_ids: dict[int, int] = {}        # packed (label, truths, dtruths) -> id
+    derive_memo: dict[int, int] = {}     # packed (fact_bits, label) -> type id
 
     rounds = 0
     changed = True
     while changed:
         changed = False
         rounds += 1
-        for label in context.labels:
-            for bits, word in achievable(label):
-                node_type = derive(label, bits)
-                if node_type not in type_set:
-                    type_set.add(node_type)
-                    types_by_label[label].append(node_type)
-                    realization[node_type] = word
-                    changed = True
+        for label_id in range(label_count):
+            for bits, word in searches[label_id].extend(types_by_label, type_contrib):
+                memo_key = bits * label_count + label_id
+                type_id = derive_memo.get(memo_key)
+                if type_id is None:
+                    truth_bits, dtruth_bits = compiled.evaluate(label_id, bits)
+                    packed = (
+                        label_id << qd_shift | truth_bits << d_shift | dtruth_bits
+                    )
+                    type_id = type_ids.get(packed)
+                    if type_id is None:
+                        type_id = len(type_labels)
+                        type_ids[packed] = type_id
+                        type_labels.append(label_id)
+                        type_truths.append(truth_bits)
+                        type_realization.append(word)
+                        type_contrib.append(
+                            compiled.contribution(label_id, truth_bits, dtruth_bits)
+                        )
+                        types_by_label[label_id].append(type_id)
+                        changed = True
+                    derive_memo[memo_key] = type_id
 
     stats = {
-        "closure_quals": len(closure.quals),
-        "facts": fact_count,
-        "types": len(type_set),
+        "closure_quals": compiled.qual_count,
+        "facts": compiled.fact_count,
+        "types": len(type_labels),
         "rounds": rounds,
     }
-    root_types = [t for t in types_by_label[dtd.root] if seed in t.truths]
+    root_id = context.label_index[dtd.root]
+    # the seed qualifier PathExists(query) is collected first: bit 0
+    root_types = [
+        type_id for type_id in types_by_label[root_id]
+        if type_truths[type_id] & 1
+    ]
     if not root_types:
         return SatResult(False, METHOD, stats=stats)
-    witness = _realize(root_types[0], realization, dtd)
+    witness = _realize(
+        root_types[0], context.labels, type_labels, type_realization, dtd
+    )
     return SatResult(True, METHOD, witness=witness, stats=stats)
 
 
-def _realize(node_type: NodeType, realization, dtd: DTD) -> XMLTree:
-    def build(current: NodeType) -> Node:
-        node = Node(current.label)
-        for attr in sorted(dtd.attrs_of(current.label)):
+def _realize(
+    type_id: int,
+    labels: tuple[str, ...],
+    type_labels: list[int],
+    type_realization: list[tuple[int, ...]],
+    dtd: DTD,
+) -> XMLTree:
+    # a type's realization word only references types that existed
+    # before it was found, i.e. smaller ids, so this recursion is
+    # well-founded
+    def build(current: int) -> Node:
+        node = Node(labels[type_labels[current]])
+        for attr in sorted(dtd.attrs_of(node.label)):
             node.attrs[attr] = f"{attr}0"
-        for child_type in realization[current]:
-            node.append(build(child_type))
+        for child in type_realization[current]:
+            node.append(build(child))
         return node
 
-    return XMLTree(build(node_type))
+    return XMLTree(build(type_id))
 
 
 SPEC = register_decider(DeciderSpec(

@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 from repro.dtd.model import DTD
 from repro.dtd import properties as dtd_properties
-from repro.errors import ReproError
+from repro.errors import FragmentError, ReproError
 from repro.sat.costmodel import INLINE_THRESHOLD_MS, CostModel, size_bucket
 from repro.sat.registry import DeciderSpec, deciders, get_decider, registry_size
 from repro.sat.result import SatResult
@@ -103,7 +103,11 @@ class Plan:
 
     @classmethod
     def from_dict(cls, record: dict[str, Any]) -> "Plan":
-        return cls(
+        """Rebuild a persisted plan.  Raises :class:`ValueError` when the
+        chain names a decider that is not registered (e.g. one retired
+        since the plan was saved): such a plan cannot run, so the state
+        loaders skip it and its signature is replanned."""
+        plan = cls(
             signature=record["signature"],
             schema=record.get("schema"),
             rewrites=tuple(record.get("rewrites", ())),
@@ -116,6 +120,12 @@ class Plan:
                 for name, cost in record.get("costs", ())
             ),
         )
+        for name in (plan.decider,) + plan.fallbacks:
+            try:
+                get_decider(name)
+            except FragmentError:
+                raise ValueError(f"unknown decider {name!r}") from None
+        return plan
 
     def explain(self) -> str:
         """Human-readable account of the plan, for ``repro explain``."""

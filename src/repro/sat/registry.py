@@ -84,12 +84,6 @@ class DeciderSpec:
     accepts_context:
         The decision function takes a ``context=`` keyword carrying the
         object ``prepare`` returned.
-    backend:
-        Representation tag of the procedure's kernel (``"object"`` for the
-        plain-Python set/frozenset implementations, ``"bitset"`` for the
-        integer-packed kernels in :mod:`repro.sat.bits`).  Surfaced on
-        attempt spans, metrics labels, and ``repro stats --plans`` so
-        operators can see which variant the cost model is promoting.
     """
 
     name: str
@@ -106,7 +100,6 @@ class DeciderSpec:
     may_decline: bool = False
     prepare: Callable | None = None
     accepts_context: bool = False
-    backend: str = "object"
 
     def accepts(self, features: frozenset[Feature]) -> bool:
         return features <= self.allowed
@@ -155,7 +148,6 @@ def load() -> None:
     if _LOADED:
         return
     from repro.sat import (  # noqa: F401  (imported for registration side effects)
-        bits,
         bounded,
         conjunctive,
         disjunction_free,
@@ -180,19 +172,10 @@ def get_decider(name: str) -> DeciderSpec:
         raise FragmentError(f"unknown decider {name!r}; registered: {known}") from None
 
 
-def decider_backend(name: str) -> str:
-    """Backend tag of a decider, defaulting to ``"object"`` for names
-    outside the registry (observability callers label spans for whatever
-    attempt names they are handed, registered or not)."""
-    load()
-    spec = _REGISTRY.get(name)
-    return spec.backend if spec is not None else "object"
-
-
 def decider_traits(name: str) -> tuple[str, ...]:
     """Schema-trait gate of a decider, ``()`` for names outside the
-    registry (same leniency as :func:`decider_backend` — observability
-    callers classify whatever attempt names they are handed)."""
+    registry (observability callers classify whatever attempt names they
+    are handed, registered or not)."""
     load()
     spec = _REGISTRY.get(name)
     return spec.traits if spec is not None else ()

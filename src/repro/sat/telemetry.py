@@ -35,14 +35,6 @@ def verdict_name(satisfiable: bool | None) -> str:
     return VERDICT_NAMES[satisfiable]
 
 
-def _backend_of(decider: str) -> str:
-    """Kernel backend tag for metrics labels (lazy registry lookup so
-    telemetry stays importable without loading every decider module)."""
-    from repro.sat.registry import decider_backend
-
-    return decider_backend(decider)
-
-
 @dataclass
 class PlanStats:
     """Accumulated observations of one plan's executions."""
@@ -122,8 +114,8 @@ class PlanStats:
     def top_decider(self) -> str:
         """The chain member answering most of this plan's executions —
         the ``repro stats --plans`` "winner" column, which is where a
-        cost-model promotion (e.g. bitset over object kernels) becomes
-        visible to operators."""
+        cost-model promotion (e.g. ``nexptime`` over ``exptime_types``)
+        becomes visible to operators."""
         if not self.deciders:
             return "-"
         return max(sorted(self.deciders), key=self.deciders.__getitem__)
@@ -366,9 +358,8 @@ class PlanTelemetry:
                 if value:
                     registry.counter(
                         "repro_plan_answers_total",
-                        "plan executions by answering decider and kernel backend",
-                        {"plan": key, "decider": decider,
-                         "backend": _backend_of(decider)},
+                        "plan executions by answering decider",
+                        {"plan": key, "decider": decider},
                     ).inc(value)
             if stats.fallbacks:
                 registry.counter(

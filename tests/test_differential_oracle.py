@@ -183,11 +183,11 @@ class TestDifferentialCorpus:
 
 
 class TestWideSchemaCorpus:
-    """Wide-schema extension of the differential corpus: the bitset
-    decider's natural habitat (dozens-to-hundreds of element types) swept
-    through the same cross-check harness.  ``cross_check`` runs every
-    registered decider accepting the features, so each case compares the
-    object and bitset Thm 5.3 deciders against each other *and* the
+    """Wide-schema extension of the differential corpus: the packed Thm
+    5.3 fixpoint's natural habitat (dozens-to-hundreds of element types)
+    swept through the same cross-check harness.  ``cross_check`` runs
+    every registered decider accepting the features, so each case
+    compares the fixpoint against the other deciders *and* the
     brute-force oracle."""
 
     #: shallow bounds — wide_dtd's heap has depth <= 2 below T0..T6, so
@@ -209,18 +209,16 @@ class TestWideSchemaCorpus:
         )
         disagreements = []
         checked = 0
-        bitset_verdicts = 0
+        fixpoint_verdicts = 0
         for query, case_dtd in cases:
             report = cross_check(query, case_dtd, self.WIDE_BOUNDS)
             checked += report.checked
-            bitset_verdicts += report.verdicts.get(
-                "exptime_types_bits"
-            ) is not None
+            fixpoint_verdicts += report.verdicts.get("exptime_types") is not None
             for message in report.disagreements:
                 disagreements.append(f"{report.query}: {message}")
         assert not disagreements, "\n".join(disagreements)
         assert checked > 0
-        assert bitset_verdicts > 0, "bitset decider never reached a verdict"
+        assert fixpoint_verdicts > 0, "the Thm 5.3 fixpoint never reached a verdict"
 
 
 #: enlarged fuzz corpus size: >= 500 in tier-1 (the acceptance bar); the

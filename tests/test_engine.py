@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -867,6 +868,32 @@ class TestCrossRunPersistence:
             r.satisfiable for r in fresh.results
         ]
         engine.close()
+
+    def test_lanes_killed_right_after_a_run_never_wedge_the_next(self, registry):
+        """A lane killed the moment its results land may still hold the
+        lock guarding its result channel.  Each lane writes to its own
+        pipe, so the next run respawns it and finishes instead of
+        waiting forever for results that can no longer be written."""
+        finished: list[int] = []
+
+        def scenario() -> None:
+            for _ in range(10):
+                engine = BatchEngine(registry=registry, workers=2, group_chunk_size=1)
+                try:
+                    engine.run([Job(q, "disjfree") for q in self.RUN1])
+                    for lane in engine._pool_executor._lanes:
+                        if lane.process is not None:
+                            lane.process.kill()
+                    report = engine.run([Job(q, "disjfree") for q in self.RUN2])
+                    finished.append(report.stats.errors)
+                finally:
+                    engine.close()
+
+        worker = threading.Thread(target=scenario, daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive(), "a run after lane deaths never finished"
+        assert finished == [0] * 10
 
 
 # -- streamed results ------------------------------------------------------------

@@ -407,6 +407,38 @@ class TestEngineTracing:
         assert "repro_traces_finished_total 2" in text
         assert "repro_plan_latency_ms_bucket" in text
 
+    def test_counters_never_decrease_across_runs(self, registry):
+        """Every counter and histogram count in the engine's metrics
+        covers the engine's whole life, not its last run (under `serve`
+        a run is one micro-batch)."""
+
+        def counts(engine):
+            values = {}
+            for name, family in engine.metrics_registry().as_dict().items():
+                for series in family["series"]:
+                    key = (name, tuple(sorted(series["labels"].items())))
+                    if family["type"] == "counter":
+                        values[key] = series["value"]
+                    elif family["type"] == "histogram":
+                        values[key] = series["count"]
+            return values
+
+        engine = BatchEngine(registry=registry, workers=2)
+        try:
+            before: dict = {}
+            for batch in (HEAVY[:3], HEAVY[3:4], ["A", "B"]):
+                engine.run([Job(query, "disjfree") for query in batch])
+                after = counts(engine)
+                for key, value in before.items():
+                    assert after.get(key, 0) >= value, key
+                before = after
+        finally:
+            engine.close()
+        assert before[("repro_jobs_total", ())] == 6
+        assert engine.last_stats.jobs == 2      # last_stats stays per run
+        dwell = before[("repro_chunk_dwell_ms", ())]
+        assert dwell >= engine.last_stats.plan_groups
+
     def test_engine_stats_persisted_and_reloaded(self, registry, tmp_path):
         from repro.engine.state import load_state
 

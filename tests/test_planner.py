@@ -123,14 +123,12 @@ class TestPlanConstruction:
         )
         assert plan.decider == "exptime_types"
         # ↓* rules out the NEXPTIME fragment and ¬ rules out positive:
-        # declining falls to the bitset variant of the same fixpoint
-        # (same fact cap, so it declines in lockstep) and then must land
-        # on the bounded semi-decision
-        assert plan.fallbacks == ("exptime_types_bits", "bounded")
+        # declining must land on the bounded semi-decision
+        assert plan.fallbacks == ("bounded",)
         plan = Planner().plan_query(
             parse_query("A[not(B)]"), artifacts=registry.get("general")
         )
-        assert plan.fallbacks == ("exptime_types_bits", "nexptime")
+        assert plan.fallbacks == ("nexptime",)
 
     def test_signature_is_the_cache_key(self, registry):
         planner = Planner()
@@ -408,9 +406,7 @@ class TestCostBasedChoice:
             cost_model=model, schema_size=12,
         )
         assert promoted.decider == "nexptime"
-        # measured members outrank the unmeasured bitset variant, which
-        # keeps its static position at the back
-        assert promoted.fallbacks == ("exptime_types", "exptime_types_bits")
+        assert promoted.fallbacks == ("exptime_types",)
         assert any("promoted" in note for note in promoted.notes)
         # chain members never change, only their order
         assert set((promoted.decider,) + promoted.fallbacks) \

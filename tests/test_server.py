@@ -7,6 +7,7 @@ socket and speak the JSONL protocol over concurrent client connections.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
@@ -115,6 +116,62 @@ class TestAdmissionControl:
         server.stats.snapshots = 3
         rendered = engine.metrics_registry().render_prometheus()
         assert "repro_server_snapshots_total 3" in rendered
+
+
+class TestEngineFailure:
+    def test_engine_bug_answers_every_line_and_frees_capacity(self, engine, tmp_path):
+        """A non-library exception from ``engine.run`` (a bug inside the
+        engine) still gets the batch's jobs an error record each; the
+        connection keeps serving and in-flight capacity is returned."""
+        real_run = engine.run
+        calls = []
+
+        def flaky_run(jobs, on_result=None):
+            calls.append(len(jobs))
+            if len(calls) == 1:
+                raise RuntimeError("injected engine bug")
+            return real_run(jobs, on_result=on_result)
+
+        engine.run = flaky_run
+        ready = threading.Event()
+        loops = []
+
+        def on_ready(server):
+            loops.append(asyncio.get_running_loop())
+            ready.set()
+
+        sock = str(tmp_path / "serve.sock")
+        server = EngineServer(engine, socket_path=sock, on_ready=on_ready)
+        thread = threading.Thread(target=server.run, daemon=True)
+        thread.start()
+        try:
+            assert ready.wait(timeout=30), "server did not come up"
+            client = socket.socket(socket.AF_UNIX)
+            client.settimeout(20)
+            client.connect(sock)
+            with client, client.makefile("rw", encoding="utf-8") as stream:
+                stream.write(json.dumps(
+                    {"query": "A", "schema": "catalog", "id": "first"}
+                ) + "\n")
+                stream.flush()
+                failed = json.loads(stream.readline())
+                stream.write(json.dumps(
+                    {"query": "B", "schema": "catalog", "id": "second"}
+                ) + "\n")
+                stream.flush()
+                answered = json.loads(stream.readline())
+        finally:
+            if loops:
+                loops[0].call_soon_threadsafe(server.request_shutdown)
+            thread.join(timeout=30)
+        assert not thread.is_alive(), "server did not drain"
+        assert failed["id"] == "first"
+        assert failed["status"] == "error"
+        assert "RuntimeError: injected engine bug" in failed["error"]
+        assert answered["id"] == "second"
+        assert answered["satisfiable"] is True
+        assert server.stats.inflight_jobs == 0
+        assert server.stats.results_streamed == 1
 
 
 # -- end-to-end smoke over a unix socket -----------------------------------------

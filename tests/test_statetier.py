@@ -367,6 +367,37 @@ class TestWarmStart:
             engine.save_state()
             engine.close()
 
+    @pytest.mark.parametrize("store", ["state_dir", "state_tier"])
+    def test_plan_naming_unregistered_decider_is_replanned(self, tmp_path, store):
+        """A persisted plan whose chain names a decider that is no longer
+        registered (e.g. one retired since the state was saved) is
+        skipped with a warning on load, so its signature is replanned
+        instead of failing the whole run."""
+        from repro.sat import registry as sat_registry
+
+        target = {store: str(tmp_path / "state")}
+        seed = BatchEngine(registry=_registry(), **target)
+        seed.run([Job("C[not(A)]", "catalog")])
+        (plan,) = seed.registry.get("catalog").plan_cache.values()
+        assert plan.decider == "exptime_types"
+        seed.save_state()
+        seed.close()
+
+        with sat_registry.disabled("exptime_types"):
+            engine = BatchEngine(registry=_registry(), **target)
+            try:
+                report = engine.run([Job("B[not(A)]", "catalog")])
+                replanned = engine.registry.get("catalog").plan_cache[plan.signature]
+            finally:
+                engine.close()
+        assert any(
+            "unknown decider 'exptime_types'" in warning
+            for warning in engine.state_warnings
+        ), engine.state_warnings
+        assert report.stats.errors == 0
+        assert report.results[0].satisfiable is True
+        assert "exptime_types" not in (replanned.decider,) + replanned.fallbacks
+
     def test_cli_batch_warm_start_through_tier(self, tmp_path, capsys):
         dtd = tmp_path / "catalog.dtd"
         dtd.write_text(DTD_TEXT)
