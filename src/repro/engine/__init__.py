@@ -20,7 +20,9 @@ package amortizes their setup across production-scale workloads:
   repro batch``;
 * :mod:`repro.engine.server` — :class:`EngineServer`, the asyncio daemon
   behind ``python -m repro serve``: one shared engine multiplexed across
-  concurrent JSONL connections, with admission control and snapshots;
+  concurrent JSONL connections, with admission control and snapshots
+  (import it from its module: the package does not re-export the two
+  daemons, so an in-process engine never loads ``asyncio``);
 * :mod:`repro.engine.statetier` — :class:`StateTier`, the concurrent-safe
   SQLite (WAL) replacement for the JSON state snapshot: N processes load
   and save simultaneously, cost samples merge instead of overwriting;
@@ -56,8 +58,6 @@ from repro.engine.jobs import (
     write_results_file,
 )
 from repro.engine.registry import SchemaArtifacts, SchemaRegistry, schema_fingerprint
-from repro.engine.router import EngineRouter, RouterStats, pick_shard
-from repro.engine.server import EngineServer, ServerStats
 from repro.engine.state import PersistedState, load_state, save_state
 from repro.engine.statetier import StateTier, resolve_tier_path
 
@@ -68,8 +68,6 @@ __all__ = [
     "ChunkOutcome", "ChunkTask", "Executor", "ExecutorStats",
     "InlineExecutor", "PersistentPoolExecutor", "WorkerRuntime",
     "SchemaArtifacts", "SchemaRegistry", "schema_fingerprint",
-    "EngineServer", "ServerStats",
-    "EngineRouter", "RouterStats", "pick_shard",
     "PersistedState", "load_state", "save_state",
     "StateTier", "resolve_tier_path",
     "read_jobs", "read_jobs_file", "write_jobs_file",

@@ -148,6 +148,12 @@ def resolve_tier_path(path: str) -> str:
     return os.path.join(path, TIER_FILENAME)
 
 
+def _is_lock_error(error: sqlite3.DatabaseError) -> bool:
+    """Contention with another connection, which waiting resolves."""
+    message = str(error).lower()
+    return "locked" in message or "busy" in message
+
+
 class StateTier:
     """One shared SQLite state database (see the module docstring).
 
@@ -198,22 +204,45 @@ class StateTier:
 
     # -- connection lifecycle ------------------------------------------------
     def _connect(self) -> sqlite3.Connection:
+        """A connection with the schema in place (closed again if that
+        fails)."""
         conn = sqlite3.connect(
             self.path,
             timeout=self.busy_timeout,
             isolation_level=None,       # explicit BEGIN IMMEDIATE below
             check_same_thread=False,    # guarded by self._lock
         )
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        return conn
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            return self._init_schema(conn)
+        except BaseException:
+            conn.close()
+            raise
+
+    def _connect_waiting(self) -> sqlite3.Connection:
+        """:meth:`_connect`, retrying lock contention with the writers'
+        backoff.  Processes opening one database together can get
+        "database is locked" at once, without the busy timeout, while
+        one of them switches it to WAL; that is contention, not damage."""
+        delay = 0.05
+        for _ in range(self.max_retries):
+            try:
+                return self._connect()
+            except sqlite3.OperationalError as error:
+                if not _is_lock_error(error):
+                    raise
+            self.lock_retries += 1
+            time.sleep(delay)
+            delay = min(delay * 2, 0.5)
+        return self._connect()
 
     def _open(self, fresh: bool) -> sqlite3.Connection:
         try:
-            return self._init_schema(self._connect())
+            return self._connect_waiting()
         except sqlite3.DatabaseError as error:
-            if fresh:
+            if fresh or _is_lock_error(error):
                 raise EngineError(f"state tier {self.path}: {error}") from error
             # an unreadable existing database: set it aside and rebuild —
             # shared state is an optimization, refusing to serve over a
@@ -226,7 +255,7 @@ class StateTier:
             self.warnings.append(message)
             _LOG.warning(message)
             os.replace(self.path, corrupt)
-            return self._init_schema(self._connect())
+            return self._connect()
 
     def _init_schema(self, conn: sqlite3.Connection) -> sqlite3.Connection:
         conn.executescript(_SCHEMA)
@@ -274,8 +303,7 @@ class StateTier:
             try:
                 return operation()
             except sqlite3.OperationalError as error:
-                message = str(error).lower()
-                if "locked" not in message and "busy" not in message:
+                if not _is_lock_error(error):
                     raise EngineError(
                         f"state tier {label} failed: {error}"
                     ) from error

@@ -33,6 +33,11 @@ dynamic program over ``(element type, qualifier set)`` keys:
    chaotically to the least fixpoint so recursive schemas (``div`` in
    ``div``) converge without unsound provisional answers.
 
+A SAT verdict carries a witness: each ``(type, qualifier set)`` key
+records the host children that made it true when it flipped, and the
+tree is read back from those records, with children words from the
+feasibility models and minimal subtrees for every other child.
+
 All combinatorial widths are hard-budgeted; exceeding a budget raises
 :class:`~repro.errors.ReproError`, which the planner's ``may_decline``
 fall-through turns into a hand-off to the EXPTIME chain — never a
@@ -59,6 +64,8 @@ from repro.regex.ast import Union as RUnion
 from repro.sat.exptime_types import Check, Child, Desc, Done, first_cases, _residual_qual
 from repro.sat.registry import DeciderSpec, register_decider
 from repro.sat.result import SatResult
+from repro.xmltree.generate import minimal_node
+from repro.xmltree.model import Node, XMLTree
 from repro.xpath import ast
 from repro.xpath.ast import Path, Qualifier
 from repro.xpath.fragments import CHILD_UP, DOWNWARD_QUAL, features_of
@@ -86,6 +93,7 @@ class _DCModel:
     multiset fits iff every needed label is pumpable or needed at most as
     often as it occurs mandatorily."""
 
+    production: Regex
     mandatory: Mapping[str, int]
     pumpable: frozenset[str]
     alphabet: frozenset[str]
@@ -147,6 +155,51 @@ def _df_feasible(regex: Regex, need: dict[str, int]) -> bool:
     raise FragmentError(f"unexpected regex node {regex!r}")
 
 
+def _word_holding(regex: Regex, need: Mapping[str, int]) -> tuple[str, ...]:
+    """A word of ``regex`` with at least ``need[label]`` copies of each
+    label, for a ``need`` its model found feasible.  Every part whose
+    alphabet holds a label is asked for all of its copies: a symbol gives
+    one and a star pumps them all, so a disjunction-capsuled concatenation
+    reaches the count through its mandatory symbols or a star, and a
+    duplicate-free one has exactly one such part per label."""
+    if not need:
+        return _shortest_word(regex)
+    if isinstance(regex, Symbol):
+        return (regex.name,)
+    if isinstance(regex, Star):
+        word: list[str] = []
+        for label, count in sorted(need.items()):
+            word.extend(_word_holding(regex.inner, {label: 1}) * count)
+        return tuple(word)
+    if isinstance(regex, Optional):
+        return _word_holding(regex.inner, need)
+    if isinstance(regex, RUnion):
+        for part in regex.parts:
+            if set(need) <= part.alphabet():
+                return _word_holding(part, need)
+    if isinstance(regex, Concat):
+        word = []
+        for part in regex.parts:
+            alphabet = part.alphabet()
+            word.extend(_word_holding(part, {
+                label: count for label, count in need.items() if label in alphabet
+            }))
+        return tuple(word)
+    raise FragmentError(f"no word of {regex} holds {dict(need)}")
+
+
+def _shortest_word(regex: Regex) -> tuple[str, ...]:
+    if isinstance(regex, Symbol):
+        return (regex.name,)
+    if isinstance(regex, (Epsilon, Star, Optional)):
+        return ()
+    if isinstance(regex, RUnion):
+        return min((_shortest_word(part) for part in regex.parts), key=len)
+    if isinstance(regex, Concat):
+        return tuple(label for part in regex.parts for label in _shortest_word(part))
+    raise FragmentError(f"unexpected regex node {regex!r}")
+
+
 # -- shared per-schema setup -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -173,6 +226,7 @@ def prepare_realworld(dtd: DTD) -> RealWorldContext:
                 elif isinstance(factor, Star):
                     pumpable |= factor.alphabet()
             models[label] = _DCModel(
+                production=production,
                 mandatory=dict(mandatory),
                 pumpable=frozenset(pumpable),
                 alphabet=alphabet,
@@ -227,6 +281,12 @@ def _partitions(items: list) -> Iterator[list[list]]:
 
 # -- the least-fixpoint solver ---------------------------------------------------
 
+#: a ``satset`` key: an element type and the qualifiers its node must meet
+_Key = tuple[str, frozenset[Qualifier]]
+#: the children that made a key true: ``(host label, host qualifiers)``
+_Hosts = tuple[_Key, ...]
+
+
 @dataclass
 class _Solver:
     """Least fixpoint of ``satset(A, Q)`` — "some conforming tree rooted
@@ -236,11 +296,17 @@ class _Solver:
     value, and outer passes repeat until a pass derives nothing new.
     Sound because the fragment is negation-free, so the underlying
     operator is monotone and the stabilized table is the least fixpoint.
+
+    When a key flips to true, ``hosts`` records the ``(host label, host
+    qualifier set)`` children that made it true.  Those keys were all
+    true already, so the records form a well-founded derivation that
+    :meth:`witness` turns into a tree.
     """
 
     dtd: DTD
     context: RealWorldContext
-    memo: dict[tuple[str, frozenset[Qualifier]], bool] = field(default_factory=dict)
+    memo: dict[_Key, bool] = field(default_factory=dict)
+    hosts: dict[_Key, _Hosts] = field(default_factory=dict)
     pass_done: set = field(default_factory=set)
     active: set = field(default_factory=set)
     steps: int = 0
@@ -281,25 +347,29 @@ class _Solver:
         self._step()
         self.active.add(key)
         try:
-            value = self._compute(label, quals)
+            hosts = self._compute(label, quals)
         finally:
             self.active.discard(key)
         self.pass_done.add(key)
-        if value:
-            if not self.memo.get(key, False):
-                self.memo[key] = True
-                self.changed = True
-        else:
+        if hosts is None:
             self.memo.setdefault(key, False)
-        return value
+            return False
+        # the key is not true yet: a true key returns above, and a key
+        # being computed is active, so its own recursion cannot flip it
+        self.memo[key] = True
+        self.hosts[key] = hosts
+        self.changed = True
+        return True
 
-    def _compute(self, label: str, quals: frozenset[Qualifier]) -> bool:
+    def _compute(self, label: str, quals: frozenset[Qualifier]) -> _Hosts | None:
+        """The hosts of one way to satisfy ``quals`` at ``label``, or
+        ``None`` when there is none yet."""
         option_lists: list[list[frozenset[_Atom]]] = []
         total = 1
         for qual in sorted(quals, key=str):
             choices = self.options(qual, label)
             if not choices:
-                return False
+                return None
             option_lists.append(choices)
             total *= len(choices)
             if total > MAX_CHOICES:
@@ -310,15 +380,16 @@ class _Solver:
         for combination in product(*option_lists):
             atoms: frozenset[_Atom] = frozenset().union(*combination)
             if not atoms:
-                return True
+                return ()
             if len(atoms) > MAX_ATOMS:
                 raise ReproError(
                     f"{len(atoms)} child-requirement atoms exceed "
                     f"{MAX_ATOMS}; falling back"
                 )
-            if self.solve_atoms(label, atoms):
-                return True
-        return False
+            hosts = self.solve_atoms(label, atoms)
+            if hosts is not None:
+                return hosts
+        return None
 
     # disjunctive decomposition: each qualifier becomes a list of choices,
     # each choice a (possibly empty) set of child/descendant atoms
@@ -370,11 +441,12 @@ class _Solver:
             )
         return choices
 
-    def solve_atoms(self, label: str, atoms: frozenset[_Atom]) -> bool:
-        """Can one children word of ``label``'s content model host every
-        atom?  Atoms partition into blocks (one hosting child each) —
-        finest partitions first, since distinct hosts are feasible most
-        often — then hosts get labels and the multiset is checked."""
+    def solve_atoms(self, label: str, atoms: frozenset[_Atom]) -> _Hosts | None:
+        """The hosting children, if one children word of ``label``'s
+        content model can host every atom.  Atoms partition into blocks
+        (one hosting child each) — finest partitions first, since
+        distinct hosts are feasible most often — then hosts get labels
+        and the multiset is checked."""
         model = self.context.models[label]
         atom_list = sorted(atoms, key=str)
         partitions = sorted(_partitions(atom_list), key=len, reverse=True)
@@ -427,8 +499,36 @@ class _Solver:
                     self.satset(host, quals)
                     for host, (_, quals) in zip(assignment, infos)
                 ):
-                    return True
-        return False
+                    return tuple(
+                        (host, quals) for host, (_, quals) in zip(assignment, infos)
+                    )
+        return None
+
+    # witness construction from the recorded hosts
+
+    def witness(self, query: Path) -> XMLTree:
+        """A conforming tree satisfying ``query``, after :meth:`top` found
+        it satisfiable."""
+        return XMLTree(self._realize(self.dtd.root, frozenset({ast.PathExists(query)})))
+
+    def _realize(self, label: str, quals: frozenset[Qualifier]) -> Node:
+        hosts = self.hosts[(label, quals)] if quals else ()
+        if not hosts:
+            return minimal_node(self.dtd, label)
+        node = Node(label=label)
+        for attr in sorted(self.dtd.attrs_of(label)):
+            node.attrs[attr] = f"{attr}0"
+        waiting: dict[str, list[frozenset[Qualifier]]] = {}
+        for host, host_quals in hosts:
+            waiting.setdefault(host, []).append(host_quals)
+        need = {host: len(pending) for host, pending in waiting.items()}
+        for symbol in _word_holding(self.context.models[label].production, need):
+            pending = waiting.get(symbol)
+            if pending:
+                node.append(self._realize(symbol, pending.pop()))
+            else:
+                node.append(minimal_node(self.dtd, symbol))
+        return node
 
 
 # -- the decider -----------------------------------------------------------------
@@ -462,7 +562,8 @@ def sat_realworld(
         "steps": solver.steps,
         "passes": solver.passes,
     }
-    return SatResult(satisfiable, METHOD, stats=stats)
+    witness = solver.witness(rewritten) if satisfiable else None
+    return SatResult(satisfiable, METHOD, witness=witness, stats=stats)
 
 
 SPEC = register_decider(DeciderSpec(

@@ -200,11 +200,17 @@ class PlanTelemetry:
     The plan's serialized form rides along with its stats so a persisted
     table can be rendered (and fed back into the cost model) without the
     original :class:`Plan` objects.
+
+    :meth:`summary` rows are cached until :meth:`record`,
+    :meth:`record_failure`, :meth:`merge` or :meth:`prune` changes the
+    table, so every change must go through those methods (not through a
+    :class:`PlanStats` obtained from :meth:`get`).
     """
 
     def __init__(self) -> None:
         self._stats: dict[str, PlanStats] = {}
         self._plans: dict[str, dict[str, Any]] = {}
+        self._summary: dict[str, dict[str, Any]] | None = None
 
     def __len__(self) -> int:
         return len(self._stats)
@@ -233,6 +239,7 @@ class PlanTelemetry:
         shared_setup: bool = False,
         runtime_hit: bool = False,
     ) -> None:
+        self._summary = None
         key = plan.telemetry_key
         stats = self._stats.get(key)
         if stats is None:
@@ -245,6 +252,7 @@ class PlanTelemetry:
         )
 
     def record_failure(self, plan, jobs: int = 1) -> None:
+        self._summary = None
         key = plan.telemetry_key
         stats = self._stats.get(key)
         if stats is None:
@@ -253,6 +261,7 @@ class PlanTelemetry:
         stats.record_failure(jobs)
 
     def merge(self, other: "PlanTelemetry") -> None:
+        self._summary = None
         for key, stats in other.items():
             mine = self._stats.get(key)
             if mine is None:
@@ -287,6 +296,8 @@ class PlanTelemetry:
         for key in stale:
             del self._stats[key]
             self._plans.pop(key, None)
+        if stale:
+            self._summary = None
         return len(stale)
 
     @classmethod
@@ -314,7 +325,18 @@ class PlanTelemetry:
 
     def summary(self) -> dict[str, Any]:
         """Compact per-plan rows for ``EngineStats.as_dict`` and JSON
-        consumers (one entry per plan, no histograms)."""
+        consumers (one entry per plan, no histograms).
+
+        The rows are built once per change to the table; each call
+        returns fresh dicts, so a caller may keep or mutate its copy."""
+        if self._summary is None:
+            self._summary = self._summary_rows()
+        return {
+            key: {**row, "verdicts": dict(row["verdicts"])}
+            for key, row in self._summary.items()
+        }
+
+    def _summary_rows(self) -> dict[str, dict[str, Any]]:
         rows = {}
         for key, stats in sorted(self._stats.items()):
             row = {

@@ -35,61 +35,75 @@ Examples
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from string import ascii_letters
 
 from repro.errors import ParseError
 from repro.xpath import ast
 from repro.xpath.ast import Path, Qualifier
 
+#: one token or one run of whitespace
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<dstar>\*\*)
-  | (?P<star>\*)
-  | (?P<aos>\^\*)
-  | (?P<parent>\^)
-  | (?P<rss>>\*)
-  | (?P<rs>>)
-  | (?P<lss><\*)
-  | (?P<ls><)
-  | (?P<neq>!=)
-  | (?P<eq>=)
-  | (?P<slash>/)
-  | (?P<bar>\|)
-  | (?P<lbracket>\[)
-  | (?P<rbracket>\])
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<at>@)
-  | (?P<dot>\.)
-  | (?P<string>'[^']*')
-  | (?P<number>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_.:-]*)
-    """,
-    re.VERBOSE,
+    r"\s+|\*\*|\*|\^\*|\^|>\*|>|<\*|<|!=|=|/|\||\[|\]|\(|\)|@|\."
+    r"|'[^']*'|\d+|[A-Za-z_][A-Za-z0-9_.:-]*"
 )
 
+_PUNCTUATION = {
+    "**": "dstar", "*": "star", "^*": "aos", "^": "parent",
+    ">*": "rss", ">": "rs", "<*": "lss", "<": "ls",
+    "!=": "neq", "=": "eq", "/": "slash", "|": "bar",
+    "[": "lbracket", "]": "rbracket", "(": "lparen", ")": "rparen",
+    "@": "at", ".": "dot",
+}
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    position: int
+#: kinds of the other tokens by first character; a piece starting with
+#: none of these is a number or whitespace
+_WORD_KINDS = dict.fromkeys(ascii_letters + "_", "name")
+_WORD_KINDS["'"] = "string"
+
+#: a token: ``(kind, value, position)``
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, ending in an ``end`` sentinel.
+
+    One ``findall`` scan yields every token and whitespace run, leftmost
+    first as a token-at-a-time loop would, so a token's position is the
+    running length of the pieces before it.  The scan silently skips a
+    character where no piece starts; the pieces then fall short of the
+    text's length.  Whitespace is a piece of its own, not a prefix of the
+    next token, so a long run is matched once (a prefix would be retried
+    from every position of a run that no token follows: quadratic).
+    """
     tokens: list[_Token] = []
-    index = 0
-    while index < len(text):
-        match = _TOKEN_RE.match(text, index)
-        if match is None:
-            raise ParseError("unexpected character in query", text, index)
-        kind = match.lastgroup or ""
-        if kind != "ws":
-            tokens.append(_Token(kind, match.group(), index))
-        index = match.end()
-    tokens.append(_Token("end", "", len(text)))
+    append = tokens.append
+    end = 0
+    for piece in _TOKEN_RE.findall(text):
+        position = end
+        end += len(piece)
+        kind = _PUNCTUATION.get(piece) or _WORD_KINDS.get(piece[0])
+        if kind is None:
+            if piece[0].isspace():
+                continue
+            kind = "number"
+        append((kind, piece, position))
+    if end != len(text):
+        raise _unexpected(text)
+    append(("end", "", len(text)))
     return tokens
+
+
+def _unexpected(text: str) -> ParseError:
+    """The error at the first character the scan skipped: where the
+    pieces stop following each other.  A piece's text matches wherever
+    it occurs, so a piece the text shows at ``end`` is the one the scan
+    found there, not a later one."""
+    end = 0
+    for piece in _TOKEN_RE.findall(text):
+        if not text.startswith(piece, end):
+            break
+        end += len(piece)
+    return ParseError("unexpected character in query", text, end)
 
 
 _AXIS_TOKENS = {
@@ -108,129 +122,145 @@ _KEYWORDS = {"and", "or", "not", "lab"}
 
 
 class _Parser:
+    """Recursive descent over the token list.  ``index`` never moves past
+    the ``end`` sentinel, and lookahead past the current token is only
+    taken when that token is not ``end``, so no lookup needs clamping.
+    The keywords ``and``, ``or``, ``not`` and ``lab`` can only be name
+    tokens, so they are recognised by value alone."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
 
     # -- token plumbing -----------------------------------------------------
-    def peek(self, ahead: int = 0) -> _Token:
-        index = min(self.index + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+    def peek(self) -> _Token:
+        return self.tokens[self.index]
 
     def advance(self) -> _Token:
         token = self.tokens[self.index]
-        if token.kind != "end":
+        if token[0] != "end":
             self.index += 1
         return token
 
     def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
+        token = self.tokens[self.index]
+        if token[0] != kind:
             raise ParseError(
-                f"expected {kind}, found {token.kind}", self.text, token.position
+                f"expected {kind}, found {token[0]}", self.text, token[2]
             )
-        return self.advance()
+        self.index += 1
+        return token
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.peek().position)
+        return ParseError(message, self.text, self.tokens[self.index][2])
 
     # -- paths ---------------------------------------------------------------
     def parse_union(self, in_qualifier: bool = False) -> Path:
-        parts = [self.parse_sequence(in_qualifier)]
-        while self.peek().kind == "bar":
-            self.advance()
+        tokens = self.tokens
+        node = self.parse_sequence(in_qualifier)
+        if tokens[self.index][0] != "bar":
+            return node
+        parts = [node]
+        while tokens[self.index][0] == "bar":
+            self.index += 1
             parts.append(self.parse_sequence(in_qualifier))
         return ast.union_of(*parts)
 
     def parse_sequence(self, in_qualifier: bool) -> Path:
+        tokens = self.tokens
         node = self.parse_step(in_qualifier)
-        while self.peek().kind == "slash":
+        while tokens[self.index][0] == "slash":
             # inside qualifiers, '/@attr' terminates the path part of a
             # comparison; leave it for the caller.
-            if in_qualifier and self.peek(1).kind == "at":
+            if in_qualifier and tokens[self.index + 1][0] == "at":
                 break
-            self.advance()
+            self.index += 1
             node = ast.Seq(node, self.parse_step(in_qualifier))
         return node
 
     def parse_step(self, in_qualifier: bool) -> Path:
+        tokens = self.tokens
         node = self.parse_primary(in_qualifier)
-        while self.peek().kind == "lbracket":
-            self.advance()
-            qualifier = self.parse_qualifier_expr()
+        while tokens[self.index][0] == "lbracket":
+            self.index += 1
+            qualifier = self.parse_q_or()
             self.expect("rbracket")
             node = ast.Filter(node, qualifier)
         return node
 
     def parse_primary(self, in_qualifier: bool) -> Path:
-        token = self.peek()
-        if token.kind in _AXIS_TOKENS:
-            self.advance()
-            return _AXIS_TOKENS[token.kind]()
-        if token.kind == "name":
-            if token.value in _KEYWORDS:
-                raise self.error(f"keyword {token.value!r} cannot start a path")
-            self.advance()
-            return ast.Label(token.value)
-        if token.kind == "lparen":
-            self.advance()
+        kind, value, _ = self.tokens[self.index]
+        if kind == "name":
+            if value in _KEYWORDS:
+                raise self.error(f"keyword {value!r} cannot start a path")
+            self.index += 1
+            return ast.Label(value)
+        axis = _AXIS_TOKENS.get(kind)
+        if axis is not None:
+            self.index += 1
+            return axis()
+        if kind == "lparen":
+            self.index += 1
             node = self.parse_union(in_qualifier)
             self.expect("rparen")
             return node
-        raise self.error(f"expected a path step, found {token.kind}")
+        raise self.error(f"expected a path step, found {kind}")
 
     # -- qualifiers ------------------------------------------------------------
-    def parse_qualifier_expr(self) -> Qualifier:
-        return self.parse_q_or()
-
     def parse_q_or(self) -> Qualifier:
-        parts = [self.parse_q_and()]
-        while self.peek().kind == "name" and self.peek().value == "or":
-            self.advance()
+        tokens = self.tokens
+        node = self.parse_q_and()
+        if tokens[self.index][1] != "or":
+            return node
+        parts = [node]
+        while tokens[self.index][1] == "or":
+            self.index += 1
             parts.append(self.parse_q_and())
         return ast.or_of(*parts)
 
     def parse_q_and(self) -> Qualifier:
-        parts = [self.parse_q_prim()]
-        while self.peek().kind == "name" and self.peek().value == "and":
-            self.advance()
+        tokens = self.tokens
+        node = self.parse_q_prim()
+        if tokens[self.index][1] != "and":
+            return node
+        parts = [node]
+        while tokens[self.index][1] == "and":
+            self.index += 1
             parts.append(self.parse_q_prim())
         return ast.and_of(*parts)
 
     def parse_q_prim(self) -> Qualifier:
-        token = self.peek()
-        if token.kind == "name" and token.value == "not" and self.peek(1).kind == "lparen":
-            self.advance()
-            self.advance()
-            inner = self.parse_qualifier_expr()
+        tokens = self.tokens
+        kind, value, _ = tokens[self.index]
+        if value == "not" and tokens[self.index + 1][0] == "lparen":
+            self.index += 2
+            inner = self.parse_q_or()
             self.expect("rparen")
             return ast.Not(inner)
-        if token.kind == "name" and token.value == "lab" and self.peek(1).kind == "lparen":
-            self.advance()
-            self.expect("lparen")
+        if value == "lab" and tokens[self.index + 1][0] == "lparen":
+            self.index += 2
             self.expect("rparen")
-            op_token = self.advance()
-            if op_token.kind not in ("eq", "neq"):
+            op_kind = self.advance()[0]
+            if op_kind not in ("eq", "neq"):
                 raise self.error("expected '=' or '!=' after lab()")
-            name = self.expect("name")
-            test = ast.LabelTest(name.value)
-            return test if op_token.kind == "eq" else ast.Not(test)
-        if token.kind == "lparen":
+            test = ast.LabelTest(self.expect("name")[1])
+            return test if op_kind == "eq" else ast.Not(test)
+        if kind == "lparen":
             # Could be a grouped qualifier or a parenthesized path; try the
             # qualifier reading first and backtrack if its continuation is
             # not qualifier-like.
             saved = self.index
             try:
-                self.advance()
-                inner = self.parse_qualifier_expr()
+                self.index += 1
+                inner = self.parse_q_or()
                 self.expect("rparen")
             except ParseError:
                 self.index = saved
             else:
-                follow = self.peek()
-                if follow.kind in ("rbracket", "rparen", "end") or (
-                    follow.kind == "name" and follow.value in ("and", "or")
+                follow_kind, follow_value, _ = tokens[self.index]
+                if follow_kind in ("rbracket", "rparen", "end") or (
+                    follow_value in ("and", "or")
                 ):
                     return inner
                 self.index = saved
@@ -238,25 +268,25 @@ class _Parser:
 
     def parse_comparison_or_path(self) -> Qualifier:
         path, attr = self.parse_qpath()
-        op_token = self.peek()
-        if op_token.kind in ("eq", "neq"):
+        op_kind = self.tokens[self.index][0]
+        if op_kind in ("eq", "neq"):
             if attr is None:
                 raise self.error("comparison requires an attribute on the left")
-            self.advance()
-            op: ast.CompareOp = "=" if op_token.kind == "eq" else "!="
+            self.index += 1
+            op: ast.CompareOp = "=" if op_kind == "eq" else "!="
             return self.parse_comparison_rhs(path, attr, op)
         if attr is not None:
             raise self.error("attribute paths must be compared with = or !=")
         return ast.PathExists(path)
 
     def parse_comparison_rhs(self, left_path: Path, left_attr: str, op: ast.CompareOp) -> Qualifier:
-        token = self.peek()
-        if token.kind == "string":
-            self.advance()
-            return ast.AttrConstCmp(left_path, left_attr, op, token.value[1:-1])
-        if token.kind == "number":
-            self.advance()
-            return ast.AttrConstCmp(left_path, left_attr, op, token.value)
+        kind, value, _ = self.tokens[self.index]
+        if kind == "string":
+            self.index += 1
+            return ast.AttrConstCmp(left_path, left_attr, op, value[1:-1])
+        if kind == "number":
+            self.index += 1
+            return ast.AttrConstCmp(left_path, left_attr, op, value)
         right_path, right_attr = self.parse_qpath()
         if right_attr is None:
             raise self.error(
@@ -266,16 +296,14 @@ class _Parser:
         return ast.AttrAttrCmp(left_path, left_attr, op, right_path, right_attr)
 
     def parse_qpath(self) -> tuple[Path, str | None]:
-        if self.peek().kind == "at":
-            self.advance()
-            name = self.expect("name")
-            return ast.Empty(), name.value
+        tokens = self.tokens
+        if tokens[self.index][0] == "at":
+            self.index += 1
+            return ast.Empty(), self.expect("name")[1]
         path = self.parse_union(in_qualifier=True)
-        if self.peek().kind == "slash" and self.peek(1).kind == "at":
-            self.advance()
-            self.advance()
-            name = self.expect("name")
-            return path, name.value
+        if tokens[self.index][0] == "slash" and tokens[self.index + 1][0] == "at":
+            self.index += 2
+            return path, self.expect("name")[1]
         return path, None
 
 
@@ -284,16 +312,16 @@ def parse_query(text: str) -> Path:
     parser = _Parser(text)
     node = parser.parse_union()
     trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError("trailing input after query", text, trailing.position)
+    if trailing[0] != "end":
+        raise ParseError("trailing input after query", text, trailing[2])
     return node
 
 
 def parse_qualifier(text: str) -> Qualifier:
     """Parse a qualifier expression (the part inside ``[...]``)."""
     parser = _Parser(text)
-    node = parser.parse_qualifier_expr()
+    node = parser.parse_q_or()
     trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError("trailing input after qualifier", text, trailing.position)
+    if trailing[0] != "end":
+        raise ParseError("trailing input after qualifier", text, trailing[2])
     return node

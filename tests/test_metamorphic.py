@@ -43,6 +43,16 @@ text -> eps
 """
 
 
+class _KeyedPlan:
+    """The two members of :class:`Plan` that telemetry reads."""
+
+    def __init__(self, key: str) -> None:
+        self.telemetry_key = key
+
+    def to_dict(self) -> dict:
+        return {"key": self.telemetry_key}
+
+
 def _schemas():
     return {"tiny": parse_dtd(TINY_DTD), "doc": parse_dtd(DOC_DTD)}
 
@@ -358,6 +368,66 @@ class TestEngineTelemetry:
         assert rebuilt.to_dict() == engine.telemetry.to_dict()
         table = engine.telemetry.table()
         assert "mean_ms" in table and "fb%" in table
+
+    def test_summary_cache_follows_every_change(self):
+        telemetry = PlanTelemetry()
+        first, second = _KeyedPlan("first|row"), _KeyedPlan("second|row")
+        telemetry.record(first, 0.3, "sat", decider="downward")
+        seen = [telemetry.summary()]
+
+        def check() -> None:
+            rows = telemetry.summary()
+            assert rows == telemetry._summary_rows()
+            assert rows != seen[-1]  # each step below changes the table
+            seen.append(rows)
+
+        telemetry.record(first, 2.0, "unsat", decider="bounded", fallback=True)
+        check()
+        telemetry.record(second, 0.1, "sat")
+        check()
+        telemetry.record_failure(second, jobs=2)
+        check()
+        other = PlanTelemetry()
+        other.record(first, 40.0, "unknown", decider="bounded")
+        other.record(_KeyedPlan("third|row"), 1.0, "sat")
+        telemetry.merge(other)
+        check()
+        telemetry.get("second|row").last_seen -= 3600.0
+        assert telemetry.prune(max_age_s=60.0) == 1
+        check()
+        assert set(telemetry.summary()) == {"first|row", "third|row"}
+
+    def test_warm_all_hit_run_reuses_the_summary(self, monkeypatch):
+        engine = BatchEngine(registry=_registry())
+        jobs = _corpus(60)
+        engine.run(jobs)
+        builds = []
+        original = PlanTelemetry._summary_rows
+
+        def counted(telemetry):
+            builds.append(1)
+            return original(telemetry)
+
+        monkeypatch.setattr(PlanTelemetry, "_summary_rows", counted)
+        report = engine.run(jobs)
+        assert report.stats.cache_hits == len(jobs)
+        assert report.stats.decide_calls == 0
+        assert builds == []
+        assert report.stats.plans == original(engine.telemetry)
+
+    def test_runs_never_share_a_plans_dict(self):
+        engine = BatchEngine(registry=_registry())
+        jobs = _corpus(60)
+        engine.run(jobs)
+        first = engine.run(jobs).stats.plans
+        key = next(iter(first))
+        expected = engine.telemetry._summary_rows()
+        first[key]["count"] = -1
+        first[key]["verdicts"]["sat"] = 10**6
+        first.pop(key)
+        second = engine.run(jobs).stats
+        assert second.plans == expected
+        assert second.as_dict()["plans"] == expected
 
 
 class TestStatePersistence:

@@ -44,8 +44,10 @@ from repro.workloads.realworld import (
     rss_like_dtd,
     xhtml_like_dtd,
 )
+from repro.xmltree import conforms
 from repro.xpath import parse_query
 from repro.xpath import fragments as frag
+from repro.xpath.semantics import satisfies
 
 #: the merge-necessity schema: one ``b`` child must host both subtrees
 MERGE_DTD = """
@@ -142,6 +144,70 @@ class TestWorkedExamples:
         result = sat_realworld(parse_query(".[b/x]"), parse_dtd(MERGE_DTD))
         assert result.stats["memo_keys"] >= 1
         assert result.stats["passes"] >= 1
+
+
+# -- witnesses -------------------------------------------------------------------
+
+def _assert_witness(result, query, dtd) -> None:
+    assert result.witness is not None, str(query)
+    assert conforms(result.witness, dtd), (str(query), result.witness.pretty())
+    assert satisfies(result.witness, query), (str(query), result.witness.pretty())
+
+
+class TestWitnesses:
+    def test_merged_host_witness(self):
+        dtd = parse_dtd(MERGE_DTD)
+        query = parse_query(".[b/x][b/y]")
+        result = sat_realworld(query, dtd)
+        _assert_witness(result, query, dtd)
+        # the one b hosts both required children
+        assert result.witness.root.child_labels() == ("b",)
+        assert result.witness.root.children[0].child_labels() == ("x", "y")
+
+    def test_unsat_has_no_witness(self):
+        result = sat_realworld(parse_query(".[b][c]"), parse_dtd(UNION_DTD))
+        assert result.satisfiable is False and result.witness is None
+
+    def test_every_sat_verdict_on_the_corpus_carries_a_witness(self):
+        # the original query is what the witness must satisfy, also when
+        # the decider answered its X(child,qual) rewriting
+        rng = random.Random(20261017)
+        checked = rewritten = 0
+        for name, dtd in realworld_schemas().items():
+            context = prepare_realworld(dtd)
+            labels = sorted(dtd.element_types)
+            for fragment in (frag.DOWNWARD_QUAL, frag.CHILD_UP):
+                for _ in range(30):
+                    query = random_query(rng, fragment, labels, max_depth=3)
+                    try:
+                        result = sat_realworld(query, dtd, context)
+                    except ReproError:
+                        continue
+                    if not result.is_sat:
+                        assert result.witness is None
+                        continue
+                    _assert_witness(result, query, dtd)
+                    checked += 1
+                    rewritten += not frag.DOWNWARD_QUAL.contains(query)
+        assert checked >= 40
+        assert rewritten >= 5
+
+    def test_engine_corpus_witnesses(self):
+        schemas = realworld_schemas()
+        jobs = realworld_jobs(random.Random(8), 120, duplicate_rate=0.0)
+        contexts = {name: prepare_realworld(dtd) for name, dtd in schemas.items()}
+        checked = 0
+        for job in jobs:
+            dtd = schemas[job.schema]
+            query = parse_query(job.query_text)
+            try:
+                result = sat_realworld(query, dtd, contexts[job.schema])
+            except ReproError:
+                continue
+            if result.is_sat:
+                _assert_witness(result, query, dtd)
+                checked += 1
+        assert checked >= 20
 
 
 # -- declines, never truncations -------------------------------------------------

@@ -280,28 +280,56 @@ def route_env(tmp_path):
 
 
 def _start_route(tmp_path, env, *extra_args):
+    """Start a 2-worker fleet; returns ``(process, socket, log)``, the log
+    being the file its output goes to."""
     sock = str(tmp_path / "front.sock")
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "route",
-            "--workers", "2", "--socket", sock,
-            "--schema-dir", str(tmp_path / "schemas"),
-            "--state-tier", str(tmp_path / "tier"),
-            "--metrics-out", str(tmp_path / "router.prom"),
-            "--worker-dir", str(tmp_path / "workers"),
-            *extra_args,
-        ],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        env=env, cwd=str(tmp_path), text=True,
-    )
-    deadline = time.monotonic() + 120
+    log = _log_path(tmp_path, "route")
+    with open(log, "w") as output:
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "route",
+                "--workers", "2", "--socket", sock,
+                "--schema-dir", str(tmp_path / "schemas"),
+                "--state-tier", str(tmp_path / "tier"),
+                "--metrics-out", str(tmp_path / "router.prom"),
+                "--worker-dir", str(tmp_path / "workers"),
+                *extra_args,
+            ],
+            stdout=output, stderr=subprocess.STDOUT,
+            env=env, cwd=str(tmp_path),
+        )
+    _await_socket(process, sock, log, "route", timeout=120)
+    return process, sock, log
+
+
+def _log_path(tmp_path, name: str):
+    """A fresh file for one daemon's output (no pipe that nobody reads
+    can fill up or block a read)."""
+    index = 0
+    while (tmp_path / f"{name}-{index}.log").exists():
+        index += 1
+    return tmp_path / f"{name}-{index}.log"
+
+
+def _await_socket(process, sock: str, log, name: str, timeout: float) -> None:
+    """Wait for a daemon's socket.  On a missed deadline the daemon is
+    killed and reaped before its output is read, so a daemon that hangs
+    at start-up fails the test instead of stalling it."""
+    deadline = time.monotonic() + timeout
     while not os.path.exists(sock):
         if process.poll() is not None or time.monotonic() > deadline:
-            raise AssertionError(
-                f"route did not come up: {process.stdout.read()}"
-            )
+            if process.poll() is None:
+                process.kill()
+            process.wait(timeout=30)
+            raise AssertionError(f"{name} did not come up: {log.read_text()}")
         time.sleep(0.05)
-    return process, sock
+
+
+def _drain(process, log) -> str:
+    """SIGTERM a daemon, wait (bounded) for it to exit, return its output."""
+    process.send_signal(signal.SIGTERM)
+    process.wait(timeout=120)
+    return log.read_text()
 
 
 class TestRouteSmoke:
@@ -309,13 +337,12 @@ class TestRouteSmoke:
         self, route_env
     ):
         tmp_path, env = route_env
-        process, sock = _start_route(tmp_path, env)
+        process, sock, log = _start_route(tmp_path, env)
         jobs = _mixed_jobs()
         try:
             records = _client_exchange(sock, jobs)
         finally:
-            process.send_signal(signal.SIGTERM)
-            output = process.communicate(timeout=120)[0]
+            output = _drain(process, log)
         assert process.returncode == 0, output
 
         expected = _single_process_verdicts(jobs)
@@ -340,7 +367,7 @@ class TestRouteSmoke:
 
     def test_worker_death_restarts_and_jobs_keep_flowing(self, route_env):
         tmp_path, env = route_env
-        process, sock = _start_route(tmp_path, env)
+        process, sock, log = _start_route(tmp_path, env)
         try:
             first = _client_exchange(sock, _mixed_jobs())
             assert len(first) == len(_mixed_jobs())
@@ -369,8 +396,7 @@ class TestRouteSmoke:
             assert by_id is not None, "router never recovered"
             assert by_id["c0"].get("satisfiable") is True
         finally:
-            process.send_signal(signal.SIGTERM)
-            output = process.communicate(timeout=120)[0]
+            output = _drain(process, log)
         assert process.returncode == 0, output
         metrics = open(tmp_path / "router.prom").read()
         restarts = [
@@ -382,40 +408,34 @@ class TestRouteSmoke:
     def test_attach_routes_to_a_prestarted_engine(self, route_env):
         tmp_path, env = route_env
         worker_sock = str(tmp_path / "standalone.sock")
-        worker = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--socket", worker_sock,
-                "--schema-dir", str(tmp_path / "schemas"),
-            ],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            env=env, cwd=str(tmp_path), text=True,
-        )
-        try:
-            deadline = time.monotonic() + 60
-            while not os.path.exists(worker_sock):
-                if worker.poll() is not None or time.monotonic() > deadline:
-                    raise AssertionError("standalone serve did not come up")
-                time.sleep(0.05)
-            sock = str(tmp_path / "front.sock")
-            router = subprocess.Popen(
+        worker_log = _log_path(tmp_path, "serve")
+        with open(worker_log, "w") as output:
+            worker = subprocess.Popen(
                 [
-                    sys.executable, "-m", "repro", "route",
-                    "--workers", "0", "--attach", worker_sock,
-                    "--socket", sock,
+                    sys.executable, "-m", "repro", "serve",
+                    "--socket", worker_sock,
                     "--schema-dir", str(tmp_path / "schemas"),
                 ],
-                stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                env=env, cwd=str(tmp_path), text=True,
+                stdout=output, stderr=subprocess.STDOUT,
+                env=env, cwd=str(tmp_path),
             )
+        try:
+            _await_socket(worker, worker_sock, worker_log, "standalone serve", 60)
+            sock = str(tmp_path / "front.sock")
+            router_log = _log_path(tmp_path, "route")
+            with open(router_log, "w") as output:
+                router = subprocess.Popen(
+                    [
+                        sys.executable, "-m", "repro", "route",
+                        "--workers", "0", "--attach", worker_sock,
+                        "--socket", sock,
+                        "--schema-dir", str(tmp_path / "schemas"),
+                    ],
+                    stdout=output, stderr=subprocess.STDOUT,
+                    env=env, cwd=str(tmp_path),
+                )
             try:
-                deadline = time.monotonic() + 60
-                while not os.path.exists(sock):
-                    if router.poll() is not None or time.monotonic() > deadline:
-                        raise AssertionError(
-                            f"route did not come up: {router.stdout.read()}"
-                        )
-                    time.sleep(0.05)
+                _await_socket(router, sock, router_log, "route", 60)
                 records = _client_exchange(sock, _mixed_jobs())
                 assert {r["id"] for r in records} == {
                     job["id"] for job in _mixed_jobs()
@@ -436,14 +456,14 @@ class TestRouteSmoke:
         zero cold planners."""
         tmp_path, env = route_env
         jobs = _mixed_jobs()
-        process, sock = _start_route(tmp_path, env)
+        process, sock, _ = _start_route(tmp_path, env)
         try:
             _client_exchange(sock, jobs)
         finally:
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=120) == 0
 
-        process, sock = _start_route(tmp_path, env)
+        process, sock, _ = _start_route(tmp_path, env)
         try:
             _client_exchange(sock, jobs)
         finally:
@@ -487,7 +507,7 @@ class TestRoutedFuzz:
             ))
         ]
         tmp_path, env = route_env
-        process, sock = _start_route(tmp_path, env)
+        process, sock, _ = _start_route(tmp_path, env)
         try:
             records = _client_exchange(sock, jobs)
         finally:

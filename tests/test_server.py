@@ -20,8 +20,8 @@ import time
 import pytest
 
 import repro
-from repro.engine import BatchEngine, EngineServer, SchemaRegistry
-from repro.engine.server import ServerStats, _Connection
+from repro.engine import BatchEngine, SchemaRegistry
+from repro.engine.server import EngineServer, _Connection
 from repro.errors import EngineError
 
 DTD_TEXT = """
@@ -198,21 +198,28 @@ class TestServeSmoke:
         state = str(tmp_path / "state")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--socket", sock, "--schema", f"catalog={dtd}",
-                "--state-dir", state,
-            ],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            env=env, cwd=str(tmp_path), text=True,
-        )
+        # output goes to a file: a pipe nobody reads could fill up, and
+        # reading one blocks until a still-running daemon exits
+        log = tmp_path / "serve.log"
+        with open(log, "w") as output:
+            process = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "serve",
+                    "--socket", sock, "--schema", f"catalog={dtd}",
+                    "--state-dir", state,
+                ],
+                stdout=output, stderr=subprocess.STDOUT,
+                env=env, cwd=str(tmp_path),
+            )
         try:
             deadline = time.monotonic() + 30
             while not os.path.exists(sock):
                 if process.poll() is not None or time.monotonic() > deadline:
+                    if process.poll() is None:
+                        process.kill()
+                    process.wait(timeout=30)
                     raise AssertionError(
-                        f"serve did not come up: {process.stdout.read()}"
+                        f"serve did not come up: {log.read_text()}"
                     )
                 time.sleep(0.05)
             yield process, sock, state

@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import sqlite3
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,39 @@ class TestTierBasics:
         state = tier.load()       # rebuilt empty but serviceable
         assert state.plan_count == 0
         tier.close()
+
+    def test_open_waits_out_lock_contention(self, tmp_path):
+        # another process creating the same database holds it exclusively
+        # for a moment: opening must wait that out, not mistake the
+        # "database is locked" for a corrupt file and move it aside
+        db_path = str(tmp_path / "tier.sqlite")
+        holder = sqlite3.connect(
+            db_path, isolation_level=None, check_same_thread=False,
+        )
+        holder.execute("BEGIN EXCLUSIVE")
+        release = threading.Timer(0.3, holder.execute, args=("ROLLBACK",))
+        release.start()
+        try:
+            with StateTier(db_path, busy_timeout=0.05) as tier:
+                assert tier.lock_retries >= 1
+                assert not tier.warnings
+                assert tier.load().plan_count == 0
+        finally:
+            release.join(timeout=30)
+            holder.close()
+        assert not release.is_alive()
+        assert not os.path.exists(db_path + ".corrupt")
+
+    def test_open_gives_up_on_a_lock_that_never_clears(self, tmp_path):
+        db_path = str(tmp_path / "tier.sqlite")
+        holder = sqlite3.connect(db_path, isolation_level=None)
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            with pytest.raises(EngineError, match="locked"):
+                StateTier(db_path, busy_timeout=0.01, max_retries=2)
+        finally:
+            holder.close()
+        assert not os.path.exists(db_path + ".corrupt")
 
     def test_engine_rejects_both_targets(self, tmp_path):
         with pytest.raises(EngineError, match="not both"):
