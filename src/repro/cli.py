@@ -62,7 +62,8 @@ Subcommands
 ``serve``
     Run the engine as a long-lived daemon speaking the same JSONL job
     protocol over a unix socket or TCP port (see
-    :mod:`repro.engine.server` for protocol and backpressure details)::
+    :mod:`repro.engine.jsonl` for the protocol and its line limit, and
+    :mod:`repro.engine.server` for batching and backpressure)::
 
         python -m repro serve --socket /run/repro.sock \
             --schema catalog=catalog.dtd --workers 4 --state-dir state/
@@ -677,6 +678,22 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_endpoint_options(parser: argparse.ArgumentParser) -> None:
+    """The endpoint flags ``serve`` and ``route`` listen on."""
+    parser.add_argument(
+        "--socket", metavar="PATH",
+        help="listen on a unix domain socket at PATH",
+    )
+    parser.add_argument(
+        "--host", default="127.0.0.1", metavar="ADDR",
+        help="bind address for --port (default 127.0.0.1)",
+    )
+    parser.add_argument(
+        "--port", type=int, default=None, metavar="N",
+        help="listen on TCP port N (0 picks a free port)",
+    )
+
+
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """Shared engine flags: ``batch`` and ``serve`` build identical engines."""
     parser.add_argument(
@@ -834,18 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
              "protocol over a unix socket or TCP port",
     )
     _add_engine_options(serve)
-    serve.add_argument(
-        "--socket", metavar="PATH",
-        help="listen on a unix domain socket at PATH",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1", metavar="ADDR",
-        help="bind address for --port (default 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port", type=int, default=None, metavar="N",
-        help="listen on TCP port N (0 picks a free port)",
-    )
+    _add_endpoint_options(serve)
     serve.add_argument(
         "--max-batch", type=int, default=256, metavar="N",
         help="max jobs folded into one engine.run() per connection "
@@ -879,18 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="route to a pre-started engine socket instead of spawning "
              "(repeatable; attached engines are never restarted)",
     )
-    route.add_argument(
-        "--socket", metavar="PATH",
-        help="listen on a unix domain socket at PATH",
-    )
-    route.add_argument(
-        "--host", default="127.0.0.1", metavar="ADDR",
-        help="bind address for --port (default 127.0.0.1)",
-    )
-    route.add_argument(
-        "--port", type=int, default=None, metavar="N",
-        help="listen on TCP port N (0 picks a free port)",
-    )
+    _add_endpoint_options(route)
     route.add_argument(
         "--schema", action="append", metavar="NAME=PATH",
         help="register a DTD file under NAME (repeatable; passed through "

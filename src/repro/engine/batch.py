@@ -984,6 +984,7 @@ class BatchEngine:
             for index, raw in enumerate(jobs):
                 results.append(None)
                 stats.jobs += 1
+                trace = None
                 try:
                     job = Job.coerce(raw)
                     query = (
@@ -996,15 +997,93 @@ class BatchEngine:
                         if job.schema is not None
                         else None
                     )
-                except ReproError as error:
+                    if tracer is not None:
+                        trace = tracer.begin(
+                            job_id=job.id if job.id is not None else job.query_text,
+                            query=job.query_text,
+                            schema=job.schema,
+                            fingerprint=artifacts.fingerprint if artifacts else None,
+                        )
+                        traces[index] = trace
+                        step_start = time.perf_counter()
+                    # one canonicalization per job, shared by the cache key and
+                    # the decision (execute_plan skips its canonicalize pass)
+                    canonical = canonicalize(query)
+                    if trace is not None:
+                        trace.span(
+                            "canonicalize",
+                            ms=(time.perf_counter() - step_start) * 1e3,
+                        )
+                    key = decision_key_for(
+                        canonical, artifacts.fingerprint if artifacts else None, self.bounds
+                    )
+                    cached = self.cache.get(key)
+                    if cached is not None:
+                        stats.cache_hits += 1
+                        results[index] = self._result(
+                            job, artifacts, cached, route="cache", cached=True
+                        )
+                        if trace is not None:
+                            trace.span("cache", attrs={"hit": True})
+                            tracer.finish(
+                                trace, verdict=verdict_name(cached.satisfiable),
+                                route="cache",
+                            )
+                        emit(index)
+                        continue
+                    if key in grouped_keys:
+                        stats.coalesced += 1
+                        grouped_keys[key].indices.append(index)
+                        results[index] = self._result(
+                            job, artifacts,
+                            CachedDecision(None, "pending"), route="pool",
+                        )
+                        # the trace finishes at absorb time, alongside its
+                        # leader, with a span naming the leader's trace
+                        continue
+                    if key in pending:
+                        stats.coalesced += 1
+                        pending[key][2].append(index)
+                        results[index] = self._result(
+                            job, artifacts,
+                            CachedDecision(None, "pending"), route="pool",
+                        )
+                        continue
+
+                    if trace is not None:
+                        plan_hits_step = self.planner.cache_hits
+                        step_start = time.perf_counter()
+                    plan = self.planner.plan_for(features_of(query), artifacts=artifacts)
+                    if trace is not None:
+                        trace.span(
+                            "plan",
+                            ms=(time.perf_counter() - step_start) * 1e3,
+                            attrs={
+                                "signature": plan.signature,
+                                "decider": plan.decider,
+                                "cache_hit": self.planner.cache_hits > plan_hits_step,
+                            },
+                        )
+                        trace.span(
+                            "route",
+                            attrs={
+                                "route": plan.route,
+                                "grouped": plan.route == "pool" and self.group_by_plan,
+                                "workers": self.workers,
+                            },
+                        )
+                except (ReproError, RecursionError) as error:
+                    # a query nested past the recursion limit fails
+                    # alone, like any other bad job
                     stats.errors += 1
                     results[index] = self._error_result(raw, error)
                     if tracer is not None:
-                        failed = results[index]
-                        trace = tracer.begin(
-                            job_id=failed.id, query=failed.query,
-                            schema=failed.schema,
-                        )
+                        if trace is None:
+                            failed = results[index]
+                            trace = tracer.begin(
+                                job_id=failed.id, query=failed.query,
+                                schema=failed.schema,
+                            )
                         trace.span(
                             "intake", status=FAILED,
                             attrs={"error": str(error)},
@@ -1013,82 +1092,6 @@ class BatchEngine:
                     emit(index)
                     continue
 
-                trace = None
-                if tracer is not None:
-                    trace = tracer.begin(
-                        job_id=job.id if job.id is not None else job.query_text,
-                        query=job.query_text,
-                        schema=job.schema,
-                        fingerprint=artifacts.fingerprint if artifacts else None,
-                    )
-                    traces[index] = trace
-                    step_start = time.perf_counter()
-                # one canonicalization per job, shared by the cache key and
-                # the decision (execute_plan skips its canonicalize pass)
-                canonical = canonicalize(query)
-                if trace is not None:
-                    trace.span(
-                        "canonicalize",
-                        ms=(time.perf_counter() - step_start) * 1e3,
-                    )
-                key = decision_key_for(
-                    canonical, artifacts.fingerprint if artifacts else None, self.bounds
-                )
-                cached = self.cache.get(key)
-                if cached is not None:
-                    stats.cache_hits += 1
-                    results[index] = self._result(
-                        job, artifacts, cached, route="cache", cached=True
-                    )
-                    if trace is not None:
-                        trace.span("cache", attrs={"hit": True})
-                        tracer.finish(
-                            trace, verdict=verdict_name(cached.satisfiable),
-                            route="cache",
-                        )
-                    emit(index)
-                    continue
-                if key in grouped_keys:
-                    stats.coalesced += 1
-                    grouped_keys[key].indices.append(index)
-                    results[index] = self._result(
-                        job, artifacts,
-                        CachedDecision(None, "pending"), route="pool",
-                    )
-                    # the trace finishes at absorb time, alongside its
-                    # leader, with a span naming the leader's trace
-                    continue
-                if key in pending:
-                    stats.coalesced += 1
-                    pending[key][2].append(index)
-                    results[index] = self._result(
-                        job, artifacts,
-                        CachedDecision(None, "pending"), route="pool",
-                    )
-                    continue
-
-                if trace is not None:
-                    plan_hits_step = self.planner.cache_hits
-                    step_start = time.perf_counter()
-                plan = self.planner.plan_for(features_of(query), artifacts=artifacts)
-                if trace is not None:
-                    trace.span(
-                        "plan",
-                        ms=(time.perf_counter() - step_start) * 1e3,
-                        attrs={
-                            "signature": plan.signature,
-                            "decider": plan.decider,
-                            "cache_hit": self.planner.cache_hits > plan_hits_step,
-                        },
-                    )
-                    trace.span(
-                        "route",
-                        attrs={
-                            "route": plan.route,
-                            "grouped": plan.route == "pool" and self.group_by_plan,
-                            "workers": self.workers,
-                        },
-                    )
                 if plan.route == "pool" and self.group_by_plan:
                     # queue for plan-grouped dispatch after the scan; the
                     # group pays worker setup (prepare hooks, DTD pickle)
@@ -1164,7 +1167,7 @@ class BatchEngine:
                     decision = CachedDecision(
                         outcome.satisfiable, outcome.method, outcome.reason
                     )
-                except ReproError as error:
+                except (ReproError, RecursionError) as error:
                     stats.errors += 1
                     stats.decide_calls += 1
                     stats.inline_decides += 1
@@ -1733,7 +1736,9 @@ class BatchEngine:
             elapsed_ms=elapsed_ms,
         )
 
-    def _error_result(self, raw, error: ReproError) -> JobResult:
+    def _error_result(
+        self, raw, error: ReproError | RecursionError
+    ) -> JobResult:
         query_text = schema = job_id = None
         try:
             job = Job.coerce(raw)
@@ -1748,5 +1753,8 @@ class BatchEngine:
             satisfiable=None,
             method="error",
             route="error",
-            error=str(error),
+            error=(
+                f"query nests too deeply ({error})"
+                if isinstance(error, RecursionError) else str(error)
+            ),
         )

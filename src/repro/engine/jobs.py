@@ -24,7 +24,9 @@ from repro.engine.batch import BatchReport, Job
 def parse_job_line(line: str, line_number: int = 0) -> Job:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError: a decode error, or an integer past the interpreter's
+        # digit limit; RecursionError: arrays or objects nested too deeply
         raise EngineError(f"jobs line {line_number}: invalid JSON ({error})") from None
     if not isinstance(record, dict):
         raise EngineError(f"jobs line {line_number}: expected an object, got {record!r}")

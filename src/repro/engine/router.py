@@ -33,12 +33,12 @@ processes:
   its in-flight jobs are re-dispatched exactly once; a job whose retry
   also dies gets an error response instead of a third attempt.
 
-Lifecycle mirrors :class:`~repro.engine.server.EngineServer`: SIGTERM /
-SIGINT stop intake, drain every routed job, then SIGTERM the managed
-workers — each drains and snapshots the shared tier on its own — and
-wait for them.  ``repro_router_*`` metrics (per-shard depth and job
-gauges, spill / restart / retry counters) render into
-``--metrics-out``.
+The connection layer is :mod:`repro.engine.jsonl`, shared with ``repro
+serve``; a job the router admits always fits the worker's line limit.
+SIGTERM / SIGINT stop intake, drain every routed job, then SIGTERM the
+managed workers — each drains and snapshots the shared tier on its own
+— and reap them, as a respawn does first.  ``repro_router_*`` metrics
+render into ``--metrics-out``.
 """
 
 from __future__ import annotations
@@ -46,16 +46,22 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import signal as signal_module
 import sys
 import tempfile
-import time
 import zlib
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 from repro.dtd.parser import parse_dtd
-from repro.engine.jobs import parse_job_line
+from repro.engine.jsonl import (
+    MAX_LINE_BYTES,
+    MAX_REPLY_BYTES,
+    JsonlDaemon,
+    encode_forward,
+    read_lines,
+    write_lines,
+)
 from repro.engine.registry import schema_fingerprint
 from repro.engine.state import _atomic_write_text
 from repro.errors import EngineError
@@ -74,6 +80,9 @@ DEFAULT_MAX_RESTARTS = 3
 
 #: seconds to wait for a spawned worker's socket to accept
 DEFAULT_WORKER_BOOT_TIMEOUT = 120.0
+
+#: seconds a SIGTERMed worker gets to drain and snapshot before SIGKILL
+WORKER_STOP_TIMEOUT = 30.0
 
 #: shard key for jobs without a schema (decided over unconstrained trees)
 NO_SCHEMA_KEY = "-"
@@ -99,7 +108,9 @@ def pick_shard(
     live = [index for index, up in enumerate(alive) if up]
     if not live:
         raise EngineError("no live shards")
-    preferred = zlib.crc32(key.encode("utf-8")) % len(depths)
+    # surrogatepass: a schema reference may hold a lone surrogate (a
+    # JSON escape), which must hash rather than raise
+    preferred = zlib.crc32(key.encode("utf-8", "surrogatepass")) % len(depths)
     if alive[preferred] and depths[preferred] < spill_depth:
         return preferred, False
     least = min(live, key=lambda index: (depths[index], index))
@@ -173,14 +184,15 @@ class RouterStats:
 class _Pending:
     """One routed job awaiting its result."""
 
-    __slots__ = ("conn", "original_id", "query_text", "payload", "retried")
+    __slots__ = ("conn", "original_id", "query_text", "schema", "line", "retried")
 
     def __init__(self, conn: "_ClientConn", original_id: str | None,
-                 query_text: str, payload: dict[str, Any]) -> None:
+                 query_text: str, schema: str | None, line: bytes) -> None:
         self.conn = conn
         self.original_id = original_id
         self.query_text = query_text
-        self.payload = payload       # the rewritten job record (token id)
+        self.schema = schema
+        self.line = line             # the rewritten job line (token id)
         self.retried = False
 
 
@@ -222,14 +234,17 @@ class _Shard:
         return len(self.inflight)
 
 
-class EngineRouter:
+class EngineRouter(JsonlDaemon):
     """The asyncio front door behind ``repro route`` (see the module
-    docstring for the routing model).
+    docstring for the routing model): the routing policy on top of
+    :class:`~repro.engine.jsonl.JsonlDaemon`.
 
     ``on_ready`` is called with the router once every worker is
     connectable **and** the client endpoint is bound — the warm-boot
     barrier: by then each spawned engine has already adopted the shared
     tier's plans and cost cells."""
+
+    command = "route"
 
     def __init__(
         self,
@@ -248,10 +263,9 @@ class EngineRouter:
         metrics_out: str | None = None,
         on_ready: Callable[["EngineRouter"], None] | None = None,
     ) -> None:
-        if (socket_path is None) == (port is None):
-            raise EngineError(
-                "route needs exactly one endpoint: --socket PATH or --port N"
-            )
+        super().__init__(
+            socket_path=socket_path, host=host, port=port, on_ready=on_ready
+        )
         if workers < 0:
             raise EngineError(f"workers must be non-negative, got {workers}")
         if workers + len(attach) < 1:
@@ -262,19 +276,13 @@ class EngineRouter:
             raise EngineError(
                 f"max_restarts must be non-negative, got {max_restarts}"
             )
-        self.socket_path = socket_path
-        self.host = host
-        self.port = port
         self.spill_depth = spill_depth
         self.max_restarts = max_restarts
         self.boot_timeout = boot_timeout
         self.metrics_out = metrics_out
-        self.on_ready = on_ready
         self.worker_args = list(worker_args)
         self.worker_dir = worker_dir
-        self._own_worker_dir = False
         self.stats = RouterStats()
-        self.endpoint: str | None = None
         # schema name -> content fingerprint: the shard key.  The router
         # never builds artifacts — fingerprinting parses the DTD once.
         self._fingerprints: dict[str, str] = {}
@@ -295,23 +303,8 @@ class EngineRouter:
         for shard in self.shards:
             self.stats.shard_jobs[shard.index] = 0
             self.stats.shard_depth[shard.index] = 0
-        self._shutdown: asyncio.Event | None = None
-        self._client_tasks: set = set()
-        self._next_conn_id = 0
         self._next_token = 0
         self._stopping = False
-
-    # -- entry points -------------------------------------------------------
-    def run(self) -> int:
-        """Blocking entry point (the CLI): route until SIGTERM/SIGINT,
-        then drain and exit 0."""
-        asyncio.run(self.serve_forever())
-        return 0
-
-    def request_shutdown(self, reason: str = "request") -> None:
-        if self._shutdown is not None and not self._shutdown.is_set():
-            _LOG.warning("received %s: draining and shutting down", reason)
-            self._shutdown.set()
 
     # -- worker fleet -------------------------------------------------------
     async def _spawn(self, shard: _Shard) -> None:
@@ -352,7 +345,7 @@ class EngineRouter:
                 )
             try:
                 shard.reader, shard.writer = await asyncio.open_unix_connection(
-                    shard.socket_path
+                    shard.socket_path, limit=MAX_REPLY_BYTES
                 )
                 break
             except (ConnectionError, OSError):
@@ -365,51 +358,37 @@ class EngineRouter:
                 await asyncio.sleep(0.05)
         shard.alive = True
         shard.out_queue = asyncio.Queue()
-        shard.reader_task = asyncio.create_task(self._shard_read_loop(shard))
-        shard.writer_task = asyncio.create_task(self._shard_write_loop(shard))
+        shard.reader_task = asyncio.create_task(self._read_replies(shard))
+        shard.writer_task = asyncio.create_task(
+            write_lines(shard.writer, shard.out_queue, attrgetter("line"))
+        )
 
     async def _start_shard(self, shard: _Shard) -> None:
         if shard.managed:
             await self._spawn(shard)
         await self._connect(shard)
 
-    # -- shard pumps --------------------------------------------------------
-    async def _shard_write_loop(self, shard: _Shard) -> None:
-        while True:
-            payload = await shard.out_queue.get()
-            if payload is None:
-                return
-            try:
-                shard.writer.write(
-                    (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-                )
-                await shard.writer.drain()
-            except (ConnectionError, OSError):
-                # the reader loop observes the same death and handles
-                # redistribution; unsent payloads stay in shard.inflight
-                return
-
-    async def _shard_read_loop(self, shard: _Shard) -> None:
+    # -- shard replies ------------------------------------------------------
+    async def _read_replies(self, shard: _Shard) -> None:
         try:
-            while True:
-                line = await shard.reader.readline()
-                if not line:
-                    break
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    _LOG.error(
-                        "shard %d: unparseable response line", shard.index
-                    )
-                    continue
-                if not isinstance(record, dict):
-                    continue
-                self._absorb(shard, record)
-        except (ConnectionError, OSError):
-            pass
+            await read_lines(shard.reader, lambda line: self._reply(shard, line))
         finally:
             if not self._stopping:
                 await self._shard_down(shard)
+
+    def _reply(self, shard: _Shard, line: bytes | None) -> None:
+        try:
+            record = json.loads(line) if line is not None else None
+        except ValueError:
+            record = None
+        if not isinstance(record, dict):
+            _LOG.error("shard %d: unreadable response line", shard.index)
+            if line is None:
+                # over MAX_REPLY_BYTES, so its job is unknown: drop the
+                # worker, whose in-flight jobs are then retried
+                shard.writer.close()
+            return
+        self._absorb(shard, record)
 
     def _absorb(self, shard: _Shard, record: dict[str, Any]) -> None:
         """Fan one worker response back to its client — exactly once:
@@ -429,14 +408,8 @@ class EngineRouter:
                 0.05, self._redispatch, token, pending
             )
             return
-        record["id"] = (
-            pending.original_id if pending.original_id is not None
-            else pending.query_text
-        )
         self.stats.results_returned += 1
-        pending.conn.inflight -= 1
-        pending.conn.out_queue.put_nowait(record)
-        pending.conn.settle()
+        self._answer(pending, record)
 
     async def _shard_down(self, shard: _Shard) -> None:
         """Handle a dead shard: restart the worker (managed shards, up to
@@ -449,6 +422,7 @@ class EngineRouter:
         orphans = shard.inflight
         shard.inflight = {}
         self.stats.shard_depth[shard.index] = 0
+        shard.out_queue.put_nowait(None)
         if shard.writer is not None:
             shard.writer.close()
         if (
@@ -462,6 +436,9 @@ class EngineRouter:
                 "(%d/%d)", shard.index, len(orphans), shard.restarts,
                 self.max_restarts,
             )
+            # the old process may still be running (only its connection
+            # dropped): stop and reap it before its successor starts
+            await self._stop_process(shard)
             try:
                 await self._start_shard(shard)
             except EngineError as error:
@@ -488,15 +465,17 @@ class EngineRouter:
 
     def _fail(self, pending: _Pending, message: str) -> None:
         self.stats.failed_jobs += 1
+        self._answer(pending, {"status": "error", "error": message})
+
+    def _answer(self, pending: _Pending, record: dict[str, Any]) -> None:
+        """Hand a job's one response to its client, under the client's
+        id (or the engine's query-text default)."""
+        record["id"] = (
+            pending.original_id if pending.original_id is not None
+            else pending.query_text
+        )
         pending.conn.inflight -= 1
-        pending.conn.out_queue.put_nowait({
-            "id": (
-                pending.original_id if pending.original_id is not None
-                else pending.query_text
-            ),
-            "status": "error",
-            "error": message,
-        })
+        pending.conn.out_queue.put_nowait(record)
         pending.conn.settle()
 
     # -- routing ------------------------------------------------------------
@@ -510,7 +489,7 @@ class EngineRouter:
 
     def _dispatch(self, token: str, pending: _Pending) -> None:
         index, spilled = pick_shard(
-            self._shard_key(pending.payload.get("schema")),
+            self._shard_key(pending.schema),
             [shard.depth for shard in self.shards],
             self.spill_depth,
             alive=[shard.alive for shard in self.shards],
@@ -521,121 +500,47 @@ class EngineRouter:
         shard.inflight[token] = pending
         self.stats.shard_jobs[index] += 1
         self.stats.shard_depth[index] = shard.depth
-        shard.out_queue.put_nowait(pending.payload)
+        shard.out_queue.put_nowait(pending)
 
-    def _ingest(self, conn: _ClientConn, line: bytes) -> None:
-        text = line.decode("utf-8", "replace").strip()
-        if not text or text.startswith("#"):
-            return
-        try:
-            job = parse_job_line(text)
-        except EngineError as error:
-            self.stats.invalid_lines += 1
-            conn.out_queue.put_nowait({"status": "error", "error": str(error)})
+    # -- client side --------------------------------------------------------
+    def _open(self, conn_id: int) -> _ClientConn:
+        return _ClientConn(conn_id)
+
+    async def _finish(self, conn: _ClientConn) -> None:
+        conn.eof = True
+        conn.settle()
+        await conn.drained.wait()
+
+    def _ingest(self, conn: _ClientConn, line: bytes | None) -> None:
+        job = self._intake(conn, line)
+        if job is None:
             return
         self._next_token += 1
         token = f"r{self._next_token}"
         payload: dict[str, Any] = {"query": job.query_text, "id": token}
         if job.schema is not None:
             payload["schema"] = job.schema
-        pending = _Pending(conn, job.id, job.query_text, payload)
+        pending = _Pending(
+            conn, job.id, job.query_text, job.schema, encode_forward(payload)
+        )
         conn.inflight += 1
         self.stats.jobs_routed += 1
         try:
+            # no admitted line may make a worker drop this connection
+            if len(pending.line) - 1 > MAX_LINE_BYTES:
+                raise EngineError(
+                    f"job is {len(pending.line) - 1} bytes as forwarded, "
+                    f"over the {MAX_LINE_BYTES}-byte line limit"
+                )
             self._dispatch(token, pending)
         except EngineError as error:
             self._fail(pending, str(error))
 
-    # -- client side --------------------------------------------------------
-    async def _client(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._client_tasks.add(task)
-        self._next_conn_id += 1
-        conn = _ClientConn(self._next_conn_id)
-        self.stats.connections_total += 1
-        self.stats.connections_active += 1
-        writer_task = asyncio.create_task(self._client_write_loop(conn, writer))
-        try:
-            await self._client_read_loop(conn, reader)
-        finally:
-            conn.eof = True
-            conn.settle()
-            try:
-                await conn.drained.wait()
-            finally:
-                await conn.out_queue.put(None)
-                try:
-                    await writer_task
-                finally:
-                    self.stats.connections_active -= 1
-                    self._client_tasks.discard(task)
-                    writer.close()
-                    try:
-                        await writer.wait_closed()
-                    except (ConnectionError, OSError):
-                        pass
-
-    async def _client_read_loop(self, conn: _ClientConn, reader) -> None:
-        shutdown_wait = asyncio.ensure_future(self._shutdown.wait())
-        try:
-            while True:
-                read = asyncio.ensure_future(reader.readline())
-                done, _ = await asyncio.wait(
-                    {read, shutdown_wait},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if read not in done:
-                    read.cancel()
-                    try:
-                        await read
-                    except (asyncio.CancelledError, ConnectionError, OSError):
-                        pass
-                    return
-                try:
-                    line = read.result()
-                except (ConnectionError, OSError):
-                    return
-                if not line:
-                    return
-                self._ingest(conn, line)
-        finally:
-            shutdown_wait.cancel()
-            try:
-                await shutdown_wait
-            except asyncio.CancelledError:
-                pass
-
-    async def _client_write_loop(self, conn: _ClientConn, writer) -> None:
-        while True:
-            record = await conn.out_queue.get()
-            if record is None:
-                return
-            try:
-                writer.write(
-                    (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-                )
-                await writer.drain()
-            except (ConnectionError, OSError):
-                # client went away; keep draining so in-flight results
-                # flow into the void until the sentinel
-                continue
-
     # -- lifecycle ----------------------------------------------------------
-    async def serve_forever(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
-        for signum in (signal_module.SIGTERM, signal_module.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum, self.request_shutdown,
-                    signal_module.Signals(signum).name,
-                )
-            except (NotImplementedError, RuntimeError):
-                pass
+    async def _start(self) -> None:
         if any(shard.managed for shard in self.shards):
             if self.worker_dir is None:
                 self.worker_dir = tempfile.mkdtemp(prefix="repro-route-")
-                self._own_worker_dir = True
             else:
                 os.makedirs(self.worker_dir, exist_ok=True)
         try:
@@ -648,50 +553,23 @@ class EngineRouter:
         except EngineError:
             await self._stop_workers()
             raise
-        if self.socket_path is not None:
-            if os.path.exists(self.socket_path):
-                _LOG.warning("removing stale socket %s", self.socket_path)
-                os.unlink(self.socket_path)
-            server = await asyncio.start_unix_server(
-                self._client, path=self.socket_path
-            )
-            self.endpoint = f"unix:{self.socket_path}"
-        else:
-            server = await asyncio.start_server(
-                self._client, host=self.host, port=self.port
-            )
-            self.port = server.sockets[0].getsockname()[1]
-            self.endpoint = f"{self.host}:{self.port}"
+
+    def _serving(self) -> None:
         _LOG.info(
             "routing on %s across %d shards (spill_depth=%d)",
             self.endpoint, len(self.shards), self.spill_depth,
         )
-        if self.on_ready is not None:
-            self.on_ready(self)
-        try:
-            await self._shutdown.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            if self._client_tasks:
-                await asyncio.gather(
-                    *list(self._client_tasks), return_exceptions=True
-                )
-            await self._drain_shards()
-            self._stopping = True
-            await self._stop_workers()
-            if self.socket_path is not None:
-                try:
-                    os.unlink(self.socket_path)
-                except OSError:
-                    pass
-            if self.metrics_out is not None:
-                self._write_metrics()
-            _LOG.info(
-                "drained and closed (%d jobs over %d connections, "
-                "%d shards used)", self.stats.jobs_routed,
-                self.stats.connections_total, self.stats.shards_used(),
-            )
+
+    async def _stop(self) -> None:
+        await self._drain_shards()
+        await self._stop_workers()
+        if self.metrics_out is not None:
+            self._write_metrics()
+        _LOG.info(
+            "drained and closed (%d jobs over %d connections, "
+            "%d shards used)", self.stats.jobs_routed,
+            self.stats.connections_total, self.stats.shards_used(),
+        )
 
     async def _drain_shards(self) -> None:
         """Client handlers have finished, which means every in-flight job
@@ -717,23 +595,28 @@ class EngineRouter:
                 shard.writer.close()
             shard.alive = False
         for shard in self.shards:
-            process = shard.process
-            if process is None or process.returncode is not None:
-                continue
-            # SIGTERM: the worker drains and snapshots the shared tier
-            try:
-                process.terminate()
-            except ProcessLookupError:
-                continue
-            try:
-                await asyncio.wait_for(process.wait(), timeout=30.0)
-            except asyncio.TimeoutError:
-                _LOG.error(
-                    "shard %d: worker pid %d ignored SIGTERM; killing",
-                    shard.index, process.pid,
-                )
-                process.kill()
-                await process.wait()
+            await self._stop_process(shard)
+
+    async def _stop_process(self, shard: _Shard) -> None:
+        """SIGTERM a managed shard's worker — it drains and snapshots the
+        shared tier — then SIGKILL it if it outlives
+        ``WORKER_STOP_TIMEOUT``, and reap it."""
+        process = shard.process
+        if process is None:
+            return
+        try:
+            process.terminate()
+        except ProcessLookupError:      # already exited
+            pass
+        try:
+            await asyncio.wait_for(process.wait(), WORKER_STOP_TIMEOUT)
+        except asyncio.TimeoutError:
+            _LOG.error(
+                "shard %d: worker pid %d ignored SIGTERM; killing",
+                shard.index, process.pid,
+            )
+            process.kill()
+            await process.wait()
 
     def metrics_registry(self) -> MetricsRegistry:
         registry = MetricsRegistry()

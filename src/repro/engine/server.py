@@ -9,21 +9,9 @@ every request the process ever serves — the step from "CLI that
 amortizes within a run" to "service that amortizes across millions of
 requests".
 
-Protocol — the batch engine's existing JSONL job format, framed over
-the socket:
-
-* client → server: one job object per line (``{"query": ..., "schema":
-  ..., "id": ...}``; ``schema``/``id`` optional, blank lines and ``#``
-  comments ignored) — byte-compatible with ``repro batch`` input files;
-* server → client: one JSON object per line, streamed **as each job's
-  verdict lands** (order across a batch is not input order — match by
-  ``id``).  Three shapes:
-
-  - a normal result record (:meth:`~repro.engine.batch.JobResult.to_record`);
-  - ``{"id": ..., "status": "retry", "error": ...}`` — admission
-    control shed the job (too many in flight); resubmit later;
-  - ``{"status": "error", "error": ...}`` — the line was not a valid
-    job record (never executed, nothing in flight).
+It speaks the JSONL protocol of :mod:`repro.engine.jsonl`, which also
+owns framing, intake, the endpoint and the connection lifecycle; this
+module is the serving policy on top.
 
 Scheduling: jobs arriving on a connection while the engine is busy
 accumulate and dispatch as one engine batch (up to ``max_batch``), so a
@@ -51,16 +39,13 @@ the unified metrics registry into the state dir's ``metrics.prom``.
 from __future__ import annotations
 
 import asyncio
-import json
-import os
-import signal as signal_module
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.engine.batch import BatchEngine, Job
-from repro.engine.jobs import parse_job_line
+from repro.engine.jsonl import JsonlDaemon
 from repro.errors import EngineError, ReproError
 from repro.obs.log import get_logger
 from repro.obs.trace import FAILED, OK
@@ -125,7 +110,7 @@ class ServerStats:
 
 class _Connection:
     """Per-client state: jobs waiting for the next batch, the outbound
-    line queue, and the wakeup the batch loop parks on."""
+    record queue, and the batch loop with the wakeup it parks on."""
 
     def __init__(self, conn_id: int) -> None:
         self.conn_id = conn_id
@@ -135,24 +120,24 @@ class _Connection:
         self.eof = False
         self.jobs = 0
         self.batches = 0
+        self.batch_task: asyncio.Task | None = None
+        self.trace = None
 
     def kick(self) -> None:
         self.wakeup.set()
 
 
-class EngineServer:
-    """The asyncio daemon behind ``repro serve``.
+class EngineServer(JsonlDaemon):
+    """The asyncio daemon behind ``repro serve``: the serving policy on
+    top of :class:`~repro.engine.jsonl.JsonlDaemon`.
 
-    One engine, many connections: each connection runs a read loop
-    (ingest + admission control), a batch loop (dispatch pending jobs to
-    the shared engine), and a writer loop (stream result lines).  The
-    engine itself runs on a single dedicated thread — `BatchEngine` is
-    not thread-safe, and one thread keeps the event loop free to accept,
-    ingest, and stream while a batch decides.
+    One engine, many connections: :meth:`_ingest` admits (or sheds) each
+    line, and a batch loop per connection dispatches its pending jobs to
+    the shared engine.  The engine runs on one dedicated thread —
+    `BatchEngine` is not thread-safe, and the thread keeps the event
+    loop free to accept, ingest, and stream while a batch decides."""
 
-    ``on_ready`` (optional) is called with the server once the socket is
-    bound and listening — the CLI uses it to print the endpoint.
-    """
+    command = "serve"
 
     def __init__(
         self,
@@ -166,10 +151,9 @@ class EngineServer:
         snapshot_interval: float | None = None,
         on_ready: Callable[["EngineServer"], None] | None = None,
     ) -> None:
-        if (socket_path is None) == (port is None):
-            raise EngineError(
-                "serve needs exactly one endpoint: --socket PATH or --port N"
-            )
+        super().__init__(
+            socket_path=socket_path, host=host, port=port, on_ready=on_ready
+        )
         if max_batch < 1:
             raise EngineError(f"max_batch must be positive, got {max_batch}")
         if max_inflight is not None and max_inflight < 1:
@@ -181,9 +165,6 @@ class EngineServer:
                 f"snapshot_interval must be positive, got {snapshot_interval}"
             )
         self.engine = engine
-        self.socket_path = socket_path
-        self.host = host
-        self.port = port
         self.max_batch = max_batch
         # default backpressure bar: the pooled lanes' queueing capacity —
         # admitting more than the lanes can hold only grows server-side
@@ -197,189 +178,70 @@ class EngineServer:
             )
         )
         self.snapshot_interval = snapshot_interval
-        self.on_ready = on_ready
         self.stats = ServerStats()
         engine.metrics_sources.append(self.stats)
-        self.endpoint: str | None = None
-        self._shutdown: asyncio.Event | None = None
         self._engine_lock: asyncio.Lock | None = None
         self._engine_thread: ThreadPoolExecutor | None = None
-        self._client_tasks: set = set()
-        self._next_conn_id = 0
+        self._snapshot_task: asyncio.Task | None = None
 
-    # -- entry points -------------------------------------------------------
-    def run(self) -> int:
-        """Blocking entry point (the CLI): serve until SIGTERM/SIGINT,
-        then drain and exit 0."""
-        asyncio.run(self.serve_forever())
-        return 0
-
-    def request_shutdown(self, reason: str = "request") -> None:
-        """Begin a graceful drain (idempotent; also the signal handler)."""
-        if self._shutdown is not None and not self._shutdown.is_set():
-            _LOG.warning("received %s: draining and shutting down", reason)
-            self._shutdown.set()
-
-    async def serve_forever(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
+    # -- daemon lifecycle ---------------------------------------------------
+    async def _start(self) -> None:
         self._engine_lock = asyncio.Lock()
         self._engine_thread = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-engine"
         )
-        for signum in (signal_module.SIGTERM, signal_module.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum, self.request_shutdown,
-                    signal_module.Signals(signum).name,
-                )
-            except (NotImplementedError, RuntimeError):
-                # non-main thread or platform without signal support
-                # (e.g. an embedded test loop): shutdown comes from
-                # request_shutdown() instead
-                pass
-        if self.socket_path is not None:
-            if os.path.exists(self.socket_path):
-                # a stale socket from a crashed predecessor would fail
-                # the bind; a *live* predecessor loses the path — same
-                # rule every unix-socket daemon applies
-                _LOG.warning("removing stale socket %s", self.socket_path)
-                os.unlink(self.socket_path)
-            server = await asyncio.start_unix_server(
-                self._client, path=self.socket_path
-            )
-            self.endpoint = f"unix:{self.socket_path}"
-        else:
-            server = await asyncio.start_server(
-                self._client, host=self.host, port=self.port
-            )
-            self.port = server.sockets[0].getsockname()[1]
-            self.endpoint = f"{self.host}:{self.port}"
-        snapshot_task = None
+
+    def _serving(self) -> None:
         if self.snapshot_interval is not None and self.engine.has_state:
-            snapshot_task = asyncio.create_task(self._snapshot_loop())
+            self._snapshot_task = asyncio.create_task(self._snapshot_loop())
         _LOG.info(
             "serving on %s (max_batch=%d, max_inflight=%d, workers=%d)",
             self.endpoint, self.max_batch, self.max_inflight,
             self.engine.workers,
         )
-        if self.on_ready is not None:
-            self.on_ready(self)
-        try:
-            await self._shutdown.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            # graceful drain: every connection handler finishes its
-            # admitted jobs and streams their results before we snapshot
-            if self._client_tasks:
-                await asyncio.gather(
-                    *list(self._client_tasks), return_exceptions=True
-                )
-            if snapshot_task is not None:
-                snapshot_task.cancel()
-                try:
-                    await snapshot_task
-                except asyncio.CancelledError:
-                    pass
-            if self.engine.has_state:
-                await self._snapshot()
-            self._engine_thread.shutdown(wait=True)
-            if not self.engine.closed:
-                self.engine.close()
-            if self.socket_path is not None:
-                try:
-                    os.unlink(self.socket_path)
-                except OSError:
-                    pass
-            _LOG.info(
-                "drained and closed (%d jobs over %d connections)",
-                self.stats.jobs_admitted, self.stats.connections_total,
-            )
 
-    # -- per-connection machinery -------------------------------------------
-    async def _client(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._client_tasks.add(task)
-        self._next_conn_id += 1
-        conn = _Connection(self._next_conn_id)
-        self.stats.connections_total += 1
-        self.stats.connections_active += 1
+    async def _stop(self) -> None:
+        # every connection has drained its admitted jobs by now
+        if self._snapshot_task is not None:
+            self._snapshot_task.cancel()
+            await asyncio.gather(self._snapshot_task, return_exceptions=True)
+        if self.engine.has_state:
+            await self._snapshot()
+        self._engine_thread.shutdown(wait=True)
+        if not self.engine.closed:
+            self.engine.close()
+        _LOG.info(
+            "drained and closed (%d jobs over %d connections)",
+            self.stats.jobs_admitted, self.stats.connections_total,
+        )
+
+    # -- per-connection policy ----------------------------------------------
+    def _open(self, conn_id: int) -> _Connection:
+        conn = _Connection(conn_id)
         tracer = self.engine.tracer
-        trace = None
         if tracer is not None:
-            trace = tracer.begin(
-                job_id=f"conn-{conn.conn_id}", query="<connection>"
+            conn.trace = tracer.begin(
+                job_id=f"conn-{conn_id}", query="<connection>"
             )
-        writer_task = asyncio.create_task(self._writer_loop(conn, writer))
-        batch_task = asyncio.create_task(self._batch_loop(conn, trace))
-        try:
-            await self._read_loop(conn, reader)
-        finally:
-            conn.eof = True
-            conn.kick()
-            try:
-                await batch_task
-            finally:
-                await conn.out_queue.put(None)
-                try:
-                    await writer_task
-                finally:
-                    if tracer is not None and trace is not None:
-                        tracer.finish(
-                            trace,
-                            verdict=f"{conn.jobs} jobs/{conn.batches} batches",
-                            route="serve",
-                        )
-                    self.stats.connections_active -= 1
-                    self._client_tasks.discard(task)
-                    writer.close()
-                    try:
-                        await writer.wait_closed()
-                    except (ConnectionError, OSError):
-                        pass
+        conn.batch_task = asyncio.create_task(self._batch_loop(conn))
+        return conn
 
-    async def _read_loop(self, conn: _Connection, reader) -> None:
-        """Ingest lines until client EOF or shutdown (on shutdown the
-        connection stops *reading* but its admitted jobs still drain)."""
-        shutdown_wait = asyncio.ensure_future(self._shutdown.wait())
+    async def _finish(self, conn: _Connection) -> None:
+        conn.eof = True
+        conn.kick()
         try:
-            while True:
-                read = asyncio.ensure_future(reader.readline())
-                done, _ = await asyncio.wait(
-                    {read, shutdown_wait},
-                    return_when=asyncio.FIRST_COMPLETED,
+            await conn.batch_task
+        finally:
+            if conn.trace is not None:
+                self.engine.tracer.finish(
+                    conn.trace,
+                    verdict=f"{conn.jobs} jobs/{conn.batches} batches",
+                    route="serve",
                 )
-                if read not in done:
-                    read.cancel()
-                    try:
-                        await read
-                    except (asyncio.CancelledError, ConnectionError, OSError):
-                        pass
-                    return
-                try:
-                    line = read.result()
-                except (ConnectionError, OSError):
-                    return
-                if not line:
-                    return
-                self._ingest(conn, line)
-        finally:
-            shutdown_wait.cancel()
-            try:
-                await shutdown_wait
-            except asyncio.CancelledError:
-                pass
 
-    def _ingest(self, conn: _Connection, line: bytes) -> None:
-        text = line.decode("utf-8", "replace").strip()
-        if not text or text.startswith("#"):
-            return
-        try:
-            job = parse_job_line(text)
-        except EngineError as error:
-            self.stats.invalid_lines += 1
-            conn.out_queue.put_nowait({"status": "error", "error": str(error)})
+    def _ingest(self, conn: _Connection, line: bytes | None) -> None:
+        job = self._intake(conn, line)
+        if job is None:
             return
         if self.stats.inflight_jobs >= self.max_inflight:
             self.stats.retries_shed += 1
@@ -398,7 +260,7 @@ class EngineServer:
         conn.pending.append(job)
         conn.kick()
 
-    async def _batch_loop(self, conn: _Connection, trace) -> None:
+    async def _batch_loop(self, conn: _Connection) -> None:
         while True:
             if not conn.pending:
                 if conn.eof:
@@ -412,7 +274,7 @@ class EngineServer:
             batch = conn.pending[: self.max_batch]
             del conn.pending[: len(batch)]
             conn.batches += 1
-            await self._run_batch(conn, batch, trace)
+            await self._run_batch(conn, batch, conn.trace)
 
     async def _run_batch(self, conn: _Connection, batch: list[Job], trace) -> None:
         loop = asyncio.get_running_loop()
@@ -482,22 +344,6 @@ class EngineServer:
         self.stats.inflight_jobs -= 1
         self.stats.results_streamed += 1
         conn.out_queue.put_nowait(result.to_record())
-
-    async def _writer_loop(self, conn: _Connection, writer) -> None:
-        while True:
-            record = await conn.out_queue.get()
-            if record is None:
-                return
-            try:
-                writer.write(
-                    (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-                )
-                await writer.drain()
-            except (ConnectionError, OSError):
-                # client went away mid-stream; keep consuming so the
-                # batch loop's puts drain into the void until the
-                # sentinel arrives (its verdicts are already cached)
-                continue
 
     # -- snapshots ----------------------------------------------------------
     async def _snapshot_loop(self) -> None:

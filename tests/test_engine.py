@@ -23,6 +23,7 @@ from repro.engine import (
 )
 from repro.engine.cache import NO_SCHEMA, CachedDecision
 from repro.errors import EngineError
+from repro.obs.trace import ListSink, Tracer
 from repro.sat import decide
 from repro.workloads import batch_jobs, document_dtd
 from repro.xpath import parse_query
@@ -284,6 +285,30 @@ class TestBatchEngine:
         assert "unknown schema" in report.results[1].error
         assert report.results[2].satisfiable is True
         assert report.verdict_counts()["error"] == 2
+
+    @pytest.mark.parametrize("query", [
+        "r[" + " or ".join(["B"] * 3000) + "]",
+        "A[" + "not(" * 3000 + "B" + ")" * 3000 + "]",
+        "A" + "[B]" * 3000,
+        "/".join(["A"] * 3000),
+    ], ids=["or-chain", "nested-not", "qualifier-chain", "path"])
+    def test_over_deep_query_fails_alone(self, registry, query):
+        """A query nested past the recursion limit (in the parser,
+        canonicalization or the cache key) is that job's own error; the
+        rest of the run is answered."""
+        sink = ListSink()
+        engine = BatchEngine(registry=registry, tracer=Tracer([sink]))
+        report = engine.run([
+            Job(query, None, "deep"), Job(query, "threesat", "deep-dtd"),
+            Job("X1/T", "threesat", "ok"),
+        ])
+        engine.close()
+        deep, deep_dtd, ok = report.results
+        assert deep.method == deep_dtd.method == "error"
+        assert "nests too deeply" in deep.error
+        assert ok.satisfiable is True
+        assert report.stats.errors == 2
+        assert len(sink.records) == 3      # one finished trace per job
 
     def test_eviction_bounds_memory(self, registry):
         engine = BatchEngine(registry=registry, cache=DecisionCache(capacity=2))

@@ -8,6 +8,7 @@ through it, and compare verdicts against a single-process engine.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
@@ -21,6 +22,7 @@ import pytest
 
 import repro
 from repro.engine import BatchEngine, Job, SchemaRegistry
+from repro.engine.jsonl import MAX_LINE_BYTES
 from repro.engine.router import (
     EngineRouter,
     RouterStats,
@@ -205,6 +207,20 @@ class TestExactlyOnceFanIn:
         router._ingest(conn, b"# note\n")
         assert conn.out_queue.empty()
 
+    def test_a_job_too_long_once_forwarded_is_answered_not_routed(self):
+        # a compact line at the limit grows by the router's id token
+        router = _bare_router()
+        conn = _ClientConn(1)
+        head = b'{"query":"'
+        line = head + b"A" * (MAX_LINE_BYTES - len(head) - 2) + b'"}'
+        assert len(line) == MAX_LINE_BYTES
+        router._ingest(conn, line + b"\n")
+        record = conn.out_queue.get_nowait()
+        assert record["status"] == "error"
+        assert "as forwarded" in record["error"]
+        assert conn.inflight == 0
+        assert not any(shard.inflight for shard in router.shards)
+
     def test_same_schema_lands_on_one_shard(self):
         router = _bare_router(workers=4)
         conn = _ClientConn(1)
@@ -247,6 +263,34 @@ class TestExactlyOnceFanIn:
         assert 'repro_router_shard_depth{shard="0"}' in rendered
         assert "repro_router_spills_total 0" in rendered
         assert "repro_router_restarts_total 0" in rendered
+
+
+class TestWorkerRespawn:
+    def test_a_live_worker_is_reaped_before_its_successor_starts(self):
+        """A shard whose connection drops while its process still runs:
+        the old process is stopped and reaped before the respawn, so a
+        respawn never leaves a second worker behind."""
+
+        async def scenario() -> list:
+            router = _bare_router(workers=1)
+            shard = router.shards[0]
+            old = await asyncio.create_subprocess_exec("sleep", "60")
+            shard.process = old
+            seen = []
+
+            async def start_shard(_shard) -> None:
+                seen.append(old.returncode)
+
+            router._start_shard = start_shard
+            try:
+                await asyncio.wait_for(router._shard_down(shard), 60)
+            finally:
+                if old.returncode is None:
+                    old.kill()
+                    await old.wait()
+            return seen
+
+        assert asyncio.run(scenario()) == [-signal.SIGTERM]
 
 
 class TestRouterStats:
