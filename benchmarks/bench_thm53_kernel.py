@@ -1,0 +1,153 @@
+"""The Theorem 5.3 kernel, timed directly on the pooled EXPTIME workload.
+
+Not a paper figure: this harness times :func:`sat_exptime_types` alone,
+with no engine around it, on the question shape of the repository
+benchmark's ``fresh_exptime`` workload.  The questions are drawn with
+:func:`repro.workloads.batch.batch_jobs` over the two fixed 48-type
+``random_dtd`` schemas (seeds 11 and 12), from the ``REC_NEG_DOWN`` and
+``REC_NEG_DOWN_UNION`` fragments, distinct per ``(schema, query)``.  Each
+question is parsed and canonicalized outside the timed loop, the way the
+engine's lanes hand it to the kernel, and each schema's ``prepare``
+context is built once, the way the lanes keep it warm.
+
+Each trial decides every question once.  The harness runs ``TRIALS``
+trials and reports the median, min and interquartile range of the
+milliseconds per question, with the mean number of label searches per
+decided question (the ``searches`` stat) and the host's core count and
+Python version.  Full mode decides 1,500 questions and writes
+``benchmarks/results/BENCH_thm53_kernel.json``.
+
+Quick mode (``REPRO_BENCH_QUICK=1``, used by CI) decides 200 questions.
+Its only bar, in both modes, is a count: fewer than ``2 × 48`` label
+searches per question, which the reverse-dependency worklist meets and a
+round-based fixpoint (every label re-extended every round, about 280
+searches per question) does not.  No timing bar is asserted.
+
+Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_thm53_kernel.py -q``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import random
+import statistics
+import time
+
+from benchmarks.conftest import format_table
+from repro.dtd import random_dtd
+from repro.errors import ReproError
+from repro.sat.exptime_types import prepare_types, sat_exptime_types
+from repro.workloads.batch import batch_jobs
+from repro.xpath import parse_query
+from repro.xpath.canonical import canonicalize
+from repro.xpath.fragments import REC_NEG_DOWN, REC_NEG_DOWN_UNION
+
+QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
+QUESTIONS = 200 if QUICK else 1500
+TRIALS = 5
+SCHEMA_SEEDS = (11, 12)
+SCHEMA_TYPES = 48
+QUESTION_SEED = 20250611
+#: the count bar: a worklist runs each label's search about once, plus
+#: re-runs inside recursive cycles; twice the label count is the ceiling
+SEARCHES_BAR = 2 * SCHEMA_TYPES
+
+_RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+
+def kernel_questions(count: int = QUESTIONS):
+    """``count`` distinct ``(dtd, canonical query)`` questions and the
+    prepared context of every schema."""
+    schemas = {
+        f"g{index}": random_dtd(random.Random(seed), n_types=SCHEMA_TYPES)
+        for index, seed in enumerate(SCHEMA_SEEDS, start=1)
+    }
+    rng = random.Random(QUESTION_SEED)
+    seen: set[tuple[str, str]] = set()
+    questions = []
+    while len(questions) < count:
+        for job in batch_jobs(
+            rng, schemas, count, fragments=(REC_NEG_DOWN, REC_NEG_DOWN_UNION),
+            duplicate_rate=0.0,
+        ):
+            key = (job.schema, job.query)
+            if key in seen or len(questions) >= count:
+                continue
+            seen.add(key)
+            questions.append((job.schema, canonicalize(parse_query(job.query))))
+    contexts = {name: prepare_types(dtd) for name, dtd in schemas.items()}
+    return schemas, contexts, questions
+
+
+def decide_all(schemas, contexts, questions):
+    """One trial: ``(seconds, per-question stats or None when declined)``."""
+    outcomes = []
+    start = time.perf_counter()
+    for schema, query in questions:
+        try:
+            result = sat_exptime_types(
+                query, schemas[schema], context=contexts[schema]
+            )
+        except ReproError:
+            outcomes.append(None)
+        else:
+            outcomes.append((result.satisfiable, result.stats))
+    return time.perf_counter() - start, outcomes
+
+
+def test_thm53_kernel(report):
+    schemas, contexts, questions = kernel_questions()
+    trial_ms = []
+    outcomes = None
+    for _ in range(TRIALS):
+        seconds, trial = decide_all(schemas, contexts, questions)
+        trial_ms.append(seconds * 1e3 / len(questions))
+        if outcomes is None:
+            outcomes = trial
+        assert trial == outcomes, "the kernel is not deterministic"
+
+    decided = [outcome for outcome in outcomes if outcome is not None]
+    searches = statistics.fmean(stats["searches"] for _, stats in decided)
+    types = statistics.fmean(stats["types"] for _, stats in decided)
+    quartiles = statistics.quantiles(trial_ms, n=4, method="inclusive")
+    payload = {
+        "benchmark": "thm53_kernel",
+        "quick": QUICK,
+        "cpu_cores": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "questions": len(questions),
+        "trials": TRIALS,
+        "ms_per_question": {
+            "median": round(statistics.median(trial_ms), 4),
+            "min": round(min(trial_ms), 4),
+            "iqr": round(quartiles[2] - quartiles[0], 4),
+            "trials": [round(ms, 4) for ms in trial_ms],
+        },
+        "searches_per_question": round(searches, 2),
+        "searches_bar": SEARCHES_BAR,
+        "types_per_question": round(types, 2),
+        "sat": sum(1 for verdict, _ in decided if verdict),
+        "unsat": sum(1 for verdict, _ in decided if verdict is False),
+        "declined": len(outcomes) - len(decided),
+    }
+    timing = payload["ms_per_question"]
+    report("thm53_kernel", format_table(
+        ["questions", "ms/question median", "min", "IQR", "searches/question",
+         "types/question", "sat", "unsat", "declined"],
+        [[
+            payload["questions"], timing["median"], timing["min"], timing["iqr"],
+            payload["searches_per_question"], payload["types_per_question"],
+            payload["sat"], payload["unsat"], payload["declined"],
+        ]],
+    ))
+    if not QUICK:
+        os.makedirs(_RESULTS_DIR, exist_ok=True)
+        with open(os.path.join(_RESULTS_DIR, "BENCH_thm53_kernel.json"), "w") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
+
+    assert searches < SEARCHES_BAR, (
+        f"{searches:.1f} label searches per question (bar {SEARCHES_BAR})"
+    )

@@ -87,26 +87,31 @@ class DTDGraph:
 
     @cached_property
     def has_cycle(self) -> bool:
-        """Whether ``G_D`` has a cycle, i.e. whether the DTD is recursive."""
+        """Whether ``G_D`` has a cycle, i.e. whether the DTD is recursive.
+
+        A depth-first search with an explicit stack, so a deep schema
+        cannot exhaust the interpreter's recursion limit."""
         in_progress: set[str] = set()
         done: set[str] = set()
-
-        def visit(vertex: str) -> bool:
-            in_progress.add(vertex)
-            for child in self.edges[vertex]:
-                if child in in_progress:
-                    return True
-                if child not in done and visit(child):
-                    return True
-            in_progress.discard(vertex)
-            done.add(vertex)
-            return False
-
-        return any(
-            visit(vertex)
-            for vertex in self.edges
-            if vertex not in done and vertex not in in_progress
-        )
+        for start in self.edges:
+            if start in done:
+                continue
+            in_progress.add(start)
+            stack = [(start, iter(self.edges[start]))]
+            while stack:
+                vertex, pending = stack[-1]
+                for child in pending:
+                    if child in in_progress:
+                        return True
+                    if child not in done:
+                        in_progress.add(child)
+                        stack.append((child, iter(self.edges[child])))
+                        break
+                else:
+                    stack.pop()
+                    in_progress.discard(vertex)
+                    done.add(vertex)
+        return False
 
     @cached_property
     def longest_acyclic_depth(self) -> int:

@@ -38,10 +38,18 @@ Everything past the closure runs on machine integers:
 * node types pack into single ints ``label_id << (Q + D) | truth_bits <<
   D | dtruth_bits``, and reachability nodes into ``fact_bits <<
   state_shift | state``;
-* :class:`_LabelSearch` — the **semi-naive** per-label reachability BFS:
-  frontier, seen-set, and parent links persist across fixpoint rounds,
-  so round ``N`` only explores transitions enabled by the types round
-  ``N-1`` added.
+* the fixpoint is a **reverse-dependency worklist**, the shape of
+  :func:`repro.dtd.properties.terminating_types` and of the chaotic
+  iteration in :mod:`repro.sat.realworld`: labels are queued
+  leaf-first (:class:`PackedTypesContext` holds the order, each label's
+  parent labels and its arcs grouped by child label), and a label's
+  parents are queued again only when it gains a type with a new fact
+  contribution;
+* :class:`_LabelSearch` — the persistent per-label reachability BFS:
+  seen-set, parent links and settled nodes (indexed by automaton state)
+  survive between the label's searches, so a re-run only walks the arcs
+  into child labels that offered new contributions, against just those.
+  The ``searches`` stat counts label searches.
 
 The Glushkov tables come from :mod:`repro.sat.bits`, whose packed word
 kernels the bounded and NEXPTIME deciders share.  ``first_cases`` and
@@ -255,11 +263,16 @@ class CompiledClosure:
     ``↓*``-truth bitmasks are read off the qualifier slots.
     ``contribution`` likewise reads precompiled per-fact terms instead
     of re-scanning the fact list per node type.
+
+    ``evaluate`` reads ``label_id`` only through label tests, so it is
+    memoized per fact bitmask and *label class*: the label itself when a
+    label test names it, one shared class for every other label.
     """
 
     __slots__ = (
         "qual_count", "dqual_count", "fact_count", "slot_count",
         "ops", "dqual_terms", "c_terms", "cd_terms",
+        "tested_labels", "label_classes", "_truths",
     )
 
     def __init__(self, closure: _Closure, label_index: dict[str, int]):
@@ -339,6 +352,9 @@ class CompiledClosure:
             compile_qual(qual)
         self.slot_count = slots[0]
         self.ops = tuple(ops)
+        self.tested_labels = frozenset(op[2] for op in ops if op[0] == _OP_LABEL)
+        self.label_classes = len(label_index) + 1
+        self._truths: dict[int, tuple[int, int]] = {}
 
         # ↓*-truth bits, ordered by the qualifier's closure index so the
         # bit layout is deterministic: bit j is set iff the qualifier
@@ -376,6 +392,14 @@ class CompiledClosure:
     def evaluate(self, label_id: int, fact_bits: int) -> tuple[int, int]:
         """``(truth_bits, dtruth_bits)`` of every closure qualifier at a
         node with element type ``label_id`` and child facts ``fact_bits``."""
+        label_class = label_id + 1 if label_id in self.tested_labels else 0
+        key = fact_bits * self.label_classes + label_class
+        truths = self._truths.get(key)
+        if truths is None:
+            truths = self._truths[key] = self._run(label_id, fact_bits)
+        return truths
+
+    def _run(self, label_id: int, fact_bits: int) -> tuple[int, int]:
         slots = [False] * self.slot_count
         for op in self.ops:
             code = op[0]
@@ -421,100 +445,99 @@ class CompiledClosure:
         return mask
 
 
-# -- the semi-naive fixpoint -----------------------------------------------------
+# -- the reverse-dependency worklist ---------------------------------------------
 
 class _LabelSearch:
-    """Persistent per-label reachability over (Glushkov state × fact
-    bitmask), the semi-naive half of the fixpoint.
+    """Persistent reachability over (Glushkov state × fact bitmask) for
+    one label, the incremental half of the worklist fixpoint.
 
-    A naive fixpoint re-runs this BFS from scratch for every label on
-    every round — round ``N`` repeats all of round ``N-1``'s
-    exploration.  Here the search keeps ``seen``/``parents``/``nodes``
-    across rounds and ``ptr[label]`` records how many of that label's
-    realizable types every settled node has been expanded against, so
-    :meth:`extend` only walks **new** transitions: settled nodes × types
-    added since the last round, plus full expansion of any node that
-    first becomes reachable.  Each call yields the newly achievable
-    ``(fact bitmask, witnessing child-type word)`` pairs.
+    A node packs ``fact_bits << shift | state``; node 0 (initial state,
+    no facts) starts the search.  ``seen``, the ``parents`` links and the
+    settled (fully expanded) nodes persist across calls, the settled fact
+    masks grouped by automaton state, and ``ptr[i]`` records how many
+    offers of the ``i``-th child label in ``into`` every settled node has
+    been expanded against.  An *offer* is a child type with a fact
+    contribution its label had not offered before (see
+    :func:`sat_exptime_types`).  So :meth:`extend` walks only new
+    transitions — the arcs into child labels with new offers, from the
+    settled nodes at each arc's source state, against just those offers
+    — and then runs a full BFS of the nodes that first became reachable.
+    Each call returns the newly achievable ``(fact bitmask, witnessing
+    child-type word)`` pairs.
     """
 
-    __slots__ = ("arcs", "shift", "accept_mask", "seen", "parents",
-                 "nodes", "results", "ptr")
+    __slots__ = ("arcs", "into", "shift", "accept_mask", "ptr", "seen",
+                 "parents", "settled", "results")
 
-    def __init__(
-        self,
-        arcs: tuple[tuple[tuple[int, int], ...], ...],
-        shift: int,
-        accept_mask: int,
-        label_count: int,
-    ):
-        self.arcs = arcs
-        self.shift = shift
-        self.accept_mask = accept_mask
+    def __init__(self, context: PackedTypesContext, label_id: int):
+        self.arcs = context.arcs[label_id]
+        self.into = context.arcs_into[label_id]
+        self.shift = context.shifts[label_id]
+        self.accept_mask = context.accept_masks[label_id]
+        self.ptr = [0] * len(self.into)
         self.seen: set[int] = set()
         self.parents: dict[int, tuple[int, int]] = {}
-        self.nodes: list[int] = []          # settled (fully expanded) nodes
-        self.results: set[int] = set()      # fact masks already yielded
-        self.ptr = [0] * label_count
+        self.settled: list[list[int]] = [[] for _ in self.arcs]
+        self.results: set[int] = set()      # fact masks already returned
 
     def extend(
-        self,
-        types_by_label: list[list[int]],
-        type_contrib: list[int],
+        self, offers: list[list[tuple[int, int]]],
     ) -> list[tuple[int, tuple[int, ...]]]:
-        arcs = self.arcs
         shift = self.shift
-        state_mask = (1 << shift) - 1
         seen = self.seen
         parents = self.parents
-        limits = [len(types) for types in types_by_label]
-        queue: deque[int] = deque()
+        settled = self.settled
+        queue: list[int] = []
         if not seen:
             # node 0 packs (state 0, empty fact set) — the BFS start
             seen.add(0)
             queue.append(0)
-        # phase 1: settled nodes × types added since this search last ran
+        # phase 1: settled nodes × offers made since this search last ran,
+        # along the arcs into each child label that made them
         ptr = self.ptr
-        for position in range(len(self.nodes)):
-            node = self.nodes[position]
-            state = node & state_mask
-            bits = node >> shift
-            for succ, child_label in arcs[state]:
-                types = types_by_label[child_label]
-                for index in range(ptr[child_label], limits[child_label]):
-                    child = types[index]
-                    succ_node = (bits | type_contrib[child]) << shift | succ
-                    if succ_node not in seen:
-                        seen.add(succ_node)
-                        parents[succ_node] = (node, child)
-                        queue.append(succ_node)
-        # phase 2: full BFS of the newly reachable frontier
+        for position, (child_label, pairs) in enumerate(self.into):
+            child_offers = offers[child_label]
+            done = ptr[position]
+            if done == len(child_offers):
+                continue
+            ptr[position] = len(child_offers)
+            fresh = child_offers[done:]
+            for state, succ in pairs:
+                for bits in settled[state]:
+                    node = bits << shift | state
+                    for child, contrib in fresh:
+                        succ_node = (bits | contrib) << shift | succ
+                        if succ_node not in seen:
+                            seen.add(succ_node)
+                            parents[succ_node] = (node, child)
+                            queue.append(succ_node)
+        # phase 2: full BFS of the newly reachable frontier (the list
+        # grows while it is walked)
+        arcs = self.arcs
         accept = self.accept_mask
+        state_mask = (1 << shift) - 1
+        results = self.results
         out: list[tuple[int, tuple[int, ...]]] = []
-        while queue:
-            node = queue.popleft()
-            self.nodes.append(node)
+        for node in queue:
             state = node & state_mask
             bits = node >> shift
-            if accept >> state & 1 and bits not in self.results:
+            settled[state].append(bits)
+            if accept >> state & 1 and bits not in results:
+                results.add(bits)
                 word: list[int] = []
                 current = node
                 while current:
                     current, chosen = parents[current]
                     word.append(chosen)
                 word.reverse()
-                self.results.add(bits)
                 out.append((bits, tuple(word)))
             for succ, child_label in arcs[state]:
-                types = types_by_label[child_label]
-                for index in range(limits[child_label]):
-                    child = types[index]
-                    succ_node = (bits | type_contrib[child]) << shift | succ
+                for child, contrib in offers[child_label]:
+                    succ_node = (bits | contrib) << shift | succ
                     if succ_node not in seen:
                         seen.add(succ_node)
                         parents[succ_node] = (node, child)
                         queue.append(succ_node)
-        self.ptr = limits
         return out
 
 
@@ -522,38 +545,98 @@ class _LabelSearch:
 
 class PackedTypesContext:
     """Schema-side packed tables for :func:`sat_exptime_types` (the
-    decider's ``prepare`` hook): element types in sorted order, per-label
-    Glushkov arcs annotated with child label ids, and packed accepting
-    masks.  Like every ``prepare`` context this is a pure cache —
-    worker-lane runtimes keep it warm across chunks, and it can never
-    change a verdict.  It holds nothing per query: the closure is
-    compiled once per call, since the decision cache answers repeated
+    decider's ``prepare`` hook).  Like every ``prepare`` context this is
+    a pure cache: worker-lane runtimes keep it warm across chunks, and it
+    can never change a verdict.  It holds nothing per query: the closure
+    is compiled once per call, since the decision cache answers repeated
     questions before any decider runs.
+
+    * ``labels`` — element types in sorted order; a label id indexes it;
+    * ``arcs[label][state]`` — Glushkov successors ``(succ, child label)``;
+    * ``arcs_into[label]`` — the same arcs grouped by child label:
+      ``(child label, ((state, succ), ...))`` per distinct child label;
+    * ``parent_labels[label]`` — the labels whose content model
+      mentions it;
+    * ``leaf_first`` — every label, children before parents except
+      along recursive cycles (a depth-first post-order);
+    * ``shifts``/``accept_masks`` — the packing width of a state and
+      the accepting-state bitmask, per label.
     """
 
-    __slots__ = ("labels", "label_index", "arcs", "shifts", "accept_masks")
+    __slots__ = ("labels", "label_index", "arcs", "arcs_into",
+                 "parent_labels", "leaf_first", "shifts", "accept_masks")
 
     def __init__(self, dtd: DTD):
         dtd.require_terminating()
         self.labels = tuple(sorted(dtd.element_types))
         self.label_index = {name: index for index, name in enumerate(self.labels)}
         arcs = []
+        arcs_into = []
+        parent_labels: list[list[int]] = [[] for _ in self.labels]
         shifts = []
         accept_masks = []
-        for name in self.labels:
+        # lanes keep one context per plan and schema, so equal tuples
+        # (many, over small automata) are stored once
+        shared: dict[tuple, tuple] = {}
+
+        def share(item: tuple) -> tuple:
+            return shared.setdefault(item, item)
+
+        for label_id, name in enumerate(self.labels):
             tables = cached_tables(dtd.production(name))
-            arcs.append(tuple(
-                tuple(
-                    (succ, self.label_index[tables.symbols[succ]])
+            label_arcs = tuple(
+                share(tuple(
+                    share((succ, self.label_index[tables.symbols[succ]]))
                     for succ in state_arcs
-                )
+                ))
                 for state_arcs in tables.arcs
-            ))
+            )
+            grouped: dict[int, list[tuple[int, int]]] = {}
+            for state, state_arcs in enumerate(label_arcs):
+                for succ, child_label in state_arcs:
+                    grouped.setdefault(child_label, []).append(share((state, succ)))
+            into = tuple(
+                (child_label, share(tuple(grouped[child_label])))
+                for child_label in sorted(grouped)
+            )
+            for child_label, _pairs in into:
+                parent_labels[child_label].append(label_id)
+            arcs.append(label_arcs)
+            arcs_into.append(into)
             shifts.append(max(1, (len(tables.symbols) - 1).bit_length()))
             accept_masks.append(tables.accept_mask)
         self.arcs = tuple(arcs)
+        self.arcs_into = tuple(arcs_into)
+        self.parent_labels = tuple(tuple(labels) for labels in parent_labels)
+        self.leaf_first = _leaf_first(
+            [[child for child, _pairs in into] for into in self.arcs_into]
+        )
         self.shifts = tuple(shifts)
         self.accept_masks = tuple(accept_masks)
+
+
+def _leaf_first(children: list[list[int]]) -> tuple[int, ...]:
+    """Every label in depth-first post-order over child edges: a label
+    follows all of its children except those on a recursive cycle
+    through it.  Iterative, so a deep schema cannot exhaust the stack."""
+    visited = [False] * len(children)
+    order: list[int] = []
+    for start in range(len(children)):
+        if visited[start]:
+            continue
+        visited[start] = True
+        stack = [(start, iter(children[start]))]
+        while stack:
+            label, pending = stack[-1]
+            for child in pending:
+                if not visited[child]:
+                    visited[child] = True
+                    stack.append((child, iter(children[child])))
+                    break
+            else:
+                stack.pop()
+                order.append(label)
+    return tuple(order)
 
 
 def prepare_types(dtd: DTD) -> PackedTypesContext:
@@ -592,69 +675,64 @@ def sat_exptime_types(
     compiled = CompiledClosure(closure, context.label_index)
 
     label_count = len(context.labels)
-    searches = [
-        _LabelSearch(
-            context.arcs[index], context.shifts[index],
-            context.accept_masks[index], label_count,
-        )
-        for index in range(label_count)
-    ]
+    searches = [_LabelSearch(context, label_id) for label_id in range(label_count)]
     qd_shift = compiled.qual_count + compiled.dqual_count
     d_shift = compiled.dqual_count
-    types_by_label: list[list[int]] = [[] for _ in range(label_count)]
     type_labels: list[int] = []
     type_truths: list[int] = []
     type_realization: list[tuple[int, ...]] = []
-    type_contrib: list[int] = []
     type_ids: dict[int, int] = {}        # packed (label, truths, dtruths) -> id
-    derive_memo: dict[int, int] = {}     # packed (fact_bits, label) -> type id
+    # a parent's search sees a child only through its fact contribution,
+    # so each label offers its parents one type per distinct contribution
+    offers: list[list[tuple[int, int]]] = [[] for _ in range(label_count)]
+    offered: set[int] = set()            # packed (contribution, label)
 
-    rounds = 0
-    changed = True
-    while changed:
-        changed = False
-        rounds += 1
-        for label_id in range(label_count):
-            for bits, word in searches[label_id].extend(types_by_label, type_contrib):
-                memo_key = bits * label_count + label_id
-                type_id = derive_memo.get(memo_key)
-                if type_id is None:
-                    truth_bits, dtruth_bits = compiled.evaluate(label_id, bits)
-                    packed = (
-                        label_id << qd_shift | truth_bits << d_shift | dtruth_bits
-                    )
-                    type_id = type_ids.get(packed)
-                    if type_id is None:
-                        type_id = len(type_labels)
-                        type_ids[packed] = type_id
-                        type_labels.append(label_id)
-                        type_truths.append(truth_bits)
-                        type_realization.append(word)
-                        type_contrib.append(
-                            compiled.contribution(label_id, truth_bits, dtruth_bits)
-                        )
-                        types_by_label[label_id].append(type_id)
-                        changed = True
-                    derive_memo[memo_key] = type_id
+    parent_labels = context.parent_labels
+    queue = deque(context.leaf_first)
+    queued = bytearray(b"\x01") * label_count
+    search_count = 0
+    while queue:
+        label_id = queue.popleft()
+        queued[label_id] = 0
+        search_count += 1
+        gained = False
+        for bits, word in searches[label_id].extend(offers):
+            truth_bits, dtruth_bits = compiled.evaluate(label_id, bits)
+            packed = label_id << qd_shift | truth_bits << d_shift | dtruth_bits
+            if packed in type_ids:
+                continue
+            type_id = len(type_labels)
+            type_ids[packed] = type_id
+            type_labels.append(label_id)
+            type_truths.append(truth_bits)
+            type_realization.append(word)
+            contrib = compiled.contribution(label_id, truth_bits, dtruth_bits)
+            offer_key = contrib * label_count + label_id
+            if offer_key not in offered:
+                offered.add(offer_key)
+                offers[label_id].append((type_id, contrib))
+                gained = True
+        if gained:
+            for parent in parent_labels[label_id]:
+                if not queued[parent]:
+                    queued[parent] = 1
+                    queue.append(parent)
 
     stats = {
         "closure_quals": compiled.qual_count,
         "facts": compiled.fact_count,
         "types": len(type_labels),
-        "rounds": rounds,
+        "searches": search_count,
     }
     root_id = context.label_index[dtd.root]
     # the seed qualifier PathExists(query) is collected first: bit 0
-    root_types = [
-        type_id for type_id in types_by_label[root_id]
-        if type_truths[type_id] & 1
-    ]
-    if not root_types:
-        return SatResult(False, METHOD, stats=stats)
-    witness = _realize(
-        root_types[0], context.labels, type_labels, type_realization, dtd
-    )
-    return SatResult(True, METHOD, witness=witness, stats=stats)
+    for type_id, label_id in enumerate(type_labels):
+        if label_id == root_id and type_truths[type_id] & 1:
+            witness = _realize(
+                type_id, context.labels, type_labels, type_realization, dtd
+            )
+            return SatResult(True, METHOD, witness=witness, stats=stats)
+    return SatResult(False, METHOD, stats=stats)
 
 
 def _realize(
@@ -664,18 +742,25 @@ def _realize(
     type_realization: list[tuple[int, ...]],
     dtd: DTD,
 ) -> XMLTree:
-    # a type's realization word only references types that existed
-    # before it was found, i.e. smaller ids, so this recursion is
-    # well-founded
-    def build(current: int) -> Node:
+    """The witness tree of ``type_id``, built top-down with an explicit
+    stack (a witness may be deeper than the interpreter's recursion
+    limit).  A type's realization word only references types found
+    before it, i.e. smaller ids, so the expansion is finite."""
+
+    def make(current: int) -> Node:
         node = Node(labels[type_labels[current]])
         for attr in sorted(dtd.attrs_of(node.label)):
             node.attrs[attr] = f"{attr}0"
-        for child in type_realization[current]:
-            node.append(build(child))
         return node
 
-    return XMLTree(build(type_id))
+    root = make(type_id)
+    stack = [(root, type_id)]
+    while stack:
+        node, current = stack.pop()
+        for child in type_realization[current]:
+            child_node = node.append(make(child))
+            stack.append((child_node, child))
+    return XMLTree(root)
 
 
 SPEC = register_decider(DeciderSpec(

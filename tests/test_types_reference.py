@@ -1,0 +1,347 @@
+"""The Theorem 5.3 worklist kernel against the round-based fixpoint it
+replaced.
+
+The kernel in :mod:`repro.sat.exptime_types` used to re-extend every
+label's search on every round until a round added no type.  It now runs a
+reverse-dependency worklist: each label is searched leaf-first, and its
+parents are searched again only when it gains a type with a new fact
+contribution.  The round-based ``_LabelSearch`` and fixpoint loop it
+replaced are kept here, verbatim, as the reference:
+
+* verdicts and the realized type count (the ``types`` stat) are identical
+  on the pooled EXPTIME schemas, on wide schemas and on seeded random
+  recursive schemas, and every SAT witness conforms and satisfies its
+  query;
+* the worklist's work is bounded by a count, not a timing: on a chain
+  schema each label is searched once;
+* witnesses deeper than the interpreter's recursion limit are built, and
+  answered through the engine.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import deque
+
+import pytest
+
+from repro.dtd import is_nonrecursive, parse_dtd, random_dtd
+from repro.engine import BatchEngine, Job, SchemaRegistry
+from repro.errors import ReproError
+from repro.sat.exptime_types import (
+    METHOD,
+    CompiledClosure,
+    _Closure,
+    prepare_types,
+    sat_exptime_types,
+)
+from repro.workloads import batch_jobs, random_query, wide_dtd
+from repro.xmltree.validate import conforms
+from repro.xpath import ast, parse_query
+from repro.xpath.fragments import REC_NEG_DOWN, REC_NEG_DOWN_UNION
+from repro.xpath.semantics import satisfies
+
+from test_symbolic_backend import WIDE_QUERIES
+
+
+# -- the reference: the round-based fixpoint, verbatim ---------------------------
+
+class _LabelSearch:
+    """Persistent per-label reachability over (Glushkov state × fact
+    bitmask), the semi-naive half of the fixpoint.
+
+    A naive fixpoint re-runs this BFS from scratch for every label on
+    every round — round ``N`` repeats all of round ``N-1``'s
+    exploration.  Here the search keeps ``seen``/``parents``/``nodes``
+    across rounds and ``ptr[label]`` records how many of that label's
+    realizable types every settled node has been expanded against, so
+    :meth:`extend` only walks **new** transitions: settled nodes × types
+    added since the last round, plus full expansion of any node that
+    first becomes reachable.  Each call yields the newly achievable
+    ``(fact bitmask, witnessing child-type word)`` pairs.
+    """
+
+    __slots__ = ("arcs", "shift", "accept_mask", "seen", "parents",
+                 "nodes", "results", "ptr")
+
+    def __init__(
+        self,
+        arcs: tuple[tuple[tuple[int, int], ...], ...],
+        shift: int,
+        accept_mask: int,
+        label_count: int,
+    ):
+        self.arcs = arcs
+        self.shift = shift
+        self.accept_mask = accept_mask
+        self.seen: set[int] = set()
+        self.parents: dict[int, tuple[int, int]] = {}
+        self.nodes: list[int] = []          # settled (fully expanded) nodes
+        self.results: set[int] = set()      # fact masks already yielded
+        self.ptr = [0] * label_count
+
+    def extend(
+        self,
+        types_by_label: list[list[int]],
+        type_contrib: list[int],
+    ) -> list[tuple[int, tuple[int, ...]]]:
+        arcs = self.arcs
+        shift = self.shift
+        state_mask = (1 << shift) - 1
+        seen = self.seen
+        parents = self.parents
+        limits = [len(types) for types in types_by_label]
+        queue: deque[int] = deque()
+        if not seen:
+            # node 0 packs (state 0, empty fact set) — the BFS start
+            seen.add(0)
+            queue.append(0)
+        # phase 1: settled nodes × types added since this search last ran
+        ptr = self.ptr
+        for position in range(len(self.nodes)):
+            node = self.nodes[position]
+            state = node & state_mask
+            bits = node >> shift
+            for succ, child_label in arcs[state]:
+                types = types_by_label[child_label]
+                for index in range(ptr[child_label], limits[child_label]):
+                    child = types[index]
+                    succ_node = (bits | type_contrib[child]) << shift | succ
+                    if succ_node not in seen:
+                        seen.add(succ_node)
+                        parents[succ_node] = (node, child)
+                        queue.append(succ_node)
+        # phase 2: full BFS of the newly reachable frontier
+        accept = self.accept_mask
+        out: list[tuple[int, tuple[int, ...]]] = []
+        while queue:
+            node = queue.popleft()
+            self.nodes.append(node)
+            state = node & state_mask
+            bits = node >> shift
+            if accept >> state & 1 and bits not in self.results:
+                word: list[int] = []
+                current = node
+                while current:
+                    current, chosen = parents[current]
+                    word.append(chosen)
+                word.reverse()
+                self.results.add(bits)
+                out.append((bits, tuple(word)))
+            for succ, child_label in arcs[state]:
+                types = types_by_label[child_label]
+                for index in range(limits[child_label]):
+                    child = types[index]
+                    succ_node = (bits | type_contrib[child]) << shift | succ
+                    if succ_node not in seen:
+                        seen.add(succ_node)
+                        parents[succ_node] = (node, child)
+                        queue.append(succ_node)
+        self.ptr = limits
+        return out
+
+
+def reference_decide(query, dtd, context, max_facts: int = 22):
+    """``(verdict, stats)`` of the previous decider: the same closure and
+    compiled program, then the round-based fixpoint loop (verbatim) and
+    the root-type test."""
+    closure = _Closure()
+    closure.collect(ast.PathExists(query))
+    if len(closure.facts) > max_facts:
+        raise ReproError(f"{len(closure.facts)} child facts exceed max_facts")
+    compiled = CompiledClosure(closure, context.label_index)
+
+    label_count = len(context.labels)
+    searches = [
+        _LabelSearch(
+            context.arcs[index], context.shifts[index],
+            context.accept_masks[index], label_count,
+        )
+        for index in range(label_count)
+    ]
+    qd_shift = compiled.qual_count + compiled.dqual_count
+    d_shift = compiled.dqual_count
+    types_by_label: list[list[int]] = [[] for _ in range(label_count)]
+    type_labels: list[int] = []
+    type_truths: list[int] = []
+    type_realization: list[tuple[int, ...]] = []
+    type_contrib: list[int] = []
+    type_ids: dict[int, int] = {}        # packed (label, truths, dtruths) -> id
+    derive_memo: dict[int, int] = {}     # packed (fact_bits, label) -> type id
+
+    rounds = 0
+    changed = True
+    while changed:
+        changed = False
+        rounds += 1
+        for label_id in range(label_count):
+            for bits, word in searches[label_id].extend(types_by_label, type_contrib):
+                memo_key = bits * label_count + label_id
+                type_id = derive_memo.get(memo_key)
+                if type_id is None:
+                    truth_bits, dtruth_bits = compiled.evaluate(label_id, bits)
+                    packed = (
+                        label_id << qd_shift | truth_bits << d_shift | dtruth_bits
+                    )
+                    type_id = type_ids.get(packed)
+                    if type_id is None:
+                        type_id = len(type_labels)
+                        type_ids[packed] = type_id
+                        type_labels.append(label_id)
+                        type_truths.append(truth_bits)
+                        type_realization.append(word)
+                        type_contrib.append(
+                            compiled.contribution(label_id, truth_bits, dtruth_bits)
+                        )
+                        types_by_label[label_id].append(type_id)
+                        changed = True
+                    derive_memo[memo_key] = type_id
+
+    stats = {
+        "closure_quals": compiled.qual_count,
+        "facts": compiled.fact_count,
+        "types": len(type_labels),
+        "rounds": rounds,
+    }
+    root_id = context.label_index[dtd.root]
+    # the seed qualifier PathExists(query) is collected first: bit 0
+    root_types = [
+        type_id for type_id in types_by_label[root_id]
+        if type_truths[type_id] & 1
+    ]
+    return bool(root_types), stats
+
+
+# -- helpers ---------------------------------------------------------------------
+
+def assert_agrees(query, dtd, context):
+    """The worklist and the reference agree on ``query``; returns the
+    worklist's result (``None`` when both decline)."""
+    try:
+        expected, reference_stats = reference_decide(query, dtd, context)
+    except ReproError:
+        with pytest.raises(ReproError, match="max_facts"):
+            sat_exptime_types(query, dtd, context=context)
+        return None
+    result = sat_exptime_types(query, dtd, context=context)
+    assert result.satisfiable == expected, str(query)
+    for stat in ("types", "facts", "closure_quals"):
+        assert result.stats[stat] == reference_stats[stat], (str(query), stat)
+    if result.satisfiable:
+        assert conforms(result.witness, dtd), str(query)
+        assert satisfies(result.witness, query), str(query)
+    return result
+
+
+def chain_dtd(depth: int, last: str = "eps"):
+    """``root a0``, ``a_i -> a_{i+1}``, ``a_depth -> last``: with the
+    default ``last``, one conforming tree, ``depth`` edges deep."""
+    lines = ["root a0"]
+    lines += [f"a{i} -> a{i + 1}" for i in range(depth)]
+    lines.append(f"a{depth} -> {last}")
+    return parse_dtd("\n".join(lines))
+
+
+def pooled_schemas():
+    """The two 48-type schemas of the pooled EXPTIME workload."""
+    return {
+        f"g{index}": random_dtd(random.Random(seed), n_types=48)
+        for index, seed in enumerate((11, 12), start=1)
+    }
+
+
+# -- agreement with the reference --------------------------------------------------
+
+class TestReferenceAgreement:
+    @pytest.mark.parametrize("name", ["g1", "g2"])
+    def test_pooled_exptime_schemas(self, name):
+        dtd = pooled_schemas()[name]
+        context = prepare_types(dtd)
+        jobs = batch_jobs(
+            random.Random(1729), {name: dtd}, 500,
+            fragments=(REC_NEG_DOWN, REC_NEG_DOWN_UNION), duplicate_rate=0.0,
+        )
+        verdicts = set()
+        for job in jobs:
+            result = assert_agrees(parse_query(job.query), dtd, context)
+            if result is not None:
+                verdicts.add(result.satisfiable)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("types", [64, 128])
+    def test_wide_schemas(self, types):
+        dtd = wide_dtd(types)
+        context = prepare_types(dtd)
+        for text in WIDE_QUERIES:
+            result = assert_agrees(parse_query(text), dtd, context)
+            # nonrecursive: leaf-first, every label is searched once
+            assert result.stats["searches"] == types, text
+
+    def test_random_recursive_schemas(self):
+        rng = random.Random(4242)
+        recursive = 0
+        for _ in range(60):
+            dtd = random_dtd(rng, n_types=rng.randint(4, 16))
+            context = prepare_types(dtd)
+            recursive += not is_nonrecursive(dtd)
+            labels = sorted(dtd.element_types)
+            for _ in range(12):
+                fragment = rng.choice((REC_NEG_DOWN, REC_NEG_DOWN_UNION))
+                query = random_query(rng, fragment, labels, max_depth=3)
+                assert_agrees(query, dtd, context)
+        assert recursive >= 10, "the corpus should exercise recursive schemas"
+
+
+# -- work bound --------------------------------------------------------------------
+
+class TestWorkBound:
+    def test_searches_bounded_on_a_deep_chain(self):
+        dtd = chain_dtd(400)
+        labels = len(dtd.element_types)
+        for text in ("a1[not(a5)]", "**/a400[not(**/b)]"):
+            result = sat_exptime_types(parse_query(text), dtd)
+            assert result.satisfiable is True
+            assert result.stats["searches"] <= 2 * labels, text
+
+    def test_very_deep_chain_decides(self):
+        dtd = chain_dtd(3000)
+        result = sat_exptime_types(parse_query("**/a3000[not(**/b)]"), dtd)
+        assert result.satisfiable is True
+        assert result.stats["searches"] <= 2 * len(dtd.element_types)
+        assert sat_exptime_types(parse_query("a1/a3"), dtd).is_unsat
+
+
+# -- deep witnesses ------------------------------------------------------------------
+
+DEEP_QUERIES = ("a1[not(a5)]", "**/a1200[not(**/b)]")
+
+
+class TestDeepWitnesses:
+    @pytest.mark.parametrize("text", DEEP_QUERIES)
+    def test_witness_deeper_than_the_recursion_limit(self, text):
+        dtd = chain_dtd(1200)
+        query = parse_query(text)
+        result = sat_exptime_types(query, dtd)
+        assert result.satisfiable is True
+        assert result.witness.depth() >= 1200
+        assert conforms(result.witness, dtd)
+        assert satisfies(result.witness, query)
+
+    def test_recursion_check_on_a_deep_schema(self):
+        # the engine classifies a schema when it is registered
+        assert is_nonrecursive(chain_dtd(1200))
+        assert not is_nonrecursive(chain_dtd(1200, last="a0?"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_answers_deep_questions(self, workers):
+        registry = SchemaRegistry()
+        registry.register("chain", chain_dtd(1200))
+        engine = BatchEngine(registry=registry, workers=workers)
+        try:
+            report = engine.run([Job(text, "chain", text) for text in DEEP_QUERIES])
+        finally:
+            engine.close()
+        for record in report.results:
+            assert record.error is None, (record.id, record.error)
+            assert record.satisfiable is True, record.id
+            assert record.method == METHOD, record.id
