@@ -47,7 +47,7 @@ Subcommands
     schema's DTD and prepared contexts warm across chunks;
     ``--no-affinity`` restores stateless pooling and
     ``--lane-queue-depth N`` tunes the spill-over threshold.
-    ``--decision-cap`` / ``--telemetry-max-age`` control state-dir
+    ``--decision-cap`` / ``--telemetry-max-age`` control state
     hygiene (persisted decisions per schema, telemetry row aging).
 
     Each input line is ``{"query": ..., "schema": ..., "id": ...}``
@@ -55,9 +55,11 @@ Subcommands
     per-job result.  ``--repeat`` re-runs the workload in the same
     process, so the second pass exercises the warm cache; per-pass
     ``decide()`` counts and cache stats are printed at the end.
-    ``--state-dir`` persists plan caches, per-plan telemetry, the cost
-    model, and the decision cache across processes: a rerun on a
-    previously-seen workload starts warm (zero plans built).
+    ``--state-dir DIR`` (or its other name, ``--state-tier``) persists
+    plan caches, per-plan telemetry, the cost model, and the decision
+    cache across processes in the SQLite state tier ``DIR/state.sqlite``
+    (see :mod:`repro.engine.statetier`): a rerun on a previously-seen
+    workload starts warm (zero plans built).
 
 ``serve``
     Run the engine as a long-lived daemon speaking the same JSONL job
@@ -72,7 +74,7 @@ Subcommands
     Clients write job lines and read streamed result lines on the same
     connection.  The engine — lanes, caches, cost model — persists
     across every request; SIGTERM drains in-flight jobs, snapshots
-    ``--state-dir``, and exits 0.  ``--max-inflight`` bounds admitted
+    the state tier, and exits 0.  ``--max-inflight`` bounds admitted
     jobs (excess gets a ``retry`` response), ``--snapshot-interval``
     controls periodic state snapshots.
 
@@ -214,13 +216,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.engine.state import load_state
     from repro.sat import Planner
 
     query = parse_query(args.query)
     features = features_of(query)
-    # state-dir warnings reach stderr through repro.obs.log
-    state = load_state(args.state_dir) if args.state_dir is not None else None
+    state = _load_tier(args)[0] if args.state_tier is not None else None
     planner = (
         Planner(cost_model=state.cost_model)
         if state is not None and state.cost_model is not None
@@ -338,7 +338,6 @@ def _make_engine(args: argparse.Namespace, registry, tracer) -> BatchEngine:
         registry=registry,
         cache=DecisionCache(capacity=args.cache_size),
         workers=args.workers,
-        state_dir=args.state_dir,
         state_tier=args.state_tier,
         group_by_plan=args.group_by_plan,
         group_chunk_size=args.group_chunk_size,
@@ -348,11 +347,11 @@ def _make_engine(args: argparse.Namespace, registry, tracer) -> BatchEngine:
         lane_queue_depth=args.lane_queue_depth,
         tracer=tracer,
     )
-    if engine.has_state:
+    if engine.state_tier is not None:
         print(
             f"state: {engine.registry.persisted_plans} persisted plans, "
             f"{engine.persisted_decisions_loaded} cached decisions loaded "
-            f"from {engine.state_target}"
+            f"from {engine.state_tier.path}"
         )
     return engine
 
@@ -365,7 +364,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     engine = _make_engine(args, registry, tracer)
 
     # a SIGINT/SIGTERM mid-run must not lose the run's plans, telemetry,
-    # and cost samples: unwind via _SignalExit, snapshot the state dir,
+    # and cost samples: unwind via _SignalExit, snapshot the state tier,
     # close the engine (the finally), and exit 128+signum
     def _interrupt(signum, frame):
         raise _SignalExit(signum)
@@ -412,9 +411,8 @@ def _run_batch_passes(args, engine, tracer, slow_log) -> int:
             f"{counts['unknown']} unknown, {counts['error']} errors"
         )
         print(passes[-1].describe())
-        if engine.has_state:
-            engine.save_state()
-            print(f"state: saved to {engine.state_target}")
+        if engine.state_tier is not None:
+            print(f"state: saved to {engine.save_state()}")
         if args.stats_json is not None:
             with open(args.stats_json, "w") as handle:
                 json.dump([stats.as_dict() for stats in passes], handle, indent=2)
@@ -438,9 +436,8 @@ def _run_batch_passes(args, engine, tracer, slow_log) -> int:
             f"\ninterrupted by {exit_signal} — saving state before exit",
             file=sys.stderr,
         )
-        if engine.has_state:
-            engine.save_state()
-            print(f"state: saved to {engine.state_target}", file=sys.stderr)
+        if engine.state_tier is not None:
+            print(f"state: saved to {engine.save_state()}", file=sys.stderr)
         if tracer is not None:
             tracer.close()
         return 128 + exit_signal.signum
@@ -460,7 +457,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_inflight=args.max_inflight,
         snapshot_interval=(
-            args.snapshot_interval if engine.has_state else None
+            args.snapshot_interval if engine.state_tier is not None else None
         ),
         on_ready=lambda ready: print(f"serving on {ready.endpoint}", flush=True),
     )
@@ -590,25 +587,21 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_tier(args: argparse.Namespace):
+    """The persisted state and per-process engine stats of the
+    ``--state-dir`` / ``--state-tier`` option (warnings reach stderr
+    through repro.obs.log)."""
+    from repro.engine.statetier import StateTier
+
+    with StateTier(args.state_tier) as tier:
+        return tier.load(), tier.engine_stats_rows()
+
+
 def _cmd_stats_plans(args: argparse.Namespace) -> int:
     """The per-plan telemetry report backing ``repro stats --plans``."""
-    from repro.engine.state import load_state
-
-    if args.state_dir is None and args.state_tier is None:
-        raise EngineError(
-            "stats --plans needs --state-dir DIR or --state-tier PATH"
-        )
-    engine_rows: dict[str, dict] | None = None
-    if args.state_tier is not None:
-        from repro.engine.statetier import StateTier
-
-        # warnings reach stderr through repro.obs.log
-        with StateTier(args.state_tier) as tier:
-            state = tier.load()
-            engine_rows = tier.engine_stats_rows()
-    else:
-        # state-dir warnings reach stderr through repro.obs.log
-        state = load_state(args.state_dir)
+    if args.state_tier is None:
+        raise EngineError("stats --plans needs --state-dir DIR")
+    state, engine_rows = _load_tier(args)
     if args.json:
         telemetry = state.telemetry
         rows = telemetry.summary() if telemetry is not None else {}
@@ -628,9 +621,8 @@ def _cmd_stats_plans(args: argparse.Namespace) -> int:
                 state.cost_model.to_dict()
                 if state.cost_model is not None else None
             ),
+            "processes": engine_rows,
         }
-        if engine_rows is not None:
-            payload["processes"] = engine_rows
         print(json.dumps(payload, indent=2))
         return 0
     if engine_rows:
@@ -694,6 +686,19 @@ def _add_endpoint_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_state_option(parser: argparse.ArgumentParser) -> None:
+    """``--state-tier`` and ``--state-dir``: two names for one option."""
+    parser.add_argument(
+        "--state-tier", "--state-dir", dest="state_tier", metavar="PATH",
+        help="persisted engine state (plans, telemetry, cost model, "
+             "decisions, tunables): a SQLite state tier at PATH, or at "
+             "PATH/state.sqlite when PATH is a directory (a legacy JSON "
+             "state dir there is imported on first open).  Any number of "
+             "processes may load and save it at once; cost samples merge "
+             "instead of overwriting",
+    )
+
+
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """Shared engine flags: ``batch`` and ``serve`` build identical engines."""
     parser.add_argument(
@@ -712,54 +717,42 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--group-by-plan", action=argparse.BooleanOptionalAction, default=None,
         help="group pooled jobs by plan and dispatch each group as one "
              "worker task with shared per-plan setup (default: on, or the "
-             "state dir's persisted setting)",
+             "persisted setting)",
     )
     parser.add_argument(
         "--group-chunk-size", type=int, default=None, metavar="N",
         help="max jobs dispatched per plan-group chunk (default 16, or "
-             "the state dir's persisted setting)",
+             "the persisted setting)",
     )
     parser.add_argument(
         "--affinity", action=argparse.BooleanOptionalAction, default=None,
         help="route plan-group chunks to persistent worker lanes by "
              "schema-fingerprint affinity, so lane runtimes keep schemas "
              "and prepared contexts warm across chunks (default: on, or "
-             "the state dir's persisted setting; --no-affinity restores "
+             "the persisted setting; --no-affinity restores "
              "stateless pooling)",
     )
     parser.add_argument(
         "--lane-queue-depth", type=int, default=None, metavar="N",
         help="in-flight chunks a preferred lane may hold before a chunk "
-             "spills to the least-loaded lane (default 4, or the state "
-             "dir's persisted setting)",
+             "spills to the least-loaded lane (default 4, or the "
+             "persisted setting)",
     )
     parser.add_argument(
         "--decision-cap", type=int, default=None, metavar="N",
         help="max persisted decision-cache entries per schema when saving "
-             "--state-dir (default 512)",
+             "state (default 512)",
     )
     parser.add_argument(
         "--telemetry-max-age", type=float, default=None, metavar="DAYS",
         help="age out persisted telemetry rows not seen for DAYS when "
-             "saving --state-dir (default 30)",
+             "saving state (default 30)",
     )
     parser.add_argument(
         "--cache-size", type=int, default=4096,
         help="decision-cache capacity (default 4096 entries)",
     )
-    parser.add_argument(
-        "--state-dir", metavar="DIR",
-        help="load persisted plans/telemetry/cost-model/decisions from DIR "
-             "at startup and save back after the run (warm cross-process starts)",
-    )
-    parser.add_argument(
-        "--state-tier", metavar="PATH",
-        help="shared SQLite state tier (file or directory): like "
-             "--state-dir, but concurrent-safe — N processes may load and "
-             "save simultaneously, cost samples merge instead of "
-             "overwriting; a legacy --state-dir at the same directory is "
-             "migrated on first open",
-    )
+    _add_state_option(parser)
     parser.add_argument(
         "--trace-out", metavar="PATH",
         help="record one JSONL span tree per job (render with 'repro trace')",
@@ -787,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-level", default="warning", metavar="LEVEL",
         choices=("debug", "info", "warning", "error", "critical"),
         help="structured-log threshold on stderr (default: warning; "
-             "debug shows lane forks and state-dir adoption)",
+             "debug shows lane forks and state adoption)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -819,11 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the serialized plan instead of the human-readable form",
     )
-    explain.add_argument(
-        "--state-dir", metavar="DIR",
-        help="plan with the persisted cost model and show the plan's "
-             "accumulated telemetry from DIR",
-    )
+    _add_state_option(explain)
     explain.set_defaults(func=_cmd_explain)
 
     batch = sub.add_parser(
@@ -895,12 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--schema-dir", metavar="DIR",
         help="register every *.dtd file in DIR under its basename",
     )
-    route.add_argument(
-        "--state-tier", metavar="PATH",
-        help="shared SQLite state tier: every worker warms its plan and "
-             "cost caches from it before the router accepts traffic, and "
-             "merges its samples back on drain",
-    )
+    _add_state_option(route)
     route.add_argument(
         "--spill-depth", type=int, default=64, metavar="N",
         help="in-flight jobs a preferred shard may hold before a job "
@@ -940,15 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plans", action="store_true",
         help="print the per-plan latency/verdict/fallback table from --state-dir",
     )
-    stats.add_argument(
-        "--state-dir", metavar="DIR",
-        help="state directory written by 'batch --state-dir'",
-    )
-    stats.add_argument(
-        "--state-tier", metavar="PATH",
-        help="shared SQLite state tier written by '--state-tier' runs "
-             "(merged view across every contributing process)",
-    )
+    _add_state_option(stats)
     stats.add_argument(
         "--json", action="store_true",
         help="machine-readable output (with --plans: engine-stats "

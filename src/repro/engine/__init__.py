@@ -23,9 +23,10 @@ package amortizes their setup across production-scale workloads:
   concurrent JSONL connections, with admission control and snapshots
   (import it from its module: the package does not re-export the two
   daemons, so an in-process engine never loads ``asyncio``);
-* :mod:`repro.engine.statetier` — :class:`StateTier`, the concurrent-safe
-  SQLite (WAL) replacement for the JSON state snapshot: N processes load
-  and save simultaneously, cost samples merge instead of overwriting;
+* :mod:`repro.engine.statetier` — :class:`StateTier`, the one place
+  engine state persists: a concurrent-safe SQLite (WAL) database that
+  N processes load and save simultaneously, cost samples merging instead
+  of overwriting (a legacy JSON state dir is imported on first open);
 * :mod:`repro.engine.router` — :class:`EngineRouter`, the multi-process
   front door behind ``python -m repro route``: shards JSONL jobs across
   N engine processes by schema fingerprint and warms them from the tier.
@@ -58,8 +59,7 @@ from repro.engine.jobs import (
     write_results_file,
 )
 from repro.engine.registry import SchemaArtifacts, SchemaRegistry, schema_fingerprint
-from repro.engine.state import PersistedState, load_state, save_state
-from repro.engine.statetier import StateTier, resolve_tier_path
+from repro.engine.statetier import PersistedState, StateTier, resolve_tier_path
 
 __all__ = [
     "BatchEngine", "BatchReport", "EngineStats", "Job", "JobResult",
@@ -68,8 +68,7 @@ __all__ = [
     "ChunkOutcome", "ChunkTask", "Executor", "ExecutorStats",
     "InlineExecutor", "PersistentPoolExecutor", "WorkerRuntime",
     "SchemaArtifacts", "SchemaRegistry", "schema_fingerprint",
-    "PersistedState", "load_state", "save_state",
-    "StateTier", "resolve_tier_path",
+    "PersistedState", "StateTier", "resolve_tier_path",
     "read_jobs", "read_jobs_file", "write_jobs_file",
     "write_results", "write_results_file",
 ]

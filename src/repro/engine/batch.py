@@ -64,8 +64,7 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-if TYPE_CHECKING:  # statetier imports state which is import-light, but
-    # the engine only needs the type for annotations
+if TYPE_CHECKING:  # the engine only needs the type for annotations
     from repro.engine.statetier import StateTier
 
 from repro.errors import EngineError, ReproError
@@ -502,7 +501,7 @@ class PlanGroup:
 
 
 #: scheduler tunable defaults (overridden by constructor arguments, then
-#: by a state dir's persisted ``scheduler.json``, in that order)
+#: by the state tier's persisted tunables, in that order)
 DEFAULT_GROUP_CHUNK_SIZE = 16
 DEFAULT_DECISION_CAP_PER_SCHEMA = 512
 DEFAULT_TELEMETRY_MAX_AGE_DAYS = 30.0
@@ -535,7 +534,6 @@ class BatchEngine:
         planner: Planner | None = None,
         cost_model: CostModel | None = None,
         telemetry: PlanTelemetry | None = None,
-        state_dir: str | None = None,
         state_tier: "StateTier | str | None" = None,
         group_by_plan: bool | None = None,
         group_chunk_size: int | None = None,
@@ -566,7 +564,7 @@ class BatchEngine:
                 f"got {telemetry_max_age_days}"
             )
         # scheduler tunables: explicit constructor arguments always win;
-        # ones left None take the state dir's persisted values (if any),
+        # ones left None take the state tier's persisted values (if any),
         # then the defaults
         self._explicit_tunables = {
             name
@@ -629,13 +627,7 @@ class BatchEngine:
         self.bounds = bounds
         self.persisted_decisions_loaded = 0
         self.state_warnings: list[str] = []
-        if state_dir is not None and state_tier is not None:
-            raise EngineError(
-                "pass one of state_dir= (JSON snapshot) or state_tier= "
-                "(shared SQLite), not both"
-            )
-        self.state_dir = state_dir
-        # the shared SQLite tier: constructed from a path (owned, closed
+        # the SQLite state tier: constructed from a path (owned, closed
         # with the engine) or caller-supplied (shared, left open)
         self._owns_tier = isinstance(state_tier, str)
         if isinstance(state_tier, str):
@@ -655,7 +647,7 @@ class BatchEngine:
         self._lifetime_metrics = MetricsRegistry()
         # extra stat sources folded into metrics_registry() (e.g. the
         # serving front-end registers its connection/inflight gauges
-        # here so they land in the state dir's metrics.prom)
+        # here so they land in the state tier's metrics.prom)
         self.metrics_sources: list[Any] = []
         # both executors are engine-lifetime (created lazily): the inline
         # WorkerRuntime and the pool's lanes keep DTDs and prepared
@@ -669,21 +661,27 @@ class BatchEngine:
         self.executor_resets = 0
         self._closed = False
         self._next_task_id = 0
-        if state_dir is not None:
-            self.load_state(state_dir)
-        elif self.state_tier is not None:
+        if self.state_tier is not None:
             self.metrics_sources.append(self.state_tier)
             self.load_tier_state()
 
     # -- state persistence --------------------------------------------------
-    def _adopt_state(self, state) -> int:
-        """Fold a :class:`~repro.engine.state.PersistedState` (from a
-        JSON dir or the shared tier) into this engine: plan caches
-        (applied now for registered schemas, at registration for later
-        ones), telemetry, cost-model measurements, cached decisions, and
-        scheduler tunables (which fill every tunable the constructor left
-        unset).  Returns the number of plans available from persistence."""
-        self.state_warnings.extend(state.warnings)
+    def load_tier_state(self) -> int:
+        """Warm this engine from its state tier — the cache warming every
+        process does before serving traffic: plan caches (applied now for
+        registered schemas, at registration for later ones), telemetry,
+        cost-model measurements, cached decisions, and scheduler tunables
+        (which fill every tunable the constructor left unset).  After the
+        merge the tier's cost baseline is re-anchored, so later saves
+        contribute only samples observed by *this* process.  Returns the
+        number of plans available from persistence."""
+        if self.state_tier is None:
+            raise EngineError("engine has no state tier")
+        state = self.state_tier.load()
+        # the tier's list holds this load's warnings and, before them,
+        # what it reported on opening: a database set aside, legacy JSON
+        # it could not import
+        self.state_warnings.extend(self.state_tier.warnings)
         self.registry.adopt_plans(state.plans, names=state.plan_names)
         if state.telemetry is not None:
             self.telemetry.merge(state.telemetry)
@@ -698,50 +696,20 @@ class BatchEngine:
         ):
             if name in state.scheduler and name not in self._explicit_tunables:
                 setattr(self, name, state.scheduler[name])
+        self.state_tier.note_cost_baseline(self.cost_model)
         return state.plan_count
 
-    def load_state(self, state_dir: str) -> int:
-        """Warm this engine from a persisted JSON state directory (see
-        :meth:`_adopt_state` for what is adopted)."""
-        from repro.engine.state import load_state
-
-        return self._adopt_state(load_state(state_dir))
-
-    def load_tier_state(self) -> int:
-        """Warm this engine from its shared state tier — the cache
-        warming every process does before serving traffic.  After the
-        merge the tier's cost baseline is re-anchored, so later saves
-        contribute only samples observed by *this* process."""
-        if self.state_tier is None:
-            raise EngineError("engine has no state tier")
-        plans = self._adopt_state(self.state_tier.load())
-        self.state_tier.note_cost_baseline(self.cost_model)
-        return plans
-
-    @property
-    def has_state(self) -> bool:
-        """Whether :meth:`save_state` has somewhere to persist to."""
-        return self.state_dir is not None or self.state_tier is not None
-
-    @property
-    def state_target(self) -> str | None:
-        """Human-readable persistence target (dir or tier database)."""
-        if self.state_dir is not None:
-            return self.state_dir
-        if self.state_tier is not None:
-            return self.state_tier.path
-        return None
-
-    def save_state(self, state_dir: str | None = None) -> str:
+    def save_state(self) -> str:
         """Persist plan caches, telemetry, cost model, the decision cache,
-        and the scheduler tunables — to the explicit ``state_dir``, the
-        engine's JSON state dir, or its shared SQLite tier, in that
-        order; returns the target written.  Hygiene applies on the way
-        out: cached decisions are capped per schema and telemetry rows
-        not seen within ``telemetry_max_age_days`` are aged out."""
-        from repro.engine.state import save_state
-
-        components = dict(
+        and the scheduler tunables to the engine's state tier; returns
+        the database path.  Hygiene applies on the way out: cached
+        decisions are capped per schema and telemetry rows not seen
+        within ``telemetry_max_age_days`` are aged out."""
+        if self.state_tier is None:
+            raise EngineError(
+                "no persistence target (engine has no state tier)"
+            )
+        self.state_tier.save(
             registry=self.registry,
             telemetry=self.telemetry,
             cost_model=self.cost_model,
@@ -761,17 +729,7 @@ class BatchEngine:
             ),
             metrics_text=self.metrics_registry().render_prometheus(),
         )
-        target = state_dir if state_dir is not None else self.state_dir
-        if target is None and self.state_tier is not None:
-            self.state_tier.save(**components)
-            return self.state_tier.path
-        if target is None:
-            raise EngineError(
-                "no persistence target (engine has neither a state dir "
-                "nor a state tier)"
-            )
-        save_state(target, **components)
-        return target
+        return self.state_tier.path
 
     def metrics_registry(self) -> MetricsRegistry:
         """One unified metrics registry over every stat silo the engine

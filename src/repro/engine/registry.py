@@ -183,8 +183,8 @@ class SchemaRegistry:
         """Every plan worth persisting, as ``fingerprint -> (name,
         signature -> Plan)``: the live per-schema plan caches plus the
         adopted-but-unapplied plans of schemas never registered this run
-        (:meth:`pending_plan_records`) — the one source both the JSON
-        state dir and the SQLite state tier serialize from."""
+        (:meth:`pending_plan_records`) — what the state tier
+        serializes."""
         records: dict[str, tuple[str, dict[str, Plan]]] = {}
         for artifacts in self:
             if artifacts.plan_cache:

@@ -63,7 +63,7 @@ from repro.engine.jsonl import (
     write_lines,
 )
 from repro.engine.registry import schema_fingerprint
-from repro.engine.state import _atomic_write_text
+from repro.engine.statetier import atomic_write_text
 from repro.errors import EngineError
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -625,7 +625,7 @@ class EngineRouter(JsonlDaemon):
 
     def _write_metrics(self) -> None:
         try:
-            _atomic_write_text(
+            atomic_write_text(
                 self.metrics_out,
                 self.metrics_registry().render_prometheus(),
             )

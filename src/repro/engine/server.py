@@ -27,13 +27,16 @@ unbounded buffering — the same shed-don't-queue stance the lanes take
 at ``lane_queue_depth``.
 
 Lifecycle: SIGTERM/SIGINT stop intake, drain every admitted job, stream
-the remaining results, snapshot ``save_state()`` (when the engine has a
-state dir or shared state tier), close the engine, and exit cleanly;
-``--snapshot-interval``
-additionally snapshots periodically while serving, so a crash loses at
-most one interval of telemetry.  Server health (connection and inflight
-gauges, ``repro_server_*`` counters, per-batch latency histogram) rides
-the unified metrics registry into the state dir's ``metrics.prom``.
+the remaining results, snapshot ``save_state()`` into the engine's state
+tier (``--state-dir`` / ``--state-tier``, when given), close the engine,
+and exit cleanly.  ``--snapshot-interval`` additionally snapshots
+periodically while serving, so a crash loses at most one interval of
+telemetry.  Snapshots run on the engine thread, so two never overlap
+and none interleaves with a batch; a failed one (a tier damaged
+mid-run) is logged and serving goes on.  Server health (connection and
+inflight gauges, ``repro_server_*`` counters, per-batch latency
+histogram) rides the unified metrics registry into ``metrics.prom``
+next to the tier's database.
 """
 
 from __future__ import annotations
@@ -192,7 +195,10 @@ class EngineServer(JsonlDaemon):
         )
 
     def _serving(self) -> None:
-        if self.snapshot_interval is not None and self.engine.has_state:
+        if (
+            self.snapshot_interval is not None
+            and self.engine.state_tier is not None
+        ):
             self._snapshot_task = asyncio.create_task(self._snapshot_loop())
         _LOG.info(
             "serving on %s (max_batch=%d, max_inflight=%d, workers=%d)",
@@ -205,7 +211,7 @@ class EngineServer(JsonlDaemon):
         if self._snapshot_task is not None:
             self._snapshot_task.cancel()
             await asyncio.gather(self._snapshot_task, return_exceptions=True)
-        if self.engine.has_state:
+        if self.engine.state_tier is not None:
             await self._snapshot()
         self._engine_thread.shutdown(wait=True)
         if not self.engine.closed:
@@ -361,11 +367,11 @@ class EngineServer(JsonlDaemon):
         loop = asyncio.get_running_loop()
         async with self._engine_lock:
             try:
-                await loop.run_in_executor(
+                path = await loop.run_in_executor(
                     self._engine_thread, self.engine.save_state
                 )
             except (ReproError, OSError) as error:
                 _LOG.error("state snapshot failed: %s", error)
                 return
         self.stats.snapshots += 1
-        _LOG.info("state snapshot saved to %s", self.engine.state_target)
+        _LOG.info("state snapshot saved to %s", path)

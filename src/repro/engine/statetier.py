@@ -1,12 +1,16 @@
-"""Shared engine state tier: one SQLite database, many engine processes.
+"""Engine state: one SQLite database, many engine processes.
 
-The JSON state dir (:mod:`repro.engine.state`) is a whole-file snapshot:
-correct for one process, lossy for a fleet — N engines sharing a
-``--state-dir`` clobber each other's plans and cost samples on every
-save.  :class:`StateTier` keeps the same *content* (plans, per-plan
-telemetry, cost-model cells, cached decisions, scheduler tunables,
-engine stats) in a single SQLite database that any number of processes
-on the host read and write concurrently:
+A long-lived checker accumulates routing knowledge that would die with
+the process: per-schema plan caches (the planner's routing decisions,
+keyed by feature signature), per-plan telemetry
+(:class:`~repro.sat.telemetry.PlanTelemetry`), the cost model's
+measured per-(signature × size-bucket) decider latencies
+(:class:`~repro.sat.costmodel.CostModel`), the decision cache, the
+scheduler tunables, and the last run's engine stats.  :class:`StateTier`
+keeps all of it in a single SQLite database that any number of
+processes on the host read and write concurrently, so a cold process
+that has seen the workload before builds **zero** plans and re-decides
+nothing the cache still covers:
 
 * **WAL mode** so readers never block the writer and vice versa, with a
   ``busy_timeout`` plus a bounded retry loop around every write
@@ -22,21 +26,27 @@ on the host read and write concurrently:
   with ``count = count + Δcount`` / ``total_ms = total_ms + Δtotal`` /
   ``last_tick = max`` — a float-weighted combine that preserves means
   and counts, so N concurrent writers lose no samples;
-* **decay hygiene**: cells the in-process model's ``decay()`` aged out
-  are *deleted* from the tier (``CostModel.consume_dropped``), so a
-  stale shared row cannot resurrect a retired measurement;
+* **hygiene**: cells the in-process model's ``decay()`` aged out are
+  *deleted* from the tier (``CostModel.consume_dropped``), so a stale
+  shared row cannot resurrect a retired measurement; cached decisions
+  are capped per schema (newest win) and telemetry rows whose newest
+  observation is older than ``telemetry_max_age_days`` age out — size
+  and freshness trims that can cost warm-start coverage but never
+  correctness;
 * a **versioned schema** (``meta.tier_version``) — a newer on-disk
   version refuses loudly instead of corrupting, an unreadable database
-  file is set aside as ``*.corrupt`` and rebuilt (state is an
-  optimization, never a correctness requirement).
+  file is set aside as ``*.corrupt`` and rebuilt, and any other
+  database error surfaces as :class:`~repro.errors.EngineError` (state
+  is an optimization, never a correctness requirement).
 
-``--state-tier PATH`` accepts either a database file (``*.sqlite`` /
-``*.db``) or a directory, where the database lives at
-``<dir>/state.sqlite``.  Pointing the tier at a **legacy JSON state
-dir** migrates it automatically on first open: the JSON files are read
-through :func:`repro.engine.state.load_state` and imported losslessly
-(they are left in place, untouched).  ``metrics.prom`` keeps being
-written next to the database so textfile collectors need no change.
+``--state-tier PATH`` (also spelled ``--state-dir``) accepts either a
+database file (``*.sqlite`` / ``*.db``) or a directory, where the
+database lives at ``<dir>/state.sqlite``.  A directory holding a
+**legacy JSON state dir** (written by earlier versions) is migrated on
+first open: :func:`read_legacy_json` — the only code that reads those
+files — imports them losslessly and leaves them in place, untouched.
+``metrics.prom`` is written next to the database for textfile
+collectors.
 """
 
 from __future__ import annotations
@@ -47,22 +57,9 @@ import socket
 import sqlite3
 import threading
 import time
+from dataclasses import dataclass, field
 from typing import Any
 
-from repro.engine.state import (
-    COST_MODEL_FILE,
-    DECISIONS_FILE,
-    ENGINE_STATS_FILE,
-    METRICS_FILE,
-    PLANS_FILE,
-    SCHEDULER_FILE,
-    TELEMETRY_FILE,
-    PersistedState,
-    _SCHEDULER_TUNABLES,
-    _atomic_write_text,
-    cap_decision_records,
-    load_state as _load_json_state,
-)
 from repro.errors import EngineError
 from repro.obs.log import get_logger
 from repro.sat.costmodel import CostModel
@@ -78,15 +75,244 @@ TIER_VERSION = 1
 #: database filename when ``--state-tier`` names a directory
 TIER_FILENAME = "state.sqlite"
 
+#: Prometheus text-format snapshot of the unified metrics registry,
+#: written next to the database (a textfile collector reads it raw)
+METRICS_FILE = "metrics.prom"
+
 #: path suffixes under which ``--state-tier PATH`` is the database itself
 _DB_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
-#: legacy JSON files whose presence next to a fresh database triggers
-#: the one-time auto-migration
+#: the legacy JSON state dir: its files, and the version they carry
+LEGACY_JSON_VERSION = 1
+PLANS_FILE = "plans.json"
+TELEMETRY_FILE = "telemetry.json"
+COST_MODEL_FILE = "cost_model.json"
+DECISIONS_FILE = "decisions.json"
+SCHEDULER_FILE = "scheduler.json"
+ENGINE_STATS_FILE = "engine_stats.json"
 _LEGACY_FILES = (
     PLANS_FILE, TELEMETRY_FILE, COST_MODEL_FILE,
     DECISIONS_FILE, SCHEDULER_FILE, ENGINE_STATS_FILE,
 )
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: dump into a sibling tmp
+    file, flush + fsync it, then ``os.replace`` over the target.  A crash
+    at any point leaves either the complete old file or the complete new
+    one — never a torn or empty target (the fsync closes the window where
+    the rename lands before the data does).  A failed write cleans up its
+    tmp file and re-raises."""
+    tmp_path = path + ".tmp"
+    try:
+        with open(tmp_path, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.remove(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
+def _warn(warnings: list[str], message: str) -> None:
+    """Record a degrade message both ways: the ``warnings`` list keeps
+    the API contract (callers can inspect what was skipped), and the
+    structured log makes it visible in a deployment's log stream."""
+    warnings.append(message)
+    _LOG.warning(message)
+
+
+#: persisted scheduler tunables: name -> validator returning the coerced
+#: value or raising
+_SCHEDULER_TUNABLES = {
+    "group_by_plan": lambda value: _strict_bool(value),
+    "group_chunk_size": lambda value: _positive_int(value),
+    "decision_cap_per_schema": lambda value: _positive_int(value),
+    "telemetry_max_age_days": lambda value: _positive_float(value),
+    "affinity": lambda value: _strict_bool(value),
+    "lane_queue_depth": lambda value: _positive_int(value),
+}
+
+
+def _strict_bool(value) -> bool:
+    # no coercion: "false" (a string) silently becoming True would flip
+    # the scheduler behind the operator's back
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _positive_int(value) -> int:
+    if isinstance(value, bool):  # bool is an int: true would become 1
+        raise ValueError(f"must be a number, got {value!r}")
+    coerced = int(value)
+    if coerced < 1:
+        raise ValueError(f"must be positive, got {value!r}")
+    return coerced
+
+
+def _positive_float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    coerced = float(value)
+    if coerced <= 0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return coerced
+
+
+@dataclass
+class PersistedState:
+    """Everything one :meth:`StateTier.load` (or the legacy JSON reader)
+    recovered."""
+
+    plans: dict[str, dict[str, Plan]] = field(default_factory=dict)  # fingerprint -> sig -> Plan
+    plan_names: dict[str, str] = field(default_factory=dict)         # fingerprint -> schema name
+    telemetry: PlanTelemetry | None = None
+    cost_model: CostModel | None = None
+    decisions: list[tuple[tuple[str, str, str], dict[str, Any]]] = field(default_factory=list)
+    scheduler: dict[str, Any] = field(default_factory=dict)
+    #: the last persisted EngineStats.as_dict() snapshot, if any
+    engine_stats: dict[str, Any] | None = None
+    warnings: list[str] = field(default_factory=list)
+
+    @property
+    def plan_count(self) -> int:
+        return sum(len(per_schema) for per_schema in self.plans.values())
+
+
+def _read_json(path: str, warnings: list[str]) -> dict[str, Any] | None:
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path) as handle:
+            record = json.load(handle)
+    except (json.JSONDecodeError, OSError, UnicodeDecodeError) as error:
+        _warn(warnings, f"{os.path.basename(path)}: unreadable ({error}); ignored")
+        return None
+    if not isinstance(record, dict):
+        _warn(warnings, f"{os.path.basename(path)}: not a JSON object; ignored")
+        return None
+    if record.get("version") != LEGACY_JSON_VERSION:
+        _warn(
+            warnings,
+            f"{os.path.basename(path)}: version {record.get('version')!r} "
+            f"!= {LEGACY_JSON_VERSION}; ignored",
+        )
+        return None
+    return record
+
+
+def read_legacy_json(state_dir: str) -> PersistedState:
+    """Read a legacy JSON state dir (missing pieces and corrupt files
+    degrade to empty state, recorded in ``warnings``).  Only the one-time
+    migration in :class:`StateTier` calls this."""
+    state = PersistedState()
+    if not os.path.isdir(state_dir):
+        return state
+
+    record = _read_json(os.path.join(state_dir, PLANS_FILE), state.warnings)
+    if record is not None:
+        schemas = record.get("schemas")
+        if isinstance(schemas, dict):
+            for fingerprint, entry in schemas.items():
+                plans = entry.get("plans") if isinstance(entry, dict) else None
+                if not isinstance(plans, dict):
+                    continue
+                per_schema: dict[str, Plan] = {}
+                for signature, plan_record in plans.items():
+                    try:
+                        per_schema[signature] = Plan.from_dict(plan_record)
+                    except (KeyError, TypeError, ValueError) as error:
+                        _warn(
+                            state.warnings,
+                            f"{PLANS_FILE}: plan {fingerprint[:12]}/{signature}: "
+                            f"{error}; skipped",
+                        )
+                if per_schema:
+                    state.plans[fingerprint] = per_schema
+                    name = entry.get("name") if isinstance(entry, dict) else None
+                    if isinstance(name, str):
+                        state.plan_names[fingerprint] = name
+
+    record = _read_json(os.path.join(state_dir, TELEMETRY_FILE), state.warnings)
+    if record is not None:
+        try:
+            state.telemetry = PlanTelemetry.from_dict(record)
+        except (ValueError, TypeError) as error:
+            _warn(
+                state.warnings,
+                f"{TELEMETRY_FILE}: corrupt payload ({error}); ignored",
+            )
+
+    record = _read_json(os.path.join(state_dir, COST_MODEL_FILE), state.warnings)
+    if record is not None:
+        try:
+            state.cost_model = CostModel.from_dict(record)
+        except (ValueError, TypeError) as error:
+            _warn(
+                state.warnings,
+                f"{COST_MODEL_FILE}: corrupt payload ({error}); ignored",
+            )
+
+    record = _read_json(os.path.join(state_dir, DECISIONS_FILE), state.warnings)
+    if record is not None:
+        entries = record.get("entries")
+        if isinstance(entries, list):
+            for item in entries:
+                if not (
+                    isinstance(item, list) and len(item) == 2
+                    and isinstance(item[0], list) and len(item[0]) == 3
+                    and isinstance(item[1], dict)
+                ):
+                    continue
+                key = (str(item[0][0]), str(item[0][1]), str(item[0][2]))
+                state.decisions.append((key, item[1]))
+
+    record = _read_json(os.path.join(state_dir, ENGINE_STATS_FILE), state.warnings)
+    if record is not None:
+        stats = record.get("stats")
+        if isinstance(stats, dict):
+            state.engine_stats = stats
+
+    record = _read_json(os.path.join(state_dir, SCHEDULER_FILE), state.warnings)
+    if record is not None:
+        for name, validate in _SCHEDULER_TUNABLES.items():
+            if name not in record:
+                continue
+            try:
+                state.scheduler[name] = validate(record[name])
+            except (ValueError, TypeError) as error:
+                _warn(
+                    state.warnings,
+                    f"{SCHEDULER_FILE}: {name}: {error}; ignored",
+                )
+    return state
+
+
+def cap_decision_records(records: list, cap: int) -> list:
+    """Decision hygiene: keep at most ``cap`` persisted decisions per
+    schema fingerprint.  ``records`` is :meth:`DecisionCache.to_records`
+    output (LRU order, oldest first); the newest entries per schema win
+    and the surviving records keep their relative order, so a reloaded
+    cache preserves recency."""
+    if cap < 1:
+        raise ValueError(f"decision cap must be positive, got {cap}")
+    kept: list = []
+    per_schema: dict[str, int] = {}
+    for item in reversed(records):
+        fingerprint = str(item[0][1])
+        seen = per_schema.get(fingerprint, 0)
+        if seen >= cap:
+            continue
+        per_schema[fingerprint] = seen + 1
+        kept.append(item)
+    kept.reverse()
+    return kept
+
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -302,7 +528,11 @@ class StateTier:
         for attempt in range(self.max_retries + 1):
             try:
                 return operation()
-            except sqlite3.OperationalError as error:
+            except sqlite3.DatabaseError as error:
+                # a file damaged under the open connection raises a plain
+                # DatabaseError ("file is not a database", "database disk
+                # image is malformed"); only lock contention is worth a
+                # retry
                 if not _is_lock_error(error):
                     raise EngineError(
                         f"state tier {label} failed: {error}"
@@ -320,17 +550,15 @@ class StateTier:
 
     # -- legacy JSON migration ----------------------------------------------
     def _migrate_legacy_json(self, directory: str) -> None:
-        """One-time import of a JSON state dir living next to a freshly
-        created database (``--state-tier state/`` over an old
-        ``--state-dir state/``).  The JSON files are read through the
-        forgiving :func:`~repro.engine.state.load_state` and left on
-        disk untouched."""
+        """One-time import of a legacy JSON state dir living next to a
+        freshly created database.  The JSON files are read through the
+        forgiving :func:`read_legacy_json` and left on disk untouched."""
         if not any(
             os.path.exists(os.path.join(directory, name))
             for name in _LEGACY_FILES
         ):
             return
-        state = _load_json_state(directory)
+        state = read_legacy_json(directory)
         self.warnings.extend(state.warnings)
         before = self.rows_written
         self._write_state(
@@ -367,10 +595,9 @@ class StateTier:
 
     # -- load ----------------------------------------------------------------
     def load(self) -> PersistedState:
-        """Read everything into a :class:`PersistedState` — the same
-        shape :func:`repro.engine.state.load_state` returns, so the
-        engine adopts tier state through the existing code path.
-        Malformed rows degrade to warnings, never failures."""
+        """Read everything into a :class:`PersistedState`.  Malformed
+        rows degrade to warnings, never failures; a damaged database
+        raises :class:`~repro.errors.EngineError`."""
         with self._lock:
             self._require_open()
             state = self._with_retry("load", self._read_state)
@@ -541,11 +768,14 @@ class StateTier:
         engine_stats: dict[str, Any] | None = None,
         metrics_text: str | None = None,
     ) -> None:
-        """Persist the given engine components — the same signature as
-        :func:`repro.engine.state.save_state`, applied with the tier's
-        consistency model (LWW per key, monotonic cost merge, hygiene
-        caps enforced in the database).  One ``BEGIN IMMEDIATE``
-        transaction, retried on lock contention."""
+        """Persist the given engine components (pieces passed as ``None``
+        are left untouched) with the tier's consistency model: LWW per
+        key, monotonic cost merge, hygiene caps enforced in the
+        database.  One ``BEGIN IMMEDIATE`` transaction, retried on lock
+        contention; ``engine_stats`` (an ``EngineStats.as_dict()``
+        snapshot) and ``metrics_text`` (a rendered Prometheus textfile,
+        written next to the database) are observability exports riding
+        along with the state."""
         plan_records = registry.plan_records() if registry is not None else None
         decision_records = None
         if cache is not None:
@@ -583,7 +813,7 @@ class StateTier:
                 self.note_cost_baseline(cost_model)
         self.saves += 1
         if metrics_text is not None:
-            _atomic_write_text(
+            atomic_write_text(
                 os.path.join(os.path.dirname(self.path) or ".", METRICS_FILE),
                 metrics_text,
             )
@@ -623,6 +853,8 @@ class StateTier:
                         self.rows_written += 1
 
             if telemetry is not None:
+                # a row is as fresh as its newest observation, not as
+                # this save: a stale row a process loaded still ages out
                 for key, stats in telemetry.items():
                     plan_record = telemetry.plan_record(key)
                     conn.execute(
@@ -635,13 +867,13 @@ class StateTier:
                             json.dumps(plan_record, sort_keys=True)
                             if plan_record is not None else None,
                             json.dumps(stats.to_dict(), sort_keys=True),
-                            now,
+                            stats.last_seen or now,
                         ),
                     )
                     self.rows_written += 1
                 if telemetry_max_age_days is not None:
-                    # cross-process hygiene: rows no process refreshed
-                    # within the window age out of the shared tier too
+                    # cross-process hygiene: rows no process observed
+                    # within the window age out of the shared tier
                     conn.execute(
                         "DELETE FROM telemetry WHERE updated < ?",
                         (now - telemetry_max_age_days * 86400.0,),
@@ -702,8 +934,8 @@ class StateTier:
                     self.rows_written += 1
                 if decision_cap_per_schema is not None:
                     # enforce the per-schema cap on the *shared* table:
-                    # newest rows win, same rule cap_decision_records
-                    # applies to the JSON file
+                    # newest rows win, the rule cap_decision_records
+                    # applies to this process's records
                     for fingerprint in sorted(touched_fingerprints):
                         conn.execute(
                             "DELETE FROM decisions WHERE fingerprint = ? AND "

@@ -1,7 +1,7 @@
 """Structured logging for the repro engine.
 
-Everything under the ``repro`` logger namespace: state-dir corruption
-warnings (:mod:`repro.engine.state`), executor degrade events (lane
+Everything under the ``repro`` logger namespace: state corruption
+warnings (:mod:`repro.engine.statetier`), executor degrade events (lane
 deaths and respawns, :mod:`repro.engine.executors`), and the slow-query
 log's over-threshold notices.  Before this module those surfaced as
 ad-hoc ``warnings`` lists the caller could silently drop; now they are

@@ -11,9 +11,9 @@ renders the whole set two ways:
 * :meth:`MetricsRegistry.as_dict` — nested JSON for machine consumers
   (``repro stats --json``);
 * :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
-  exposition format, written as a textfile snapshot into the engine's
-  state dir (``metrics.prom``) on every ``save_state``, ready for a
-  node-exporter textfile collector.
+  exposition format, written as a textfile snapshot next to the
+  engine's state tier (``metrics.prom``) on every ``save_state``, ready
+  for a node-exporter textfile collector.
 
 Instruments are snapshot-oriented: the engine builds a fresh registry
 from its current totals when asked, so counters here carry totals, not

@@ -226,7 +226,7 @@ class TestBatch:
         import os
         import signal
 
-        from repro.engine import BatchEngine
+        from repro.engine import BatchEngine, StateTier
 
         state = tmp_path / "state"
         original = BatchEngine.run
@@ -245,8 +245,10 @@ class TestBatch:
         err = capsys.readouterr().err
         assert "SIGINT" in err
         assert f"state: saved to {state}" in err
-        assert (state / "plans.json").exists()
-        assert (state / "telemetry.json").exists()
+        with StateTier(str(state)) as tier:
+            saved = tier.load()
+        assert saved.plan_count >= 1
+        assert saved.telemetry is not None and len(saved.telemetry) >= 1
 
     def test_sigint_without_state_dir_still_exits_130(
         self, schema_dir, jobs_file, monkeypatch, capsys
@@ -334,7 +336,7 @@ class TestBatch:
     def test_affinity_flags_reach_engine_and_persist(
         self, schema_dir, jobs_file, tmp_path, capsys
     ):
-        from repro.engine.state import load_state
+        from repro.engine import StateTier
 
         state_dir = str(tmp_path / "state")
         code = main([
@@ -345,7 +347,8 @@ class TestBatch:
         assert code == 0
         out = capsys.readouterr().out
         assert "affinity off" in out
-        state = load_state(state_dir)
+        with StateTier(state_dir) as tier:
+            state = tier.load()
         assert state.scheduler["affinity"] is False
         assert state.scheduler["lane_queue_depth"] == 2
         # a rerun without the flags picks up the persisted setting
@@ -447,9 +450,22 @@ class TestStateDir:
         captured = capsys.readouterr()
         assert "unreadable" in captured.err
         assert "version" in captured.err
-        # the corrupt files were replaced by a fresh save
+        # the run's fresh save landed in the tier next to the corrupt files
         assert main(["stats", "--plans", "--state-dir", str(state_dir)]) == 0
         assert "mean_ms" in capsys.readouterr().out
+
+    def test_state_dir_and_state_tier_are_one_option(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for command in (
+            ["batch", "jobs.jsonl"], ["serve", "--port", "0"], ["route"],
+            ["stats", "--plans"], ["explain", "A"],
+        ):
+            for flag in ("--state-dir", "--state-tier"):
+                args = parser.parse_args([*command, flag, "state"])
+                assert args.state_tier == "state"
+                assert not hasattr(args, "state_dir")
 
     def test_stats_plans_without_state_dir_exits_3(self, capsys):
         assert main(["stats", "--plans"]) == 3

@@ -6,7 +6,8 @@ tests run a real ``EngineServer`` and a real 2-worker ``EngineRouter``
 (whose workers are ``repro serve`` processes) on a thread, drive them
 over unix sockets with hostile input, and check the two invariants:
 every admitted line gets exactly one response, and verdicts equal those
-of one in-process engine.  Every wait is bounded.
+of one in-process engine.  The state-tier cells (a tier damaged mid-run,
+SIGTERM during a snapshot) run through ``serve``.  Every wait is bounded.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from contextlib import contextmanager
 import pytest
 
 import repro
-from repro.engine import BatchEngine, Job, SchemaRegistry
+from repro.engine import BatchEngine, Job, SchemaRegistry, StateTier
 from repro.engine.jsonl import (
     MAX_LINE_BYTES,
     MAX_REPLY_BYTES,
@@ -102,8 +103,10 @@ class TestEncoders:
 # -- the fault matrix, through serve and through a 2-worker route -----------------
 
 @contextmanager
-def _running(daemon):
-    """Run ``daemon`` on a thread for the block, then drain it (bounded)."""
+def _running(daemon, codes: list | None = None):
+    """Run ``daemon`` on a thread for the block (yielding its event
+    loop), then drain it (bounded); ``codes`` collects what ``run()``
+    returned."""
     ready = threading.Event()
     loops: list = []
 
@@ -111,12 +114,17 @@ def _running(daemon):
         loops.append(asyncio.get_running_loop())
         ready.set()
 
+    def serve() -> None:
+        code = daemon.run()
+        if codes is not None:
+            codes.append(code)
+
     daemon.on_ready = on_ready
-    thread = threading.Thread(target=daemon.run, daemon=True)
+    thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     try:
         assert ready.wait(timeout=120), "daemon did not come up"
-        yield daemon
+        yield loops[0]
     finally:
         if loops:
             loops[0].call_soon_threadsafe(daemon.request_shutdown)
@@ -124,13 +132,18 @@ def _running(daemon):
     assert not thread.is_alive(), "daemon did not drain"
 
 
-def _server(tmp_path) -> EngineServer:
+def _catalog() -> SchemaRegistry:
     registry = SchemaRegistry()
     registry.register("catalog", CATALOG_DTD)
+    return registry
+
+
+def _server(tmp_path, engine: BatchEngine | None = None, **options) -> EngineServer:
     # admission control is not under test: room for every job sent
     return EngineServer(
-        BatchEngine(registry=registry), socket_path=str(tmp_path / "serve.sock"),
-        max_inflight=1024,
+        engine if engine is not None else BatchEngine(registry=_catalog()),
+        socket_path=str(tmp_path / "serve.sock"), max_inflight=1024,
+        **options,
     )
 
 
@@ -174,9 +187,7 @@ def _exchange(sock: str, data: bytes) -> list[dict]:
 
 
 def _in_process(jobs: list[dict]) -> dict[str, tuple]:
-    registry = SchemaRegistry()
-    registry.register("catalog", CATALOG_DTD)
-    with BatchEngine(registry=registry) as engine:
+    with BatchEngine(registry=_catalog()) as engine:
         report = engine.run([
             Job(job["query"], job.get("schema"), job["id"]) for job in jobs
         ])
@@ -391,3 +402,112 @@ def test_deep_query_fails_alone_through_serve(tmp_path, shape):
     assert "nests too deeply" in by_id["deep"]["error"]
     assert by_id["ok"]["satisfiable"] is True
     assert server.stats.inflight_jobs == 0
+
+
+# -- the state-tier cells of the fault matrix, through serve ------------------------
+
+JOBS = [
+    {"query": query, "schema": "catalog", "id": f"j{i}"}
+    for i, query in enumerate(["A", "B", ".[B and C]", "A[not(B)]", "C"])
+]
+
+
+def _seeded_tier(tmp_path) -> str:
+    tier_path = str(tmp_path / "state")
+    with BatchEngine(registry=_catalog(), state_tier=tier_path) as seed:
+        seed.run([Job(job["query"], job["schema"]) for job in JOBS[:3]])
+        seed.save_state()
+    return tier_path
+
+
+class TestTierFaults:
+    def test_a_tier_damaged_mid_run_costs_only_the_snapshot(
+        self, tmp_path, caplog
+    ):
+        tier_path = _seeded_tier(tmp_path)
+        engine = BatchEngine(registry=_catalog(), state_tier=tier_path)
+        server = _server(tmp_path, engine)
+        codes: list[int] = []
+        with caplog.at_level("ERROR", logger="repro"):
+            with _running(server, codes):
+                records = _exchange(
+                    server.socket_path, b"".join(_line(job) for job in JOBS)
+                )
+                # overwrite the database and its WAL under the open handle
+                for name in ("state.sqlite", "state.sqlite-wal"):
+                    with open(os.path.join(tier_path, name), "wb") as handle:
+                        handle.write(b"this is not a database" * 256)
+        _check(records, JOBS, bad_lines=0)
+        assert codes == [0]
+        assert engine.closed
+        failures = [
+            record for record in caplog.records
+            if "state snapshot failed" in record.getMessage()
+        ]
+        assert len(failures) == 1, caplog.records
+        with StateTier(tier_path) as tier:
+            assert any("moved aside" in w for w in tier.warnings)
+            assert tier.load().plan_count == 0
+        assert os.path.exists(os.path.join(tier_path, "state.sqlite.corrupt"))
+
+    def test_sigterm_during_a_snapshot_drains_then_saves(
+        self, tmp_path, monkeypatch
+    ):
+        tier_path = _seeded_tier(tmp_path)
+        blocked, release = threading.Event(), threading.Event()
+        active, overlaps, saves = [0], [0], [0]
+        guard = threading.Lock()
+        real_save = StateTier.save
+
+        def save(self, **components):
+            with guard:
+                active[0] += 1
+                overlaps[0] = max(overlaps[0], active[0])
+                saves[0] += 1
+                first = saves[0] == 1
+            try:
+                if first:
+                    blocked.set()
+                    assert release.wait(timeout=120)
+                return real_save(self, **components)
+            finally:
+                with guard:
+                    active[0] -= 1
+
+        monkeypatch.setattr(StateTier, "save", save)
+        engine = BatchEngine(registry=_catalog(), state_tier=tier_path)
+        server = _server(tmp_path, engine, snapshot_interval=0.05)
+        codes: list[int] = []
+        records: list[dict] = []
+        with _running(server, codes) as loop:
+            assert blocked.wait(timeout=120), "no periodic snapshot began"
+            client = threading.Thread(
+                target=lambda: records.extend(_exchange(
+                    server.socket_path, b"".join(_line(job) for job in JOBS)
+                ))
+            )
+            client.start()
+            deadline = time.monotonic() + 60
+            while server.stats.jobs_admitted < len(JOBS):
+                assert time.monotonic() < deadline, "jobs were not admitted"
+                time.sleep(0.01)
+            loop.call_soon_threadsafe(server.request_shutdown)
+            release.set()
+            client.join(timeout=120)
+        _check(records, JOBS, bad_lines=0)
+        assert codes == [0]
+        assert engine.closed
+        assert saves[0] >= 2            # the blocked one and the drain's
+        assert overlaps[0] == 1
+        with StateTier(tier_path) as tier:
+            state = tier.load()
+        held = {
+            (fingerprint, signature)
+            for fingerprint, (_name, plans) in engine.registry.plan_records().items()
+            for signature in plans
+        }
+        assert held and held <= {
+            (fingerprint, signature)
+            for fingerprint, plans in state.plans.items()
+            for signature in plans
+        }

@@ -18,7 +18,7 @@ import pytest
 
 from repro.dtd import parse_dtd
 from repro.engine import BatchEngine, DecisionCache, EngineStats, SchemaRegistry
-from repro.engine.state import load_state, save_state
+from repro.engine.statetier import StateTier, read_legacy_json
 from repro.sat import CostModel, Plan, PlanTelemetry, Planner, calibrate
 from repro.sat.costmodel import size_bucket
 from repro.sat.telemetry import PlanStats
@@ -76,6 +76,12 @@ def _verdicts(report):
     return [(result.id, result.satisfiable) for result in report.results]
 
 
+def _saved(state_dir):
+    """What a fresh state-tier handle loads from ``state_dir``."""
+    with StateTier(state_dir) as tier:
+        return tier.load()
+
+
 class TestMetamorphicVerdicts:
     def test_cost_based_ranking_never_changes_verdicts(self):
         jobs = _corpus()
@@ -117,11 +123,11 @@ class TestMetamorphicVerdicts:
     def test_persisted_state_reload_never_changes_verdicts(self, tmp_path):
         state_dir = str(tmp_path / "state")
         jobs = _corpus(80)
-        warm_engine = BatchEngine(registry=_registry(), state_dir=state_dir)
+        warm_engine = BatchEngine(registry=_registry(), state_tier=state_dir)
         baseline = _verdicts(warm_engine.run(jobs))
         warm_engine.save_state()
 
-        cold_engine = BatchEngine(registry=_registry(), state_dir=state_dir)
+        cold_engine = BatchEngine(registry=_registry(), state_tier=state_dir)
         report = cold_engine.run(jobs)
         assert _verdicts(report) == baseline
         # the cold process planned nothing and re-decided nothing
@@ -131,12 +137,12 @@ class TestMetamorphicVerdicts:
 
     def test_persisted_plans_apply_to_schemas_registered_later(self, tmp_path):
         state_dir = str(tmp_path / "state")
-        engine = BatchEngine(registry=_registry(), state_dir=state_dir)
+        engine = BatchEngine(registry=_registry(), state_tier=state_dir)
         engine.run(_corpus(40))
         engine.save_state()
 
         # cold engine loads state BEFORE any schema is registered
-        cold = BatchEngine(state_dir=state_dir)
+        cold = BatchEngine(state_tier=state_dir)
         for name, dtd in _schemas().items():
             cold.registry.register(name, dtd)
         report = cold.run(_corpus(40))
@@ -301,16 +307,16 @@ class TestAffinityScheduling:
     def test_affinity_tunables_round_trip(self, tmp_path):
         state_dir = str(tmp_path / "state")
         engine = BatchEngine(
-            registry=_registry(), state_dir=state_dir,
+            registry=_registry(), state_tier=state_dir,
             affinity=False, lane_queue_depth=9,
         )
         engine.run(_corpus(10))
         engine.save_state()
-        reloaded = BatchEngine(registry=_registry(), state_dir=state_dir)
+        reloaded = BatchEngine(registry=_registry(), state_tier=state_dir)
         assert reloaded.affinity is False
         assert reloaded.lane_queue_depth == 9
         explicit = BatchEngine(
-            registry=_registry(), state_dir=state_dir, affinity=True
+            registry=_registry(), state_tier=state_dir, affinity=True
         )
         assert explicit.affinity is True
         assert explicit.lane_queue_depth == 9
@@ -435,14 +441,14 @@ class TestStatePersistence:
         state_dir = str(tmp_path / "state")
         engine = BatchEngine(registry=_registry())
         engine.run(_corpus(40))
-        save_state(
-            state_dir,
-            registry=engine.registry,
-            telemetry=engine.telemetry,
-            cost_model=engine.cost_model,
-            cache=engine.cache,
-        )
-        state = load_state(state_dir)
+        with StateTier(state_dir) as tier:
+            tier.save(
+                registry=engine.registry,
+                telemetry=engine.telemetry,
+                cost_model=engine.cost_model,
+                cache=engine.cache,
+            )
+        state = _saved(state_dir)
         assert not state.warnings
         assert state.plan_count == sum(
             len(artifacts.plan_cache) for artifacts in engine.registry
@@ -454,7 +460,7 @@ class TestStatePersistence:
         assert len(state.decisions) == len(engine.cache)
 
     def test_missing_dir_is_empty_state(self, tmp_path):
-        state = load_state(str(tmp_path / "nonexistent"))
+        state = _saved(str(tmp_path / "nonexistent"))
         assert state.plan_count == 0
         assert state.telemetry is None
         assert not state.warnings
@@ -465,13 +471,14 @@ class TestStatePersistence:
         (state_dir / "plans.json").write_text("{ this is not json")
         (state_dir / "telemetry.json").write_text('["a list, not an object"]')
         (state_dir / "cost_model.json").write_text('{"version": 99}')
-        state = load_state(str(state_dir))
+        state = read_legacy_json(str(state_dir))
         assert state.plan_count == 0
         assert state.telemetry is None
         assert state.cost_model is None
         assert len(state.warnings) == 3
         # a corrupt state dir must not break the engine
-        engine = BatchEngine(registry=_registry(), state_dir=str(state_dir))
+        engine = BatchEngine(registry=_registry(), state_tier=str(state_dir))
+        assert engine.state_warnings == state.warnings
         report = engine.run(_corpus(20))
         assert report.stats.errors == 0
 
@@ -508,7 +515,7 @@ class TestStateDirHygiene:
     warm-starts correctly."""
 
     def test_cap_decision_records_keeps_newest_per_schema(self):
-        from repro.engine.state import cap_decision_records
+        from repro.engine.statetier import cap_decision_records
 
         records = [
             [[f"q{i}", "schemaA", "-"], {"satisfiable": True, "method": "m"}]
@@ -530,14 +537,14 @@ class TestStateDirHygiene:
         state_dir = str(tmp_path / "state")
         jobs = _corpus(80)
         engine = BatchEngine(
-            registry=_registry(), state_dir=state_dir,
+            registry=_registry(), state_tier=state_dir,
             decision_cap_per_schema=5,
         )
         engine.run(jobs)
         assert len(engine.cache) > 10   # the cap only applies on save
         engine.save_state()
 
-        state = load_state(state_dir)
+        state = _saved(state_dir)
         per_schema = {}
         for (key, _record) in state.decisions:
             per_schema[key[1]] = per_schema.get(key[1], 0) + 1
@@ -548,7 +555,7 @@ class TestStateDirHygiene:
         # rerun re-decides only what the cap dropped, with identical
         # verdicts
         baseline = _verdicts(engine.run(jobs))
-        cold = BatchEngine(registry=_registry(), state_dir=state_dir)
+        cold = BatchEngine(registry=_registry(), state_tier=state_dir)
         report = cold.run(jobs)
         assert _verdicts(report) == baseline
         assert report.stats.planner_invocations == 0
@@ -558,7 +565,7 @@ class TestStateDirHygiene:
     def test_telemetry_rows_age_out_on_save(self, tmp_path):
         state_dir = str(tmp_path / "state")
         engine = BatchEngine(
-            registry=_registry(), state_dir=state_dir,
+            registry=_registry(), state_tier=state_dir,
             telemetry_max_age_days=7.0,
         )
         engine.run(_corpus(40))
@@ -567,13 +574,19 @@ class TestStateDirHygiene:
         stale_key = keys[0]
         engine.telemetry.get(stale_key).last_seen -= 8 * 86400.0
         engine.save_state()
-        state = load_state(state_dir)
+        state = _saved(state_dir)
         assert state.telemetry is not None
         assert stale_key not in state.telemetry
         for key in keys[1:]:
             assert key in state.telemetry
         # the live engine keeps all rows (hygiene trims the file only)
         assert stale_key in engine.telemetry
+        # a second engine loads what is left and saves it back, and the
+        # first saves again: the stale row stays gone
+        second = BatchEngine(registry=_registry(), state_tier=state_dir)
+        second.save_state()
+        engine.save_state()
+        assert stale_key not in _saved(state_dir).telemetry
 
     def test_prune_keeps_legacy_rows_without_stamp(self):
         from repro.sat.telemetry import PlanStats
@@ -593,24 +606,24 @@ class TestStateDirHygiene:
     def test_scheduler_tunables_round_trip(self, tmp_path):
         state_dir = str(tmp_path / "state")
         engine = BatchEngine(
-            registry=_registry(), state_dir=state_dir,
+            registry=_registry(), state_tier=state_dir,
             group_by_plan=False, group_chunk_size=7,
             decision_cap_per_schema=64, telemetry_max_age_days=3.0,
         )
         engine.run(_corpus(20))
         engine.save_state()
-        state = load_state(state_dir)
+        state = _saved(state_dir)
         assert state.scheduler == {
             "group_by_plan": False, "group_chunk_size": 7,
             "decision_cap_per_schema": 64, "telemetry_max_age_days": 3.0,
             "affinity": True, "lane_queue_depth": 4,
         }
-        reloaded = BatchEngine(registry=_registry(), state_dir=state_dir)
+        reloaded = BatchEngine(registry=_registry(), state_tier=state_dir)
         assert reloaded.group_by_plan is False
         assert reloaded.group_chunk_size == 7
         # explicit constructor settings beat persisted ones
         explicit = BatchEngine(
-            registry=_registry(), state_dir=state_dir, group_by_plan=True
+            registry=_registry(), state_tier=state_dir, group_by_plan=True
         )
         assert explicit.group_by_plan is True
         assert explicit.group_chunk_size == 7
@@ -624,10 +637,11 @@ class TestStateDirHygiene:
             "version": 1, "group_chunk_size": -4,
             "telemetry_max_age_days": "soon", "group_by_plan": True,
         }))
-        state = load_state(str(state_dir))
+        state = read_legacy_json(str(state_dir))
         assert state.scheduler == {"group_by_plan": True}
         assert len(state.warnings) == 2
-        engine = BatchEngine(registry=_registry(), state_dir=str(state_dir))
+        engine = BatchEngine(registry=_registry(), state_tier=str(state_dir))
+        assert engine.state_warnings == state.warnings
         assert engine.group_chunk_size == 16   # default, bad value ignored
         assert engine.run(_corpus(10)).stats.errors == 0
 
@@ -851,19 +865,19 @@ class TestStateDirSharing:
         state_dir = str(tmp_path / "state")
         schemas = _schemas()
 
-        first = BatchEngine(state_dir=state_dir)
+        first = BatchEngine(state_tier=state_dir)
         first.registry.register("tiny", schemas["tiny"])
         first.run([("A[not(B)]", "tiny"), ("B | C", "tiny")])
         tiny_plans = sum(len(a.plan_cache) for a in first.registry)
         assert tiny_plans >= 1
         first.save_state()
 
-        second = BatchEngine(state_dir=state_dir)
+        second = BatchEngine(state_tier=state_dir)
         second.registry.register("doc", schemas["doc"])
         second.run([("title", "doc")])
         second.save_state()
 
-        third = BatchEngine(state_dir=state_dir)
+        third = BatchEngine(state_tier=state_dir)
         third.registry.register("tiny", schemas["tiny"])
         report = third.run([("A[not(B)]", "tiny"), ("B | C", "tiny")])
         assert report.stats.planner_invocations == 0
@@ -873,12 +887,12 @@ class TestStateDirSharing:
         """A schema registered after retune() must be replanned, not
         handed a stale persisted plan."""
         state_dir = str(tmp_path / "state")
-        first = BatchEngine(state_dir=state_dir)
+        first = BatchEngine(state_tier=state_dir)
         first.registry.register("tiny", _schemas()["tiny"])
         first.run([("A[not(B)]", "tiny")])
         first.save_state()
 
-        second = BatchEngine(state_dir=state_dir)  # tiny not yet registered
+        second = BatchEngine(state_tier=state_dir)  # tiny not yet registered
         assert second.retune() >= 1
         second.cache.clear()  # the persisted decisions would answer first
         second.registry.register("tiny", _schemas()["tiny"])
@@ -913,10 +927,11 @@ class TestStateDirSharing:
             json.dumps({"version": 1, "plans": {
                 "k": {"plan": None, "stats": {"count": "zzz"}}}})
         )
-        state = load_state(str(state_dir))
+        state = read_legacy_json(str(state_dir))
         assert state.cost_model is not None       # clamped + bad entry skipped
         assert len(state.cost_model) == 0
         assert state.telemetry is not None and len(state.telemetry) == 0
-        engine = BatchEngine(registry=_registry(), state_dir=str(state_dir))
+        engine = BatchEngine(registry=_registry(), state_tier=str(state_dir))
+        assert engine.state_warnings == state.warnings
         report = engine.run([("A[not(B)]", "tiny")])
         assert report.stats.errors == 0

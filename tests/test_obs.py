@@ -21,7 +21,7 @@ import pytest
 
 from repro.engine import BatchEngine, SchemaRegistry
 from repro.engine.batch import Job
-from repro.engine.state import METRICS_FILE
+from repro.engine.statetier import METRICS_FILE
 from repro.obs import (
     JsonlTraceSink,
     ListSink,
@@ -398,7 +398,7 @@ class TestEngineTracing:
 
     def test_metrics_snapshot_written_to_state_dir(self, registry, tmp_path):
         state_dir = str(tmp_path / "state")
-        engine, _, _ = traced_engine(registry, state_dir=state_dir)
+        engine, _, _ = traced_engine(registry, state_tier=state_dir)
         engine.run([Job(q, "disjfree") for q in HEAVY[:2]])
         engine.save_state()
         text = (tmp_path / "state" / METRICS_FILE).read_text()
@@ -440,13 +440,14 @@ class TestEngineTracing:
         assert dwell >= engine.last_stats.plan_groups
 
     def test_engine_stats_persisted_and_reloaded(self, registry, tmp_path):
-        from repro.engine.state import load_state
+        from repro.engine import StateTier
 
         state_dir = str(tmp_path / "state")
-        engine = BatchEngine(registry=registry, state_dir=state_dir)
+        engine = BatchEngine(registry=registry, state_tier=state_dir)
         engine.run([Job("A", "disjfree")])
         engine.save_state()
-        state = load_state(state_dir)
+        with StateTier(state_dir) as tier:
+            state = tier.load()
         assert state.engine_stats is not None
         assert state.engine_stats["jobs"] == 1
 
@@ -659,13 +660,13 @@ class TestSpanIntegrityUnderFailure:
 
 class TestLogging:
     def test_state_warnings_logged(self, tmp_path, caplog):
-        from repro.engine.state import PLANS_FILE, load_state
+        from repro.engine.statetier import PLANS_FILE, read_legacy_json
 
         state_dir = tmp_path / "state"
         state_dir.mkdir()
         (state_dir / PLANS_FILE).write_text("not json")
         with caplog.at_level("WARNING", logger="repro"):
-            state = load_state(str(state_dir))
+            state = read_legacy_json(str(state_dir))
         # the warnings list API survives (test_metamorphic relies on it)
         assert any("unreadable" in w for w in state.warnings)
         assert any("unreadable" in r.message for r in caplog.records)

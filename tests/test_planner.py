@@ -565,7 +565,7 @@ class TestArtifactTraitResolution:
         state = str(tmp_path / "state")
         registry = SchemaRegistry()
         registry.register("xhtml", xhtml_like_dtd())
-        with BatchEngine(registry=registry, state_dir=state) as engine:
+        with BatchEngine(registry=registry, state_tier=state) as engine:
             engine.run([("body", "xhtml")])
             engine.save_state()
 
@@ -577,7 +577,7 @@ class TestArtifactTraitResolution:
         artifacts = registry.get("xhtml")
         for key in self.NEW_TRAIT_KEYS:
             artifacts.classification.pop(key, None)
-        with BatchEngine(registry=registry, state_dir=state) as engine:
+        with BatchEngine(registry=registry, state_tier=state) as engine:
             report = engine.run([("body[div/p]", "xhtml")])
         assert report.results[0].satisfiable is True
         assert artifacts.classification["dc_df_restrained"] is True

@@ -1,9 +1,11 @@
-"""Tests for the shared SQLite state tier (:mod:`repro.engine.statetier`).
+"""Tests for the SQLite state tier (:mod:`repro.engine.statetier`).
 
 Covers the tier's consistency model (LWW per key, monotonic cost-sample
-merge, decay hygiene), crash-safety of the atomic JSON writes it
-replaced, warm starts through the tier, concurrent multi-process
-writers, legacy JSON-dir migration, and version/corruption handling.
+merge, decay hygiene), crash-safety of its snapshots (the atomic
+``metrics.prom`` write, a transaction failing part-way, SIGKILL at
+random points, a database damaged mid-run), warm starts through the
+tier, concurrent multi-process writers, legacy JSON-dir migration from
+a committed fixture, and version/corruption handling.
 """
 
 from __future__ import annotations
@@ -11,19 +13,36 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import random
+import shutil
+import signal
 import sqlite3
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cli import main
 from repro.engine import BatchEngine, Job, SchemaRegistry, StateTier
-from repro.engine.state import _atomic_write_json, load_state
-from repro.engine.statetier import TIER_FILENAME, resolve_tier_path
+from repro.engine.statetier import (
+    TIER_FILENAME,
+    atomic_write_text,
+    read_legacy_json,
+    resolve_tier_path,
+)
 from repro.errors import EngineError
 from repro.sat.costmodel import CostModel
+
+#: a JSON state dir as the retired JSON writer left it: ``save_state``
+#: after ``BatchEngine(registry=_registry()).run(_jobs())``
+LEGACY_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "legacy_json_state"
+)
 
 DTD_TEXT = """
 root r
@@ -63,7 +82,41 @@ def _verdicts(report) -> list[tuple]:
     return [(r.id, r.satisfiable, r.method) for r in report.results]
 
 
-# -- satellite: the one atomic-write helper --------------------------------------
+def _legacy_copy(tmp_path) -> str:
+    """A private copy of the legacy JSON state dir fixture."""
+    state_dir = str(tmp_path / "state")
+    shutil.copytree(LEGACY_FIXTURE, state_dir)
+    return state_dir
+
+
+def _file_bytes(directory: str) -> dict[str, bytes]:
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(Path(directory).glob("*.json"))
+    }
+
+
+class _FailingConnection:
+    """A tier connection whose ``fail_at``-th INSERT raises, part-way
+    through a save's transaction."""
+
+    def __init__(self, conn: sqlite3.Connection, fail_at: int) -> None:
+        self._conn = conn
+        self.inserts = 0
+        self.fail_at = fail_at
+
+    def execute(self, sql: str, *args):
+        if sql.startswith("INSERT"):
+            self.inserts += 1
+            if self.inserts == self.fail_at:
+                raise sqlite3.OperationalError("disk I/O error (injected)")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name: str):
+        return getattr(self._conn, name)
+
+
+# -- crash-safety of snapshots ---------------------------------------------------
 
 class TestAtomicWrite:
     def test_writes_fsync_then_rename(self, tmp_path, monkeypatch):
@@ -72,57 +125,58 @@ class TestAtomicWrite:
         monkeypatch.setattr(
             os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))
         )
-        path = str(tmp_path / "out.json")
-        _atomic_write_json(path, {"a": 1})
+        path = str(tmp_path / "metrics.prom")
+        atomic_write_text(path, "repro_jobs_total 1\n")
         assert synced, "content must be fsynced before the rename"
-        assert json.load(open(path)) == {"a": 1}
+        assert Path(path).read_text() == "repro_jobs_total 1\n"
         assert not os.path.exists(path + ".tmp")
 
     def test_crash_before_rename_leaves_original_intact(
         self, tmp_path, monkeypatch
     ):
-        path = str(tmp_path / "out.json")
-        _atomic_write_json(path, {"generation": 1})
+        path = str(tmp_path / "metrics.prom")
+        atomic_write_text(path, "generation 1\n")
 
         def explode(fd):
             raise OSError("disk gone")
 
         monkeypatch.setattr(os, "fsync", explode)
         with pytest.raises(OSError):
-            _atomic_write_json(path, {"generation": 2})
+            atomic_write_text(path, "generation 2\n")
         # the crash never touched the published file, and the torn tmp
         # file was cleaned up
-        assert json.load(open(path)) == {"generation": 1}
+        assert Path(path).read_text() == "generation 1\n"
         assert not os.path.exists(path + ".tmp")
 
     def test_engine_snapshot_survives_injected_crash(
         self, tmp_path, monkeypatch
     ):
-        state_dir = str(tmp_path / "state")
-        engine = BatchEngine(registry=_registry(), state_dir=state_dir)
+        tier_path = str(tmp_path / "state")
+        engine = BatchEngine(registry=_registry(), state_tier=tier_path)
         engine.run(_jobs())
         engine.save_state()
-        before = load_state(state_dir)
+        with StateTier(tier_path) as tier:
+            before = tier.load()
         assert before.plan_count >= 1
 
-        calls = {"n": 0}
-        real_fsync = os.fsync
-
-        def flaky(fd):
-            calls["n"] += 1
-            if calls["n"] >= 2:     # first file lands, the next crashes
-                raise OSError("injected")
-            return real_fsync(fd)
-
         engine.run(_jobs())
-        monkeypatch.setattr(os, "fsync", flaky)
-        with pytest.raises(OSError):
+        real_conn = engine.state_tier._conn
+        failing = _FailingConnection(real_conn, fail_at=5)
+        monkeypatch.setattr(engine.state_tier, "_conn", failing)
+        with pytest.raises(EngineError, match="injected"):
             engine.save_state()
-        monkeypatch.setattr(os, "fsync", real_fsync)
-        # every file is either the old or the new generation — never torn
-        after = load_state(state_dir)
-        assert not after.warnings
-        assert after.plan_count >= before.plan_count
+        assert failing.inserts == 5         # it died part-way through
+        monkeypatch.setattr(engine.state_tier, "_conn", real_conn)
+        # the failed transaction rolled back whole: the previous save
+        # loads exactly, with no warnings
+        with StateTier(tier_path) as tier:
+            after = tier.load()
+            assert not tier.warnings
+        assert after.plan_count == before.plan_count
+        assert after.cost_model.to_dict() == before.cost_model.to_dict()
+        assert sorted(after.decisions) == sorted(before.decisions)
+        # and the handle still saves afterwards
+        engine.save_state()
         engine.close()
 
 
@@ -188,6 +242,11 @@ class TestTierBasics:
         state = tier.load()       # rebuilt empty but serviceable
         assert state.plan_count == 0
         tier.close()
+        # an engine opening a corrupt database reports it too
+        with open(db_path, "wb") as handle:
+            handle.write(b"this is not a database")
+        with BatchEngine(registry=_registry(), state_tier=db_path) as engine:
+            assert any("moved aside" in w for w in engine.state_warnings)
 
     def test_open_waits_out_lock_contention(self, tmp_path):
         # another process creating the same database holds it exclusively
@@ -221,14 +280,6 @@ class TestTierBasics:
         finally:
             holder.close()
         assert not os.path.exists(db_path + ".corrupt")
-
-    def test_engine_rejects_both_targets(self, tmp_path):
-        with pytest.raises(EngineError, match="not both"):
-            BatchEngine(
-                registry=_registry(),
-                state_dir=str(tmp_path / "a"),
-                state_tier=str(tmp_path / "b"),
-            )
 
     def test_save_without_target_errors(self):
         engine = BatchEngine(registry=_registry())
@@ -401,16 +452,15 @@ class TestWarmStart:
             engine.save_state()
             engine.close()
 
-    @pytest.mark.parametrize("store", ["state_dir", "state_tier"])
-    def test_plan_naming_unregistered_decider_is_replanned(self, tmp_path, store):
+    def test_plan_naming_unregistered_decider_is_replanned(self, tmp_path):
         """A persisted plan whose chain names a decider that is no longer
         registered (e.g. one retired since the state was saved) is
         skipped with a warning on load, so its signature is replanned
         instead of failing the whole run."""
         from repro.sat import registry as sat_registry
 
-        target = {store: str(tmp_path / "state")}
-        seed = BatchEngine(registry=_registry(), **target)
+        tier_path = str(tmp_path / "state")
+        seed = BatchEngine(registry=_registry(), state_tier=tier_path)
         seed.run([Job("C[not(A)]", "catalog")])
         (plan,) = seed.registry.get("catalog").plan_cache.values()
         assert plan.decider == "exptime_types"
@@ -418,7 +468,7 @@ class TestWarmStart:
         seed.close()
 
         with sat_registry.disabled("exptime_types"):
-            engine = BatchEngine(registry=_registry(), **target)
+            engine = BatchEngine(registry=_registry(), state_tier=tier_path)
             try:
                 report = engine.run([Job("B[not(A)]", "catalog")])
                 replanned = engine.registry.get("catalog").plan_cache[plan.signature]
@@ -528,12 +578,12 @@ class TestConcurrentWriters:
 
 class TestLegacyMigration:
     def test_json_dir_migrates_losslessly_on_first_open(self, tmp_path):
-        state_dir = str(tmp_path / "state")
-        engine = BatchEngine(registry=_registry(), state_dir=state_dir)
-        baseline = _verdicts(engine.run(_jobs()))
-        engine.save_state()
-        engine.close()
-        legacy = load_state(state_dir)
+        with BatchEngine(registry=_registry()) as cold:
+            baseline = _verdicts(cold.run(_jobs()))
+        state_dir = _legacy_copy(tmp_path)
+        files = _file_bytes(state_dir)
+        legacy = read_legacy_json(state_dir)
+        assert not legacy.warnings and legacy.plan_count >= 1
 
         tier = StateTier(state_dir)     # same directory: auto-migration
         assert tier.migrated_records > 0
@@ -555,7 +605,7 @@ class TestLegacyMigration:
             legacy.telemetry.items()
         )
         # the JSON files stay on disk untouched
-        assert os.path.exists(os.path.join(state_dir, "plans.json"))
+        assert _file_bytes(state_dir) == files
 
         # and a tier-backed engine serves identical verdicts, warm
         warm = BatchEngine(registry=_registry(), state_tier=state_dir)
@@ -565,14 +615,159 @@ class TestLegacyMigration:
         warm.close()
 
     def test_migration_runs_only_once(self, tmp_path):
-        state_dir = str(tmp_path / "state")
-        engine = BatchEngine(registry=_registry(), state_dir=state_dir)
-        engine.run(_jobs())
-        engine.save_state()
-        engine.close()
+        state_dir = _legacy_copy(tmp_path)
         first = StateTier(state_dir)
         assert first.migrated_records > 0
         first.close()
         second = StateTier(state_dir)   # database exists: no re-import
         assert second.migrated_records == 0
         second.close()
+
+    def test_cli_state_dir_starts_warm_and_writes_no_json(
+        self, tmp_path, capsys
+    ):
+        state_dir = _legacy_copy(tmp_path)
+        files = _file_bytes(state_dir)
+        schemas = []
+        for name, text in (("catalog", DTD_TEXT), ("doc", DOC_DTD_TEXT)):
+            (tmp_path / f"{name}.dtd").write_text(text)
+            schemas += ["--schema", f"{name}={tmp_path / f'{name}.dtd'}"]
+        jobs_file = tmp_path / "jobs.jsonl"
+        jobs_file.write_text("".join(
+            json.dumps({"query": job.query, "schema": job.schema}) + "\n"
+            for job in _jobs()
+        ))
+        stats_file = str(tmp_path / "stats.json")
+        code = main([
+            "batch", str(jobs_file), *schemas,
+            "--state-dir", state_dir, "--stats-json", stats_file,
+        ])
+        assert code == 0
+        assert "state: saved to" in capsys.readouterr().out
+        (stats,) = json.loads(Path(stats_file).read_text())
+        assert stats["planner_invocations"] == 0
+        assert stats["persisted_plans_loaded"] >= 1
+        assert stats["decide_calls"] == 0
+        # the run saved into the tier; the JSON files are as they were
+        assert os.path.getsize(os.path.join(state_dir, TIER_FILENAME)) > 0
+        assert _file_bytes(state_dir) == files
+
+
+# -- the fault matrix of a snapshot ----------------------------------------------
+
+#: cost cells each snapshot of the SIGKILL test rewrites, so that its
+#: transaction lasts long enough for a kill to land inside it
+_KILL_CELLS = 4200
+
+#: the SIGKILL test's engine process: warm from the tier at argv[1],
+#: then snapshot in a loop with fresh cost samples in every cell until
+#: killed, printing "writing" as each save's transaction begins and
+#: "saved" after each save
+_SNAPSHOT_FOREVER = f"""
+import sys
+from repro.engine import BatchEngine, Job, SchemaRegistry, StateTier
+
+real_write = StateTier._write_state
+
+def write(self, **components):
+    print("writing", flush=True)
+    return real_write(self, **components)
+
+StateTier._write_state = write
+registry = SchemaRegistry()
+registry.register("catalog", {DTD_TEXT!r})
+registry.register("doc", {DOC_DTD_TEXT!r})
+engine = BatchEngine(registry=registry, state_tier=sys.argv[1])
+engine.run([Job(q, s) for s in ("catalog", "doc") for q in {QUERIES!r}])
+while True:
+    for cell in range({_KILL_CELLS}):
+        engine.cost_model.observe(f"sig{{cell}}", "s", "d", 1.0)
+    engine.save_state()
+    print("saved", flush=True)
+"""
+
+
+def _read_until(stream, wanted: str) -> bool:
+    """Consume ``stream`` through the next line ``wanted`` (False at
+    EOF)."""
+    return any(line.strip() == wanted for line in stream)
+
+
+class TestSnapshotFaults:
+    def test_sigkill_mid_snapshot_leaves_a_clean_tier(self, tmp_path):
+        tier_path = str(tmp_path / "tier")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        rng = random.Random(20261017)
+        first_plans = None
+        for _ in range(10):
+            process = subprocess.Popen(
+                [sys.executable, "-c", _SNAPSHOT_FOREVER, tier_path],
+                stdout=subprocess.PIPE, text=True, env=env,
+            )
+            watchdog = threading.Timer(120, process.kill)
+            watchdog.start()
+            try:
+                if first_plans is None:
+                    assert _read_until(process.stdout, "saved"), (
+                        "no snapshot landed"
+                    )
+                # kill at a random point early in a save's transaction
+                assert _read_until(process.stdout, "writing")
+                threading.Event().wait(rng.uniform(0.0, 0.03))
+            finally:
+                process.kill()
+                process.wait(timeout=60)
+                process.stdout.close()
+                watchdog.cancel()
+            assert process.returncode == -signal.SIGKILL
+            with StateTier(tier_path) as tier:
+                state = tier.load()
+                assert not tier.warnings
+            assert not [
+                name for name in os.listdir(tier_path)
+                if name.endswith(".corrupt")
+            ]
+            if first_plans is None:
+                first_plans = state.plan_count
+                assert first_plans >= 1
+            assert state.plan_count >= first_plans
+            assert len(state.cost_model) >= _KILL_CELLS
+
+    def test_batch_over_a_tier_damaged_mid_run_exits_3(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        tier_path = str(tmp_path / "state")
+        with BatchEngine(registry=_registry(), state_tier=tier_path) as seed:
+            seed.run(_jobs())
+            seed.save_state()
+        (tmp_path / "catalog.dtd").write_text(DTD_TEXT)
+        jobs_file = tmp_path / "jobs.jsonl"
+        jobs_file.write_text("".join(
+            json.dumps({"query": query, "schema": "catalog"}) + "\n"
+            for query in QUERIES
+        ))
+        original = BatchEngine.run
+
+        def run_then_damage(self, jobs, on_result=None):
+            report = original(self, jobs, on_result)
+            _damage(tier_path)
+            return report
+
+        monkeypatch.setattr(BatchEngine, "run", run_then_damage)
+        out = tmp_path / "results.jsonl"
+        code = main([
+            "batch", str(jobs_file),
+            "--schema", f"catalog={tmp_path / 'catalog.dtd'}",
+            "--state-tier", tier_path, "--out", str(out),
+        ])
+        assert code == 3
+        assert "error: state tier save failed" in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == len(QUERIES)
+
+
+def _damage(tier_path: str) -> None:
+    """Overwrite the tier's database and its WAL under open handles."""
+    for name in (TIER_FILENAME, TIER_FILENAME + "-wal"):
+        with open(os.path.join(tier_path, name), "wb") as handle:
+            handle.write(b"this is not a database" * 256)
