@@ -8,11 +8,13 @@ Not a paper figure — this benchmark guards the batch engine
   decision cache instead of re-running ``decide()`` (the acceptance bar
   is ≥ 10× fewer ``decide()`` invocations, asserted here);
 * **serial vs. parallel vs. grouped** — a heavy-fragment workload
-  (EXPTIME types fixpoint) is run with 1 worker (inline), with an
-  ungrouped process pool, and with the plan-grouped scheduler on the
-  same pool; wall-clock per configuration is reported and grouped
-  verdicts must match ungrouped ones (see ``bench_plan_groups.py`` for
-  the dedicated grouped-throughput demonstration).
+  (EXPTIME types fixpoint) is run with 1 worker (in-process, per job),
+  with per-job dispatch (``group_chunk_size=1, affinity=False``) on a
+  process pool, and with the plan-grouped scheduler (the engine's
+  defaults) on the same pool; wall-clock per configuration is reported
+  and grouped verdicts must match ungrouped ones (see
+  ``bench_plan_groups.py`` for the dedicated grouped-throughput
+  demonstration).
 
 * **tracing overhead** — the duplicate-heavy workload is run with the
   span tracer off and on; disabled tracing must stay within 5% of the
@@ -180,9 +182,10 @@ def test_serial_vs_parallel(report, rng):
     serial_elapsed = None
     verdicts_by_mode: dict[tuple[int, bool], list] = {}
     for workers, grouped in configurations:
+        per_job = {} if grouped else {"group_chunk_size": 1, "affinity": False}
         engine = BatchEngine(
             registry=registry, cache=DecisionCache(capacity=8192),
-            workers=workers, group_by_plan=grouped,
+            workers=workers, **per_job,
         )
         start = time.perf_counter()
         outcome = engine.run(jobs)

@@ -111,7 +111,7 @@ def _run(schemas: dict, jobs: list[Job], affinity: bool):
             registry.register(name, dtd)
         engine = BatchEngine(
             registry=registry, cache=DecisionCache(capacity=8192),
-            workers=WORKERS, group_by_plan=True, group_chunk_size=CHUNK_SIZE,
+            workers=WORKERS, group_chunk_size=CHUNK_SIZE,
             affinity=affinity,
             # the workload is balanced (one schema per lane): spilling a
             # chunk off its warm lane only forces a cold rebuild, so keep

@@ -39,14 +39,16 @@ Subcommands
             --schema catalog=catalog.dtd --schema docs=docs.dtd \
             --out results.jsonl --workers 4 --repeat 2 --state-dir state/
 
-    Heavy jobs are grouped by plan × schema and each group runs as one
-    worker task with shared per-plan setup; ``--no-group-by-plan``
-    restores per-job dispatch and ``--group-chunk-size N`` bounds the
-    jobs per dispatched group.  Chunks route to **persistent worker
+    Every decision runs as a chunk of jobs sharing a plan and a schema,
+    with shared per-plan setup: PTIME jobs as chunks of one, in-process
+    and answered during the scan; heavy jobs in chunks of up to
+    ``--group-chunk-size N`` (default 16), on worker lanes when
+    ``--workers`` is above 1.  Chunks route to **persistent worker
     lanes** by schema-fingerprint affinity, so a lane keeps each
     schema's DTD and prepared contexts warm across chunks;
-    ``--no-affinity`` restores stateless pooling and
+    ``--no-affinity`` restores stateless runtimes and
     ``--lane-queue-depth N`` tunes the spill-over threshold.
+    ``--group-chunk-size 1 --no-affinity`` dispatches per job.
     ``--decision-cap`` / ``--telemetry-max-age`` control state
     hygiene (persisted decisions per schema, telemetry row aging).
 
@@ -339,7 +341,6 @@ def _make_engine(args: argparse.Namespace, registry, tracer) -> BatchEngine:
         cache=DecisionCache(capacity=args.cache_size),
         workers=args.workers,
         state_tier=args.state_tier,
-        group_by_plan=args.group_by_plan,
         group_chunk_size=args.group_chunk_size,
         decision_cap_per_schema=args.decision_cap,
         telemetry_max_age_days=args.telemetry_max_age,
@@ -714,15 +715,10 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="process-pool size for heavy (EXPTIME/NEXPTIME) jobs (default 1: inline)",
     )
     parser.add_argument(
-        "--group-by-plan", action=argparse.BooleanOptionalAction, default=None,
-        help="group pooled jobs by plan and dispatch each group as one "
-             "worker task with shared per-plan setup (default: on, or the "
-             "persisted setting)",
-    )
-    parser.add_argument(
         "--group-chunk-size", type=int, default=None, metavar="N",
-        help="max jobs dispatched per plan-group chunk (default 16, or "
-             "the persisted setting)",
+        help="max jobs per chunk of a heavy (pool-route) plan; PTIME "
+             "plans run in chunks of one (default 16, or the persisted "
+             "setting)",
     )
     parser.add_argument(
         "--affinity", action=argparse.BooleanOptionalAction, default=None,

@@ -15,35 +15,43 @@ workload:
 3. **decision caching** — a bounded LRU keyed on canonical query form ×
    schema fingerprint (:class:`DecisionCache`), so repeated questions
    (including syntactic variants) skip ``decide()`` entirely;
-4. **parallel heavy jobs** — jobs whose plan routes to the heavy
-   EXPTIME/NEXPTIME/bounded procedures (``plan.route == "pool"``) run on a
-   ``concurrent.futures`` process pool, while PTIME plans are decided
-   inline (forking a worker would cost more than the decision);
-5. **plan-grouped scheduling** — pooled jobs are partitioned by
-   ``Plan.telemetry_key`` × schema fingerprint into :class:`PlanGroup`
-   chunks and each chunk is dispatched as **one** worker task: the chunk
-   pickles the DTD and plan once instead of per job, and the decider
-   chain's ``prepare`` hooks (:class:`repro.sat.planner.PlanContexts`)
-   run once per chunk, so N groupmates share per-plan setup (the types
-   fixpoint's automata, the bounded engine's schema classification and
-   word tables) that ungrouped dispatch rebuilds N times.  Disable with
-   ``group_by_plan=False`` (``--no-group-by-plan``); grouping is a pure
-   scheduling change — verdicts, cache contents, and telemetry verdict
-   mixes are identical either way (see ``tests/test_metamorphic.py``);
-6. **persistent worker runtimes with schema affinity** — every chunk
-   runs on the :class:`~repro.engine.executors.Executor` abstraction:
-   inline chunks on an engine-lifetime
-   :class:`~repro.engine.executors.InlineExecutor`, pooled ones on a
+4. **one job pipeline** — every job that misses the decision cache and
+   is not coalesced onto an identical question in flight becomes an
+   entry of a :class:`PlanGroup` (``Plan.telemetry_key`` × schema
+   fingerprint) and is decided as part of a chunk on an executor.  A
+   PTIME plan (``plan.route == "inline"``) runs as a chunk of one on the
+   engine's in-process executor (a worker round trip would cost more
+   than the decision), absorbed before the scan moves on, so its answer
+   streams during the scan; a plan routed to the heavy
+   EXPTIME/NEXPTIME/bounded procedures (``plan.route == "pool"``) runs
+   in chunks of up to ``group_chunk_size`` on a process pool when
+   ``workers > 1`` and in-process otherwise.  A chunk goes out as soon
+   as it is full and the partial ones after the scan; one absorb path
+   folds every chunk back into results, counters, telemetry and traces;
+5. **plan-grouped scheduling** — a chunk pickles the DTD and plan once
+   instead of per job, and the decider chain's ``prepare`` hooks
+   (:class:`repro.sat.planner.PlanContexts`) run once per chunk, so N
+   groupmates share per-plan setup (the types fixpoint's automata, the
+   bounded engine's schema classification and word tables) that per-job
+   dispatch rebuilds N times.  ``group_chunk_size=1, affinity=False``
+   (``--group-chunk-size 1 --no-affinity``) dispatches per job; grouping
+   is a pure scheduling change — verdicts, cache contents, and telemetry
+   verdict mixes are identical either way (see
+   ``tests/test_metamorphic.py``);
+6. **persistent worker runtimes with schema affinity** — both executors
+   implement :class:`~repro.engine.executors.Executor`: the in-process
+   :class:`~repro.engine.executors.InlineExecutor` and a
    :class:`~repro.engine.executors.PersistentPoolExecutor` of long-lived
-   worker *lanes* whose :class:`~repro.engine.executors.WorkerRuntime`
-   caches DTDs and prepared contexts by schema fingerprint **across
-   chunks**.  Chunks route to lanes by schema-fingerprint affinity (a
-   consistent hash, spilling over when the preferred lane's queue is
-   deep), the DTD ships to a lane only on first touch, and a dead lane
-   is respawned cold with its in-flight chunks retried once.  Disable
-   with ``affinity=False`` (``--no-affinity``) for PR-4-style stateless
-   pooling; affinity is a pure scheduling change too — same
-   bit-identical guarantees as grouping;
+   worker *lanes*, each holding a
+   :class:`~repro.engine.executors.WorkerRuntime` that caches DTDs and
+   prepared contexts by schema fingerprint **across chunks**.  Chunks
+   route to lanes by schema-fingerprint affinity (a consistent hash,
+   spilling over when the preferred lane's queue is deep), the DTD
+   ships to a lane only on first touch, and a dead lane is respawned
+   cold with its in-flight chunks retried once.  Disable with
+   ``affinity=False`` (``--no-affinity``) for stateless runtimes (fresh
+   contexts per chunk, the DTD shipped every time); affinity is a pure
+   scheduling change too — same bit-identical guarantees as grouping;
 7. **an engine lifecycle** — executors are *engine*-lifetime, not
    run-lifetime: worker lanes, their shipped-DTD sets, and their runtime
    context caches persist across :meth:`BatchEngine.run` calls, so the
@@ -53,8 +61,11 @@ workload:
    hanging on torn-down queues.  This is what lets one engine back a
    long-lived service (:mod:`repro.engine.server`).
 
-Identical in-flight questions are coalesced: within one batch, a question
-is decided at most once no matter how many jobs ask it.
+Identical in-flight questions are coalesced: a job asking a question
+that is already queued or running waits for that answer instead of
+deciding it again, and once it is answered later asks hit the decision
+cache — so within one batch a question is decided once, unless deciding
+it failed.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 if TYPE_CHECKING:  # the engine only needs the type for annotations
     from repro.engine.statetier import StateTier
 
-from repro.errors import EngineError, ReproError
+from repro.errors import EngineError, ReproError, job_error_text
 from repro.engine.cache import CachedDecision, CacheKey, DecisionCache, decision_key_for
 from repro.engine.executors import (
     DEFAULT_LANE_QUEUE_DEPTH,
@@ -83,12 +94,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import FAILED, JobTrace, Span, Tracer, attempt_spans
 from repro.sat.bounded import Bounds
 from repro.sat.costmodel import CostModel, size_bucket
-from repro.sat.planner import (
-    ExecutionTrace,
-    Plan,
-    Planner,
-    execute_plan,
-)
+from repro.sat.planner import ExecutionTrace, Plan, Planner
+# not called here: re-exported because perfbench/layers.py patches
+# ``repro.engine.batch.execute_plan``
+from repro.sat.planner import execute_plan as execute_plan
 from repro.sat.registry import decider_traits, get_decider
 from repro.sat.telemetry import LATENCY_BUCKETS_MS, PlanTelemetry, verdict_name
 from repro.xpath.rewrite import get_pass
@@ -202,10 +211,11 @@ class EngineStats:
     planner_invocations: int = _counter("planner", "plans built", "plans built")
     plan_cache_hits: int = _counter(
         "planner", "plan-cache hits", "routings resolved from a plan cache")
-    # plan-grouped scheduling (this run): chunks dispatched, unique jobs
-    # executed inside a chunk, jobs that reused a groupmate's prepare()
-    # context, and chunks whose *primary* prepare() failed (they fell
-    # back to ungrouped per-job execution but still ran as one task)
+    # plan-grouped scheduling (this run), over every chunk decided,
+    # in-process or pooled: chunks, unique jobs decided in them, jobs
+    # that reused a groupmate's prepare() context, and chunks whose
+    # *primary* prepare() failed (they fell back to per-job setup but
+    # still ran as one task)
     plan_groups: int = _counter(
         "plan groups", "dispatched", "plan-group chunks dispatched")
     grouped_jobs: int = _counter(
@@ -486,18 +496,23 @@ class _GroupEntry:
 
 @dataclass
 class PlanGroup:
-    """Pooled jobs sharing one routing decision (``Plan.telemetry_key``)
-    against one schema — the scheduler's unit of shared per-plan setup.
+    """Jobs sharing one routing decision (``Plan.telemetry_key``) against
+    one schema — the scheduler's unit of shared per-plan setup.
 
-    ``dispatched`` marks how many leading entries were already submitted
-    as full chunks during the job scan (keeping the pool busy while the
-    scan continues); only the tail past it awaits post-scan dispatch.
+    ``queued`` holds the entries not yet sent to an executor: they go
+    out as one chunk as soon as ``chunk_size`` of them wait (1 for a
+    PTIME plan, so its answer is not held back), and whatever is left
+    goes out after the job scan.
     """
 
     plan: Plan
     artifacts: SchemaArtifacts | None
-    entries: list[_GroupEntry] = field(default_factory=list)
-    dispatched: int = 0
+    chunk_size: int
+    queued: list[_GroupEntry] = field(default_factory=list)
+
+
+#: the placeholder result of a job whose question is queued or running
+_PENDING = CachedDecision(None, "pending")
 
 
 #: scheduler tunable defaults (overridden by constructor arguments, then
@@ -535,7 +550,6 @@ class BatchEngine:
         cost_model: CostModel | None = None,
         telemetry: PlanTelemetry | None = None,
         state_tier: "StateTier | str | None" = None,
-        group_by_plan: bool | None = None,
         group_chunk_size: int | None = None,
         decision_cap_per_schema: int | None = None,
         telemetry_max_age_days: float | None = None,
@@ -569,7 +583,6 @@ class BatchEngine:
         self._explicit_tunables = {
             name
             for name, value in (
-                ("group_by_plan", group_by_plan),
                 ("group_chunk_size", group_chunk_size),
                 ("decision_cap_per_schema", decision_cap_per_schema),
                 ("telemetry_max_age_days", telemetry_max_age_days),
@@ -578,7 +591,6 @@ class BatchEngine:
             )
             if value is not None
         }
-        self.group_by_plan = group_by_plan if group_by_plan is not None else True
         self.group_chunk_size = (
             group_chunk_size if group_chunk_size is not None
             else DEFAULT_GROUP_CHUNK_SIZE
@@ -690,9 +702,8 @@ class BatchEngine:
         if state.decisions:
             self.persisted_decisions_loaded += self.cache.load_records(state.decisions)
         for name in (
-            "group_by_plan", "group_chunk_size",
-            "decision_cap_per_schema", "telemetry_max_age_days",
-            "affinity", "lane_queue_depth",
+            "group_chunk_size", "decision_cap_per_schema",
+            "telemetry_max_age_days", "affinity", "lane_queue_depth",
         ):
             if name in state.scheduler and name not in self._explicit_tunables:
                 setattr(self, name, state.scheduler[name])
@@ -715,7 +726,6 @@ class BatchEngine:
             cost_model=self.cost_model,
             cache=self.cache,
             scheduler={
-                "group_by_plan": self.group_by_plan,
                 "group_chunk_size": self.group_chunk_size,
                 "decision_cap_per_schema": self.decision_cap_per_schema,
                 "telemetry_max_age_days": self.telemetry_max_age_days,
@@ -800,7 +810,7 @@ class BatchEngine:
 
     # -- execution ----------------------------------------------------------
     def _inline(self) -> InlineExecutor:
-        """The engine-lifetime single-worker executor.  Its runtime caches
+        """The engine-lifetime in-process executor.  Its runtime caches
         survive across :meth:`run` calls; it is rebuilt only when the
         affinity flag changed since it was built (e.g. a persisted
         tunable arriving after first use, or a caller flipping the
@@ -867,13 +877,24 @@ class BatchEngine:
         """Decide every job; returns per-job results (input order) and
         aggregate stats for this run.
 
+        The scan parses, canonicalizes and looks up each job in the
+        decision cache.  A miss that cannot be coalesced onto an
+        identical question in flight is planned and queued in its
+        :class:`PlanGroup`, and every decision runs in a chunk on an
+        executor: a pool-route chunk on the pool when ``workers > 1``
+        (absorbed after the scan), every other chunk on the in-process
+        executor (absorbed the moment it is sent).  A group's chunk goes
+        out as soon as it is full — one job for a PTIME plan,
+        ``group_chunk_size`` for a pool-route one — and its partial
+        chunk after the scan.  :meth:`_absorb` folds every chunk back.
+
         ``on_result`` (optional) is invoked exactly once per job, with
         the finalized :class:`JobResult`, the moment that job's verdict
-        lands — cache hits and intake errors during the scan, inline
-        decisions as they execute, pooled ones as their chunk is
-        absorbed.  Callbacks arrive out of input order; the returned
-        report still lists results in input order.  A serving front-end
-        uses this to stream responses while the batch is in flight."""
+        lands — cache hits, intake errors and in-process chunks during
+        the scan, pooled chunks as they are absorbed.  Callbacks arrive
+        out of input order; the returned report still lists results in
+        input order.  A serving front-end uses this to stream responses
+        while the batch is in flight."""
         if self._closed:
             raise EngineError(
                 "run() on a closed engine (close() was already called)"
@@ -884,23 +905,17 @@ class BatchEngine:
         plan_hits_before = self.planner.cache_hits
         resets_before = self.executor_resets
         tracer = self.tracer
-        # job index -> its in-flight trace; spans for pooled jobs are
-        # reassembled here at absorb time from lane-side outcomes
+        # job index -> its in-flight trace; a decided job's spans are
+        # reassembled at absorb time from its chunk's outcome
         traces: dict[int, JobTrace] = {}
         results: list[JobResult | None] = []
-        # ungrouped pooled coalescing: key -> the task's bookkeeping
-        # record (its index list grows as duplicates coalesce)
-        pending: dict[CacheKey, tuple] = {}
-        # plan-grouped scheduling: (schema fingerprint, telemetry key) ->
-        # group of queued pooled jobs, plus the key -> entry map that
-        # coalesces duplicates queued into a group
+        # (schema fingerprint, telemetry key) -> plan group, and the
+        # coalescing map: key -> the entry queued or running for it
         groups: dict[tuple[str | None, str], PlanGroup] = {}
-        grouped_keys: dict[CacheKey, _GroupEntry] = {}
-        # every chunk handed to an executor, by task id (last element is
-        # always the enqueue timestamp, for dwell measurement):
-        # ("chunk", group, entries, enqueued) |
-        # ("single", key, indices, plan, artifacts, canonical, enqueued)
-        submitted: dict[int, tuple] = {}
+        in_flight: dict[CacheKey, _GroupEntry] = {}
+        # every chunk handed to an executor, by task id: its group, its
+        # entries, and the enqueue timestamp (for dwell measurement)
+        submitted: dict[int, tuple[PlanGroup, list[_GroupEntry], float]] = {}
         # the engine-lifetime pool, acquired lazily so a run with no
         # pooled work never forks lanes; lane_respawns is reported as a
         # per-run delta against the executor's lifetime counter
@@ -909,22 +924,21 @@ class BatchEngine:
 
         def emit(index: int) -> None:
             """Stream one finalized result to the caller; every result
-            index passes here exactly once (pooled ones via the
-            exactly-once absorb pop)."""
+            index passes here exactly once."""
             if on_result is not None:
                 on_result(results[index])
 
-        def acquire_pool() -> Executor:
+        def dispatch(group: PlanGroup) -> None:
+            """Send the group's queued entries as one chunk."""
             nonlocal pool, pool_respawns_before
-            if pool is None:
+            chunk, group.queued = group.queued, []
+            pooled = group.plan.route == "pool" and self.workers > 1
+            if pooled and pool is None:
                 pool = self._pool()
                 pool_respawns_before = pool.stats().lane_respawns
-            return pool
-
-        def submit_chunk(executor: Executor, group: PlanGroup,
-                         chunk: list[_GroupEntry]) -> None:
+            executor = pool if pooled else self._inline()
             task_id = self._take_task_id()
-            submitted[task_id] = ("chunk", group, chunk, time.perf_counter())
+            submitted[task_id] = (group, chunk, time.perf_counter())
             executor.submit(
                 ChunkTask(
                     task_id=task_id,
@@ -937,6 +951,11 @@ class BatchEngine:
                 ),
                 group.artifacts.dtd if group.artifacts else None,
             )
+            if not pooled:
+                self._absorb(
+                    executor.drain(), "inline", submitted, in_flight,
+                    results, stats, traces, emit,
+                )
 
         try:
             for index, raw in enumerate(jobs):
@@ -989,23 +1008,15 @@ class BatchEngine:
                             )
                         emit(index)
                         continue
-                    if key in grouped_keys:
+                    leader = in_flight.get(key)
+                    if leader is not None:
                         stats.coalesced += 1
-                        grouped_keys[key].indices.append(index)
+                        leader.indices.append(index)
                         results[index] = self._result(
-                            job, artifacts,
-                            CachedDecision(None, "pending"), route="pool",
+                            job, artifacts, _PENDING, route="pool"
                         )
                         # the trace finishes at absorb time, alongside its
                         # leader, with a span naming the leader's trace
-                        continue
-                    if key in pending:
-                        stats.coalesced += 1
-                        pending[key][2].append(index)
-                        results[index] = self._result(
-                            job, artifacts,
-                            CachedDecision(None, "pending"), route="pool",
-                        )
                         continue
 
                     if trace is not None:
@@ -1024,11 +1035,7 @@ class BatchEngine:
                         )
                         trace.span(
                             "route",
-                            attrs={
-                                "route": plan.route,
-                                "grouped": plan.route == "pool" and self.group_by_plan,
-                                "workers": self.workers,
-                            },
+                            attrs={"route": plan.route, "workers": self.workers},
                         )
                 except (ReproError, RecursionError) as error:
                     # a query nested past the recursion limit fails
@@ -1050,151 +1057,33 @@ class BatchEngine:
                     emit(index)
                     continue
 
-                if plan.route == "pool" and self.group_by_plan:
-                    # queue for plan-grouped dispatch after the scan; the
-                    # group pays worker setup (prepare hooks, DTD pickle)
-                    # once for all its jobs
-                    group_key = (
-                        artifacts.fingerprint if artifacts else None,
-                        plan.telemetry_key,
-                    )
-                    group = groups.get(group_key)
-                    if group is None:
-                        group = groups[group_key] = PlanGroup(
-                            plan=plan, artifacts=artifacts
-                        )
-                    entry = _GroupEntry(key=key, canonical=canonical, indices=[index])
-                    group.entries.append(entry)
-                    grouped_keys[key] = entry
-                    results[index] = self._result(
-                        job, artifacts, CachedDecision(None, "pending"),
-                        route="pool",
-                    )
-                    # a full chunk goes to the pool immediately so lanes
-                    # overlap with the rest of the scan (later duplicates
-                    # still coalesce: the entries stay live until drain)
-                    if (
-                        self.workers > 1
-                        and len(group.entries) - group.dispatched
-                        >= self.group_chunk_size
-                    ):
-                        pool = acquire_pool()
-                        chunk = group.entries[
-                            group.dispatched:
-                            group.dispatched + self.group_chunk_size
-                        ]
-                        group.dispatched += len(chunk)
-                        submit_chunk(pool, group, chunk)
-                    continue
-                if plan.route == "pool" and self.workers > 1:
-                    pool = acquire_pool()
-                    task_id = self._take_task_id()
-                    record = (
-                        "single", key, [index], plan, artifacts, canonical,
-                        time.perf_counter(),
-                    )
-                    submitted[task_id] = record
-                    pending[key] = record
-                    pool.submit(
-                        ChunkTask(
-                            task_id=task_id,
-                            fingerprint=(
-                                artifacts.fingerprint if artifacts else None
-                            ),
-                            canonicals=(canonical,),
-                            plan=plan,
-                            bounds=self.bounds,
-                            grouped=False,
+                group_key = (
+                    artifacts.fingerprint if artifacts else None,
+                    plan.telemetry_key,
+                )
+                group = groups.get(group_key)
+                if group is None:
+                    group = groups[group_key] = PlanGroup(
+                        plan=plan, artifacts=artifacts,
+                        chunk_size=(
+                            self.group_chunk_size if plan.route == "pool" else 1
                         ),
-                        artifacts.dtd if artifacts else None,
                     )
-                    results[index] = self._result(
-                        job, artifacts, CachedDecision(None, "pending"),
-                        route="pool",
-                    )
-                    continue
-
-                job_start = time.perf_counter()
-                exec_trace = ExecutionTrace()
-                try:
-                    outcome = execute_plan(
-                        plan, canonical,
-                        artifacts.dtd if artifacts else None, self.bounds,
-                        pre_canonicalized=True, trace=exec_trace,
-                    )
-                    decision = CachedDecision(
-                        outcome.satisfiable, outcome.method, outcome.reason
-                    )
-                except (ReproError, RecursionError) as error:
-                    stats.errors += 1
-                    stats.decide_calls += 1
-                    stats.inline_decides += 1
-                    self._observe(stats, plan, artifacts, exec_trace, "error")
-                    results[index] = self._error_result(raw, error)
-                    if trace is not None:
-                        trace.span(
-                            "execute",
-                            ms=(time.perf_counter() - job_start) * 1e3,
-                            status=FAILED,
-                            attrs={"error": str(error)},
-                            children=attempt_spans(exec_trace.attempts),
-                        )
-                        tracer.finish(
-                            trace, verdict="error", route="error", plan=plan
-                        )
-                    emit(index)
-                    continue
-                stats.decide_calls += 1
-                stats.inline_decides += 1
-                elapsed_ms = (time.perf_counter() - job_start) * 1e3
-                self._observe(
-                    stats, plan, artifacts, exec_trace,
-                    verdict_name(outcome.satisfiable),
+                entry = in_flight[key] = _GroupEntry(
+                    key=key, canonical=canonical, indices=[index]
                 )
-                self.cache.put(key, decision)
-                results[index] = self._result(
-                    job, artifacts, decision, route="inline",
-                    elapsed_ms=elapsed_ms,
-                )
-                if trace is not None:
-                    trace.span(
-                        "execute", ms=elapsed_ms,
-                        children=attempt_spans(exec_trace.attempts),
-                    )
-                    tracer.finish(
-                        trace, verdict=verdict_name(outcome.satisfiable),
-                        route="inline", plan=plan,
-                    )
-                emit(index)
-                self._explore(stats, plan, canonical, artifacts, exec_trace)
+                group.queued.append(entry)
+                results[index] = self._result(job, artifacts, _PENDING, route="pool")
+                if len(group.queued) >= group.chunk_size:
+                    dispatch(group)
 
-            # group tails: one chunk per worker task on the pool, or on
-            # the engine-lifetime inline executor when workers == 1 (its
-            # persistent runtime reuses contexts across chunks either way)
-            has_tails = any(
-                len(group.entries) > group.dispatched
-                for group in groups.values()
-            )
-            if has_tails:
-                if self.workers > 1:
-                    tail_executor: Executor = acquire_pool()
-                else:
-                    tail_executor = self._inline()
-                for group in groups.values():
-                    for chunk_start in range(
-                        group.dispatched, len(group.entries),
-                        self.group_chunk_size,
-                    ):
-                        submit_chunk(
-                            tail_executor, group,
-                            group.entries[
-                                chunk_start:chunk_start + self.group_chunk_size
-                            ],
-                        )
+            for group in groups.values():
+                if group.queued:
+                    dispatch(group)
             if pool is not None:
-                self._absorb_all(
-                    pool.drain(), submitted, results, stats, route="pool",
-                    tracer=tracer, traces=traces, emit=emit,
+                self._absorb(
+                    pool.drain(), "pool", submitted, in_flight,
+                    results, stats, traces, emit,
                 )
                 pool_stats = pool.stats()
                 stats.lanes = pool_stats.lanes
@@ -1204,12 +1093,6 @@ class BatchEngine:
                     pool_stats.lane_respawns - pool_respawns_before
                 )
                 stats.lane_peak_depth = dict(pool_stats.lane_peak_depth)
-            if self._inline_executor is not None:
-                self._absorb_all(
-                    self._inline_executor.drain(), submitted, results, stats,
-                    route="inline",
-                    tracer=tracer, traces=traces, emit=emit,
-                )
             if tracer is not None:
                 # safety net: a trace a bug (or an absorbed-but-lost
                 # outcome) left open still emits exactly one record
@@ -1220,15 +1103,11 @@ class BatchEngine:
             # an aborted run can leave chunks in flight on the lanes; a
             # later run would absorb them against this run's (now dead)
             # bookkeeping, so the warm pool is forfeited — it respawns
-            # cold on the next pooled run
+            # cold on the next pooled run.  In-process chunks need no
+            # such care: each one is absorbed as soon as it is sent
             if pool is not None:
                 self._discard_pool()
             raise
-        finally:
-            if self._inline_executor is not None:
-                # chunks queued for a run that aborted must not leak into
-                # the next (a no-op on clean exits: drain emptied the queue)
-                self._inline_executor.cancel_pending()
 
         stats.elapsed_s = time.perf_counter() - start
         stats.executor_resets = self.executor_resets - resets_before
@@ -1244,33 +1123,44 @@ class BatchEngine:
         return BatchReport(results=[r for r in results if r is not None], stats=stats)
 
     # -- helpers ------------------------------------------------------------
-    def _absorb_all(
+    def _absorb(
         self,
         outcomes: Iterable[tuple[ChunkTask, ChunkOutcome]],
-        submitted: dict[int, tuple],
+        route: str,
+        submitted: dict[int, tuple[PlanGroup, list[_GroupEntry], float]],
+        in_flight: dict[CacheKey, _GroupEntry],
         results: list[JobResult | None],
         stats: EngineStats,
-        route: str,
-        tracer: Tracer | None = None,
-        traces: dict[int, JobTrace] | None = None,
-        emit: Callable[[int], None] | None = None,
+        traces: dict[int, JobTrace],
+        emit: Callable[[int], None],
     ) -> None:
-        """Fold every drained ``(task, outcome)`` pair into results and
-        counters.  Each task is absorbed **exactly once**: the bookkeeping
-        record is popped on arrival, so a duplicate outcome (a retry
-        racing its first attempt) can never double-report group counters
-        — ``grouped_jobs``/``setup_reuse`` stay reconciled with the
-        per-plan telemetry rows even across lane deaths.  The same pop
-        makes lane-side span reassembly exactly-once: a job's trace is
-        finished by the record's first (and only) absorption, and the
-        ``emit`` streaming callback fires once per finalized job."""
-        if emit is None:
-            def emit(index: int) -> None:
-                pass
+        """The one absorb path: fold every drained ``(task, outcome)``
+        pair into results, counters, the decision cache, telemetry, the
+        cost model and traces, and stream each finalized job.
+
+        Each task is absorbed **exactly once**: its bookkeeping record
+        is popped on arrival, so a duplicate outcome (a retry racing its
+        first attempt) can never double-report group counters —
+        ``grouped_jobs``/``setup_reuse`` stay reconciled with the
+        per-plan telemetry rows even across lane deaths — and each job's
+        trace finishes, and ``emit`` fires, once.  Its entries leave the
+        coalescing map, so a later ask of the same question hits the
+        cache, or is decided afresh if this one failed.
+
+        When tracing, each leader job gets a ``chunk`` span (lane,
+        dwell, DTD-ship/runtime-hit flags) whose children are the
+        chunk's ``prepare`` (on the first traced entry only) and the
+        job's per-chain-member attempts; coalesced followers get a
+        ``coalesced`` span naming their leader's trace."""
+        tracer = self.tracer
         for task, outcome in outcomes:
             record = submitted.pop(task.task_id, None)
             if record is None:
                 continue
+            group, chunk, enqueued = record
+            plan, artifacts = group.plan, group.artifacts
+            for entry in chunk:
+                del in_flight[entry.key]
             if outcome.dtd_shipped:
                 stats.dtd_ships += 1
             if outcome.runtime_hit:
@@ -1280,68 +1170,147 @@ class BatchEngine:
             if outcome.retried:
                 stats.chunk_retries += 1
             # enqueue→absorb dwell: queue + IPC time, execution excluded
-            enqueued = record[-1]
             dwell_ms = max(
                 0.0,
                 (time.perf_counter() - enqueued) * 1e3 - outcome.elapsed_ms,
             )
             stats.chunk_dwell_ms.append(dwell_ms)
-            if outcome.lane >= 0:
+            # with a pool, lane ids name its lanes: the in-process
+            # runtime (lane 0) must not overwrite pool lane 0's gauges
+            if outcome.lane >= 0 and (route == "pool" or self.workers == 1):
                 stats.lane_contexts[outcome.lane] = outcome.runtime_contexts
                 stats.lane_evictions[outcome.lane] = outcome.runtime_evictions
-            if record[0] == "chunk":
-                _, group, chunk, _ = record
-                stats.decide_calls += len(chunk)
-                if route == "pool":
-                    stats.pool_decides += len(chunk)
-                else:
-                    stats.inline_decides += len(chunk)
-                if outcome.error is not None:
-                    # the whole chunk failed (its lane died and the one
-                    # retry died too): per-job errors, nothing cached
-                    jobs_hit = sum(len(entry.indices) for entry in chunk)
-                    stats.errors += jobs_hit
-                    self.telemetry.record_failure(group.plan, jobs_hit)
-                    for entry in chunk:
-                        for index in entry.indices:
-                            result = results[index]
-                            result.error = outcome.error
-                            result.method = "error"
-                            result.route = "error"
-                            if tracer is not None and traces is not None:
-                                trace = traces.get(index)
-                                if trace is not None:
-                                    trace.span(
-                                        "chunk", status=FAILED,
-                                        attrs=self._chunk_attrs(
-                                            outcome, dwell_ms, len(chunk),
-                                            error=outcome.error,
-                                        ),
-                                    )
-                                    tracer.finish(
-                                        trace, verdict="error",
-                                        route="error", plan=group.plan,
-                                    )
-                            emit(index)
-                    continue
-                self._absorb_group(
-                    group, chunk, outcome, results, stats, route=route,
-                    tracer=tracer, traces=traces, dwell_ms=dwell_ms,
-                    emit=emit,
-                )
+            stats.decide_calls += len(chunk)
+            if route == "pool":
+                stats.pool_decides += len(chunk)
             else:
-                _, key, indices, plan, artifacts, canonical, _ = record
-                stats.decide_calls += 1
-                if route == "pool":
-                    stats.pool_decides += 1
-                else:
-                    stats.inline_decides += 1
-                self._absorb_single(
-                    key, indices, plan, artifacts, canonical, outcome,
-                    results, stats,
-                    tracer=tracer, traces=traces, dwell_ms=dwell_ms,
-                    emit=emit,
+                stats.inline_decides += len(chunk)
+            if outcome.error is not None:
+                # the whole chunk failed (its lane died and the one
+                # retry died too): per-job errors, nothing cached
+                jobs_hit = sum(len(entry.indices) for entry in chunk)
+                stats.errors += jobs_hit
+                self.telemetry.record_failure(plan, jobs_hit)
+                for entry in chunk:
+                    for index in entry.indices:
+                        self._fail(results[index], outcome.error)
+                        trace = traces.get(index)
+                        if trace is not None:
+                            trace.span(
+                                "chunk", status=FAILED,
+                                attrs=self._chunk_attrs(
+                                    outcome, dwell_ms, len(chunk),
+                                    error=outcome.error,
+                                ),
+                            )
+                            tracer.finish(
+                                trace, verdict="error", route="error",
+                                plan=plan,
+                            )
+                        emit(index)
+                continue
+            shared_setup = outcome.shared_setup
+            stats.plan_groups += 1
+            stats.group_sizes.append(len(chunk))
+            # only a failed *primary* prepare means the chunk ran without
+            # shared setup; a fallback hook failing mid-chunk leaves it
+            if outcome.prepare_error is not None and not shared_setup:
+                stats.prepare_fallbacks += 1
+            executed = 0
+            prepare_span_pending = True
+            for entry, question_outcome in zip(chunk, outcome.outcomes):
+                satisfiable, method, reason, error, attempts = question_outcome
+                trace = ExecutionTrace(
+                    attempts=attempts,
+                    group_size=len(chunk),
+                    group_lead=executed == 0,
+                    shared_setup=shared_setup,
+                    runtime_hit=outcome.runtime_hit,
                 )
+                verdict = "error" if error is not None else verdict_name(satisfiable)
+                if tracer is not None:
+                    leader = traces.get(entry.indices[0])
+                    if leader is not None:
+                        children = []
+                        if prepare_span_pending:
+                            prepare_span_pending = False
+                            prepare_attrs = {"shared": shared_setup}
+                            if outcome.prepare_error is not None:
+                                prepare_attrs["error"] = outcome.prepare_error
+                            children.append(Span(
+                                name="prepare",
+                                ms=outcome.prepare_ms,
+                                status=(
+                                    FAILED if outcome.prepare_error is not None
+                                    else "ok"
+                                ),
+                                attrs=prepare_attrs,
+                            ))
+                        children.extend(attempt_spans(attempts))
+                        leader.span(
+                            "chunk",
+                            ms=trace.elapsed_ms,
+                            status=FAILED if error is not None else "ok",
+                            attrs=self._chunk_attrs(
+                                outcome, dwell_ms, len(chunk), error=error
+                            ),
+                            children=children,
+                        )
+                        tracer.finish(
+                            leader,
+                            verdict=verdict,
+                            route="error" if error is not None else route,
+                            plan=plan,
+                        )
+                    for index in entry.indices[1:]:
+                        follower = traces.get(index)
+                        if follower is not None:
+                            follower.span(
+                                "coalesced",
+                                attrs={
+                                    "leader": (
+                                        leader.trace_id if leader is not None
+                                        else None
+                                    ),
+                                    "lane": outcome.lane,
+                                },
+                            )
+                            tracer.finish(
+                                follower,
+                                verdict=verdict,
+                                route="error" if error is not None else route,
+                                plan=plan,
+                            )
+                if error is not None:
+                    # one question failing must not poison its groupmates;
+                    # every job awaiting it gets the per-job error
+                    stats.errors += len(entry.indices)
+                    self._observe(stats, plan, artifacts, trace, "error")
+                    if len(entry.indices) > 1:
+                        self.telemetry.record_failure(plan, len(entry.indices) - 1)
+                    for index in entry.indices:
+                        self._fail(results[index], error)
+                        emit(index)
+                    continue
+                # errored entries are excluded so EngineStats and the per-plan
+                # telemetry rows report the same grouped-job/reuse counts
+                stats.grouped_jobs += 1
+                if shared_setup and executed > 0:
+                    stats.setup_reuse += 1
+                executed += 1
+                self._observe(stats, plan, artifacts, trace, verdict_name(satisfiable))
+                self._explore(stats, plan, entry.canonical, artifacts, trace)
+                decision = CachedDecision(satisfiable, method, reason)
+                self.cache.put(entry.key, decision)
+                for ask_position, index in enumerate(entry.indices):
+                    result = results[index]
+                    result.satisfiable = satisfiable
+                    result.method = method
+                    result.reason = reason
+                    result.route = route
+                    result.cached = ask_position > 0  # coalesced onto the first ask
+                    result.elapsed_ms = trace.elapsed_ms if ask_position == 0 else 0.0
+                    emit(index)
 
     @staticmethod
     def _chunk_attrs(
@@ -1367,210 +1336,11 @@ class BatchEngine:
             attrs["error"] = error
         return attrs
 
-    def _absorb_group(
-        self,
-        group: PlanGroup,
-        chunk: list[_GroupEntry],
-        outcome: ChunkOutcome,
-        results: list[JobResult | None],
-        stats: EngineStats,
-        route: str,
-        tracer: Tracer | None = None,
-        traces: dict[int, JobTrace] | None = None,
-        dwell_ms: float = 0.0,
-        emit: Callable[[int], None] = lambda index: None,
-    ) -> None:
-        """Fold one chunk's outcomes into results, the decision cache,
-        telemetry, and the cost model.  When tracing, each leader job's
-        span tree is reassembled here from the lane-side outcome: a
-        ``chunk`` span (lane, dwell, DTD-ship/runtime-hit flags) whose
-        children are the shared ``prepare`` (first executed entry only)
-        and the job's per-chain-member attempts; coalesced followers get
-        a ``coalesced`` span naming their leader's trace."""
-        plan, artifacts = group.plan, group.artifacts
-        shared_setup = outcome.shared_setup
-        stats.plan_groups += 1
-        stats.group_sizes.append(len(chunk))
-        # only a failed *primary* prepare means the chunk ran ungrouped;
-        # a fallback hook failing mid-chunk leaves the shared setup intact
-        if outcome.prepare_error is not None and not shared_setup:
-            stats.prepare_fallbacks += 1
-        executed = 0
-        prepare_span_pending = True
-        for entry, question_outcome in zip(chunk, outcome.outcomes):
-            satisfiable, method, reason, error, attempts = question_outcome
-            trace = ExecutionTrace(
-                attempts=attempts,
-                group_size=len(chunk),
-                group_lead=executed == 0,
-                shared_setup=shared_setup,
-                runtime_hit=outcome.runtime_hit,
-            )
-            verdict = "error" if error is not None else verdict_name(satisfiable)
-            if tracer is not None and traces is not None:
-                leader = traces.get(entry.indices[0])
-                if leader is not None:
-                    children = []
-                    if prepare_span_pending:
-                        prepare_span_pending = False
-                        prepare_attrs = {"shared": shared_setup}
-                        if outcome.prepare_error is not None:
-                            prepare_attrs["error"] = outcome.prepare_error
-                        children.append(Span(
-                            name="prepare",
-                            ms=outcome.prepare_ms,
-                            status=(
-                                FAILED if outcome.prepare_error is not None
-                                else "ok"
-                            ),
-                            attrs=prepare_attrs,
-                        ))
-                    children.extend(attempt_spans(attempts))
-                    leader.span(
-                        "chunk",
-                        ms=trace.elapsed_ms,
-                        status=FAILED if error is not None else "ok",
-                        attrs=self._chunk_attrs(
-                            outcome, dwell_ms, len(chunk), error=error
-                        ),
-                        children=children,
-                    )
-                    tracer.finish(
-                        leader,
-                        verdict=verdict,
-                        route="error" if error is not None else route,
-                        plan=plan,
-                    )
-                for index in entry.indices[1:]:
-                    follower = traces.get(index)
-                    if follower is not None:
-                        follower.span(
-                            "coalesced",
-                            attrs={
-                                "leader": (
-                                    leader.trace_id if leader is not None
-                                    else None
-                                ),
-                                "lane": outcome.lane,
-                            },
-                        )
-                        tracer.finish(
-                            follower,
-                            verdict=verdict,
-                            route="error" if error is not None else route,
-                            plan=plan,
-                        )
-            if error is not None:
-                # one question failing must not poison its groupmates;
-                # every job awaiting it gets the per-job error
-                stats.errors += len(entry.indices)
-                self._observe(stats, plan, artifacts, trace, "error")
-                if len(entry.indices) > 1:
-                    self.telemetry.record_failure(plan, len(entry.indices) - 1)
-                for index in entry.indices:
-                    result = results[index]
-                    result.error = error
-                    result.method = "error"
-                    result.route = "error"
-                    emit(index)
-                continue
-            # errored entries are excluded so EngineStats and the per-plan
-            # telemetry rows report the same grouped-job/reuse counts
-            stats.grouped_jobs += 1
-            if shared_setup and executed > 0:
-                stats.setup_reuse += 1
-            executed += 1
-            self._observe(stats, plan, artifacts, trace, verdict_name(satisfiable))
-            self._explore(stats, plan, entry.canonical, artifacts, trace)
-            decision = CachedDecision(satisfiable, method, reason)
-            self.cache.put(entry.key, decision)
-            for ask_position, index in enumerate(entry.indices):
-                result = results[index]
-                result.satisfiable = satisfiable
-                result.method = method
-                result.reason = reason
-                result.route = route
-                result.cached = ask_position > 0  # coalesced onto the first ask
-                result.elapsed_ms = trace.elapsed_ms if ask_position == 0 else 0.0
-                emit(index)
-
-    def _absorb_single(
-        self,
-        key: CacheKey,
-        indices: list[int],
-        plan: Plan,
-        artifacts: SchemaArtifacts | None,
-        canonical: Path,
-        outcome: ChunkOutcome,
-        results: list[JobResult | None],
-        stats: EngineStats,
-        tracer: Tracer | None = None,
-        traces: dict[int, JobTrace] | None = None,
-        dwell_ms: float = 0.0,
-        emit: Callable[[int], None] = lambda index: None,
-    ) -> None:
-        """Fold one ungrouped pooled question back in (the
-        ``--no-group-by-plan`` path: no group counters, no shared setup)."""
-        if outcome.error is not None:
-            satisfiable, method, reason, error, attempts = (
-                None, "error", "", outcome.error, [],
-            )
-        else:
-            satisfiable, method, reason, error, attempts = outcome.outcomes[0]
-        verdict = "error" if error is not None else verdict_name(satisfiable)
-        if tracer is not None and traces is not None:
-            leader = traces.get(indices[0])
-            if leader is not None:
-                leader.span(
-                    "chunk",
-                    ms=sum(ms for _, ms, _ in attempts),
-                    status=FAILED if error is not None else "ok",
-                    attrs=self._chunk_attrs(outcome, dwell_ms, 1, error=error),
-                    children=attempt_spans(attempts),
-                )
-                tracer.finish(
-                    leader, verdict=verdict,
-                    route="error" if error is not None else "pool",
-                    plan=plan,
-                )
-            for index in indices[1:]:
-                follower = traces.get(index)
-                if follower is not None:
-                    follower.span(
-                        "coalesced",
-                        attrs={
-                            "leader": (
-                                leader.trace_id if leader is not None else None
-                            ),
-                            "lane": outcome.lane,
-                        },
-                    )
-                    tracer.finish(
-                        follower, verdict=verdict,
-                        route="error" if error is not None else "pool",
-                        plan=plan,
-                    )
-        if error is not None:
-            stats.errors += len(indices)
-            self.telemetry.record_failure(plan, len(indices))
-            for index in indices:
-                results[index].error = error
-                results[index].method = "error"
-                results[index].route = "error"
-                emit(index)
-            return
-        trace = ExecutionTrace(attempts=attempts)
-        self._observe(stats, plan, artifacts, trace, verdict_name(satisfiable))
-        self._explore(stats, plan, canonical, artifacts, trace)
-        decision = CachedDecision(satisfiable, method, reason)
-        self.cache.put(key, decision)
-        for position, index in enumerate(indices):
-            result = results[index]
-            result.satisfiable = satisfiable
-            result.method = method
-            result.reason = reason
-            result.cached = position > 0  # coalesced onto the first ask
-            emit(index)
+    @staticmethod
+    def _fail(result: JobResult, error: str) -> None:
+        result.error = error
+        result.method = "error"
+        result.route = "error"
 
     def _observe(
         self,
@@ -1626,11 +1396,10 @@ class BatchEngine:
         ``CostModel(explore_every=N)`` every N-th decision of a
         (signature × bucket) re-times the *stalest* chain member on the
         question just answered.  The probe runs in the engine's own
-        process (after inline decides and while absorbing pooled
-        outcomes) and its verdict is discarded — the job's answer is
-        already committed — so exploration can never change a verdict,
-        and the hygiene rule still applies: inconclusive probes record
-        nothing."""
+        process while a chunk is absorbed, and its verdict is discarded
+        — the job's answer is already committed — so exploration can
+        never change a verdict, and the hygiene rule still applies:
+        inconclusive probes record nothing."""
         chain = (plan.decider,) + plan.fallbacks
         if len(chain) < 2 or not self.cost_model.explore_every:
             return
@@ -1711,8 +1480,5 @@ class BatchEngine:
             satisfiable=None,
             method="error",
             route="error",
-            error=(
-                f"query nests too deeply ({error})"
-                if isinstance(error, RecursionError) else str(error)
-            ),
+            error=job_error_text(error),
         )

@@ -8,13 +8,15 @@ rebuilt whenever its *next* chunk arrived.  Real DTD workloads
 concentrate on a few recurring schemas (Ishihara et al., arXiv:1308.0769),
 which makes the schema the natural long-lived unit of work.
 
-This module replaces the ad-hoc ``executor.submit(...)`` calls in
-:class:`~repro.engine.batch.BatchEngine` with one :class:`Executor`
-abstraction and two implementations:
+Every decision :class:`~repro.engine.batch.BatchEngine` makes runs as a
+:class:`ChunkTask` on one :class:`Executor` abstraction with two
+implementations:
 
-* :class:`InlineExecutor` — runs chunks in-process (``workers == 1``),
-  holding one :class:`WorkerRuntime` for the engine's lifetime, so the
-  second chunk of a schema reuses the first chunk's prepared contexts;
+* :class:`InlineExecutor` — runs chunks in-process: every PTIME chunk
+  (a chunk of one, drained the moment it is submitted), and heavy
+  chunks as well when the engine has one worker.  It holds one
+  :class:`WorkerRuntime` for the engine's lifetime, so the second chunk
+  of a schema reuses the first chunk's prepared contexts;
 * :class:`PersistentPoolExecutor` — a pool of long-lived worker
   *lanes* (one process each), every lane owning a :class:`WorkerRuntime`
   that caches DTDs and prepared :class:`~repro.sat.planner.PlanContexts`
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Any, Iterator, Protocol, runtime_checkable
 
-from repro.errors import EngineError
+from repro.errors import EngineError, job_error_text
 from repro.obs.log import get_logger
 from repro.sat.planner import ExecutionTrace, Plan, PlanContexts, execute_plan
 
@@ -63,19 +65,13 @@ DEFAULT_LANE_QUEUE_DEPTH = 4
 @dataclass(frozen=True)
 class ChunkTask:
     """One unit of executor work: a chunk of pre-canonicalized questions
-    sharing a plan and a schema.
-
-    ``grouped=False`` marks an ungrouped single-question dispatch
-    (``--no-group-by-plan``): it runs without shared contexts and without
-    ticking group counters, exactly like a PR-4 per-job pool future.
-    """
+    sharing a plan and a schema."""
 
     task_id: int
     fingerprint: str | None
     canonicals: tuple
     plan: Plan
     bounds: Any = None
-    grouped: bool = True
 
 
 @dataclass
@@ -204,9 +200,9 @@ class WorkerRuntime:
 
     def _contexts_for(self, task: ChunkTask, dtd) -> tuple[PlanContexts, bool]:
         """The chunk's shared contexts and whether they were already warm
-        (a runtime hit).  Only grouped chunks against a fingerprinted
-        schema are worth caching across chunks — a no-DTD plan has no
-        ``prepare`` work to share."""
+        (a runtime hit).  Only chunks against a fingerprinted schema are
+        worth caching across chunks — a no-DTD plan has no ``prepare``
+        work to share."""
         key = (task.fingerprint, task.plan.telemetry_key)
         if self.caching and task.fingerprint is not None:
             contexts = self._contexts.get(key)
@@ -246,11 +242,6 @@ class WorkerRuntime:
             return ChunkOutcome(
                 error=f"lane runtime has no schema {task.fingerprint[:12]}"
             )
-        if not task.grouped:
-            return ChunkOutcome(outcomes=[
-                self._run_question(task, canonical, dtd, contexts=None)
-                for canonical in task.canonicals
-            ])
         contexts, runtime_hit = self._contexts_for(task, dtd)
         prepare_ms_before = contexts.prepare_ms
         # build the primary's context eagerly: every question runs it, and
@@ -288,9 +279,9 @@ class WorkerRuntime:
                 pre_canonicalized=True, trace=trace, contexts=contexts,
             )
         except Exception as error:
-            # any exception — decline with no fallback, or a latent
-            # decider bug — fails only this question
-            return (None, "error", "", str(error), trace.attempts)
+            # any exception — decline with no fallback, a latent decider
+            # bug, a query nested too deeply — fails only this question
+            return (None, "error", "", job_error_text(error), trace.attempts)
         return (
             result.satisfiable, result.method, result.reason, None,
             trace.attempts,
@@ -298,13 +289,15 @@ class WorkerRuntime:
 
 
 class InlineExecutor:
-    """In-process :class:`Executor` for single-worker engines.
+    """In-process :class:`Executor`: PTIME chunks on every engine, and
+    heavy chunks too when the engine has one worker.
 
-    Chunks queue on ``submit`` and execute lazily during ``drain`` (the
-    single-worker engine has nothing to overlap them with).  The runtime
-    lives as long as the executor — which the engine keeps for its own
-    lifetime — so chunk N of a schema reuses chunk 1's contexts even
-    across separate :meth:`~repro.engine.batch.BatchEngine.run` calls.
+    Chunks queue on ``submit`` and execute during ``drain``; the engine
+    drains right after each submit, so no chunk outlives the
+    :meth:`~repro.engine.batch.BatchEngine.run` that sent it.  The
+    runtime lives as long as the executor — which the engine keeps for
+    its own lifetime — so chunk N of a schema reuses chunk 1's contexts
+    even across separate runs.
     """
 
     def __init__(self, affinity: bool = True):
@@ -330,13 +323,6 @@ class InlineExecutor:
             if outcome.runtime_hit:
                 self._stats.runtime_context_hits += 1
             yield task, outcome
-
-    def cancel_pending(self) -> int:
-        """Drop queued-but-unexecuted chunks (exception recovery: a chunk
-        submitted for a run that aborted must not leak into the next)."""
-        dropped = len(self._queue)
-        self._queue.clear()
-        return dropped
 
     def stats(self) -> ExecutorStats:
         return self._stats

@@ -129,7 +129,6 @@ def _warn(warnings: list[str], message: str) -> None:
 #: persisted scheduler tunables: name -> validator returning the coerced
 #: value or raising
 _SCHEDULER_TUNABLES = {
-    "group_by_plan": lambda value: _strict_bool(value),
     "group_chunk_size": lambda value: _positive_int(value),
     "decision_cap_per_schema": lambda value: _positive_int(value),
     "telemetry_max_age_days": lambda value: _positive_float(value),

@@ -63,3 +63,13 @@ class BoundsExhausted(ReproError):
     """Raised (or recorded) when a bounded semi-decision procedure exhausted
     its search bounds without finding a model.  This is *not* a proof of
     unsatisfiability; see ``sat.bounded``."""
+
+
+def job_error_text(error: BaseException) -> str:
+    """The error text a failed batch job carries, the same whether the
+    job failed at intake or while deciding, in-process or on a worker
+    lane: a query nested past the interpreter's recursion limit reads
+    ``query nests too deeply (...)``, any other error its message."""
+    if isinstance(error, RecursionError):
+        return f"query nests too deeply ({error})"
+    return str(error)

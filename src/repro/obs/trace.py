@@ -3,13 +3,13 @@
 Every job entering :meth:`~repro.engine.batch.BatchEngine.run` gets a
 trace ID at intake; the engine attaches spans as the job moves through
 the pipeline — ``canonicalize``, ``plan`` (build vs cache hit),
-``route``, ``cache``/``coalesced`` for the short-circuit paths,
-``execute`` for inline decisions, and ``chunk`` for pooled ones.  A
-``chunk`` span carries the scheduling facts (lane ID, enqueue→absorb
-dwell, DTD ship, runtime-context hit, spill, retry) and holds the
-lane-side children: a ``prepare`` span for shared setup and one
-``attempt:<decider>`` span per decider-chain member with its verdict and
-latency.  Lane-side timings travel home inside
+``route``, ``cache``/``coalesced`` for the short-circuit paths, and
+``chunk`` for every job that was decided: every decision runs in a chunk
+on an executor, the in-process one reporting lane 0.  A ``chunk`` span
+carries the scheduling facts (lane ID, enqueue→absorb dwell, DTD ship,
+runtime-context hit, spill, retry) and holds the lane-side children: a
+``prepare`` span for shared setup and one ``attempt:<decider>`` span per
+decider-chain member with its verdict and latency.  Lane-side timings travel home inside
 :class:`~repro.engine.executors.ChunkOutcome` / the plan's
 :class:`~repro.sat.planner.ExecutionTrace` attempts, and the engine's
 exactly-once absorb (bookkeeping popped on arrival) guarantees one

@@ -331,14 +331,14 @@ class ExecutionTrace:
 
     When the plan-grouped scheduler ran this execution as part of a
     :class:`~repro.engine.batch.PlanGroup` chunk, ``group_size`` is the
-    chunk's job count (0 = ungrouped), ``group_lead`` marks the chunk's
-    first execution (so per-plan group counters tick once per chunk), and
-    ``shared_setup`` records whether the chain's ``prepare`` contexts
-    were available (a ``False`` means ``prepare`` failed and the chunk
-    fell back to ungrouped per-job execution).  ``runtime_hit`` marks a
-    chunk that found its contexts already prepared in a persistent
-    worker runtime (schema-affinity scheduling) instead of building
-    them itself."""
+    chunk's job count (0 = not run in a chunk), ``group_lead`` marks the
+    chunk's first execution (so per-plan group counters tick once per
+    chunk), and ``shared_setup`` records whether the chain's ``prepare``
+    contexts were available (a ``False`` means ``prepare`` failed and the
+    chunk fell back to per-job setup).  ``runtime_hit`` marks a chunk
+    that found its contexts already prepared in a persistent worker
+    runtime (schema-affinity scheduling) instead of building them
+    itself."""
 
     attempts: list[tuple[str, float, str]] = field(default_factory=list)
     group_size: int = 0

@@ -28,6 +28,7 @@ from repro.sat import decide
 from repro.workloads import batch_jobs, document_dtd
 from repro.xpath import parse_query
 from repro.xpath import fragments as frag
+from repro.xpath.fragments import features_of
 
 THREESAT_DTD = """
 root r
@@ -434,8 +435,10 @@ class TestGroupedScheduler:
         assert report.stats.plan_groups == expected_groups
         assert report.stats.grouped_jobs == n_jobs
         assert sum(report.stats.group_sizes) == n_jobs
-        # same questions, ungrouped: identical verdicts
-        ungrouped = self._engine(registry, group_by_plan=False).run(jobs)
+        # same questions, dispatched per job: identical verdicts
+        ungrouped = self._engine(
+            registry, group_chunk_size=1, affinity=False
+        ).run(jobs)
         assert [r.satisfiable for r in report.results] == [
             r.satisfiable for r in ungrouped.results
         ]
@@ -487,7 +490,9 @@ class TestGroupedScheduler:
         assert report.stats.prepare_fallbacks == 1
         assert report.stats.plan_groups == 1
         assert report.stats.setup_reuse == 0
-        ungrouped = self._engine(registry, group_by_plan=False).run(jobs)
+        ungrouped = self._engine(
+            registry, group_chunk_size=1, affinity=False
+        ).run(jobs)
         assert [r.satisfiable for r in report.results] == [
             r.satisfiable for r in ungrouped.results
         ]
@@ -954,6 +959,149 @@ class TestOnResultStreaming:
         assert warm.stats.cache_hits == len(jobs)
         assert len(streamed) == len(jobs)
         engine.close()
+
+
+# -- one job pipeline ------------------------------------------------------------
+
+def _patch_decider(monkeypatch, name, **changes):
+    """Replace fields of a registered decider for one test."""
+    import dataclasses
+
+    from repro.sat import registry as sat_registry
+
+    spec = sat_registry.get_decider(name)
+    monkeypatch.setitem(
+        sat_registry._REGISTRY, name, dataclasses.replace(spec, **changes)
+    )
+
+
+class TestOnePipeline:
+    """Every decision runs as a chunk on an executor and is folded back
+    by one absorb path, so an in-process (PTIME) decision fails, reads
+    its error, and reuses prepared contexts exactly as a pooled one."""
+
+    def test_inline_decider_bug_fails_only_its_jobs(self, registry, monkeypatch):
+        # a non-ReproError from an inline decider (a latent bug) fails
+        # only the jobs asking that question, asked twice here: the
+        # second ask is decided afresh, not parked on the finished first
+        from repro.sat.registry import get_decider
+
+        original = get_decider("downward").fn
+
+        def flaky(query, *args, **kwargs):
+            if str(query) == "X2":
+                raise RuntimeError("latent decider bug")
+            return original(query, *args, **kwargs)
+
+        _patch_decider(monkeypatch, "downward", fn=flaky)
+        jobs = [
+            Job("X1", "threesat", id="fine-1"),
+            Job("X2", "threesat", id="doomed-1"),
+            Job("X3", "threesat", id="fine-2"),
+            Job("X2", "threesat", id="doomed-2"),
+            Job("X1/T", "threesat", id="fine-3"),
+        ]
+        engine = BatchEngine(registry=registry)
+        streamed = []
+        report = engine.run(jobs, on_result=streamed.append)
+        engine.close()
+        assert sorted(r.id for r in streamed) == sorted(job.id for job in jobs)
+        assert {id(r) for r in streamed} == {id(r) for r in report.results}
+        by_id = {result.id: result for result in report.results}
+        for job_id in ("doomed-1", "doomed-2"):
+            assert "latent decider bug" in by_id[job_id].error
+            assert by_id[job_id].route == "error"
+            # a decide error keeps the job's fingerprint, inline or pooled
+            assert by_id[job_id].fingerprint == registry.get("threesat").fingerprint
+        for job_id in ("fine-1", "fine-2", "fine-3"):
+            assert by_id[job_id].error is None
+            assert by_id[job_id].satisfiable is True
+        assert report.stats.errors == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("query,decider,route", [
+        ("A[not(C)]", "exptime_types", "pool"),
+        ("A/C", "downward", "inline"),
+    ])
+    def test_recursion_error_reads_the_same_on_every_executor(
+        self, registry, monkeypatch, workers, query, decider, route
+    ):
+        def too_deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        _patch_decider(monkeypatch, decider, fn=too_deep)
+        with BatchEngine(registry=registry, workers=workers) as engine:
+            assert plan_route(parse_query(query), registry.get("disjfree")) == route
+            (result,) = engine.run([Job(query, "disjfree")]).results
+        assert result.error == (
+            "query nests too deeply (maximum recursion depth exceeded)"
+        )
+        assert result.route == "error"
+
+    def test_inline_plan_prepares_once_across_runs(self, monkeypatch):
+        # PTIME chunks run on the engine's in-process runtime, whose
+        # prepared contexts outlive a chunk and a run
+        from repro.sat import realworld as realworld_module
+        from repro.workloads.realworld import realworld_schemas
+
+        calls = []
+        original = realworld_module.prepare_realworld
+
+        def counted(dtd):
+            calls.append(1)
+            return original(dtd)
+
+        # a decider called without a context runs its prepare hook
+        # through the module global, so wrap both names
+        _patch_decider(monkeypatch, "realworld", prepare=counted)
+        monkeypatch.setattr(realworld_module, "prepare_realworld", counted)
+        registry = SchemaRegistry()
+        registry.register("xhtml", realworld_schemas()["xhtml"])
+        labels = ("head", "title", "meta", "body", "div",
+                  "h1", "h2", "p", "ul", "li")
+        queries = [f"{label}/^" for label in labels] + [
+            f"body/{label}/^" for label in labels
+        ]
+        engine = BatchEngine(registry=registry)
+        plans = {
+            engine.planner.plan_for(
+                features_of(parse_query(query)),
+                artifacts=registry.get("xhtml"),
+            ).telemetry_key
+            for query in queries
+        }
+        assert len(plans) == 1 and "realworld+" in plans.pop()
+        first = engine.run([Job(query, "xhtml") for query in queries[:10]])
+        second = engine.run([Job(query, "xhtml") for query in queries[10:]])
+        engine.close()
+        assert first.stats.errors == second.stats.errors == 0
+        assert first.stats.decide_calls + second.stats.decide_calls == 20
+        assert len(calls) == 1
+
+    def test_aborted_run_leaves_nothing_for_the_next(self, registry):
+        # heavy jobs queue for a chunk, then the first inline answer's
+        # callback raises: the run aborts, and the next run on the same
+        # engine answers every job exactly once
+        jobs = [
+            Job("A[not(C)]", "disjfree", id="heavy-1"),
+            Job("A[not(B)]", "disjfree", id="heavy-2"),
+            Job("X1", "threesat", id="inline-1"),
+            Job("X2", "threesat", id="inline-2"),
+        ]
+        engine = BatchEngine(registry=registry)
+
+        def explode(result):
+            raise RuntimeError("client went away")
+
+        with pytest.raises(RuntimeError, match="client went away"):
+            engine.run(jobs, on_result=explode)
+        streamed = []
+        report = engine.run(jobs, on_result=streamed.append)
+        engine.close()
+        assert sorted(r.id for r in streamed) == sorted(job.id for job in jobs)
+        assert {id(r) for r in streamed} == {id(r) for r in report.results}
+        assert report.stats.errors == 0
+        assert all(r.satisfiable is not None for r in report.results)
 
 
 # -- JSONL round trips -----------------------------------------------------------

@@ -167,7 +167,8 @@ def _verdict_mixes(engine):
 class TestGroupedScheduling:
     """Plan-grouped dispatch is a scheduling change only: verdicts,
     decision-cache contents, and telemetry verdict mixes must be
-    bit-identical with ``group_by_plan`` on and off."""
+    bit-identical between the default chunks and per-job dispatch
+    (``group_chunk_size=1, affinity=False``)."""
 
     def _mixed_corpus(self, n_jobs=120):
         # inline (PTIME downward) and pooled (negation) plans, plus
@@ -181,11 +182,10 @@ class TestGroupedScheduling:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_grouped_matches_ungrouped(self, workers):
         jobs = self._mixed_corpus()
-        grouped = BatchEngine(
-            registry=_registry(), workers=workers, group_by_plan=True
-        )
+        grouped = BatchEngine(registry=_registry(), workers=workers)
         ungrouped = BatchEngine(
-            registry=_registry(), workers=workers, group_by_plan=False
+            registry=_registry(), workers=workers,
+            group_chunk_size=1, affinity=False,
         )
         grouped_report = grouped.run(jobs)
         ungrouped_report = ungrouped.run(jobs)
@@ -195,14 +195,16 @@ class TestGroupedScheduling:
         assert grouped_report.stats.errors == ungrouped_report.stats.errors == 0
         assert grouped_report.stats.plan_groups >= 1
         assert grouped_report.stats.grouped_jobs >= 2
-        assert ungrouped_report.stats.plan_groups == 0
+        assert set(ungrouped_report.stats.group_sizes) == {1}
+        assert ungrouped_report.stats.setup_reuse == 0
+        assert ungrouped_report.stats.runtime_context_hits == 0
 
     def test_grouped_matches_ungrouped_with_chunking(self):
         jobs = self._mixed_corpus(80)
-        grouped = BatchEngine(
-            registry=_registry(), group_by_plan=True, group_chunk_size=3
+        grouped = BatchEngine(registry=_registry(), group_chunk_size=3)
+        ungrouped = BatchEngine(
+            registry=_registry(), group_chunk_size=1, affinity=False
         )
-        ungrouped = BatchEngine(registry=_registry(), group_by_plan=False)
         grouped_report = grouped.run(jobs)
         assert _verdicts(grouped_report) == _verdicts(ungrouped.run(jobs))
         assert _cache_records(grouped) == _cache_records(ungrouped)
@@ -214,8 +216,10 @@ class TestGroupedScheduling:
         # every heavy question distinct per schema fragment shape: each
         # group holds one job, pays its own setup, reuses nothing
         jobs = [("A[not(B)]", "tiny"), ("title[not(para)]", "doc")]
-        grouped = BatchEngine(registry=_registry(), group_by_plan=True)
-        ungrouped = BatchEngine(registry=_registry(), group_by_plan=False)
+        grouped = BatchEngine(registry=_registry())
+        ungrouped = BatchEngine(
+            registry=_registry(), group_chunk_size=1, affinity=False
+        )
         grouped_report = grouped.run(jobs)
         assert _verdicts(grouped_report) == _verdicts(ungrouped.run(jobs))
         assert _cache_records(grouped) == _cache_records(ungrouped)
@@ -228,7 +232,7 @@ class TestGroupedScheduling:
         # many jobs, one plan, one schema: a single group chunk pays
         # setup once and every groupmate after the lead reuses it
         jobs = [(f"A[not({label})]", "tiny") for label in ("A", "B", "C")]
-        engine = BatchEngine(registry=_registry(), group_by_plan=True)
+        engine = BatchEngine(registry=_registry())
         report = engine.run(jobs)
         assert report.stats.plan_groups == 1
         assert report.stats.grouped_jobs == 3
@@ -242,8 +246,8 @@ class TestGroupedScheduling:
 
     def test_grouped_pool_matches_inline_grouped(self):
         jobs = self._mixed_corpus(60)
-        pooled = BatchEngine(registry=_registry(), workers=2, group_by_plan=True)
-        inline = BatchEngine(registry=_registry(), workers=1, group_by_plan=True)
+        pooled = BatchEngine(registry=_registry(), workers=2)
+        inline = BatchEngine(registry=_registry(), workers=1)
         pooled_report = pooled.run(jobs)
         inline_report = inline.run(jobs)
         assert _verdicts(pooled_report) == _verdicts(inline_report)
@@ -607,25 +611,25 @@ class TestStateDirHygiene:
         state_dir = str(tmp_path / "state")
         engine = BatchEngine(
             registry=_registry(), state_tier=state_dir,
-            group_by_plan=False, group_chunk_size=7,
+            affinity=False, group_chunk_size=7,
             decision_cap_per_schema=64, telemetry_max_age_days=3.0,
         )
         engine.run(_corpus(20))
         engine.save_state()
         state = _saved(state_dir)
         assert state.scheduler == {
-            "group_by_plan": False, "group_chunk_size": 7,
+            "group_chunk_size": 7,
             "decision_cap_per_schema": 64, "telemetry_max_age_days": 3.0,
-            "affinity": True, "lane_queue_depth": 4,
+            "affinity": False, "lane_queue_depth": 4,
         }
         reloaded = BatchEngine(registry=_registry(), state_tier=state_dir)
-        assert reloaded.group_by_plan is False
+        assert reloaded.affinity is False
         assert reloaded.group_chunk_size == 7
         # explicit constructor settings beat persisted ones
         explicit = BatchEngine(
-            registry=_registry(), state_tier=state_dir, group_by_plan=True
+            registry=_registry(), state_tier=state_dir, affinity=True
         )
-        assert explicit.group_by_plan is True
+        assert explicit.affinity is True
         assert explicit.group_chunk_size == 7
 
     def test_corrupt_scheduler_values_degrade_with_warnings(self, tmp_path):
@@ -635,10 +639,10 @@ class TestStateDirHygiene:
         state_dir.mkdir()
         (state_dir / "scheduler.json").write_text(json.dumps({
             "version": 1, "group_chunk_size": -4,
-            "telemetry_max_age_days": "soon", "group_by_plan": True,
+            "telemetry_max_age_days": "soon", "affinity": True,
         }))
         state = read_legacy_json(str(state_dir))
-        assert state.scheduler == {"group_by_plan": True}
+        assert state.scheduler == {"affinity": True}
         assert len(state.warnings) == 2
         engine = BatchEngine(registry=_registry(), state_tier=str(state_dir))
         assert engine.state_warnings == state.warnings

@@ -174,6 +174,69 @@ class TestEngineFailure:
         assert server.stats.results_streamed == 1
 
 
+    def test_inline_decider_bug_fails_only_its_lines(
+        self, engine, tmp_path, monkeypatch
+    ):
+        """A non-library exception from one in-process decision fails
+        only the lines asking that question: the rest of the micro-batch
+        still gets its answers."""
+        import dataclasses
+
+        from repro.sat import registry as sat_registry
+
+        spec = sat_registry.get_decider("downward")
+
+        def flaky(query, *args, **kwargs):
+            if str(query) == "C":
+                raise RuntimeError("latent decider bug")
+            return spec.fn(query, *args, **kwargs)
+
+        monkeypatch.setitem(
+            sat_registry._REGISTRY, "downward", dataclasses.replace(spec, fn=flaky)
+        )
+        jobs = [
+            {"query": "C", "schema": "catalog", "id": "doomed-1"},
+            {"query": "A", "schema": "catalog", "id": "fine-1"},
+            {"query": "B", "schema": "catalog", "id": "fine-2"},
+            {"query": "C", "schema": "catalog", "id": "doomed-2"},
+        ]
+        ready = threading.Event()
+        loops = []
+
+        def on_ready(server):
+            loops.append(asyncio.get_running_loop())
+            ready.set()
+
+        sock = str(tmp_path / "serve.sock")
+        server = EngineServer(engine, socket_path=sock, on_ready=on_ready)
+        thread = threading.Thread(target=server.run, daemon=True)
+        thread.start()
+        try:
+            assert ready.wait(timeout=30), "server did not come up"
+            client = socket.socket(socket.AF_UNIX)
+            client.settimeout(20)
+            client.connect(sock)
+            with client, client.makefile("rb") as stream:
+                # one write, so the lines share a micro-batch
+                client.sendall(b"".join(
+                    json.dumps(job).encode() + b"\n" for job in jobs
+                ))
+                records = [json.loads(stream.readline()) for _ in jobs]
+        finally:
+            if loops:
+                loops[0].call_soon_threadsafe(server.request_shutdown)
+            thread.join(timeout=30)
+        assert not thread.is_alive(), "server did not drain"
+        by_id = {record["id"]: record for record in records}
+        assert set(by_id) == {job["id"] for job in jobs}
+        for job_id in ("doomed-1", "doomed-2"):
+            assert "latent decider bug" in by_id[job_id]["error"]
+        for job_id in ("fine-1", "fine-2"):
+            assert "error" not in by_id[job_id], by_id[job_id]
+            assert by_id[job_id]["satisfiable"] is True
+        assert server.stats.inflight_jobs == 0
+
+
 # -- end-to-end smoke over a unix socket -----------------------------------------
 
 def _client_exchange(sock_path: str, jobs: list[dict]) -> list[dict]:

@@ -498,7 +498,6 @@ class TestPoolLanePromotion:
         registry.register("wide", dtd)
         engine = BatchEngine(
             registry=registry, workers=2, cost_model=cost_model,
-            group_by_plan=True,
         )
         try:
             report = engine.run([
