@@ -40,7 +40,7 @@ Subcommands
             --out results.jsonl --workers 4 --repeat 2 --state-dir state/
 
     Every decision runs as a chunk of jobs sharing a plan and a schema,
-    with shared per-plan setup: PTIME jobs as chunks of one, in-process
+    with shared per-schema setup: PTIME jobs as chunks of one, in-process
     and answered during the scan; heavy jobs in chunks of up to
     ``--group-chunk-size N`` (default 16), on worker lanes when
     ``--workers`` is above 1.  Chunks route to **persistent worker
@@ -94,8 +94,10 @@ Subcommands
     With ``--state-tier`` every worker warms its plan and cost caches
     from the shared SQLite tier before the router accepts traffic, so
     no process ever plans cold; on SIGTERM each worker drains and
-    merges its samples back.  ``--attach SOCKET`` routes to pre-started
-    engines instead of spawning.
+    merges its samples back.  Spawned workers run ``serve``'s default
+    settings: ``route`` passes none, and the tier never carries them.
+    ``--attach SOCKET`` routes to pre-started engines instead of
+    spawning.
 
 ``stats``
     Aggregate a batch result file (verdicts, methods, routes, schemas)::
@@ -692,7 +694,7 @@ def _add_state_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--state-tier", "--state-dir", dest="state_tier", metavar="PATH",
         help="persisted engine state (plans, telemetry, cost model, "
-             "decisions, tunables): a SQLite state tier at PATH, or at "
+             "decisions): a SQLite state tier at PATH, or at "
              "PATH/state.sqlite when PATH is a directory (a legacy JSON "
              "state dir there is imported on first open).  Any number of "
              "processes may load and save it at once; cost samples merge "
@@ -717,22 +719,19 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--group-chunk-size", type=int, default=None, metavar="N",
         help="max jobs per chunk of a heavy (pool-route) plan; PTIME "
-             "plans run in chunks of one (default 16, or the persisted "
-             "setting)",
+             "plans run in chunks of one (default 16)",
     )
     parser.add_argument(
         "--affinity", action=argparse.BooleanOptionalAction, default=None,
         help="route plan-group chunks to persistent worker lanes by "
              "schema-fingerprint affinity, so lane runtimes keep schemas "
-             "and prepared contexts warm across chunks (default: on, or "
-             "the persisted setting; --no-affinity restores "
-             "stateless pooling)",
+             "and prepared contexts warm across chunks (default: on; "
+             "--no-affinity restores stateless pooling)",
     )
     parser.add_argument(
         "--lane-queue-depth", type=int, default=None, metavar="N",
         help="in-flight chunks a preferred lane may hold before a chunk "
-             "spills to the least-loaded lane (default 4, or the "
-             "persisted setting)",
+             "spills to the least-loaded lane (default 4)",
     )
     parser.add_argument(
         "--decision-cap", type=int, default=None, metavar="N",

@@ -30,10 +30,11 @@ workload:
    folds every chunk back into results, counters, telemetry and traces;
 5. **plan-grouped scheduling** — a chunk pickles the DTD and plan once
    instead of per job, and the decider chain's ``prepare`` hooks
-   (:class:`repro.sat.planner.PlanContexts`) run once per chunk, so N
-   groupmates share per-plan setup (the types fixpoint's automata, the
-   bounded engine's schema classification and word tables) that per-job
-   dispatch rebuilds N times.  ``group_chunk_size=1, affinity=False``
+   (:class:`repro.sat.planner.SchemaContexts`) run at most once per
+   chunk, so N groupmates share per-schema setup (the types fixpoint's
+   automata, the bounded engine's schema classification and word
+   tables) that per-job dispatch rebuilds N times.
+   ``group_chunk_size=1, affinity=False``
    (``--group-chunk-size 1 --no-affinity``) dispatches per job; grouping
    is a pure scheduling change — verdicts, cache contents, and telemetry
    verdict mixes are identical either way (see
@@ -44,14 +45,17 @@ workload:
    :class:`~repro.engine.executors.PersistentPoolExecutor` of long-lived
    worker *lanes*, each holding a
    :class:`~repro.engine.executors.WorkerRuntime` that caches DTDs and
-   prepared contexts by schema fingerprint **across chunks**.  Chunks
+   prepared contexts by schema fingerprint **across chunks** (one
+   context per schema, shared by every plan asked of it).  Chunks
    route to lanes by schema-fingerprint affinity (a consistent hash,
-   spilling over when the preferred lane's queue is deep), the DTD
-   ships to a lane only on first touch, and a dead lane is respawned
-   cold with its in-flight chunks retried once.  Disable with
-   ``affinity=False`` (``--no-affinity``) for stateless runtimes (fresh
-   contexts per chunk, the DTD shipped every time); affinity is a pure
-   scheduling change too — same bit-identical guarantees as grouping;
+   spilling over when the preferred lane's queue is deeper than
+   ``lane_queue_depth``), the DTD ships to a lane only on first touch,
+   and a dead lane is respawned cold with its in-flight chunks retried
+   once.  Disable with ``affinity=False`` (``--no-affinity``) for
+   stateless runtimes (fresh contexts per chunk, the DTD shipped every
+   time); affinity is a pure scheduling change too — same bit-identical
+   guarantees as grouping.  The executors are built from ``affinity``
+   and ``lane_queue_depth``, so both are read-only after construction;
 7. **an engine lifecycle** — executors are *engine*-lifetime, not
    run-lifetime: worker lanes, their shipped-DTD sets, and their runtime
    context caches persist across :meth:`BatchEngine.run` calls, so the
@@ -89,7 +93,6 @@ from repro.engine.executors import (
     PersistentPoolExecutor,
 )
 from repro.engine.registry import SchemaArtifacts, SchemaRegistry
-from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import FAILED, JobTrace, Span, Tracer, attempt_spans
 from repro.sat.bounded import Bounds
@@ -105,8 +108,6 @@ from repro.xpath.ast import Path
 from repro.xpath.canonical import canonicalize
 from repro.xpath.fragments import features_of
 from repro.xpath.parser import parse_query
-
-_LOG = get_logger("repro.engine.batch")
 
 
 @dataclass(frozen=True)
@@ -245,12 +246,6 @@ class EngineStats:
         "executor", "respawns", "worker lanes respawned after death")
     chunk_retries: int = _counter(
         "executor", "chunk retries", "in-flight chunks retried after lane death")
-    # warm executors discarded this run because a tunable flipped (e.g.
-    # `affinity` changed between runs): each reset throws away a
-    # runtime's cached DTDs and contexts, so a nonzero value explains a
-    # cold-looking run on a long-lived engine
-    executor_resets: int = _counter(
-        "executor", "executor resets", "warm executors discarded after a tunable flip")
     # lane health (this run): per-chunk enqueue→absorb dwell (queue +
     # IPC time, executor execution excluded), and per-lane gauges — the
     # runtime context-cache occupancy and lifetime evictions reported by
@@ -497,7 +492,8 @@ class _GroupEntry:
 @dataclass
 class PlanGroup:
     """Jobs sharing one routing decision (``Plan.telemetry_key``) against
-    one schema — the scheduler's unit of shared per-plan setup.
+    one schema — the scheduler's unit of dispatch: a chunk ships the DTD
+    and plan once and shares the schema's ``prepare`` contexts.
 
     ``queued`` holds the entries not yet sent to an executor: they go
     out as one chunk as soon as ``chunk_size`` of them wait (1 for a
@@ -515,8 +511,7 @@ class PlanGroup:
 _PENDING = CachedDecision(None, "pending")
 
 
-#: scheduler tunable defaults (overridden by constructor arguments, then
-#: by the state tier's persisted tunables, in that order)
+#: scheduler setting defaults, for constructor arguments left None
 DEFAULT_GROUP_CHUNK_SIZE = 16
 DEFAULT_DECISION_CAP_PER_SCHEMA = 512
 DEFAULT_TELEMETRY_MAX_AGE_DAYS = 30.0
@@ -577,26 +572,12 @@ class BatchEngine:
                 f"telemetry_max_age_days must be positive, "
                 f"got {telemetry_max_age_days}"
             )
-        # scheduler tunables: explicit constructor arguments always win;
-        # ones left None take the state tier's persisted values (if any),
-        # then the defaults
-        self._explicit_tunables = {
-            name
-            for name, value in (
-                ("group_chunk_size", group_chunk_size),
-                ("decision_cap_per_schema", decision_cap_per_schema),
-                ("telemetry_max_age_days", telemetry_max_age_days),
-                ("affinity", affinity),
-                ("lane_queue_depth", lane_queue_depth),
-            )
-            if value is not None
-        }
         self.group_chunk_size = (
             group_chunk_size if group_chunk_size is not None
             else DEFAULT_GROUP_CHUNK_SIZE
         )
-        self.affinity = affinity if affinity is not None else DEFAULT_AFFINITY
-        self.lane_queue_depth = (
+        self._affinity = affinity if affinity is not None else DEFAULT_AFFINITY
+        self._lane_queue_depth = (
             lane_queue_depth if lane_queue_depth is not None
             else DEFAULT_LANE_QUEUE_DEPTH
         )
@@ -663,27 +644,34 @@ class BatchEngine:
         self.metrics_sources: list[Any] = []
         # both executors are engine-lifetime (created lazily): the inline
         # WorkerRuntime and the pool's lanes keep DTDs and prepared
-        # contexts warm across run() calls.  _pool_config remembers the
-        # tunables the pool was built with so a flip discards it cleanly
-        # (counted in executor_resets) instead of silently serving the
-        # new settings from a stale executor.
+        # contexts warm across run() calls
         self._inline_executor: InlineExecutor | None = None
         self._pool_executor: Executor | None = None
-        self._pool_config: tuple[bool, int] | None = None
-        self.executor_resets = 0
         self._closed = False
         self._next_task_id = 0
         if self.state_tier is not None:
             self.metrics_sources.append(self.state_tier)
             self.load_tier_state()
 
+    @property
+    def affinity(self) -> bool:
+        """Schema-affinity scheduling (read-only: the executors are built
+        from it)."""
+        return self._affinity
+
+    @property
+    def lane_queue_depth(self) -> int:
+        """In-flight chunks a preferred lane may hold before a chunk
+        spills (read-only: the pool is built from it)."""
+        return self._lane_queue_depth
+
     # -- state persistence --------------------------------------------------
     def load_tier_state(self) -> int:
         """Warm this engine from its state tier — the cache warming every
         process does before serving traffic: plan caches (applied now for
         registered schemas, at registration for later ones), telemetry,
-        cost-model measurements, cached decisions, and scheduler tunables
-        (which fill every tunable the constructor left unset).  After the
+        cost-model measurements and cached decisions.  Learned state
+        only: the tier never changes the engine's settings.  After the
         merge the tier's cost baseline is re-anchored, so later saves
         contribute only samples observed by *this* process.  Returns the
         number of plans available from persistence."""
@@ -701,21 +689,15 @@ class BatchEngine:
             self.cost_model.merge(state.cost_model)
         if state.decisions:
             self.persisted_decisions_loaded += self.cache.load_records(state.decisions)
-        for name in (
-            "group_chunk_size", "decision_cap_per_schema",
-            "telemetry_max_age_days", "affinity", "lane_queue_depth",
-        ):
-            if name in state.scheduler and name not in self._explicit_tunables:
-                setattr(self, name, state.scheduler[name])
         self.state_tier.note_cost_baseline(self.cost_model)
         return state.plan_count
 
     def save_state(self) -> str:
-        """Persist plan caches, telemetry, cost model, the decision cache,
-        and the scheduler tunables to the engine's state tier; returns
-        the database path.  Hygiene applies on the way out: cached
-        decisions are capped per schema and telemetry rows not seen
-        within ``telemetry_max_age_days`` are aged out."""
+        """Persist plan caches, telemetry, cost model, the decision cache
+        and this run's engine stats to the engine's state tier (never
+        its settings); returns the database path.  Hygiene applies on the
+        way out: cached decisions are capped per schema and telemetry
+        rows not seen within ``telemetry_max_age_days`` are aged out."""
         if self.state_tier is None:
             raise EngineError(
                 "no persistence target (engine has no state tier)"
@@ -725,13 +707,6 @@ class BatchEngine:
             telemetry=self.telemetry,
             cost_model=self.cost_model,
             cache=self.cache,
-            scheduler={
-                "group_chunk_size": self.group_chunk_size,
-                "decision_cap_per_schema": self.decision_cap_per_schema,
-                "telemetry_max_age_days": self.telemetry_max_age_days,
-                "affinity": self.affinity,
-                "lane_queue_depth": self.lane_queue_depth,
-            },
             decision_cap_per_schema=self.decision_cap_per_schema,
             telemetry_max_age_days=self.telemetry_max_age_days,
             engine_stats=(
@@ -793,7 +768,6 @@ class BatchEngine:
                 self._pool_executor.close()
         finally:
             self._pool_executor = None
-            self._pool_config = None
             if self._inline_executor is not None:
                 self._inline_executor.close()
                 self._inline_executor = None
@@ -810,44 +784,21 @@ class BatchEngine:
 
     # -- execution ----------------------------------------------------------
     def _inline(self) -> InlineExecutor:
-        """The engine-lifetime in-process executor.  Its runtime caches
-        survive across :meth:`run` calls; it is rebuilt only when the
-        affinity flag changed since it was built (e.g. a persisted
-        tunable arriving after first use, or a caller flipping the
-        attribute between runs) — the old executor is closed and the
-        reset is counted, never silent."""
-        if (
-            self._inline_executor is not None
-            and self._inline_executor.affinity != self.affinity
-        ):
-            _LOG.warning(
-                "affinity flipped to %s since the inline executor was "
-                "built; discarding its warm runtime", self.affinity,
-            )
-            self._inline_executor.close()
-            self._inline_executor = None
-            self.executor_resets += 1
+        """The engine-lifetime in-process executor: its runtime caches
+        survive across :meth:`run` calls."""
         if self._inline_executor is None:
             self._inline_executor = InlineExecutor(affinity=self.affinity)
         return self._inline_executor
 
     def _pool(self) -> Executor:
         """The engine-lifetime pool executor: lanes (and their shipped-DTD
-        sets and runtime caches) persist across :meth:`run` calls.  Like
-        :meth:`_inline`, a tunable flip discards the warm pool with an
-        accounted, logged reset."""
-        config = (self.affinity, self.lane_queue_depth)
-        if self._pool_executor is not None and self._pool_config != config:
-            _LOG.warning(
-                "scheduler tunables changed (affinity=%s, lane_queue_depth=%d)"
-                " since the pool was built; discarding its warm lanes",
-                *config,
-            )
-            self._discard_pool()
-            self.executor_resets += 1
+        sets and runtime caches) persist across :meth:`run` calls."""
         if self._pool_executor is None:
-            self._pool_executor = self._make_pool()
-            self._pool_config = config
+            self._pool_executor = self._executor_factory(
+                self.workers,
+                affinity=self.affinity,
+                lane_queue_depth=self.lane_queue_depth,
+            )
         return self._pool_executor
 
     def _discard_pool(self) -> None:
@@ -856,14 +807,6 @@ class BatchEngine:
                 self._pool_executor.close()
             finally:
                 self._pool_executor = None
-                self._pool_config = None
-
-    def _make_pool(self) -> Executor:
-        return self._executor_factory(
-            self.workers,
-            affinity=self.affinity,
-            lane_queue_depth=self.lane_queue_depth,
-        )
 
     def _take_task_id(self) -> int:
         self._next_task_id += 1
@@ -903,7 +846,6 @@ class BatchEngine:
         stats = EngineStats(workers=self.workers, affinity=self.affinity)
         planner_invocations_before = self.planner.invocations
         plan_hits_before = self.planner.cache_hits
-        resets_before = self.executor_resets
         tracer = self.tracer
         # job index -> its in-flight trace; a decided job's spans are
         # reassembled at absorb time from its chunk's outcome
@@ -1110,7 +1052,6 @@ class BatchEngine:
             raise
 
         stats.elapsed_s = time.perf_counter() - start
-        stats.executor_resets = self.executor_resets - resets_before
         stats.planner_invocations = self.planner.invocations - planner_invocations_before
         stats.plan_cache_hits = self.planner.cache_hits - plan_hits_before
         stats.persisted_plans_loaded = self.registry.persisted_plans

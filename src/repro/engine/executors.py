@@ -19,7 +19,7 @@ implementations:
   of a schema reuses the first chunk's prepared contexts;
 * :class:`PersistentPoolExecutor` — a pool of long-lived worker
   *lanes* (one process each), every lane owning a :class:`WorkerRuntime`
-  that caches DTDs and prepared :class:`~repro.sat.planner.PlanContexts`
+  that caches DTDs and prepared :class:`~repro.sat.planner.SchemaContexts`
   keyed by schema fingerprint **across chunks** — and, because the pool
   itself is engine-lifetime, across
   :meth:`~repro.engine.batch.BatchEngine.run` calls.  The scheduler routes a
@@ -50,7 +50,7 @@ from typing import Any, Iterator, Protocol, runtime_checkable
 
 from repro.errors import EngineError, job_error_text
 from repro.obs.log import get_logger
-from repro.sat.planner import ExecutionTrace, Plan, PlanContexts, execute_plan
+from repro.sat.planner import ExecutionTrace, Plan, SchemaContexts, execute_plan
 
 _LOG = get_logger("repro.engine.executors")
 
@@ -58,7 +58,7 @@ _LOG = get_logger("repro.engine.executors")
 #: error-or-None, trace attempts)
 GroupOutcome = tuple[bool | None, str, str, str | None, list[tuple[str, float, str]]]
 
-#: scheduler tunable defaults (see :class:`repro.engine.batch.BatchEngine`)
+#: scheduler setting default (see :class:`repro.engine.batch.BatchEngine`)
 DEFAULT_LANE_QUEUE_DEPTH = 4
 
 
@@ -80,9 +80,11 @@ class ChunkOutcome:
 
     ``error`` is a whole-chunk failure (the lane died and its one retry
     died too); otherwise ``outcomes`` has one entry per question.
-    ``runtime_hit`` means the lane served the chunk from an
-    already-prepared runtime context (the cross-chunk cache paid off);
-    the remaining flags record how the scheduler placed the chunk.
+    ``shared_setup`` means the plan's primary decider had a prepared
+    context for the chunk; ``runtime_hit`` means that context was built
+    before the chunk ran, by an earlier chunk of any plan on the schema
+    (the cross-chunk cache paid off); the remaining flags record how the
+    scheduler placed the chunk.
     """
 
     outcomes: list[GroupOutcome] = field(default_factory=list)
@@ -143,18 +145,19 @@ class WorkerRuntime:
     """Per-worker state that outlives a single chunk.
 
     Caches the schemas a lane has been shipped (``fingerprint -> DTD``)
-    and the prepared decider contexts per (fingerprint × plan telemetry
-    key), so the N-th chunk of a schema skips ``prepare`` entirely.  The
-    caches hold *pure* setup — Glushkov automata, termination fixpoints,
-    word tables — never verdicts, so a warm runtime cannot change an
-    answer (differential-checked).  With ``caching=False`` the runtime
-    degrades to PR-4 behaviour: fresh contexts per chunk, nothing
-    retained.
+    and one :class:`~repro.sat.planner.SchemaContexts` per fingerprint,
+    shared by every plan asked of the schema (``prepare`` hooks read
+    only the DTD), so the N-th chunk of a schema skips the ``prepare``
+    runs an earlier chunk made.  The caches hold *pure* setup — Glushkov
+    automata, termination fixpoints, word tables — never verdicts, so a
+    warm runtime cannot change an answer (differential-checked).  With
+    ``caching=False`` the runtime degrades to PR-4 behaviour: fresh
+    contexts per chunk, nothing retained.
 
     The context cache (the heavy objects) is LRU-bounded at
-    ``context_capacity`` (fingerprint × plan) entries, so a worker that
-    sees an endless stream of distinct schemas cannot grow without
-    limit; an evicted entry is simply rebuilt on its next chunk.  The
+    ``context_capacity`` schemas, so a worker that sees an endless
+    stream of distinct schemas cannot grow without limit; an evicted
+    entry is simply rebuilt on its next chunk.  The
     DTD map is kept in full — the parent tracks which schemas it
     shipped to a lane and never re-ships, so evicting a DTD would turn
     its next chunk into an error (see the module ROADMAP note on a
@@ -175,9 +178,7 @@ class WorkerRuntime:
         self.caching = caching
         self.context_capacity = capacity
         self._dtds: dict[str, Any] = {}
-        self._contexts: "OrderedDict[tuple[str, str], PlanContexts]" = (
-            OrderedDict()
-        )
+        self._contexts: "OrderedDict[str, SchemaContexts]" = OrderedDict()
         self.context_hits = 0
         self.context_misses = 0
         self.context_evictions = 0
@@ -198,26 +199,23 @@ class WorkerRuntime:
             return self._dtds.get(fingerprint)
         return None
 
-    def _contexts_for(self, task: ChunkTask, dtd) -> tuple[PlanContexts, bool]:
-        """The chunk's shared contexts and whether they were already warm
-        (a runtime hit).  Only chunks against a fingerprinted schema are
-        worth caching across chunks — a no-DTD plan has no ``prepare``
-        work to share."""
-        key = (task.fingerprint, task.plan.telemetry_key)
-        if self.caching and task.fingerprint is not None:
-            contexts = self._contexts.get(key)
-            if contexts is not None:
-                self.context_hits += 1
-                self._contexts.move_to_end(key)
-                return contexts, contexts.built > 0
-            contexts = PlanContexts(task.plan, dtd)
-            self._contexts[key] = contexts
-            self.context_misses += 1
-            while len(self._contexts) > self.context_capacity:
-                self._contexts.popitem(last=False)
-                self.context_evictions += 1
-            return contexts, False
-        return PlanContexts(task.plan, dtd), False
+    def _contexts_for(self, fingerprint: str | None, dtd) -> SchemaContexts:
+        """The schema's shared contexts.  Only chunks against a
+        fingerprinted schema are worth caching across chunks — a no-DTD
+        plan has no ``prepare`` work to share."""
+        if not self.caching or fingerprint is None:
+            return SchemaContexts(dtd)
+        contexts = self._contexts.get(fingerprint)
+        if contexts is not None:
+            self.context_hits += 1
+            self._contexts.move_to_end(fingerprint)
+            return contexts
+        contexts = self._contexts[fingerprint] = SchemaContexts(dtd)
+        self.context_misses += 1
+        while len(self._contexts) > self.context_capacity:
+            self._contexts.popitem(last=False)
+            self.context_evictions += 1
+        return contexts
 
     def run_chunk(self, task: ChunkTask, dtd=None) -> ChunkOutcome:
         """Decide every question in ``task`` (the chunk semantics of the
@@ -242,32 +240,30 @@ class WorkerRuntime:
             return ChunkOutcome(
                 error=f"lane runtime has no schema {task.fingerprint[:12]}"
             )
-        contexts, runtime_hit = self._contexts_for(task, dtd)
+        contexts = self._contexts_for(task.fingerprint, dtd)
         prepare_ms_before = contexts.prepare_ms
+        runtime_hit = task.plan.decider in contexts
         # build the primary's context eagerly: every question runs it, and
         # a failing prepare should be visible even if the first question
         # errors.  shared_setup is pinned here — a fallback context built
         # mid-chunk must not retroactively count earlier questions as
         # setup reuses
-        contexts.get(task.plan.decider)
-        shared_setup = contexts.built > 0
+        shared_setup = contexts.get(task.plan.decider) is not None
         outcomes = [
             self._run_question(task, canonical, dtd, contexts=contexts)
             for canonical in task.canonicals
         ]
         if contexts.prepare_error is not None:
             # a failed prepare is memoized only within the chunk (never
-            # re-run per question); evict the cached entry so the next
-            # chunk retries instead of degrading this schema × plan to
-            # per-job setup for the runtime's whole lifetime
-            self._contexts.pop(
-                (task.fingerprint, task.plan.telemetry_key), None
-            )
+            # re-run per question); evict the schema's entry so the next
+            # chunk retries instead of degrading this schema to per-job
+            # setup for the runtime's whole lifetime
+            self._contexts.pop(task.fingerprint, None)
         return ChunkOutcome(
             outcomes=outcomes,
             shared_setup=shared_setup,
             prepare_error=contexts.prepare_error,
-            runtime_hit=runtime_hit and shared_setup,
+            runtime_hit=runtime_hit,
             prepare_ms=contexts.prepare_ms - prepare_ms_before,
         )
 
@@ -301,7 +297,6 @@ class InlineExecutor:
     """
 
     def __init__(self, affinity: bool = True):
-        self.affinity = affinity
         self.runtime = WorkerRuntime(caching=affinity)
         self._queue: list[tuple[ChunkTask, Any]] = []
         self._stats = ExecutorStats(lanes=0)

@@ -5,21 +5,20 @@ the process: per-schema plan caches (the planner's routing decisions,
 keyed by feature signature), per-plan telemetry
 (:class:`~repro.sat.telemetry.PlanTelemetry`), the cost model's
 measured per-(signature × size-bucket) decider latencies
-(:class:`~repro.sat.costmodel.CostModel`), the decision cache, the
-scheduler tunables, and the last run's engine stats.  :class:`StateTier`
-keeps all of it in a single SQLite database that any number of
-processes on the host read and write concurrently, so a cold process
-that has seen the workload before builds **zero** plans and re-decides
-nothing the cache still covers:
+(:class:`~repro.sat.costmodel.CostModel`), the decision cache, and the
+last run's engine stats.  :class:`StateTier` keeps all of it in a single
+SQLite database that any number of processes on the host read and write
+concurrently, so a cold process that has seen the workload before builds
+**zero** plans and re-decides nothing the cache still covers:
 
 * **WAL mode** so readers never block the writer and vice versa, with a
   ``busy_timeout`` plus a bounded retry loop around every write
   transaction — two engines snapshotting at once serialize instead of
   failing;
 * **last-writer-wins per key** for plans (``fingerprint × signature``),
-  decisions (``query × fingerprint × bounds``), telemetry rows
-  (``telemetry_key``), and scheduler tunables — a newer snapshot of the
-  same key replaces the older one, different keys never interfere;
+  decisions (``query × fingerprint × bounds``) and telemetry rows
+  (``telemetry_key``) — a newer snapshot of the same key replaces the
+  older one, different keys never interfere;
 * **monotonic merge for cost samples**: each :meth:`save` writes only
   the samples this process observed since its last load/save (the delta
   against a per-handle baseline) and folds them into the stored cell
@@ -47,6 +46,11 @@ first open: :func:`read_legacy_json` — the only code that reads those
 files — imports them losslessly and leaves them in place, untouched.
 ``metrics.prom`` is written next to the database for textfile
 collectors.
+
+The tier holds learned state only.  An engine's settings come from its
+constructor (and the CLI flags that feed it), never from the tier;
+settings persisted by earlier versions (a legacy ``scheduler.json``, an
+old tier's ``scheduler`` table) are ignored.
 """
 
 from __future__ import annotations
@@ -88,11 +92,10 @@ PLANS_FILE = "plans.json"
 TELEMETRY_FILE = "telemetry.json"
 COST_MODEL_FILE = "cost_model.json"
 DECISIONS_FILE = "decisions.json"
-SCHEDULER_FILE = "scheduler.json"
 ENGINE_STATS_FILE = "engine_stats.json"
 _LEGACY_FILES = (
     PLANS_FILE, TELEMETRY_FILE, COST_MODEL_FILE,
-    DECISIONS_FILE, SCHEDULER_FILE, ENGINE_STATS_FILE,
+    DECISIONS_FILE, ENGINE_STATS_FILE,
 )
 
 
@@ -126,43 +129,6 @@ def _warn(warnings: list[str], message: str) -> None:
     _LOG.warning(message)
 
 
-#: persisted scheduler tunables: name -> validator returning the coerced
-#: value or raising
-_SCHEDULER_TUNABLES = {
-    "group_chunk_size": lambda value: _positive_int(value),
-    "decision_cap_per_schema": lambda value: _positive_int(value),
-    "telemetry_max_age_days": lambda value: _positive_float(value),
-    "affinity": lambda value: _strict_bool(value),
-    "lane_queue_depth": lambda value: _positive_int(value),
-}
-
-
-def _strict_bool(value) -> bool:
-    # no coercion: "false" (a string) silently becoming True would flip
-    # the scheduler behind the operator's back
-    if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
-    return value
-
-
-def _positive_int(value) -> int:
-    if isinstance(value, bool):  # bool is an int: true would become 1
-        raise ValueError(f"must be a number, got {value!r}")
-    coerced = int(value)
-    if coerced < 1:
-        raise ValueError(f"must be positive, got {value!r}")
-    return coerced
-
-
-def _positive_float(value) -> float:
-    if isinstance(value, bool):
-        raise ValueError(f"must be a number, got {value!r}")
-    coerced = float(value)
-    if coerced <= 0:
-        raise ValueError(f"must be positive, got {value!r}")
-    return coerced
-
-
 @dataclass
 class PersistedState:
     """Everything one :meth:`StateTier.load` (or the legacy JSON reader)
@@ -173,7 +139,6 @@ class PersistedState:
     telemetry: PlanTelemetry | None = None
     cost_model: CostModel | None = None
     decisions: list[tuple[tuple[str, str, str], dict[str, Any]]] = field(default_factory=list)
-    scheduler: dict[str, Any] = field(default_factory=dict)
     #: the last persisted EngineStats.as_dict() snapshot, if any
     engine_stats: dict[str, Any] | None = None
     warnings: list[str] = field(default_factory=list)
@@ -276,19 +241,6 @@ def read_legacy_json(state_dir: str) -> PersistedState:
         stats = record.get("stats")
         if isinstance(stats, dict):
             state.engine_stats = stats
-
-    record = _read_json(os.path.join(state_dir, SCHEDULER_FILE), state.warnings)
-    if record is not None:
-        for name, validate in _SCHEDULER_TUNABLES.items():
-            if name not in record:
-                continue
-            try:
-                state.scheduler[name] = validate(record[name])
-            except (ValueError, TypeError) as error:
-                _warn(
-                    state.warnings,
-                    f"{SCHEDULER_FILE}: {name}: {error}; ignored",
-                )
     return state
 
 
@@ -349,11 +301,6 @@ CREATE TABLE IF NOT EXISTS telemetry (
     key TEXT PRIMARY KEY,
     plan TEXT,
     stats TEXT NOT NULL,
-    updated REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS scheduler (
-    name TEXT PRIMARY KEY,
-    value TEXT NOT NULL,
     updated REAL NOT NULL
 );
 CREATE TABLE IF NOT EXISTS engine_stats (
@@ -581,7 +528,6 @@ class StateTier:
             decision_records=[
                 [list(key), record] for key, record in state.decisions
             ],
-            scheduler=state.scheduler or None,
             engine_stats=state.engine_stats,
             process="legacy-json",
             extra_meta={"migrated_from_json": str(time.time())},
@@ -674,18 +620,6 @@ class StateTier:
                 },
             ))
 
-        for name, value_json in self._conn.execute(
-            "SELECT name, value FROM scheduler"
-        ):
-            self.rows_read += 1
-            validate = _SCHEDULER_TUNABLES.get(name)
-            if validate is None:
-                continue
-            try:
-                state.scheduler[name] = validate(json.loads(value_json))
-            except (json.JSONDecodeError, ValueError, TypeError) as error:
-                self._warn(state, f"scheduler {name}: {error}; ignored")
-
         stats_row = self._conn.execute(
             "SELECT stats FROM engine_stats ORDER BY updated DESC, rowid DESC "
             "LIMIT 1"
@@ -761,7 +695,6 @@ class StateTier:
         telemetry: PlanTelemetry | None = None,
         cost_model: CostModel | None = None,
         cache=None,
-        scheduler: dict[str, Any] | None = None,
         decision_cap_per_schema: int | None = None,
         telemetry_max_age_days: float | None = None,
         engine_stats: dict[str, Any] | None = None,
@@ -804,7 +737,6 @@ class StateTier:
                     ),
                     decision_records=decision_records,
                     decision_cap_per_schema=decision_cap_per_schema,
-                    scheduler=scheduler,
                     engine_stats=engine_stats,
                 ),
             )
@@ -828,7 +760,6 @@ class StateTier:
         cost_min_samples: int | None = None,
         decision_records=None,
         decision_cap_per_schema: int | None = None,
-        scheduler: dict[str, Any] | None = None,
         engine_stats: dict[str, Any] | None = None,
         process: str | None = None,
         extra_meta: dict[str, str] | None = None,
@@ -944,17 +875,6 @@ class StateTier:
                             (fingerprint, fingerprint,
                              decision_cap_per_schema),
                         )
-
-            if scheduler is not None:
-                for name, value in scheduler.items():
-                    conn.execute(
-                        "INSERT INTO scheduler(name, value, updated) "
-                        "VALUES(?, ?, ?) "
-                        "ON CONFLICT(name) DO UPDATE SET "
-                        "value = excluded.value, updated = excluded.updated",
-                        (name, json.dumps(value), now),
-                    )
-                    self.rows_written += 1
 
             if engine_stats is not None:
                 identity = process if process is not None else self._identity()

@@ -41,8 +41,8 @@ from repro.sat.planner import (
     DEFAULT_PLANNER,
     ExecutionTrace,
     Plan,
-    PlanContexts,
     Planner,
+    SchemaContexts,
     build_plan,
     execute_plan,
 )
@@ -72,10 +72,10 @@ __all__ = [
     "size_bucket",
     "ExecutionTrace",
     "Plan",
-    "PlanContexts",
     "PlanStats",
     "PlanTelemetry",
     "Planner",
+    "SchemaContexts",
     "build_plan",
     "execute_plan",
     "decide",

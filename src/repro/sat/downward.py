@@ -27,7 +27,7 @@ from repro.errors import FragmentError
 from repro.regex.ops import shortest_word_containing
 from repro.sat.registry import DeciderSpec, register_decider
 from repro.sat.result import SatResult
-from repro.xmltree.generate import _minimal_node, minimal_tree
+from repro.xmltree.generate import _min_words, _minimal_node, minimal_tree
 from repro.xmltree.model import Node, XMLTree
 from repro.xpath import ast
 from repro.xpath.ast import Path
@@ -126,38 +126,32 @@ def _chain_tree(dtd: DTD, labels: list[str]) -> XMLTree:
     """A conforming tree containing the root-to-leaf label chain
     ``root/labels[0]/labels[1]/...``: each chain node's children word is a
     shortest word containing the next chain label, with the off-chain
-    positions expanded minimally."""
+    positions expanded minimally.  Built top-down in a loop: the chain
+    may be longer than the interpreter's recursion limit."""
     if not labels:
         return minimal_tree(dtd)
 
-    def build(label: str, remaining: list[str]) -> Node:
+    def make(label: str) -> Node:
         node = Node(label=label)
         for attr in sorted(dtd.attrs_of(label)):
             node.attrs[attr] = f"{attr}0"
-        if not remaining:
-            for child_label in _min_word(dtd, label):
-                node.append(_minimal_node(dtd, child_label))
-            return node
-        next_label = remaining[0]
-        word = shortest_word_containing(dtd.production(label), next_label)
-        if word is None:
-            raise AssertionError(f"{next_label} not a possible child of {label}")
-        placed = False
-        for symbol in word:
-            if symbol == next_label and not placed:
-                node.append(build(symbol, remaining[1:]))
-                placed = True
-            else:
-                node.append(_minimal_node(dtd, symbol))
         return node
 
-    return XMLTree(build(dtd.root, labels))
-
-
-def _min_word(dtd: DTD, label: str):
-    from repro.xmltree.generate import _min_words
-
-    return _min_words(dtd)[label]
+    root = node = make(dtd.root)
+    for next_label in labels:
+        word = shortest_word_containing(dtd.production(node.label), next_label)
+        if word is None:
+            raise AssertionError(f"{next_label} not a possible child of {node.label}")
+        chain_child = None
+        for symbol in word:
+            if symbol == next_label and chain_child is None:
+                chain_child = node.append(make(symbol))
+            else:
+                node.append(_minimal_node(dtd, symbol))
+        node = chain_child
+    for child_label in _min_words(dtd)[node.label]:
+        node.append(_minimal_node(dtd, child_label))
+    return XMLTree(root)
 
 
 SPEC = register_decider(DeciderSpec(

@@ -575,28 +575,21 @@ class PackedTypesContext:
         parent_labels: list[list[int]] = [[] for _ in self.labels]
         shifts = []
         accept_masks = []
-        # lanes keep one context per plan and schema, so equal tuples
-        # (many, over small automata) are stored once
-        shared: dict[tuple, tuple] = {}
-
-        def share(item: tuple) -> tuple:
-            return shared.setdefault(item, item)
-
         for label_id, name in enumerate(self.labels):
             tables = cached_tables(dtd.production(name))
             label_arcs = tuple(
-                share(tuple(
-                    share((succ, self.label_index[tables.symbols[succ]]))
+                tuple(
+                    (succ, self.label_index[tables.symbols[succ]])
                     for succ in state_arcs
-                ))
+                )
                 for state_arcs in tables.arcs
             )
             grouped: dict[int, list[tuple[int, int]]] = {}
             for state, state_arcs in enumerate(label_arcs):
                 for succ, child_label in state_arcs:
-                    grouped.setdefault(child_label, []).append(share((state, succ)))
+                    grouped.setdefault(child_label, []).append((state, succ))
             into = tuple(
-                (child_label, share(tuple(grouped[child_label])))
+                (child_label, tuple(grouped[child_label]))
                 for child_label in sorted(grouped)
             )
             for child_label, _pairs in into:

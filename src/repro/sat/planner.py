@@ -333,12 +333,13 @@ class ExecutionTrace:
     :class:`~repro.engine.batch.PlanGroup` chunk, ``group_size`` is the
     chunk's job count (0 = not run in a chunk), ``group_lead`` marks the
     chunk's first execution (so per-plan group counters tick once per
-    chunk), and ``shared_setup`` records whether the chain's ``prepare``
-    contexts were available (a ``False`` means ``prepare`` failed and the
-    chunk fell back to per-job setup).  ``runtime_hit`` marks a chunk
-    that found its contexts already prepared in a persistent worker
-    runtime (schema-affinity scheduling) instead of building them
-    itself."""
+    chunk), and ``shared_setup`` records whether the primary's
+    ``prepare`` context was available (a ``False`` means it has no hook,
+    or ``prepare`` failed and the chunk fell back to per-job setup).
+    ``runtime_hit`` marks a chunk that found the primary's context
+    already prepared in a persistent worker runtime (schema-affinity
+    scheduling), by an earlier chunk of any plan on the schema, instead
+    of building it itself."""
 
     attempts: list[tuple[str, float, str]] = field(default_factory=list)
     group_size: int = 0
@@ -368,28 +369,28 @@ class ExecutionTrace:
         return sum(elapsed for _name, elapsed, _outcome in self.attempts)
 
 
-class PlanContexts:
-    """Lazily built, memoized decider contexts for one plan × schema —
-    the shared-setup half of plan-grouped scheduling.
+class SchemaContexts:
+    """Lazily built, memoized decider contexts for one schema — the
+    shared-setup half of plan-grouped scheduling.
 
-    A group chunk shares one instance: each decider's ``prepare`` runs
-    the first time that decider actually executes — so a chain whose
-    primary answers every question never pays for the fallbacks' setup —
-    and the built context is reused by every later question in the
-    chunk.  A ``prepare`` that raises marks its decider context-less
-    (per-job setup, i.e. ungrouped behavior) instead of failing
-    execution; the first error message is kept for reporting.
+    Every ``prepare`` hook reads only the DTD, so one instance serves
+    every plan asked of the schema.  A chunk shares one instance: each
+    decider's ``prepare`` runs the first time that decider actually
+    executes — so a chain whose primary answers every question never
+    pays for the fallbacks' setup — and the built context is reused by
+    every later question.  A ``prepare`` that raises marks its decider
+    context-less (per-job setup, i.e. ungrouped behavior) instead of
+    failing execution; the first error message is kept for reporting.
 
     An instance may also outlive one chunk: the executor layer's
-    :class:`~repro.engine.executors.WorkerRuntime` keeps PlanContexts
-    keyed by (schema fingerprint × plan) across chunks, so the next
-    chunk of the same schema starts with ``built > 0`` and pays no
-    setup at all.  ``hits`` counts ``get`` calls served from the memo
-    (within and across chunks).
+    :class:`~repro.engine.executors.WorkerRuntime` keeps one per schema
+    fingerprint across chunks, so a later chunk of any plan on that
+    schema finds the contexts it shares already built (``name in
+    contexts``) and pays no setup for them.  ``hits`` counts ``get``
+    calls served from the memo (within and across chunks).
     """
 
-    def __init__(self, plan: Plan, dtd: DTD | None):
-        self._plan = plan
+    def __init__(self, dtd: DTD | None):
         self._dtd = dtd
         self._contexts: dict[str, Any] = {}
         self._unavailable: set[str] = set()
@@ -403,6 +404,10 @@ class PlanContexts:
     def __bool__(self) -> bool:
         # always consulted by execute_plan (laziness happens inside get)
         return self._dtd is not None
+
+    def __contains__(self, name: str) -> bool:
+        """Has decider ``name``'s context been built?"""
+        return name in self._contexts
 
     @property
     def built(self) -> int:
@@ -447,7 +452,7 @@ def execute_plan(
     *,
     pre_canonicalized: bool = False,
     trace: ExecutionTrace | None = None,
-    contexts: "dict[str, Any] | PlanContexts | None" = None,
+    contexts: "dict[str, Any] | SchemaContexts | None" = None,
 ) -> SatResult:
     """Run ``plan`` against a concrete query: apply its rewrite passes in
     order, then the decider chain.
@@ -465,7 +470,7 @@ def execute_plan(
     computes it for the decision-cache key).  ``trace``, when given, is
     filled with the per-member latencies and outcomes.  ``contexts`` maps
     decider names to the shared per-schema setup (a plain dict or a lazy
-    :class:`PlanContexts`); each member is looked up via ``.get``.
+    :class:`SchemaContexts`); each member is looked up via ``.get``.
     """
     for name in plan.rewrites:
         if pre_canonicalized and name == "canonicalize":

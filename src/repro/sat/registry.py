@@ -77,9 +77,10 @@ class DeciderSpec:
         Optional shared-setup hook ``prepare(dtd) -> context``: everything
         the procedure can precompute from the schema alone (classification
         predicates, Glushkov automata, content-model word tables).  The
-        plan-grouped batch scheduler calls it **once per group** of jobs
-        that share a plan and schema, then hands the context to every
-        ``call`` in the group — N jobs pay setup once instead of N times.
+        batch engine's worker runtimes call it **once per schema**, not
+        per plan (once per chunk with affinity off), then hand the
+        context to every ``call`` on that schema — N jobs pay setup once
+        instead of N times.
         A context is a pure cache: it must never change a verdict.
     accepts_context:
         The decision function takes a ``context=`` keyword carrying the

@@ -52,7 +52,7 @@ class PlanStats:
     fallbacks: int = 0  # executions answered by a non-primary chain member
     # plan-grouped scheduling: chunks this plan was dispatched in, jobs
     # executed inside a chunk, and jobs that reused a groupmate's
-    # prepare() context instead of paying per-plan setup themselves
+    # prepare() context instead of paying that setup themselves
     groups: int = 0
     grouped_jobs: int = 0
     setup_reuse: int = 0

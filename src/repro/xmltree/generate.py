@@ -119,12 +119,22 @@ def _min_words(dtd: DTD) -> dict[str, tuple[str, ...]]:
 
 
 def _minimal_node(dtd: DTD, label: str) -> Node:
+    """Built top-down with an explicit stack: a schema may be deeper than
+    the interpreter's recursion limit."""
     words = _min_words(dtd)
-    node = Node(label=label)
-    _fill_attrs(node, dtd, lambda _label, attr: f"{attr}0")
-    for child_label in words[label]:
-        node.append(_minimal_node(dtd, child_label))
-    return node
+
+    def make(name: str) -> Node:
+        node = Node(label=name)
+        _fill_attrs(node, dtd, lambda _label, attr: f"{attr}0")
+        return node
+
+    root = make(label)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child_label in words[node.label]:
+            stack.append(node.append(make(child_label)))
+    return root
 
 
 def minimal_node(dtd: DTD, label: str) -> Node:

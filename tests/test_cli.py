@@ -333,11 +333,9 @@ class TestBatch:
         assert cold["decide_calls"] > 0
         assert warm["decide_calls"] * 10 <= cold["decide_calls"]
 
-    def test_affinity_flags_reach_engine_and_persist(
+    def test_affinity_flags_reach_engine_and_do_not_persist(
         self, schema_dir, jobs_file, tmp_path, capsys
     ):
-        from repro.engine import StateTier
-
         state_dir = str(tmp_path / "state")
         code = main([
             "batch", jobs_file, "--schema-dir", schema_dir,
@@ -347,17 +345,14 @@ class TestBatch:
         assert code == 0
         out = capsys.readouterr().out
         assert "affinity off" in out
-        with StateTier(state_dir) as tier:
-            state = tier.load()
-        assert state.scheduler["affinity"] is False
-        assert state.scheduler["lane_queue_depth"] == 2
-        # a rerun without the flags picks up the persisted setting
+        # a rerun without the flags runs the defaults: the state dir holds
+        # learned state, never settings
         code = main([
             "batch", jobs_file, "--schema-dir", schema_dir,
             "--state-dir", state_dir,
         ])
         assert code == 0
-        assert "affinity off" in capsys.readouterr().out
+        assert "affinity on" in capsys.readouterr().out
 
     def test_bad_lane_queue_depth_exits_3(self, schema_dir, jobs_file, capsys):
         code = main([

@@ -309,21 +309,24 @@ class TestAffinityScheduling:
         assert stats.groups == 2
 
     def test_affinity_tunables_round_trip(self, tmp_path):
+        # the affinity settings round-trip through the constructor only:
+        # a later engine that sets one of them explicitly does not pick
+        # the other up from the tier
         state_dir = str(tmp_path / "state")
         engine = BatchEngine(
             registry=_registry(), state_tier=state_dir,
             affinity=False, lane_queue_depth=9,
         )
+        assert (engine.affinity, engine.lane_queue_depth) == (False, 9)
         engine.run(_corpus(10))
         engine.save_state()
-        reloaded = BatchEngine(registry=_registry(), state_tier=state_dir)
-        assert reloaded.affinity is False
-        assert reloaded.lane_queue_depth == 9
+        engine.close()
         explicit = BatchEngine(
-            registry=_registry(), state_tier=state_dir, affinity=True
+            registry=_registry(), state_tier=state_dir, affinity=False
         )
-        assert explicit.affinity is True
-        assert explicit.lane_queue_depth == 9
+        assert explicit.affinity is False
+        assert explicit.lane_queue_depth == 4
+        explicit.close()
 
 
 class TestEngineTelemetry:
@@ -607,47 +610,72 @@ class TestStateDirHygiene:
         with pytest.raises(ValueError):
             telemetry.prune(max_age_s=-1.0)
 
+    @staticmethod
+    def _settings(engine):
+        return (
+            engine.group_chunk_size, engine.decision_cap_per_schema,
+            engine.telemetry_max_age_days, engine.affinity,
+            engine.lane_queue_depth,
+        )
+
+    #: the five scheduler settings' defaults, in ``_settings`` order
+    DEFAULT_SETTINGS = (16, 512, 30.0, True, 4)
+
     def test_scheduler_tunables_round_trip(self, tmp_path):
+        # settings come only from the constructor: an engine that ran and
+        # saved with all five at non-default values leaves none of them
+        # to a later engine on the same tier
         state_dir = str(tmp_path / "state")
         engine = BatchEngine(
             registry=_registry(), state_tier=state_dir,
-            affinity=False, group_chunk_size=7,
-            decision_cap_per_schema=64, telemetry_max_age_days=3.0,
+            group_chunk_size=7, decision_cap_per_schema=64,
+            telemetry_max_age_days=3.0, affinity=False, lane_queue_depth=9,
         )
+        assert self._settings(engine) == (7, 64, 3.0, False, 9)
         engine.run(_corpus(20))
         engine.save_state()
-        state = _saved(state_dir)
-        assert state.scheduler == {
-            "group_chunk_size": 7,
-            "decision_cap_per_schema": 64, "telemetry_max_age_days": 3.0,
-            "affinity": False, "lane_queue_depth": 4,
-        }
+        engine.close()
         reloaded = BatchEngine(registry=_registry(), state_tier=state_dir)
-        assert reloaded.affinity is False
-        assert reloaded.group_chunk_size == 7
-        # explicit constructor settings beat persisted ones
-        explicit = BatchEngine(
-            registry=_registry(), state_tier=state_dir, affinity=True
-        )
-        assert explicit.affinity is True
-        assert explicit.group_chunk_size == 7
+        assert reloaded.persisted_decisions_loaded > 0   # learned state loads
+        assert self._settings(reloaded) == self.DEFAULT_SETTINGS
+        reloaded.close()
 
-    def test_corrupt_scheduler_values_degrade_with_warnings(self, tmp_path):
+    @pytest.mark.parametrize("source", ["legacy-json", "tier-row"])
+    def test_persisted_settings_are_ignored(self, tmp_path, source):
+        # settings an earlier version persisted (a legacy scheduler.json,
+        # or a row of an old tier's scheduler table) change nothing and
+        # warn about nothing
         import json
+        import sqlite3
 
         state_dir = tmp_path / "state"
-        state_dir.mkdir()
-        (state_dir / "scheduler.json").write_text(json.dumps({
-            "version": 1, "group_chunk_size": -4,
-            "telemetry_max_age_days": "soon", "affinity": True,
-        }))
-        state = read_legacy_json(str(state_dir))
-        assert state.scheduler == {"affinity": True}
-        assert len(state.warnings) == 2
+        if source == "legacy-json":
+            state_dir.mkdir()
+            (state_dir / "scheduler.json").write_text(json.dumps({
+                "version": 1, "group_chunk_size": -4,
+                "telemetry_max_age_days": "soon", "affinity": False,
+                "lane_queue_depth": 2,
+            }))
+        else:
+            writer = BatchEngine(registry=_registry(), state_tier=str(state_dir))
+            writer.run(_corpus(10))
+            writer.save_state()
+            writer.close()
+            conn = sqlite3.connect(state_dir / "state.sqlite")
+            with conn:
+                conn.execute(
+                    "CREATE TABLE scheduler (name TEXT PRIMARY KEY, "
+                    "value TEXT NOT NULL, updated REAL NOT NULL)"
+                )
+                conn.execute(
+                    "INSERT INTO scheduler VALUES ('affinity', 'false', 0)"
+                )
+            conn.close()
         engine = BatchEngine(registry=_registry(), state_tier=str(state_dir))
-        assert engine.state_warnings == state.warnings
-        assert engine.group_chunk_size == 16   # default, bad value ignored
+        assert engine.state_warnings == []
+        assert self._settings(engine) == self.DEFAULT_SETTINGS
         assert engine.run(_corpus(10)).stats.errors == 0
+        engine.close()
 
 
 class TestCostModelHygiene:

@@ -212,7 +212,6 @@ class TestTierBasics:
         assert state.plan_count >= 1
         assert state.decisions
         assert state.cost_model is not None and len(state.cost_model) >= 1
-        assert state.scheduler["group_chunk_size"] == 16
         assert state.telemetry is not None
 
         warm = BatchEngine(registry=_registry(), state_tier=tier_path)
@@ -590,7 +589,7 @@ class TestLegacyMigration:
         state = tier.load()
         tier.close()
 
-        # plans, decisions, cost cells, scheduler round-trip exactly
+        # plans, decisions, cost cells round-trip exactly
         assert {
             (fp, sig) for fp, plans in state.plans.items() for sig in plans
         } == {
@@ -600,7 +599,6 @@ class TestLegacyMigration:
             key for key, _ in legacy.decisions
         )
         assert state.cost_model.to_dict() == legacy.cost_model.to_dict()
-        assert state.scheduler == legacy.scheduler
         assert sorted(state.telemetry.items()) == sorted(
             legacy.telemetry.items()
         )

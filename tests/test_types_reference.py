@@ -15,7 +15,7 @@ replaced are kept here, verbatim, as the reference:
 * the worklist's work is bounded by a count, not a timing: on a chain
   schema each label is searched once;
 * witnesses deeper than the interpreter's recursion limit are built, and
-  answered through the engine.
+  answered through the engine (a Thm 4.1 witness as well).
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import pytest
 from repro.dtd import is_nonrecursive, parse_dtd, random_dtd
 from repro.engine import BatchEngine, Job, SchemaRegistry
 from repro.errors import ReproError
+from repro.sat.downward import METHOD as DOWNWARD_METHOD
+from repro.sat.downward import sat_downward
 from repro.sat.exptime_types import (
     METHOD,
     CompiledClosure,
@@ -331,6 +333,27 @@ class TestDeepWitnesses:
         # the engine classifies a schema when it is registered
         assert is_nonrecursive(chain_dtd(1200))
         assert not is_nonrecursive(chain_dtd(1200, last="a0?"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_downward_question_on_a_deep_schema(self, workers):
+        # one short Thm 4.1 question; its witness is as deep as the schema
+        dtd = chain_dtd(1200)
+        query = parse_query("a1")
+        result = sat_downward(query, dtd)
+        assert result.satisfiable is True
+        assert result.witness.depth() >= 1200
+        assert conforms(result.witness, dtd)
+        assert satisfies(result.witness, query)
+        registry = SchemaRegistry()
+        registry.register("chain", dtd)
+        engine = BatchEngine(registry=registry, workers=workers)
+        try:
+            (record,) = engine.run([Job("a1", "chain", "a1")]).results
+        finally:
+            engine.close()
+        assert record.error is None, record.error
+        assert record.satisfiable is True
+        assert record.method == DOWNWARD_METHOD
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_engine_answers_deep_questions(self, workers):
