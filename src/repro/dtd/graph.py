@@ -64,7 +64,9 @@ class DTDGraph:
     def shortest_path(self, source: str, target: str) -> list[str] | None:
         """A shortest path ``source, ..., target`` in ``G_D`` (vertex list,
         including both endpoints); ``None`` if unreachable.  A zero-length
-        path is returned when ``source == target``."""
+        path is returned when ``source == target``.  Children are visited
+        in sorted order, so the path does not depend on the string-hash
+        seed."""
         if source == target:
             return [source]
         parents: dict[str, str] = {}
@@ -72,7 +74,7 @@ class DTDGraph:
         seen = {source}
         while queue:
             current = queue.popleft()
-            for child in self.edges[current]:
+            for child in sorted(self.edges[current]):
                 if child in seen:
                     continue
                 parents[child] = current
@@ -122,12 +124,19 @@ class DTDGraph:
         """
         if self.has_cycle:
             raise ValueError("recursive DTD has unbounded document depth")
-        memo: dict[str, int] = {}
-
-        def depth(vertex: str) -> int:
-            if vertex not in memo:
+        # a post-order walk with an explicit stack: a vertex's depth is set
+        # once all its children have theirs, and a deep schema cannot
+        # exhaust the interpreter's recursion limit
+        depth: dict[str, int] = {}
+        stack = [(self.dtd.root, iter(self.edges[self.dtd.root]))]
+        while stack:
+            vertex, pending = stack[-1]
+            for child in pending:
+                if child not in depth:
+                    stack.append((child, iter(self.edges[child])))
+                    break
+            else:
+                stack.pop()
                 children = self.edges[vertex]
-                memo[vertex] = 0 if not children else 1 + max(depth(c) for c in children)
-            return memo[vertex]
-
-        return depth(self.dtd.root)
+                depth[vertex] = 1 + max(depth[c] for c in children) if children else 0
+        return depth[self.dtd.root]

@@ -54,12 +54,16 @@ Everything past the closure runs on machine integers:
 The Glushkov tables come from :mod:`repro.sat.bits`, whose packed word
 kernels the bounded and NEXPTIME deciders share.  ``first_cases`` and
 the step cases are also the query decomposition of
-:mod:`repro.sat.realworld`.
+:mod:`repro.sat.realworld`.  ``first_cases`` is not memoized: the
+closure decomposes each distinct path once to collect it and once to
+compile it, the ``realworld`` solver about once per qualifier and
+element type, and a process-wide memo keyed by whole paths cost about
+as much in hashing as it saved, while keeping parsed queries alive.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 
 from repro.dtd.model import DTD
@@ -101,24 +105,10 @@ class Check:
     residual: Path
 
 
-#: LRU-bounded: a long-lived engine sees an unbounded stream of distinct
-#: residual paths, so an unbounded memo here is a slow leak (the same
-#: shape the executor layer's WorkerRuntime context cache bounds)
-_CASES_CACHE_CAP = 4096
-_CASES_CACHE: OrderedDict[Path, tuple] = OrderedDict()
-
-
 def first_cases(path: Path) -> tuple:
-    """All first-step cases of a downward path (memoized, LRU-bounded)."""
-    cached = _CASES_CACHE.get(path)
-    if cached is None:
-        cached = tuple(_first_cases(path))
-        _CASES_CACHE[path] = cached
-        if len(_CASES_CACHE) > _CASES_CACHE_CAP:
-            _CASES_CACHE.popitem(last=False)
-    else:
-        _CASES_CACHE.move_to_end(path)
-    return cached
+    """All first-step cases of a downward path, built on every call (see
+    the module docstring)."""
+    return tuple(_first_cases(path))
 
 
 def _first_cases(path: Path) -> list:
@@ -131,7 +121,7 @@ def _first_cases(path: Path) -> list:
     if isinstance(path, ast.DescOrSelf):
         return [Done()]  # descendant-or-self is trivially nonempty at self
     if isinstance(path, ast.Union):
-        return list(first_cases(path.left)) + list(first_cases(path.right))
+        return _first_cases(path.left) + _first_cases(path.right)
     if isinstance(path, ast.Filter):
         if isinstance(path.path, ast.Empty):
             return [Check(path.qualifier, ast.Empty())]
@@ -141,29 +131,27 @@ def _first_cases(path: Path) -> list:
     if isinstance(path, ast.Seq):
         left, right = path.left, path.right
         if isinstance(left, ast.Empty):
-            return list(first_cases(right))
+            return _first_cases(right)
         if isinstance(left, ast.Label):
             return [Child(left.name, right)]
         if isinstance(left, ast.Wildcard):
             return [Child(None, right)]
         if isinstance(left, ast.DescOrSelf):
-            return list(first_cases(right)) + [Desc(right)]
+            return _first_cases(right) + [Desc(right)]
         if isinstance(left, ast.Union):
             return (
-                list(first_cases(ast.Seq(left.left, right)))
-                + list(first_cases(ast.Seq(left.right, right)))
+                _first_cases(ast.Seq(left.left, right))
+                + _first_cases(ast.Seq(left.right, right))
             )
         if isinstance(left, ast.Seq):
-            return list(first_cases(ast.Seq(left.left, ast.Seq(left.right, right))))
+            return _first_cases(ast.Seq(left.left, ast.Seq(left.right, right)))
         if isinstance(left, ast.Filter):
             if isinstance(left.path, ast.Empty):
                 return [Check(left.qualifier, right)]
-            return list(
-                first_cases(
-                    ast.Seq(
-                        left.path,
-                        ast.Seq(ast.Filter(ast.Empty(), left.qualifier), right),
-                    )
+            return _first_cases(
+                ast.Seq(
+                    left.path,
+                    ast.Seq(ast.Filter(ast.Empty(), left.qualifier), right),
                 )
             )
         raise FragmentError(f"unexpected step {left!r}")

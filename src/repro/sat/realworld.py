@@ -33,6 +33,13 @@ dynamic program over ``(element type, qualifier set)`` keys:
    chaotically to the least fixpoint so recursive schemas (``div`` in
    ``div``) converge without unsound provisional answers.
 
+The search runs on per-question integer ids: the solver interns every
+qualifier it meets, keys its tables by ``(element type, frozenset of
+ids)``, and an atom is a plain ``(label or None, id or -1)`` pair, so no
+table lookup hashes a path and no sort renders one.  One child of any
+label of a DC or DF content model fits on its own, so only assignments
+of two or more hosts run the multiset check.
+
 A SAT verdict carries a witness: each ``(type, qualifier set)`` key
 records the host children that made it true when it flipped, and the
 tree is read back from those records, with children words from the
@@ -61,7 +68,7 @@ from repro.dtd.properties import (
 from repro.errors import FragmentError, ReproError
 from repro.regex.ast import Concat, Epsilon, Optional, Regex, Star, Symbol
 from repro.regex.ast import Union as RUnion
-from repro.sat.exptime_types import Check, Child, Desc, Done, first_cases, _residual_qual
+from repro.sat.exptime_types import Check, Child, Desc, Done, first_cases
 from repro.sat.registry import DeciderSpec, register_decider
 from repro.sat.result import SatResult
 from repro.xmltree.generate import minimal_node
@@ -243,24 +250,11 @@ def prepare_realworld(dtd: DTD) -> RealWorldContext:
 
 # -- child requirement atoms -----------------------------------------------------
 
-@dataclass(frozen=True)
-class _ChildReq:
-    """Some child (with this label, or any when ``None``) satisfies the
-    residual qualifier (no constraint when ``None``)."""
-
-    label: str | None
-    qual: Qualifier | None
-
-
-@dataclass(frozen=True)
-class _DescReq:
-    """Some child has a self-or-descendant match — carried as the
-    already-wrapped ``↓*``-prefixed qualifier for the hosting child."""
-
-    qual: Qualifier
-
-
-_Atom = TUnion[_ChildReq, _DescReq]
+#: an atom ``(label, qualifier id)``: some child — with this label, or of
+#: any label when ``None`` — satisfies the interned qualifier (no
+#: constraint when the id is ``-1``).  A ``↓*`` case is the atom of its
+#: ``↓*``-prefixed residual with label ``None``: any child may host it.
+_Atom = tuple[str | None, int]
 
 
 def _partitions(items: list) -> Iterator[list[list]]:
@@ -281,9 +275,10 @@ def _partitions(items: list) -> Iterator[list[list]]:
 
 # -- the least-fixpoint solver ---------------------------------------------------
 
-#: a ``satset`` key: an element type and the qualifiers its node must meet
-_Key = tuple[str, frozenset[Qualifier]]
-#: the children that made a key true: ``(host label, host qualifiers)``
+#: a ``satset`` key: an element type and the ids of the qualifiers its
+#: node must meet
+_Key = tuple[str, frozenset[int]]
+#: the children that made a key true: ``(host label, host qualifier ids)``
 _Hosts = tuple[_Key, ...]
 
 
@@ -297,30 +292,50 @@ class _Solver:
     Sound because the fragment is negation-free, so the underlying
     operator is monotone and the stabilized table is the least fixpoint.
 
+    Qualifiers are interned per question: :meth:`intern` numbers each
+    distinct qualifier the first time the solver meets it (the goal
+    ``PathExists(query)`` is 0, then residuals in ``first_cases`` order),
+    and every table is keyed by small ints: no memo lookup hashes a path
+    and no sort renders one, and a qualifier is hashed only when a
+    decomposition step produces it.  First-sight order is deterministic,
+    so the search order does not depend on the string-hash seed.
+
     When a key flips to true, ``hosts`` records the ``(host label, host
-    qualifier set)`` children that made it true.  Those keys were all
+    qualifier ids)`` children that made it true.  Those keys were all
     true already, so the records form a well-founded derivation that
     :meth:`witness` turns into a tree.
     """
 
     dtd: DTD
     context: RealWorldContext
+    #: qualifier id -> qualifier, and back
+    quals: list[Qualifier] = field(default_factory=list)
+    ids: dict[Qualifier, int] = field(default_factory=dict)
     memo: dict[_Key, bool] = field(default_factory=dict)
     hosts: dict[_Key, _Hosts] = field(default_factory=dict)
-    pass_done: set = field(default_factory=set)
-    active: set = field(default_factory=set)
+    pass_done: set[_Key] = field(default_factory=set)
+    active: set[_Key] = field(default_factory=set)
     steps: int = 0
     passes: int = 0
     changed: bool = False
 
+    def intern(self, qualifier: Qualifier) -> int:
+        qid = self.ids.get(qualifier)
+        if qid is None:
+            qid = self.ids[qualifier] = len(self.quals)
+            self.quals.append(qualifier)
+        return qid
+
+    def goal(self, query: Path) -> _Key:
+        return self.dtd.root, frozenset({self.intern(ast.PathExists(query))})
+
     def top(self, query: Path) -> bool:
-        goal_label = self.dtd.root
-        goal_quals = frozenset({ast.PathExists(query)})
+        goal_label, goal_ids = self.goal(query)
         while True:
             self.passes += 1
             self.changed = False
             self.pass_done.clear()
-            if self.satset(goal_label, goal_quals):
+            if self.satset(goal_label, goal_ids):
                 return True
             if not self.changed:
                 return False
@@ -332,10 +347,10 @@ class _Solver:
                 f"realworld solver exceeded {MAX_STEPS} steps; falling back"
             )
 
-    def satset(self, label: str, quals: frozenset[Qualifier]) -> bool:
-        if not quals:
+    def satset(self, label: str, ids: frozenset[int]) -> bool:
+        if not ids:
             return True
-        key = (label, quals)
+        key = (label, ids)
         if self.memo.get(key):
             return True
         if key in self.active or key in self.pass_done:
@@ -347,7 +362,7 @@ class _Solver:
         self._step()
         self.active.add(key)
         try:
-            hosts = self._compute(label, quals)
+            hosts = self._compute(label, ids)
         finally:
             self.active.discard(key)
         self.pass_done.add(key)
@@ -361,13 +376,13 @@ class _Solver:
         self.changed = True
         return True
 
-    def _compute(self, label: str, quals: frozenset[Qualifier]) -> _Hosts | None:
-        """The hosts of one way to satisfy ``quals`` at ``label``, or
-        ``None`` when there is none yet."""
+    def _compute(self, label: str, ids: frozenset[int]) -> _Hosts | None:
+        """The hosts of one way to satisfy the qualifiers ``ids`` at
+        ``label``, or ``None`` when there is none yet."""
         option_lists: list[list[frozenset[_Atom]]] = []
         total = 1
-        for qual in sorted(quals, key=str):
-            choices = self.options(qual, label)
+        for qid in sorted(ids):
+            choices = self.options(self.quals[qid], label)
             if not choices:
                 return None
             option_lists.append(choices)
@@ -392,10 +407,12 @@ class _Solver:
         return None
 
     # disjunctive decomposition: each qualifier becomes a list of choices,
-    # each choice a (possibly empty) set of child/descendant atoms
+    # each choice a (possibly empty) set of child atoms
 
     def options(self, qual: Qualifier, label: str) -> list[frozenset[_Atom]]:
         self._step()
+        if isinstance(qual, ast.PathExists):
+            return self.path_options(qual.path, label)
         if isinstance(qual, ast.LabelTest):
             return [frozenset()] if qual.name == label else []
         if isinstance(qual, ast.And):
@@ -408,23 +425,24 @@ class _Solver:
             return [l | r for l in left for r in right]
         if isinstance(qual, ast.Or):
             return self.options(qual.left, label) + self.options(qual.right, label)
-        if isinstance(qual, ast.PathExists):
-            return self.path_options(qual.path, label)
         raise FragmentError(f"unexpected qualifier {qual!r}")
 
     def path_options(self, path: Path, label: str) -> list[frozenset[_Atom]]:
         self._step()
         choices: list[frozenset[_Atom]] = []
         for case in first_cases(path):
-            if isinstance(case, Done):
+            if isinstance(case, Child):
+                residual = case.residual
+                qid = (
+                    -1 if isinstance(residual, ast.Empty)
+                    else self.intern(ast.PathExists(residual))
+                )
+                choices.append(frozenset({(case.label, qid)}))
+            elif isinstance(case, Done):
                 choices.append(frozenset())
-            elif isinstance(case, Child):
-                choices.append(frozenset({
-                    _ChildReq(case.label, _residual_qual(case.residual)),
-                }))
             elif isinstance(case, Desc):
                 wrapped = ast.PathExists(ast.Seq(ast.DescOrSelf(), case.residual))
-                choices.append(frozenset({_DescReq(wrapped)}))
+                choices.append(frozenset({(None, self.intern(wrapped))}))
             elif isinstance(case, Check):
                 quals = self.options(case.qualifier, label)
                 paths = self.path_options(case.residual, label)
@@ -448,28 +466,28 @@ class _Solver:
         distinct hosts are feasible most often — then hosts get labels
         and the multiset is checked."""
         model = self.context.models[label]
-        atom_list = sorted(atoms, key=str)
-        partitions = sorted(_partitions(atom_list), key=len, reverse=True)
+        if len(atoms) == 1:
+            partitions: list[list[list[_Atom]]] = [[list(atoms)]]
+        else:
+            atom_list = sorted(atoms, key=lambda atom: (atom[0] or "", atom[1]))
+            partitions = sorted(_partitions(atom_list), key=len, reverse=True)
         for blocks in partitions:
             self._step()
-            infos: list[tuple[tuple[str, ...], frozenset[Qualifier]]] = []
+            infos: list[tuple[tuple[str, ...], frozenset[int]]] = []
             viable = True
             total = 1
             for block in blocks:
                 fixed: str | None = None
-                quals: set[Qualifier] = set()
-                for atom in block:
-                    if isinstance(atom, _ChildReq):
-                        if atom.label is not None:
-                            if fixed is None:
-                                fixed = atom.label
-                            elif fixed != atom.label:
-                                viable = False
-                                break
-                        if atom.qual is not None:
-                            quals.add(atom.qual)
-                    else:
-                        quals.add(atom.qual)
+                block_ids: set[int] = set()
+                for atom_label, qid in block:
+                    if atom_label is not None:
+                        if fixed is None:
+                            fixed = atom_label
+                        elif fixed != atom_label:
+                            viable = False
+                            break
+                    if qid >= 0:
+                        block_ids.add(qid)
                 if not viable:
                     break
                 if fixed is not None:
@@ -482,7 +500,7 @@ class _Solver:
                     if not candidates:
                         viable = False
                         break
-                infos.append((candidates, frozenset(quals)))
+                infos.append((candidates, frozenset(block_ids)))
                 total *= len(candidates)
             if not viable:
                 continue
@@ -493,14 +511,18 @@ class _Solver:
                 )
             for assignment in product(*(candidates for candidates, _ in infos)):
                 self._step()
-                if not model.feasible(Counter(assignment)):
+                # one child of any label of a DC or DF content model fits on
+                # its own (a DC label is mandatory or pumpable, and every
+                # label of a DF production occurs in some word), so only two
+                # or more hosts need the multiset check
+                if len(assignment) > 1 and not model.feasible(Counter(assignment)):
                     continue
                 if all(
-                    self.satset(host, quals)
-                    for host, (_, quals) in zip(assignment, infos)
+                    self.satset(host, ids)
+                    for host, (_, ids) in zip(assignment, infos)
                 ):
                     return tuple(
-                        (host, quals) for host, (_, quals) in zip(assignment, infos)
+                        (host, ids) for host, (_, ids) in zip(assignment, infos)
                     )
         return None
 
@@ -509,18 +531,18 @@ class _Solver:
     def witness(self, query: Path) -> XMLTree:
         """A conforming tree satisfying ``query``, after :meth:`top` found
         it satisfiable."""
-        return XMLTree(self._realize(self.dtd.root, frozenset({ast.PathExists(query)})))
+        return XMLTree(self._realize(*self.goal(query)))
 
-    def _realize(self, label: str, quals: frozenset[Qualifier]) -> Node:
-        hosts = self.hosts[(label, quals)] if quals else ()
+    def _realize(self, label: str, ids: frozenset[int]) -> Node:
+        hosts = self.hosts[(label, ids)] if ids else ()
         if not hosts:
             return minimal_node(self.dtd, label)
         node = Node(label=label)
         for attr in sorted(self.dtd.attrs_of(label)):
             node.attrs[attr] = f"{attr}0"
-        waiting: dict[str, list[frozenset[Qualifier]]] = {}
-        for host, host_quals in hosts:
-            waiting.setdefault(host, []).append(host_quals)
+        waiting: dict[str, list[frozenset[int]]] = {}
+        for host, host_ids in hosts:
+            waiting.setdefault(host, []).append(host_ids)
         need = {host: len(pending) for host, pending in waiting.items()}
         for symbol in _word_holding(self.context.models[label].production, need):
             pending = waiting.get(symbol)
@@ -543,15 +565,18 @@ def sat_realworld(
     planner falls through to the EXPTIME chain with verdicts unchanged.
     """
     rewritten = query
-    if CHILD_UP.contains(query) and not DOWNWARD_QUAL.contains(query):
+    features = features_of(query)
+    if not features <= DOWNWARD_QUAL.allowed and features <= CHILD_UP.allowed:
         result = upward_to_qualifiers(query)
         if not result.complete:
             return SatResult(False, METHOD, reason="query climbs above the root")
         rewritten = result.path
-    if not DOWNWARD_QUAL.contains(rewritten):
+        features = features_of(rewritten)
+    missing = features - DOWNWARD_QUAL.allowed
+    if missing:
         raise FragmentError(
             "sat_realworld requires X(child,dos,union,qual) or X(child,parent); "
-            f"query uses {sorted(str(f) for f in DOWNWARD_QUAL.missing(rewritten))} extra"
+            f"query uses {sorted(str(f) for f in missing)} extra"
         )
     if context is None:
         context = prepare_realworld(dtd)

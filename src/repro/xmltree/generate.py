@@ -14,6 +14,7 @@ always carry exactly the attributes the DTD requires.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Callable
 
 from repro.dtd.model import DTD
@@ -47,22 +48,37 @@ def label_checked(dtd: DTD, label: str) -> str:
 def _min_expansion_words(dtd: DTD) -> dict[str, tuple[str, ...]]:
     """For each element type, a children word minimizing completion depth.
 
-    Computed by a Dijkstra-like relaxation on "depth needed to terminate".
+    A relaxation on "depth needed to terminate", run as a reverse-
+    dependency worklist (the shape of
+    :func:`repro.dtd.properties.terminating_types`): every type is tried
+    once, in sorted order, and a type is tried again only when a type its
+    production mentions gets a smaller depth, its dependents queued in
+    sorted order.  So a chain settles in one pass rather than one level
+    per round, and the words do not depend on the string-hash seed.
     """
+    dependents: dict[str, set[str]] = {}
+    for element_type in dtd.element_types:
+        for symbol in dtd.production(element_type).alphabet():
+            dependents.setdefault(symbol, set()).add(element_type)
     depth: dict[str, int] = {}
     word: dict[str, tuple[str, ...]] = {}
-    changed = True
-    while changed:
-        changed = False
-        for element_type in dtd.element_types:
-            best = _best_word(dtd.production(element_type), depth)
-            if best is None:
-                continue
-            candidate_word, candidate_depth = best
-            if element_type not in depth or candidate_depth < depth[element_type]:
-                depth[element_type] = candidate_depth
-                word[element_type] = candidate_word
-                changed = True
+    queue = deque(sorted(dtd.element_types))
+    queued = set(queue)
+    while queue:
+        element_type = queue.popleft()
+        queued.discard(element_type)
+        best = _best_word(dtd.production(element_type), depth)
+        if best is None:
+            continue
+        candidate_word, candidate_depth = best
+        if element_type in depth and candidate_depth >= depth[element_type]:
+            continue
+        depth[element_type] = candidate_depth
+        word[element_type] = candidate_word
+        for dependent in sorted(dependents.get(element_type, ())):
+            if dependent not in queued:
+                queued.add(dependent)
+                queue.append(dependent)
     missing = dtd.element_types - set(depth)
     if missing:
         raise DTDError(f"non-terminating element types: {sorted(missing)}")
@@ -193,8 +209,6 @@ def _completion_suffix(
             return None
         current = nxt
     # BFS to an accepting state.
-    from collections import deque
-
     queue: deque[tuple[int, tuple[str, ...]]] = deque((state, ()) for state in current)
     seen = set(current)
     while queue:

@@ -352,6 +352,8 @@ class TestFeasibilityModels:
             except _TooWide:
                 continue
             assert model.feasible(need) == expected, (production, need)
+            # the solver admits one host of any label without a check
+            assert all(model.feasible({label: 1}) for label in model.alphabet)
             checked += 1
             dc_checked += isinstance(model, _DCModel)
             df_checked += not isinstance(model, _DCModel)
@@ -396,19 +398,41 @@ class TestDifferential:
         assert declines <= 5  # typical traffic stays far inside the budgets
 
     def test_parent_axis_matches_routed_dispatch(self):
+        # parent-axis queries on the XHTML-like schema, then the engine's
+        # question shape: 300 distinct realworld_jobs questions over the
+        # corpus, in both fragments; every SAT witness is checked too
         from repro.sat import decide
 
         rng = random.Random(11)
         registry = SchemaRegistry()
-        registry.register("xhtml", xhtml_like_dtd())
-        artifacts = registry.get("xhtml")
-        labels = sorted(artifacts.dtd.element_types)
-        for _ in range(15):
-            query = random_query(rng, frag.CHILD_UP, labels, max_depth=3)
-            mine = sat_realworld(query, artifacts.dtd)
+        for name, dtd in realworld_schemas().items():
+            registry.register(name, dtd)
+        labels = sorted(registry.get("xhtml").dtd.element_types)
+        inputs = [
+            ("xhtml", random_query(rng, frag.CHILD_UP, labels, max_depth=3))
+            for _ in range(15)
+        ]
+        inputs += [
+            (job.schema, parse_query(job.query_text))
+            for job in realworld_jobs(
+                random.Random(20130803), 300, duplicate_rate=0.0
+            )
+        ]
+        contexts = {
+            name: prepare_realworld(registry.get(name).dtd)
+            for name in ("xhtml", "docbook", "rss")
+        }
+        witnesses = 0
+        for name, query in inputs:
+            artifacts = registry.get(name)
+            mine = sat_realworld(query, artifacts.dtd, contexts[name])
             with sat_registry.disabled("realworld"):
                 reference = decide(query, artifacts=artifacts)
-            assert mine.satisfiable == reference.satisfiable, str(query)
+            assert mine.satisfiable == reference.satisfiable, (name, str(query))
+            if mine.is_sat:
+                _assert_witness(mine, query, artifacts.dtd)
+                witnesses += 1
+        assert witnesses >= 100
 
     def test_oracle_cross_check_has_no_disagreements(self):
         # the corpus rows added for this decider: small DC/DF-restrained

@@ -10,9 +10,13 @@ must agree with the EXPTIME types fixpoint.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.dtd import parse_dtd, random_dtd
 from repro.errors import FragmentError
 from repro.sat import (
@@ -374,3 +378,63 @@ class TestBoundedEngine:
         result = sat_bounded(recursive_dtd and query, recursive_dtd, Bounds(max_depth=5, max_width=4))
         assert result.is_sat
         check_witness(result, recursive_dtd, query)
+
+
+#: dumps a digest of ``sat_downward`` witnesses over seeded random DTDs
+#: and of ``sat_realworld`` witnesses over the real-world corpus
+WITNESS_DUMP = """
+import hashlib, random
+from repro.dtd import random_dtd
+from repro.errors import ReproError
+from repro.sat.downward import sat_downward
+from repro.sat.realworld import prepare_realworld, sat_realworld
+from repro.workloads import random_query
+from repro.workloads.realworld import realworld_schemas
+from repro.xpath import fragments as frag
+
+rng = random.Random(20050613)
+digest = hashlib.sha256()
+counts = [0, 0]
+for _ in range(90):
+    dtd = random_dtd(rng, n_types=rng.randint(4, 10))
+    labels = sorted(dtd.element_types)
+    for _ in range(20):
+        query = random_query(rng, frag.DOWNWARD, labels, max_depth=3)
+        witness = sat_downward(query, dtd).witness
+        if witness is not None:
+            digest.update(witness.pretty().encode())
+            counts[0] += 1
+for name, dtd in sorted(realworld_schemas().items()):
+    context = prepare_realworld(dtd)
+    labels = sorted(dtd.element_types)
+    for fragment in (frag.DOWNWARD_QUAL, frag.CHILD_UP):
+        for _ in range(80):
+            query = random_query(rng, fragment, labels, max_depth=3)
+            try:
+                witness = sat_realworld(query, dtd, context).witness
+            except ReproError:
+                continue
+            if witness is not None:
+                digest.update(witness.pretty().encode())
+                counts[1] += 1
+print(*counts, digest.hexdigest())
+"""
+
+
+class TestWitnessDeterminism:
+    def test_witnesses_do_not_depend_on_the_hash_seed(self):
+        # one query on one DTD yields one tree in every process: the
+        # ``**`` paths and the minimal completions walk sorted labels
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        dumps = []
+        for seed in ("0", "1"):
+            env["PYTHONHASHSEED"] = seed
+            completed = subprocess.run(
+                [sys.executable, "-c", WITNESS_DUMP], env=env,
+                capture_output=True, text=True, timeout=120, check=True,
+            )
+            dumps.append(completed.stdout)
+        downward, realworld, _digest = dumps[0].split()
+        assert int(downward) >= 1000 and int(realworld) >= 150
+        assert dumps[0] == dumps[1]

@@ -26,6 +26,7 @@ from collections import deque
 import pytest
 
 from repro.dtd import is_nonrecursive, parse_dtd, random_dtd
+from repro.dtd.properties import max_document_depth
 from repro.engine import BatchEngine, Job, SchemaRegistry
 from repro.errors import ReproError
 from repro.sat.downward import METHOD as DOWNWARD_METHOD
@@ -38,6 +39,7 @@ from repro.sat.exptime_types import (
     sat_exptime_types,
 )
 from repro.workloads import batch_jobs, random_query, wide_dtd
+from repro.xmltree import generate
 from repro.xmltree.validate import conforms
 from repro.xpath import ast, parse_query
 from repro.xpath.fragments import REC_NEG_DOWN, REC_NEG_DOWN_UNION
@@ -333,6 +335,26 @@ class TestDeepWitnesses:
         # the engine classifies a schema when it is registered
         assert is_nonrecursive(chain_dtd(1200))
         assert not is_nonrecursive(chain_dtd(1200, last="a0?"))
+
+    def test_document_depth_of_a_deep_schema(self):
+        # the bounded decider reads it on nonrecursive schemas
+        assert max_document_depth(chain_dtd(1200)) == 1200
+
+    def test_minimal_words_settle_in_one_pass(self, monkeypatch):
+        # a worklist tries each type once, then again when the type below
+        # it settles; a round-based relaxation settles one level per round
+        calls = []
+        original = generate._best_word
+
+        def counted(production, depth):
+            calls.append(1)
+            return original(production, depth)
+
+        monkeypatch.setattr(generate, "_best_word", counted)
+        dtd = chain_dtd(1200)
+        words = generate._min_expansion_words(dtd)
+        assert words["a0"] == ("a1",) and words["a1200"] == ()
+        assert len(calls) <= 3 * len(dtd.element_types)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_downward_question_on_a_deep_schema(self, workers):
