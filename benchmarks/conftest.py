@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import random
+import statistics
 
 import pytest
 
@@ -31,6 +32,18 @@ def format_table(headers: list[str], rows: list[list[object]]) -> str:
     for row in rendered_rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
+
+
+def timing_summary(trial_ms: list[float]) -> dict:
+    """Median, min and interquartile range of per-trial milliseconds,
+    with the trials themselves, as the kernel harnesses record them."""
+    quartiles = statistics.quantiles(trial_ms, n=4, method="inclusive")
+    return {
+        "median": round(statistics.median(trial_ms), 4),
+        "min": round(min(trial_ms), 4),
+        "iqr": round(quartiles[2] - quartiles[0], 4),
+        "trials": [round(ms, 4) for ms in trial_ms],
+    }
 
 
 @pytest.fixture

@@ -161,6 +161,7 @@ from repro.obs import (
 )
 from repro.sat import DEFAULT_PLANNER, decide
 from repro.xpath import parse_query
+from repro.xpath.canonical import canonicalize
 from repro.xpath.fragments import features_of
 
 
@@ -223,7 +224,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.sat import Planner
 
     query = parse_query(args.query)
-    features = features_of(query)
+    # planned on the canonical form, as the engine and decide() plan
+    features = features_of(canonicalize(query))
     state = _load_tier(args)[0] if args.state_tier is not None else None
     planner = (
         Planner(cost_model=state.cost_model)

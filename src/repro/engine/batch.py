@@ -964,7 +964,12 @@ class BatchEngine:
                     if trace is not None:
                         plan_hits_step = self.planner.cache_hits
                         step_start = time.perf_counter()
-                    plan = self.planner.plan_for(features_of(query), artifacts=artifacts)
+                    # planned on the canonical form, the object the chain's
+                    # deciders check their fragment on (features_of
+                    # remembers it: one walk per job)
+                    plan = self.planner.plan_for(
+                        features_of(canonical), artifacts=artifacts
+                    )
                     if trace is not None:
                         trace.span(
                             "plan",
@@ -1340,7 +1345,10 @@ class BatchEngine:
         process while a chunk is absorbed, and its verdict is discarded
         — the job's answer is already committed — so exploration can
         never change a verdict, and the hygiene rule still applies:
-        inconclusive probes record nothing."""
+        inconclusive probes record nothing.  Like the chain, the probe
+        asks for the verdict only and runs on the schema's prepared
+        context from the in-process runtime, so a decider with a
+        ``prepare`` hook is not timed with its set-up included."""
         chain = (plan.decider,) + plan.fallbacks
         if len(chain) < 2 or not self.cost_model.explore_every:
             return
@@ -1369,9 +1377,19 @@ class BatchEngine:
             probe_query = rewritten.path
         spec = get_decider(probe)
         dtd = artifacts.dtd if artifacts else None
+        # time the probe the way the chain runs: on the schema's prepared
+        # context (the in-process runtime's, built here if no chunk has
+        # yet, outside the timer) and for the verdict only
+        context = None
+        if artifacts is not None:
+            context = self._inline().runtime.contexts_for(
+                artifacts.fingerprint, dtd
+            ).get(probe)
         probe_start = time.perf_counter()
         try:
-            result = spec.call(probe_query, dtd, self.bounds)
+            result = spec.call(
+                probe_query, dtd, self.bounds, context=context, witness=False
+            )
         except Exception:
             # a decline (or a latent bug in a decider the plan never
             # needed) must not fail a job whose answer is already in

@@ -199,10 +199,11 @@ class WorkerRuntime:
             return self._dtds.get(fingerprint)
         return None
 
-    def _contexts_for(self, fingerprint: str | None, dtd) -> SchemaContexts:
-        """The schema's shared contexts.  Only chunks against a
-        fingerprinted schema are worth caching across chunks — a no-DTD
-        plan has no ``prepare`` work to share."""
+    def contexts_for(self, fingerprint: str | None, dtd) -> SchemaContexts:
+        """The schema's shared contexts (the engine's cost-model probes
+        read them too).  Only chunks against a fingerprinted schema are
+        worth caching across chunks — a no-DTD plan has no ``prepare``
+        work to share."""
         if not self.caching or fingerprint is None:
             return SchemaContexts(dtd)
         contexts = self._contexts.get(fingerprint)
@@ -240,7 +241,7 @@ class WorkerRuntime:
             return ChunkOutcome(
                 error=f"lane runtime has no schema {task.fingerprint[:12]}"
             )
-        contexts = self._contexts_for(task.fingerprint, dtd)
+        contexts = self.contexts_for(task.fingerprint, dtd)
         prepare_ms_before = contexts.prepare_ms
         runtime_hit = task.plan.decider in contexts
         # build the primary's context eagerly: every question runs it, and
@@ -270,9 +271,11 @@ class WorkerRuntime:
     def _run_question(self, task: ChunkTask, canonical, dtd, contexts) -> GroupOutcome:
         trace = ExecutionTrace()
         try:
+            # an outcome carries no witness, so the chain builds none
             result = execute_plan(
                 task.plan, canonical, dtd, task.bounds,
                 pre_canonicalized=True, trace=trace, contexts=contexts,
+                witness=False,
             )
         except Exception as error:
             # any exception — decline with no fallback, a latent decider

@@ -114,19 +114,31 @@ class WitnessBuilder:
         return XMLTree(self._realize_node(pattern))
 
     def _realize_node(self, pattern: PatternNode) -> Node:
-        node = Node(label=pattern.label)
-        for attr in sorted(self.dtd.attrs_of(pattern.label)):
-            node.attrs[attr] = f"{attr}0"
-        required = set(pattern.children)
-        word = word_containing(self.dtd, pattern.label, required)
-        used: set[str] = set()
-        for symbol in word:
-            if symbol in required and symbol not in used:
-                used.add(symbol)
-                node.append(self._realize_node(pattern.children[symbol]))
-            else:
-                node.append(minimal_node(self.dtd, symbol))
-        return node
+        """Built top-down with an explicit stack: a pattern may be deeper
+        than the interpreter's recursion limit (a ``↓*`` step on a deep
+        schema grafts one pattern node per schema level)."""
+
+        def make(label: str) -> Node:
+            node = Node(label=label)
+            for attr in sorted(self.dtd.attrs_of(label)):
+                node.attrs[attr] = f"{attr}0"
+            return node
+
+        root = make(pattern.label)
+        stack = [(root, pattern)]
+        while stack:
+            node, current = stack.pop()
+            required = set(current.children)
+            word = word_containing(self.dtd, current.label, required)
+            used: set[str] = set()
+            for symbol in word:
+                if symbol in required and symbol not in used:
+                    used.add(symbol)
+                    child = node.append(make(symbol))
+                    stack.append((child, current.children[symbol]))
+                else:
+                    node.append(minimal_node(self.dtd, symbol))
+        return root
 
 
 def word_containing(dtd: DTD, label: str, required: set[str]) -> tuple[str, ...]:

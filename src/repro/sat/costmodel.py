@@ -321,19 +321,26 @@ def calibrate(
     ``unknown``** are skipped — an inconclusive run is cheap because the
     decider gave up, and counting it would promote procedures that cannot
     actually answer the workload.
+
+    Each decider is timed the way the engine runs it: its ``prepare``
+    context is built once per call, outside the timer, and it is asked
+    for the verdict only.
     """
+    from repro.sat.planner import SchemaContexts
     from repro.sat.registry import get_decider
 
     bucket = size_bucket(
         schema_size if schema_size is not None else (dtd.size() if dtd else None)
     )
+    contexts = SchemaContexts(dtd)
     recorded = 0
     for name in (plan.decider,) + plan.fallbacks:
         spec = get_decider(name)
+        context = contexts.get(name) if contexts else None
         for query in queries:
             start = time.perf_counter()
             try:
-                result = spec.call(query, dtd, bounds)
+                result = spec.call(query, dtd, bounds, context=context, witness=False)
             except ReproError:
                 continue
             elapsed_ms = (time.perf_counter() - start) * 1e3

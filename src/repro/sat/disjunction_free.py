@@ -14,6 +14,12 @@ algorithm is the reach/sat dynamic program of the paper, with
 ``X(↓,↑)`` queries are handled by first applying the upward-elimination
 rewriting (Theorem 6.8(2)); a query whose ``↑`` steps escape the root is
 unsatisfiable at the root.
+
+It runs on the same schema-only ``reach`` tables as Thm 4.1
+(:class:`~repro.sat.downward.ReachTables`), built per call.  SAT answers
+come with a merged witness tree (:mod:`repro.sat._witness`) unless the
+caller asks for the verdict only (``witness=False``, as the batch engine
+does).
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from repro.dtd.graph import DTDGraph
 from repro.dtd.model import DTD
 from repro.dtd.properties import is_disjunction_free
 from repro.errors import FragmentError
+from repro.sat.downward import ReachTables
 from repro.sat.registry import DeciderSpec, register_decider
 from repro.sat.result import SatResult
 from repro.xpath import ast
@@ -32,9 +39,14 @@ from repro.xpath.rewrite import upward_to_qualifiers
 METHOD = "thm6.8-disjfree"
 
 
-def sat_disjunction_free(query: Path, dtd: DTD) -> SatResult:
+def sat_disjunction_free(
+    query: Path, dtd: DTD, *, witness: bool = True,
+) -> SatResult:
     """Decide ``(query, dtd)`` for disjunction-free ``dtd`` and ``query`` in
-    ``X(↓,↓*,∪,[])`` or ``X(↓,↑)``."""
+    ``X(↓,↓*,∪,[])`` or ``X(↓,↑)``.
+
+    ``witness=False`` (the batch engine's verdict-only call) skips
+    building the witness tree."""
     if not is_disjunction_free(dtd):
         raise FragmentError("sat_disjunction_free requires a disjunction-free DTD")
     rewritten = query
@@ -51,8 +63,8 @@ def sat_disjunction_free(query: Path, dtd: DTD) -> SatResult:
             "sat_disjunction_free requires X(child,dos,union,qual) or X(child,parent); "
             f"query uses {sorted(str(f) for f in DOWNWARD_QUAL.missing(rewritten))} extra"
         )
-    dtd.require_terminating()
-    graph = DTDGraph(dtd)
+    tables = ReachTables(dtd)
+    children = tables.children
     reach_cache: dict[tuple[Path, str], frozenset[str]] = {}
     sat_cache: dict[tuple[Qualifier, str], bool] = {}
 
@@ -68,13 +80,13 @@ def sat_disjunction_free(query: Path, dtd: DTD) -> SatResult:
         if isinstance(sub, ast.Empty):
             return frozenset({element_type})
         if isinstance(sub, ast.Label):
-            if sub.name in dtd.child_types(element_type):
+            if sub.name in children[element_type]:
                 return frozenset({sub.name})
             return frozenset()
         if isinstance(sub, ast.Wildcard):
-            return dtd.child_types(element_type)
+            return children[element_type]
         if isinstance(sub, ast.DescOrSelf):
-            return graph.reachable_from(element_type)
+            return tables.below(element_type)
         if isinstance(sub, ast.Union):
             return reach(sub.left, element_type) | reach(sub.right, element_type)
         if isinstance(sub, ast.Seq):
@@ -118,8 +130,10 @@ def sat_disjunction_free(query: Path, dtd: DTD) -> SatResult:
     stats = {"reach_entries": len(reach_cache), "sat_entries": len(sat_cache)}
     if not final:
         return SatResult(False, METHOD, stats=stats)
-    witness = _build_witness(rewritten, dtd, reach, sat_qual, graph)
-    return SatResult(True, METHOD, witness=witness, stats=stats)
+    if not witness:
+        return SatResult(True, METHOD, stats=stats)
+    tree = _build_witness(rewritten, dtd, reach, sat_qual, tables.graph)
+    return SatResult(True, METHOD, witness=tree, stats=stats)
 
 
 def _build_witness(query: Path, dtd: DTD, reach, sat_qual, graph: DTDGraph):
@@ -147,4 +161,5 @@ SPEC = register_decider(DeciderSpec(
     complexity="PTIME",
     cost_rank=30,
     traits=("disjunction_free",),
+    builds_witness=True,
 ))

@@ -5,9 +5,10 @@ procedure the library has for the query's fragment and the DTD's class,
 mirroring the paper's result map.  Routing is delegated to the query
 planner (:mod:`repro.sat.planner`): the query's feature signature and the
 schema's classification select a :class:`~repro.sat.planner.Plan` —
-rewrite passes, decider, fallback chain — which is then executed.  Pass a
-pre-computed ``plan`` to skip planning entirely (the batch engine does,
-from its per-schema plan cache).
+rewrite passes, decider, fallback chain — which is then executed.  Like
+the batch engine, ``decide`` plans on the features of the query's
+canonical form, so both run the same chain for the same question.  Pass
+a pre-computed ``plan`` to skip planning entirely.
 
 The result map below is rendered from the decider registry
 (:mod:`repro.sat.registry`) at import time, so this table cannot drift
@@ -22,6 +23,7 @@ from repro.sat.planner import DEFAULT_PLANNER, Plan, execute_plan
 from repro.sat.registry import routing_table
 from repro.sat.result import SatResult
 from repro.xpath.ast import Path
+from repro.xpath.canonical import canonicalize
 from repro.xpath.fragments import features_of
 
 
@@ -43,17 +45,20 @@ def decide(
     per-schema classification is reused and the routing decision is cached
     on the record's plan cache instead of being re-derived per call.
 
-    ``plan`` short-circuits planning with an already-computed
-    :class:`~repro.sat.planner.Plan` (it must have been built for this
-    query's feature signature and this schema's class).
+    The query is canonicalized first (every plan's first rewrite pass)
+    and planned on the canonical form's features, as the batch engine
+    plans.  ``plan`` short-circuits planning with an already-computed
+    :class:`~repro.sat.planner.Plan` (it must have been built for the
+    canonical form's feature signature and this schema's class).
     """
     if dtd is None and artifacts is not None:
         dtd = artifacts.dtd
+    canonical = canonicalize(query)
     if plan is None:
         plan = DEFAULT_PLANNER.plan_for(
-            features_of(query), artifacts=artifacts, dtd=dtd
+            features_of(canonical), artifacts=artifacts, dtd=dtd
         )
-    return execute_plan(plan, query, dtd, bounds)
+    return execute_plan(plan, canonical, dtd, bounds, pre_canonicalized=True)
 
 
 def _decide_no_dtd(query: Path, bounds: Bounds | None) -> SatResult:

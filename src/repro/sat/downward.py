@@ -16,7 +16,14 @@ Two implementation notes:
   giving the ``O(|p||D|^2)`` bound directly.
 * When satisfiable we also build the witness ``Tree(p, D)`` following the
   paper's ``path(p', A, B)`` construction: a chain of labels realizing the
-  query, grafted into minimal conforming context.
+  query, grafted into minimal conforming context.  The batch engine keeps
+  only verdicts and calls the decider with ``witness=False``, which skips
+  it.
+
+The schema-only part of the program — ``G_D``, each type's child set and
+its ``↓*`` reachability — is the decider's ``prepare`` context
+(:class:`ReachTables`), so the engine's runtimes build it once per schema
+instead of once per question.
 """
 
 from __future__ import annotations
@@ -36,9 +43,40 @@ from repro.xpath.fragments import DOWNWARD
 METHOD = "thm4.1-reach"
 
 
-def sat_downward(query: Path, dtd: DTD) -> SatResult:
+class ReachTables:
+    """Schema-only half of the ``reach`` program: the DTD graph ``G_D``,
+    each element type's child set (its production's alphabet, derived
+    once), and each type's ``↓*`` reachability, computed the first time a
+    question asks and kept after that.  It is the ``downward`` decider's
+    ``prepare`` context (``disjunction_free`` builds one per call).  Like
+    every ``prepare`` context it is a pure cache: it never changes a
+    verdict."""
+
+    __slots__ = ("graph", "children", "_below")
+
+    def __init__(self, dtd: DTD):
+        dtd.require_terminating()
+        self.graph = DTDGraph(dtd)
+        self.children = self.graph.edges
+        self._below: dict[str, frozenset[str]] = {}
+
+    def below(self, element_type: str) -> frozenset[str]:
+        """Element types reachable from ``element_type`` by ``↓*``."""
+        reached = self._below.get(element_type)
+        if reached is None:
+            reached = self._below[element_type] = self.graph.reachable_from(element_type)
+        return reached
+
+
+def sat_downward(
+    query: Path, dtd: DTD, context: ReachTables | None = None,
+    *, witness: bool = True,
+) -> SatResult:
     """Decide ``(query, dtd)`` for ``query ∈ X(↓,↓*,∪)``.
 
+    ``context`` is the schema's :class:`ReachTables`, the decider's
+    ``prepare`` hook (built here when absent); ``witness=False``
+    (the batch engine's verdict-only call) skips building ``Tree(p, D)``.
     Raises :class:`FragmentError` outside the fragment.
     """
     if not DOWNWARD.contains(query):
@@ -46,8 +84,8 @@ def sat_downward(query: Path, dtd: DTD) -> SatResult:
             f"sat_downward requires X(child,dos,union); query uses "
             f"{sorted(str(f) for f in DOWNWARD.missing(query))} extra"
         )
-    dtd.require_terminating()
-    graph = DTDGraph(dtd)
+    tables = context if context is not None else ReachTables(dtd)
+    children = tables.children
     reach_cache: dict[tuple[Path, str], frozenset[str]] = {}
 
     def reach(sub: Path, element_type: str) -> frozenset[str]:
@@ -63,13 +101,13 @@ def sat_downward(query: Path, dtd: DTD) -> SatResult:
         if isinstance(sub, ast.Empty):
             return frozenset({element_type})
         if isinstance(sub, ast.Label):
-            if sub.name in dtd.child_types(element_type):
+            if sub.name in children[element_type]:
                 return frozenset({sub.name})
             return frozenset()
         if isinstance(sub, ast.Wildcard):
-            return dtd.child_types(element_type)
+            return children[element_type]
         if isinstance(sub, ast.DescOrSelf):
-            return graph.reachable_from(element_type)
+            return tables.below(element_type)
         if isinstance(sub, ast.Union):
             return reach(sub.left, element_type) | reach(sub.right, element_type)
         if isinstance(sub, ast.Seq):
@@ -83,8 +121,8 @@ def sat_downward(query: Path, dtd: DTD) -> SatResult:
     stats = {"reach_entries": len(reach_cache)}
     if not final:
         return SatResult(False, METHOD, stats=stats)
-    witness = _build_witness(query, dtd, graph, reach)
-    return SatResult(True, METHOD, witness=witness, stats=stats)
+    tree = _build_witness(query, dtd, tables.graph, reach) if witness else None
+    return SatResult(True, METHOD, witness=tree, stats=stats)
 
 
 def _build_witness(query, dtd: DTD, graph: DTDGraph, reach) -> XMLTree:
@@ -163,4 +201,7 @@ SPEC = register_decider(DeciderSpec(
     theorem="Thm 4.1",
     complexity="PTIME",
     cost_rank=10,
+    prepare=ReachTables,
+    accepts_context=True,
+    builds_witness=True,
 ))

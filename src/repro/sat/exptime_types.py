@@ -27,7 +27,8 @@ construction specialized to XPath):
 
 ``(p, D)`` is satisfiable iff some realizable root type makes ``p`` true.
 Each realizable type remembers one witnessing children word, so SAT
-answers come with a concrete conforming tree.
+answers come with a concrete conforming tree (unless the caller asks for
+the verdict only, ``witness=False``, as the batch engine does).
 
 Everything past the closure runs on machine integers:
 
@@ -629,6 +630,7 @@ def prepare_types(dtd: DTD) -> PackedTypesContext:
 def sat_exptime_types(
     query: Path, dtd: DTD, max_facts: int = 22,
     context: PackedTypesContext | None = None,
+    *, witness: bool = True,
 ) -> SatResult:
     """Decide ``(query, dtd)`` for ``query ∈ X(↓,↓*,∪,[],¬)``.
 
@@ -636,7 +638,8 @@ def sat_exptime_types(
     the EXPTIME step); a :class:`ReproError` asks callers to fall back to
     the bounded engine beyond it.  ``context`` is the shared per-schema
     setup from :func:`prepare_types` (plan-grouped scheduling); it never
-    changes a verdict.
+    changes a verdict.  ``witness=False`` (the batch engine's
+    verdict-only call) skips realizing the witness tree.
     """
     used = features_of(query)
     if not used <= SPEC.allowed:
@@ -709,10 +712,10 @@ def sat_exptime_types(
     # the seed qualifier PathExists(query) is collected first: bit 0
     for type_id, label_id in enumerate(type_labels):
         if label_id == root_id and type_truths[type_id] & 1:
-            witness = _realize(
+            tree = _realize(
                 type_id, context.labels, type_labels, type_realization, dtd
-            )
-            return SatResult(True, METHOD, witness=witness, stats=stats)
+            ) if witness else None
+            return SatResult(True, METHOD, witness=tree, stats=stats)
     return SatResult(False, METHOD, stats=stats)
 
 
@@ -756,4 +759,5 @@ SPEC = register_decider(DeciderSpec(
     may_decline=True,  # raises ReproError beyond max_facts: fall back
     prepare=prepare_types,
     accepts_context=True,
+    builds_witness=True,
 ))

@@ -5,7 +5,10 @@ Routing a satisfiability question used to live in an if-chain inside
 :class:`Plan` — the ordered rewrite passes to apply, the decider that
 answers, and the fallback chain if it declines — computed purely from
 
-* the query's **feature signature** (:func:`repro.xpath.fragments.feature_signature`), and
+* the **feature signature** (:func:`repro.xpath.fragments.feature_signature`)
+  of the query's canonical form — every plan's first pass is
+  ``canonicalize``, and the engine, ``decide()``, :meth:`Planner.plan_query`
+  and ``repro explain`` all plan on the form the deciders see — and
 * the schema's **classification traits** (:func:`repro.dtd.properties.classify`),
 
 by scanning the decider registry (:mod:`repro.sat.registry`) and the
@@ -33,6 +36,7 @@ from repro.sat.costmodel import INLINE_THRESHOLD_MS, CostModel, size_bucket
 from repro.sat.registry import DeciderSpec, deciders, get_decider, registry_size
 from repro.sat.result import SatResult
 from repro.xpath.ast import Path
+from repro.xpath.canonical import canonicalize
 from repro.xpath.fragments import Feature, feature_signature, features_of
 from repro.xpath.rewrite import PASSES, get_pass
 
@@ -453,6 +457,7 @@ def execute_plan(
     pre_canonicalized: bool = False,
     trace: ExecutionTrace | None = None,
     contexts: "dict[str, Any] | SchemaContexts | None" = None,
+    witness: bool = True,
 ) -> SatResult:
     """Run ``plan`` against a concrete query: apply its rewrite passes in
     order, then the decider chain.
@@ -471,6 +476,12 @@ def execute_plan(
     filled with the per-member latencies and outcomes.  ``contexts`` maps
     decider names to the shared per-schema setup (a plain dict or a lazy
     :class:`SchemaContexts`); each member is looked up via ``.get``.
+
+    ``witness=False`` asks for the verdict only: members whose spec
+    ``takes_witness`` skip building a witness tree, so a SAT result may
+    carry none.  The batch engine's runtimes pass it (a decision-cache
+    entry keeps only verdict, method and reason); library
+    :func:`~repro.sat.dispatch.decide` keeps the default.
     """
     for name in plan.rewrites:
         if pre_canonicalized and name == "canonicalize":
@@ -491,6 +502,7 @@ def execute_plan(
             result = spec.call(
                 query, dtd, bounds,
                 context=contexts.get(name) if contexts else None,
+                witness=witness,
             )
         except ReproError:
             if trace is not None:
@@ -593,7 +605,12 @@ class Planner:
         return plan
 
     def plan_query(self, query: Path, *, artifacts=None, dtd: DTD | None = None) -> Plan:
-        return self.plan_for(features_of(query), artifacts=artifacts, dtd=dtd)
+        """The plan for a parsed query, made on its canonical form's
+        features, the form the batch engine and
+        :func:`~repro.sat.dispatch.decide` plan on."""
+        return self.plan_for(
+            features_of(canonicalize(query)), artifacts=artifacts, dtd=dtd
+        )
 
     def invalidate(self, *artifact_records) -> int:
         """Drop cached plans so the next request replans against the

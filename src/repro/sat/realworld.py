@@ -36,14 +36,16 @@ dynamic program over ``(element type, qualifier set)`` keys:
 The search runs on per-question integer ids: the solver interns every
 qualifier it meets, keys its tables by ``(element type, frozenset of
 ids)``, and an atom is a plain ``(label or None, id or -1)`` pair, so no
-table lookup hashes a path and no sort renders one.  One child of any
-label of a DC or DF content model fits on its own, so only assignments
-of two or more hosts run the multiset check.
+table lookup hashes a path and no sort renders one.  Each path object's
+first-step cases are decomposed once per question and replayed after
+that.  One child of any label of a DC or DF content model fits on its
+own, so only assignments of two or more hosts run the multiset check.
 
 A SAT verdict carries a witness: each ``(type, qualifier set)`` key
 records the host children that made it true when it flipped, and the
 tree is read back from those records, with children words from the
-feasibility models and minimal subtrees for every other child.
+feasibility models and minimal subtrees for every other child.  The
+batch engine's verdict-only call (``witness=False``) skips that read.
 
 All combinatorial widths are hard-budgeted; exceeding a budget raises
 :class:`~repro.errors.ReproError`, which the planner's ``may_decline``
@@ -280,6 +282,9 @@ def _partitions(items: list) -> Iterator[list[list]]:
 _Key = tuple[str, frozenset[int]]
 #: the children that made a key true: ``(host label, host qualifier ids)``
 _Hosts = tuple[_Key, ...]
+#: a recorded first-step case of a path: a choice, or a ``Check`` case
+#: whose choices depend on the element type
+_Case = TUnion[frozenset[_Atom], Check]
 
 
 @dataclass
@@ -300,10 +305,18 @@ class _Solver:
     decomposition step produces it.  First-sight order is deterministic,
     so the search order does not depend on the string-hash seed.
 
+    A path's first-step decomposition is made once per question:
+    ``cases`` maps a path object's identity to the path (held, so the
+    identity stays unique) and its recorded cases, which
+    :meth:`path_options` replays.  Queries and the residuals the solver
+    makes are immutable, so a replay yields the choices a fresh
+    decomposition would, and the ``steps`` accounting is unchanged.
+
     When a key flips to true, ``hosts`` records the ``(host label, host
     qualifier ids)`` children that made it true.  Those keys were all
     true already, so the records form a well-founded derivation that
-    :meth:`witness` turns into a tree.
+    :meth:`witness` turns into a tree.  A verdict-only call never reads
+    them back.
     """
 
     dtd: DTD
@@ -311,6 +324,8 @@ class _Solver:
     #: qualifier id -> qualifier, and back
     quals: list[Qualifier] = field(default_factory=list)
     ids: dict[Qualifier, int] = field(default_factory=dict)
+    #: id(path) -> (path, recorded first-step cases)
+    cases: dict[int, tuple[Path, tuple[_Case, ...]]] = field(default_factory=dict)
     memo: dict[_Key, bool] = field(default_factory=dict)
     hosts: dict[_Key, _Hosts] = field(default_factory=dict)
     pass_done: set[_Key] = field(default_factory=set)
@@ -428,36 +443,61 @@ class _Solver:
         raise FragmentError(f"unexpected qualifier {qual!r}")
 
     def path_options(self, path: Path, label: str) -> list[frozenset[_Atom]]:
+        """The choices of ``path`` at ``label``.  The first call on a path
+        object decomposes it with :func:`first_cases` and records its
+        cases, each turned into a choice as it is met (so residuals are
+        interned in first-sight order); later calls on that object replay
+        the record.  A ``Check`` case is recorded as itself, since its
+        qualifier's choices depend on ``label``."""
         self._step()
+        entry = self.cases.get(id(path))
+        record: list[_Case] | None = None
+        if entry is None:
+            cases: tuple = first_cases(path)
+            record = []
+        else:
+            cases = entry[1]
         choices: list[frozenset[_Atom]] = []
-        for case in first_cases(path):
-            if isinstance(case, Child):
-                residual = case.residual
-                qid = (
-                    -1 if isinstance(residual, ast.Empty)
-                    else self.intern(ast.PathExists(residual))
+        for case in cases:
+            if record is not None:
+                case = self._choice_of(case)
+                record.append(case)
+            if type(case) is frozenset:
+                choices.append(case)
+                continue
+            quals = self.options(case.qualifier, label)
+            paths = self.path_options(case.residual, label)
+            if len(quals) * len(paths) > MAX_CHOICES:
+                raise ReproError(
+                    "realworld solver: filter step too wide; falling back"
                 )
-                choices.append(frozenset({(case.label, qid)}))
-            elif isinstance(case, Done):
-                choices.append(frozenset())
-            elif isinstance(case, Desc):
-                wrapped = ast.PathExists(ast.Seq(ast.DescOrSelf(), case.residual))
-                choices.append(frozenset({(None, self.intern(wrapped))}))
-            elif isinstance(case, Check):
-                quals = self.options(case.qualifier, label)
-                paths = self.path_options(case.residual, label)
-                if len(quals) * len(paths) > MAX_CHOICES:
-                    raise ReproError(
-                        "realworld solver: filter step too wide; falling back"
-                    )
-                choices.extend(q | p for q in quals for p in paths)
-            else:  # pragma: no cover - first_cases is exhaustive
-                raise FragmentError(f"unexpected step case {case!r}")
+            choices.extend(q | p for q in quals for p in paths)
+        if record is not None:
+            self.cases[id(path)] = (path, tuple(record))
         if len(choices) > MAX_CHOICES:
             raise ReproError(
                 "realworld solver: too many disjunctive choices; falling back"
             )
         return choices
+
+    def _choice_of(self, case) -> _Case:
+        """A first-step case as recorded: a ``Child`` or ``Desc`` case
+        becomes its one-atom choice, a ``Done`` case the empty choice."""
+        if isinstance(case, Child):
+            residual = case.residual
+            qid = (
+                -1 if isinstance(residual, ast.Empty)
+                else self.intern(ast.PathExists(residual))
+            )
+            return frozenset({(case.label, qid)})
+        if isinstance(case, Done):
+            return frozenset()
+        if isinstance(case, Desc):
+            wrapped = ast.PathExists(ast.Seq(ast.DescOrSelf(), case.residual))
+            return frozenset({(None, self.intern(wrapped))})
+        if isinstance(case, Check):
+            return case
+        raise FragmentError(f"unexpected step case {case!r}")  # pragma: no cover
 
     def solve_atoms(self, label: str, atoms: frozenset[_Atom]) -> _Hosts | None:
         """The hosting children, if one children word of ``label``'s
@@ -557,12 +597,15 @@ class _Solver:
 
 def sat_realworld(
     query: Path, dtd: DTD, context: RealWorldContext | None = None,
+    *, witness: bool = True,
 ) -> SatResult:
     """Decide ``(query, dtd)`` for DC/DF-restrained ``dtd`` and ``query``
     in ``X(↓,↓*,∪,[])`` or ``X(↓,↑)``.
 
     Declines (``ReproError``) when a combinatorial budget trips, so the
     planner falls through to the EXPTIME chain with verdicts unchanged.
+    ``witness=False`` (the batch engine's verdict-only call) skips
+    reading the witness tree back; the verdict and stats are the same.
     """
     rewritten = query
     features = features_of(query)
@@ -587,8 +630,8 @@ def sat_realworld(
         "steps": solver.steps,
         "passes": solver.passes,
     }
-    witness = solver.witness(rewritten) if satisfiable else None
-    return SatResult(satisfiable, METHOD, witness=witness, stats=stats)
+    tree = solver.witness(rewritten) if satisfiable and witness else None
+    return SatResult(satisfiable, METHOD, witness=tree, stats=stats)
 
 
 SPEC = register_decider(DeciderSpec(
@@ -606,4 +649,5 @@ SPEC = register_decider(DeciderSpec(
     may_decline=True,  # budget trips raise ReproError: fall back to EXPTIME
     prepare=prepare_realworld,
     accepts_context=True,
+    builds_witness=True,
 ))

@@ -59,28 +59,57 @@ _PATH_FEATURES: dict[type, Feature] = {
 }
 
 
+#: the operators each AST node type itself uses (types absent here use
+#: none of their own: labels, ``ε``, ``/`` and ``PathExists``)
+_NODE_FEATURES: dict[type, tuple[Feature, ...]] = {
+    **{node_type: (feature,) for node_type, feature in _PATH_FEATURES.items()},
+    ast.Union: (Feature.UNION,),
+    ast.Filter: (Feature.QUALIFIER,),
+    ast.LabelTest: (Feature.LABEL_TEST, Feature.QUALIFIER),
+    ast.AttrConstCmp: (Feature.DATA, Feature.QUALIFIER),
+    ast.AttrAttrCmp: (Feature.DATA, Feature.QUALIFIER),
+    ast.And: (Feature.QUALIFIER,),
+    ast.Or: (Feature.UNION,),
+    ast.Not: (Feature.NEGATION, Feature.QUALIFIER),
+}
+
+#: the last root :func:`features_of` walked and its operator set, as one
+#: tuple so a reader never pairs one root with another's features; the
+#: initial root is a private object no caller can pass
+_LAST: tuple[object, frozenset[Feature]] = (object(), frozenset())
+
+
 def features_of(query: Path | Qualifier) -> frozenset[Feature]:
-    """The exact set of operators used by ``query``."""
+    """The exact set of operators used by ``query``.
+
+    The walk runs over an explicit stack (no recursion, no generators).
+    AST nodes are immutable, so the function remembers the last root it
+    walked, by identity: the batch engine plans on the canonical form's
+    features and the deciders of the plan's chain check their fragment on
+    that same object, which then costs one identity test instead of a
+    second walk.  Only a query a rewrite pass replaced is walked again.
+    """
+    global _LAST
+    last = _LAST
+    if last[0] is query:
+        return last[1]
+    features = _walk_features(query)
+    _LAST = (query, features)
+    return features
+
+
+def _walk_features(query: Path | Qualifier) -> frozenset[Feature]:
     features: set[Feature] = set()
-    for node in query.walk():
-        feature = _PATH_FEATURES.get(type(node))
-        if feature is not None:
-            features.add(feature)
-        elif isinstance(node, (ast.Union, ast.Or)):
-            features.add(Feature.UNION)
-        elif isinstance(node, ast.Filter):
-            features.add(Feature.QUALIFIER)
-        elif isinstance(node, ast.Not):
-            features.add(Feature.NEGATION)
-            features.add(Feature.QUALIFIER)
-        elif isinstance(node, (ast.AttrConstCmp, ast.AttrAttrCmp)):
-            features.add(Feature.DATA)
-            features.add(Feature.QUALIFIER)
-        elif isinstance(node, ast.LabelTest):
-            features.add(Feature.LABEL_TEST)
-            features.add(Feature.QUALIFIER)
-        elif isinstance(node, ast.And):
-            features.add(Feature.QUALIFIER)
+    own = _NODE_FEATURES.get
+    stack = [query]
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        node_features = own(type(node))
+        if node_features:
+            features.update(node_features)
+        extend(node.children_paths())
+        extend(node.children_qualifiers())
     return frozenset(features)
 
 

@@ -15,7 +15,8 @@ replaced are kept here, verbatim, as the reference:
 * the worklist's work is bounded by a count, not a timing: on a chain
   schema each label is searched once;
 * witnesses deeper than the interpreter's recursion limit are built, and
-  answered through the engine (a Thm 4.1 witness as well).
+  answered through the engine (a Thm 4.1 witness and a Thm 6.8 merged
+  witness as well).
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from repro.dtd import is_nonrecursive, parse_dtd, random_dtd
 from repro.dtd.properties import max_document_depth
 from repro.engine import BatchEngine, Job, SchemaRegistry
 from repro.errors import ReproError
+from repro.sat import decide
+from repro.sat.disjunction_free import METHOD as DISJFREE_METHOD
 from repro.sat.downward import METHOD as DOWNWARD_METHOD
 from repro.sat.downward import sat_downward
 from repro.sat.exptime_types import (
@@ -318,6 +321,8 @@ class TestWorkBound:
 # -- deep witnesses ------------------------------------------------------------------
 
 DEEP_QUERIES = ("a1[not(a5)]", "**/a1200[not(**/b)]")
+#: a qualified ``↓*`` question on ``chain_dtd(1200)``, answered by Thm 6.8
+DEEP_QUALIFIED = "**/a1199[a1200]"
 
 
 class TestDeepWitnesses:
@@ -390,3 +395,30 @@ class TestDeepWitnesses:
             assert record.error is None, (record.id, record.error)
             assert record.satisfiable is True, record.id
             assert record.method == METHOD, record.id
+
+    def test_disjunction_free_witness_on_a_deep_schema(self):
+        # one short Thm 6.8 question whose merged pattern grafts one node
+        # per schema level below the root
+        dtd = chain_dtd(1200)
+        query = parse_query(DEEP_QUALIFIED)
+        result = decide(query, dtd)
+        assert result.satisfiable is True
+        assert result.method == DISJFREE_METHOD
+        assert result.witness.depth() >= 1200
+        assert conforms(result.witness, dtd)
+        assert satisfies(result.witness, query)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_answers_a_deep_disjunction_free_question(self, workers):
+        registry = SchemaRegistry()
+        registry.register("chain", chain_dtd(1200))
+        engine = BatchEngine(registry=registry, workers=workers)
+        try:
+            (record,) = engine.run(
+                [Job(DEEP_QUALIFIED, "chain", DEEP_QUALIFIED)]
+            ).results
+        finally:
+            engine.close()
+        assert record.error is None, record.error
+        assert record.satisfiable is True
+        assert record.method == DISJFREE_METHOD
