@@ -11,11 +11,12 @@ engine's lanes hand it to the kernel, and each schema's ``prepare``
 context is built once, the way the lanes keep it warm.
 
 Each trial decides every question once.  The headline column times the
-call the engine's lanes make, verdict only (``witness=False``;
-``ms_per_question_verdict`` in the JSON); the second column times the
-same questions with their witness trees realized, the call library
-``decide()`` makes (``ms_per_question``, the key's meaning since the
-harness began).  The harness runs
+plain call, which is what the engine's lanes make: they read only the
+verdict, so no witness tree is realized (``ms_per_question_verdict`` in
+the JSON).  The second column times the same call plus a read of the
+result's ``.witness``, which realizes the tree, as a caller of library
+``decide()`` that reads it does (``ms_per_question``, the key's meaning
+since the harness began).  The harness runs
 ``TRIALS`` trials of each, alternating, and reports the median, min and
 interquartile range of the milliseconds per question, with the mean
 number of label searches per decided question (the ``searches`` stat)
@@ -86,15 +87,16 @@ def kernel_questions(count: int = QUESTIONS):
     return schemas, contexts, questions
 
 
-def decide_all(schemas, contexts, questions, witness=False):
-    """One trial: ``(seconds, per-question stats or None when declined)``."""
+def decide_all(schemas, contexts, questions, read_witness):
+    """One trial: ``(seconds, per-question stats or None when declined)``.
+    ``read_witness`` reads each result's ``.witness`` too."""
     outcomes = []
     start = time.perf_counter()
     for schema, query in questions:
         try:
-            result = sat_exptime_types(
-                query, schemas[schema], context=contexts[schema], witness=witness
-            )
+            result = sat_exptime_types(query, schemas[schema], context=contexts[schema])
+            if read_witness:
+                result.witness  # the first read builds the tree
         except ReproError:
             outcomes.append(None)
         else:
@@ -108,8 +110,8 @@ def test_thm53_kernel(report):
     witness_ms: list[float] = []
     outcomes = None
     for _ in range(TRIALS):
-        for witness, sink in ((False, verdict_ms), (True, witness_ms)):
-            seconds, trial = decide_all(schemas, contexts, questions, witness)
+        for read_witness, sink in ((False, verdict_ms), (True, witness_ms)):
+            seconds, trial = decide_all(schemas, contexts, questions, read_witness)
             sink.append(seconds * 1e3 / len(questions))
             if outcomes is None:
                 outcomes = trial

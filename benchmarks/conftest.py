@@ -48,10 +48,14 @@ def timing_summary(trial_ms: list[float]) -> dict:
 
 @pytest.fixture
 def report():
-    """Register a named report section: ``report(name, text)``."""
+    """Register a named report section: ``report(name, text)``.
+    ``save=False`` prints it without writing ``<name>.txt`` (for a
+    harness whose text file is committed from its full mode)."""
 
-    def _register(name: str, text: str) -> None:
+    def _register(name: str, text: str, save: bool = True) -> None:
         _REPORTS[name] = text
+        if not save:
+            return
         os.makedirs(_RESULTS_DIR, exist_ok=True)
         path = os.path.join(_RESULTS_DIR, f"{name}.txt")
         with open(path, "w") as handle:

@@ -1346,9 +1346,10 @@ class BatchEngine:
         — the job's answer is already committed — so exploration can
         never change a verdict, and the hygiene rule still applies:
         inconclusive probes record nothing.  Like the chain, the probe
-        asks for the verdict only and runs on the schema's prepared
-        context from the in-process runtime, so a decider with a
-        ``prepare`` hook is not timed with its set-up included."""
+        reads only the verdict (so it builds no witness) and runs on the
+        schema's prepared context from the in-process runtime, so a
+        decider with a ``prepare`` hook is not timed with its set-up
+        included."""
         chain = (plan.decider,) + plan.fallbacks
         if len(chain) < 2 or not self.cost_model.explore_every:
             return
@@ -1379,7 +1380,7 @@ class BatchEngine:
         dtd = artifacts.dtd if artifacts else None
         # time the probe the way the chain runs: on the schema's prepared
         # context (the in-process runtime's, built here if no chunk has
-        # yet, outside the timer) and for the verdict only
+        # yet, outside the timer), reading only the verdict
         context = None
         if artifacts is not None:
             context = self._inline().runtime.contexts_for(
@@ -1387,9 +1388,7 @@ class BatchEngine:
             ).get(probe)
         probe_start = time.perf_counter()
         try:
-            result = spec.call(
-                probe_query, dtd, self.bounds, context=context, witness=False
-            )
+            result = spec.call(probe_query, dtd, self.bounds, context=context)
         except Exception:
             # a decline (or a latent bug in a decider the plan never
             # needed) must not fail a job whose answer is already in

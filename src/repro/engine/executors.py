@@ -271,11 +271,10 @@ class WorkerRuntime:
     def _run_question(self, task: ChunkTask, canonical, dtd, contexts) -> GroupOutcome:
         trace = ExecutionTrace()
         try:
-            # an outcome carries no witness, so the chain builds none
+            # an outcome carries no witness, so none is ever built
             result = execute_plan(
                 task.plan, canonical, dtd, task.bounds,
                 pre_canonicalized=True, trace=trace, contexts=contexts,
-                witness=False,
             )
         except Exception as error:
             # any exception — decline with no fallback, a latent decider

@@ -22,7 +22,7 @@ module                        fragment / setting                      theorem
 
 Every decider returns a :class:`repro.sat.result.SatResult`; when
 satisfiable, the result carries a witness tree that re-validates against
-the DTD and the query.
+the DTD and the query, built on the first read of ``.witness``.
 """
 
 from repro.sat.result import SatResult

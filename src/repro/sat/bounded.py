@@ -412,5 +412,4 @@ SPEC = register_decider(DeciderSpec(
     cost_rank=90,
     accepts_bounds=True,
     prepare=prepare_bounded,
-    accepts_context=True,
 ))

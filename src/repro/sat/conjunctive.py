@@ -17,13 +17,15 @@ technique:
    component.
 
 ``Q`` is satisfiable iff it is cogent and ``CM(Q)`` is acyclic; the
-canonical model itself is the witness.
+canonical model itself is the witness, built as a tree on the result's
+first ``.witness`` read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.errors import FragmentError
 from repro.sat.registry import DeciderSpec, register_decider
@@ -233,7 +235,9 @@ def sat_conjunctive_no_dtd(query: Path) -> SatResult:
             if steps > len(classes):
                 return SatResult(False, METHOD, reason="cyclic child relation")
 
-    witness = _canonical_model(cq, variables, values, parent_of, classes, const_class)
+    witness = partial(
+        _canonical_model, cq, variables, values, parent_of, classes, const_class
+    )
     return SatResult(
         True, METHOD, witness=witness,
         stats={"variables": cq.n_vars, "classes": len(classes)},

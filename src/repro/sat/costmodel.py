@@ -323,8 +323,8 @@ def calibrate(
     actually answer the workload.
 
     Each decider is timed the way the engine runs it: its ``prepare``
-    context is built once per call, outside the timer, and it is asked
-    for the verdict only.
+    context is built once per call, outside the timer, and only its
+    verdict is read, so no witness is built.
     """
     from repro.sat.planner import SchemaContexts
     from repro.sat.registry import get_decider
@@ -340,7 +340,7 @@ def calibrate(
         for query in queries:
             start = time.perf_counter()
             try:
-                result = spec.call(query, dtd, bounds, context=context, witness=False)
+                result = spec.call(query, dtd, bounds, context=context)
             except ReproError:
                 continue
             elapsed_ms = (time.perf_counter() - start) * 1e3

@@ -15,38 +15,35 @@ algorithm is the reach/sat dynamic program of the paper, with
 rewriting (Theorem 6.8(2)); a query whose ``↑`` steps escape the root is
 unsatisfiable at the root.
 
-It runs on the same schema-only ``reach`` tables as Thm 4.1
-(:class:`~repro.sat.downward.ReachTables`), built per call.  SAT answers
-come with a merged witness tree (:mod:`repro.sat._witness`) unless the
-caller asks for the verdict only (``witness=False``, as the batch engine
-does).
+It runs Thm 4.1's program (:class:`~repro.sat.downward.ReachProgram`)
+on the same schema-only tables (:class:`~repro.sat.downward.ReachTables`),
+built per call.  A SAT answer's merged witness tree
+(:mod:`repro.sat._witness`) is read off the tables on the result's first
+``.witness`` read, so the batch engine, which keeps only verdicts, never
+builds it.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.dtd.graph import DTDGraph
 from repro.dtd.model import DTD
 from repro.dtd.properties import is_disjunction_free
 from repro.errors import FragmentError
-from repro.sat.downward import ReachTables
+from repro.sat.downward import ReachProgram, ReachTables
 from repro.sat.registry import DeciderSpec, register_decider
 from repro.sat.result import SatResult
-from repro.xpath import ast
-from repro.xpath.ast import Path, Qualifier
+from repro.xpath.ast import Path
 from repro.xpath.fragments import CHILD_UP, DOWNWARD_QUAL, Feature
 from repro.xpath.rewrite import upward_to_qualifiers
 
 METHOD = "thm6.8-disjfree"
 
 
-def sat_disjunction_free(
-    query: Path, dtd: DTD, *, witness: bool = True,
-) -> SatResult:
+def sat_disjunction_free(query: Path, dtd: DTD) -> SatResult:
     """Decide ``(query, dtd)`` for disjunction-free ``dtd`` and ``query`` in
-    ``X(↓,↓*,∪,[])`` or ``X(↓,↑)``.
-
-    ``witness=False`` (the batch engine's verdict-only call) skips
-    building the witness tree."""
+    ``X(↓,↓*,∪,[])`` or ``X(↓,↑)``."""
     if not is_disjunction_free(dtd):
         raise FragmentError("sat_disjunction_free requires a disjunction-free DTD")
     rewritten = query
@@ -64,76 +61,18 @@ def sat_disjunction_free(
             f"query uses {sorted(str(f) for f in DOWNWARD_QUAL.missing(rewritten))} extra"
         )
     tables = ReachTables(dtd)
-    children = tables.children
-    reach_cache: dict[tuple[Path, str], frozenset[str]] = {}
-    sat_cache: dict[tuple[Qualifier, str], bool] = {}
-
-    def reach(sub: Path, element_type: str) -> frozenset[str]:
-        key = (sub, element_type)
-        cached = reach_cache.get(key)
-        if cached is None:
-            cached = _reach(sub, element_type)
-            reach_cache[key] = cached
-        return cached
-
-    def _reach(sub: Path, element_type: str) -> frozenset[str]:
-        if isinstance(sub, ast.Empty):
-            return frozenset({element_type})
-        if isinstance(sub, ast.Label):
-            if sub.name in children[element_type]:
-                return frozenset({sub.name})
-            return frozenset()
-        if isinstance(sub, ast.Wildcard):
-            return children[element_type]
-        if isinstance(sub, ast.DescOrSelf):
-            return tables.below(element_type)
-        if isinstance(sub, ast.Union):
-            return reach(sub.left, element_type) | reach(sub.right, element_type)
-        if isinstance(sub, ast.Seq):
-            targets: set[str] = set()
-            for middle in reach(sub.left, element_type):
-                targets |= reach(sub.right, middle)
-            return frozenset(targets)
-        if isinstance(sub, ast.Filter):
-            return frozenset(
-                target
-                for target in reach(sub.path, element_type)
-                if sat_qual(sub.qualifier, target)
-            )
-        raise FragmentError(f"unexpected node: {sub!r}")
-
-    def sat_qual(qualifier: Qualifier, element_type: str) -> bool:
-        key = (qualifier, element_type)
-        cached = sat_cache.get(key)
-        if cached is None:
-            cached = _sat_qual(qualifier, element_type)
-            sat_cache[key] = cached
-        return cached
-
-    def _sat_qual(qualifier: Qualifier, element_type: str) -> bool:
-        if isinstance(qualifier, ast.PathExists):
-            return bool(reach(qualifier.path, element_type))
-        if isinstance(qualifier, ast.LabelTest):
-            return qualifier.name == element_type
-        if isinstance(qualifier, ast.And):
-            # the disjunction-free merge property: conjuncts independently
-            return sat_qual(qualifier.left, element_type) and sat_qual(
-                qualifier.right, element_type
-            )
-        if isinstance(qualifier, ast.Or):
-            return sat_qual(qualifier.left, element_type) or sat_qual(
-                qualifier.right, element_type
-            )
-        raise FragmentError(f"unexpected qualifier: {qualifier!r}")
-
-    final = reach(rewritten, dtd.root)
-    stats = {"reach_entries": len(reach_cache), "sat_entries": len(sat_cache)}
+    program = ReachProgram(tables)
+    final = program.reach(rewritten, dtd.root)
+    stats = {
+        "reach_entries": len(program.reach_memo),
+        "sat_entries": len(program.sat_memo),
+    }
     if not final:
         return SatResult(False, METHOD, stats=stats)
-    if not witness:
-        return SatResult(True, METHOD, stats=stats)
-    tree = _build_witness(rewritten, dtd, reach, sat_qual, tables.graph)
-    return SatResult(True, METHOD, witness=tree, stats=stats)
+    witness = partial(
+        _build_witness, rewritten, dtd, program.reach, program.sat_qual, tables.graph
+    )
+    return SatResult(True, METHOD, witness=witness, stats=stats)
 
 
 def _build_witness(query: Path, dtd: DTD, reach, sat_qual, graph: DTDGraph):
@@ -161,5 +100,4 @@ SPEC = register_decider(DeciderSpec(
     complexity="PTIME",
     cost_rank=30,
     traits=("disjunction_free",),
-    builds_witness=True,
 ))

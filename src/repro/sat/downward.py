@@ -14,19 +14,23 @@ Two implementation notes:
   never denote the empty language), so the DTD graph of the *original* DTD
   already supports the recurrence, saving the ``O(|p||D|^3)`` rewriting and
   giving the ``O(|p||D|^2)`` bound directly.
-* When satisfiable we also build the witness ``Tree(p, D)`` following the
-  paper's ``path(p', A, B)`` construction: a chain of labels realizing the
-  query, grafted into minimal conforming context.  The batch engine keeps
-  only verdicts and calls the decider with ``witness=False``, which skips
-  it.
+* When satisfiable the witness is the paper's ``Tree(p, D)``, following
+  its ``path(p', A, B)`` construction: a chain of labels realizing the
+  query, grafted into minimal conforming context.  It is read off the
+  ``reach`` table on the result's first ``.witness`` read, so the batch
+  engine, which keeps only verdicts, never builds it.
 
 The schema-only part of the program — ``G_D``, each type's child set and
 its ``↓*`` reachability — is the decider's ``prepare`` context
 (:class:`ReachTables`), so the engine's runtimes build it once per schema
-instead of once per question.
+instead of once per question.  One question's memo tables live in a
+:class:`ReachProgram`, which Thm 6.8 (:mod:`repro.sat.disjunction_free`)
+runs too.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.dtd.graph import DTDGraph
 from repro.dtd.model import DTD
@@ -37,7 +41,7 @@ from repro.sat.result import SatResult
 from repro.xmltree.generate import _min_words, _minimal_node, minimal_tree
 from repro.xmltree.model import Node, XMLTree
 from repro.xpath import ast
-from repro.xpath.ast import Path
+from repro.xpath.ast import Path, Qualifier
 from repro.xpath.fragments import DOWNWARD
 
 METHOD = "thm4.1-reach"
@@ -68,15 +72,90 @@ class ReachTables:
         return reached
 
 
+class ReachProgram:
+    """One question's ``reach(p', A)`` and ``sat(q, A)`` tables, filled
+    on demand over a schema's :class:`ReachTables` (read only through its
+    ``children`` and ``below``).  Thm 4.1 reads ``reach``; Thm 6.8 adds
+    qualifiers through ``sat_qual``.  The memos are attributes and the
+    recurrences methods, so a question's tables hold no reference cycle:
+    they are freed as soon as the last reference to the program goes."""
+
+    __slots__ = ("tables", "reach_memo", "sat_memo")
+
+    def __init__(self, tables):
+        self.tables = tables
+        self.reach_memo: dict[tuple[Path, str], frozenset[str]] = {}
+        self.sat_memo: dict[tuple[Qualifier, str], bool] = {}
+
+    def reach(self, sub: Path, element_type: str) -> frozenset[str]:
+        """Element types reachable from an ``element_type`` element by
+        ``sub``."""
+        key = (sub, element_type)
+        cached = self.reach_memo.get(key)
+        if cached is None:
+            cached = self.reach_memo[key] = self._reach(sub, element_type)
+        return cached
+
+    def _reach(self, sub: Path, element_type: str) -> frozenset[str]:
+        if isinstance(sub, ast.Empty):
+            return frozenset({element_type})
+        if isinstance(sub, ast.Label):
+            if sub.name in self.tables.children[element_type]:
+                return frozenset({sub.name})
+            return frozenset()
+        if isinstance(sub, ast.Wildcard):
+            return self.tables.children[element_type]
+        if isinstance(sub, ast.DescOrSelf):
+            return self.tables.below(element_type)
+        if isinstance(sub, ast.Union):
+            return self.reach(sub.left, element_type) | self.reach(sub.right, element_type)
+        if isinstance(sub, ast.Seq):
+            targets: set[str] = set()
+            for middle in self.reach(sub.left, element_type):
+                targets |= self.reach(sub.right, middle)
+            return frozenset(targets)
+        if isinstance(sub, ast.Filter):
+            return frozenset(
+                target
+                for target in self.reach(sub.path, element_type)
+                if self.sat_qual(sub.qualifier, target)
+            )
+        raise FragmentError(f"unexpected node: {sub!r}")
+
+    def sat_qual(self, qualifier: Qualifier, element_type: str) -> bool:
+        """Can ``qualifier`` hold at an ``element_type`` element?  Each
+        conjunct is decided on its own: exact under disjunction-free
+        schemas (Thm 6.8's merge property), the only ones that ask."""
+        key = (qualifier, element_type)
+        cached = self.sat_memo.get(key)
+        if cached is None:
+            cached = self.sat_memo[key] = self._sat_qual(qualifier, element_type)
+        return cached
+
+    def _sat_qual(self, qualifier: Qualifier, element_type: str) -> bool:
+        if isinstance(qualifier, ast.PathExists):
+            return bool(self.reach(qualifier.path, element_type))
+        if isinstance(qualifier, ast.LabelTest):
+            return qualifier.name == element_type
+        if isinstance(qualifier, ast.And):
+            return self.sat_qual(qualifier.left, element_type) and self.sat_qual(
+                qualifier.right, element_type
+            )
+        if isinstance(qualifier, ast.Or):
+            return self.sat_qual(qualifier.left, element_type) or self.sat_qual(
+                qualifier.right, element_type
+            )
+        raise FragmentError(f"unexpected qualifier: {qualifier!r}")
+
+
 def sat_downward(
-    query: Path, dtd: DTD, context: ReachTables | None = None,
-    *, witness: bool = True,
+    query: Path, dtd: DTD, context: ReachTables | None = None
 ) -> SatResult:
     """Decide ``(query, dtd)`` for ``query ∈ X(↓,↓*,∪)``.
 
     ``context`` is the schema's :class:`ReachTables`, the decider's
-    ``prepare`` hook (built here when absent); ``witness=False``
-    (the batch engine's verdict-only call) skips building ``Tree(p, D)``.
+    ``prepare`` hook (built here when absent).  A SAT result builds
+    ``Tree(p, D)`` on its first ``.witness`` read.
     Raises :class:`FragmentError` outside the fragment.
     """
     if not DOWNWARD.contains(query):
@@ -85,44 +164,13 @@ def sat_downward(
             f"{sorted(str(f) for f in DOWNWARD.missing(query))} extra"
         )
     tables = context if context is not None else ReachTables(dtd)
-    children = tables.children
-    reach_cache: dict[tuple[Path, str], frozenset[str]] = {}
-
-    def reach(sub: Path, element_type: str) -> frozenset[str]:
-        key = (sub, element_type)
-        cached = reach_cache.get(key)
-        if cached is not None:
-            return cached
-        result = _reach(sub, element_type)
-        reach_cache[key] = result
-        return result
-
-    def _reach(sub: Path, element_type: str) -> frozenset[str]:
-        if isinstance(sub, ast.Empty):
-            return frozenset({element_type})
-        if isinstance(sub, ast.Label):
-            if sub.name in children[element_type]:
-                return frozenset({sub.name})
-            return frozenset()
-        if isinstance(sub, ast.Wildcard):
-            return children[element_type]
-        if isinstance(sub, ast.DescOrSelf):
-            return tables.below(element_type)
-        if isinstance(sub, ast.Union):
-            return reach(sub.left, element_type) | reach(sub.right, element_type)
-        if isinstance(sub, ast.Seq):
-            targets: set[str] = set()
-            for middle in reach(sub.left, element_type):
-                targets |= reach(sub.right, middle)
-            return frozenset(targets)
-        raise FragmentError(f"unexpected node in X(child,dos,union): {sub!r}")
-
-    final = reach(query, dtd.root)
-    stats = {"reach_entries": len(reach_cache)}
+    program = ReachProgram(tables)
+    final = program.reach(query, dtd.root)
+    stats = {"reach_entries": len(program.reach_memo)}
     if not final:
         return SatResult(False, METHOD, stats=stats)
-    tree = _build_witness(query, dtd, tables.graph, reach) if witness else None
-    return SatResult(True, METHOD, witness=tree, stats=stats)
+    witness = partial(_build_witness, query, dtd, tables.graph, program.reach)
+    return SatResult(True, METHOD, witness=witness, stats=stats)
 
 
 def _build_witness(query, dtd: DTD, graph: DTDGraph, reach) -> XMLTree:
@@ -202,6 +250,4 @@ SPEC = register_decider(DeciderSpec(
     complexity="PTIME",
     cost_rank=10,
     prepare=ReachTables,
-    accepts_context=True,
-    builds_witness=True,
 ))

@@ -27,15 +27,17 @@ construction specialized to XPath):
 
 ``(p, D)`` is satisfiable iff some realizable root type makes ``p`` true.
 Each realizable type remembers one witnessing children word, so SAT
-answers come with a concrete conforming tree (unless the caller asks for
-the verdict only, ``witness=False``, as the batch engine does).
+answers come with a concrete conforming tree, realized on the result's
+first ``.witness`` read (the batch engine, which keeps only verdicts,
+never realizes one).
 
 Everything past the closure runs on machine integers:
 
-* :class:`CompiledClosure` — the closure compiled once per call into a
-  linear program of index-addressed bit operations: qualifier truths
-  become bits of one int, child facts test a mask against the fact
-  bitmask, and a child type's fact contribution reads precomputed terms;
+* :class:`CompiledClosure` — the closure compiled once per call (by a
+  :class:`_Compiler`) into a linear program of index-addressed bit
+  operations: qualifier truths become bits of one int, child facts test
+  a mask against the fact bitmask, and a child type's fact contribution
+  reads precomputed terms;
 * node types pack into single ints ``label_id << (Q + D) | truth_bits <<
   D | dtruth_bits``, and reachability nodes into ``fact_bits <<
   state_shift | state``;
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from repro.dtd.model import DTD
 from repro.errors import FragmentError, ReproError
@@ -242,6 +245,90 @@ _OP_OR = 6
 _OP_NOT = 7
 
 
+class _Compiler:
+    """Emits a closure's instruction list: :meth:`qual` and :meth:`path`
+    compile one node, after what it reads, and return its slot.  Its
+    state is attributes and the two mutually recursive steps are
+    methods, so compiling leaves no reference cycle behind."""
+
+    __slots__ = ("qual_slot", "fact_index", "label_index", "path_slot", "ops",
+                 "compiling", "next_slot")
+
+    def __init__(self, qual_slot: dict[Qualifier, int], fact_index: dict[tuple, int],
+                 label_index: dict[str, int]):
+        self.qual_slot = qual_slot
+        self.fact_index = fact_index
+        self.label_index = label_index
+        self.path_slot: dict[Path, int] = {}
+        self.ops: list[tuple[int, ...]] = []
+        self.compiling: set = set()
+        self.next_slot = len(qual_slot)
+
+    def qual(self, qual) -> int:
+        slot = self.qual_slot[qual]
+        if qual in self.compiling:
+            raise FragmentError(f"cyclic qualifier closure at {qual!r}")
+        if any(op[1] == slot for op in self.ops):
+            return slot
+        self.compiling.add(qual)
+        if isinstance(qual, ast.PathExists):
+            source = self.path(qual.path)
+            self.ops.append((_OP_COPY, slot, source))
+        elif isinstance(qual, ast.LabelTest):
+            self.ops.append((_OP_LABEL, slot, self.label_index.get(qual.name, -1)))
+        elif isinstance(qual, ast.And):
+            left = self.qual(qual.left)
+            right = self.qual(qual.right)
+            self.ops.append((_OP_AND, slot, left, right))
+        elif isinstance(qual, ast.Or):
+            left = self.qual(qual.left)
+            right = self.qual(qual.right)
+            self.ops.append((_OP_OR, slot, left, right))
+        elif isinstance(qual, ast.Not):
+            inner = self.qual(qual.inner)
+            self.ops.append((_OP_NOT, slot, inner))
+        else:
+            raise FragmentError(f"unexpected qualifier {qual!r}")
+        self.compiling.discard(qual)
+        return slot
+
+    def path(self, path: Path) -> int:
+        slot = self.path_slot.get(path)
+        if slot is not None:
+            if path in self.compiling:
+                raise FragmentError(f"cyclic path closure at {path!r}")
+            return slot
+        slot = self.path_slot[path] = self.next_slot
+        self.next_slot += 1
+        self.compiling.add(path)
+        fact_index = self.fact_index
+        mask = 0
+        term_ops: list[tuple[int, ...]] = []
+        done = False
+        for case in first_cases(path):
+            if isinstance(case, Done):
+                done = True
+                break
+            if isinstance(case, Child):
+                fact = ("c", case.label, _residual_qual(case.residual))
+                mask |= 1 << fact_index[fact]
+            elif isinstance(case, Desc):
+                residual = _residual_qual(case.residual) or _TRUE
+                mask |= 1 << fact_index[("cd", residual)]
+            else:  # Check
+                qual = self.qual(case.qualifier)
+                residual = self.path(case.residual)
+                term_ops.append((_OP_TERM, slot, qual, residual))
+        if done:
+            self.ops.append((_OP_TRUE, slot))
+        else:
+            if mask:
+                self.ops.append((_OP_FACT, slot, mask))
+            self.ops.extend(term_ops)
+        self.compiling.discard(path)
+        return slot
+
+
 class CompiledClosure:
     """One query's residual-qualifier closure compiled to a bit program.
 
@@ -268,78 +355,11 @@ class CompiledClosure:
         qual_slot = {qual: index for index, qual in enumerate(closure.quals)}
         self.qual_count = len(closure.quals)
         self.fact_count = len(closure.facts)
-        path_slot: dict[Path, int] = {}
-        ops: list[tuple[int, ...]] = []
-        compiling: set = set()
-        slots = [self.qual_count]  # next free slot
-
-        def compile_qual(qual) -> int:
-            slot = qual_slot[qual]
-            if qual in compiling:
-                raise FragmentError(f"cyclic qualifier closure at {qual!r}")
-            if any(op[1] == slot for op in ops):
-                return slot
-            compiling.add(qual)
-            if isinstance(qual, ast.PathExists):
-                source = compile_path(qual.path)
-                ops.append((_OP_COPY, slot, source))
-            elif isinstance(qual, ast.LabelTest):
-                ops.append((_OP_LABEL, slot, label_index.get(qual.name, -1)))
-            elif isinstance(qual, ast.And):
-                left = compile_qual(qual.left)
-                right = compile_qual(qual.right)
-                ops.append((_OP_AND, slot, left, right))
-            elif isinstance(qual, ast.Or):
-                left = compile_qual(qual.left)
-                right = compile_qual(qual.right)
-                ops.append((_OP_OR, slot, left, right))
-            elif isinstance(qual, ast.Not):
-                inner = compile_qual(qual.inner)
-                ops.append((_OP_NOT, slot, inner))
-            else:
-                raise FragmentError(f"unexpected qualifier {qual!r}")
-            compiling.discard(qual)
-            return slot
-
-        def compile_path(path: Path) -> int:
-            slot = path_slot.get(path)
-            if slot is not None:
-                if path in compiling:
-                    raise FragmentError(f"cyclic path closure at {path!r}")
-                return slot
-            slot = slots[0]
-            slots[0] += 1
-            path_slot[path] = slot
-            compiling.add(path)
-            mask = 0
-            term_ops: list[tuple[int, ...]] = []
-            done = False
-            for case in first_cases(path):
-                if isinstance(case, Done):
-                    done = True
-                    break
-                if isinstance(case, Child):
-                    fact = ("c", case.label, _residual_qual(case.residual))
-                    mask |= 1 << closure.fact_index[fact]
-                elif isinstance(case, Desc):
-                    residual = _residual_qual(case.residual) or _TRUE
-                    mask |= 1 << closure.fact_index[("cd", residual)]
-                else:  # Check
-                    qual = compile_qual(case.qualifier)
-                    residual = compile_path(case.residual)
-                    term_ops.append((_OP_TERM, slot, qual, residual))
-            if done:
-                ops.append((_OP_TRUE, slot))
-            else:
-                if mask:
-                    ops.append((_OP_FACT, slot, mask))
-                ops.extend(term_ops)
-            compiling.discard(path)
-            return slot
-
+        compiler = _Compiler(qual_slot, closure.fact_index, label_index)
         for qual in closure.quals:
-            compile_qual(qual)
-        self.slot_count = slots[0]
+            compiler.qual(qual)
+        ops = compiler.ops
+        self.slot_count = compiler.next_slot
         self.ops = tuple(ops)
         self.tested_labels = frozenset(op[2] for op in ops if op[0] == _OP_LABEL)
         self.label_classes = len(label_index) + 1
@@ -630,7 +650,6 @@ def prepare_types(dtd: DTD) -> PackedTypesContext:
 def sat_exptime_types(
     query: Path, dtd: DTD, max_facts: int = 22,
     context: PackedTypesContext | None = None,
-    *, witness: bool = True,
 ) -> SatResult:
     """Decide ``(query, dtd)`` for ``query ∈ X(↓,↓*,∪,[],¬)``.
 
@@ -638,8 +657,8 @@ def sat_exptime_types(
     the EXPTIME step); a :class:`ReproError` asks callers to fall back to
     the bounded engine beyond it.  ``context`` is the shared per-schema
     setup from :func:`prepare_types` (plan-grouped scheduling); it never
-    changes a verdict.  ``witness=False`` (the batch engine's
-    verdict-only call) skips realizing the witness tree.
+    changes a verdict.  A SAT result realizes its witness tree on its
+    first ``.witness`` read.
     """
     used = features_of(query)
     if not used <= SPEC.allowed:
@@ -712,10 +731,10 @@ def sat_exptime_types(
     # the seed qualifier PathExists(query) is collected first: bit 0
     for type_id, label_id in enumerate(type_labels):
         if label_id == root_id and type_truths[type_id] & 1:
-            tree = _realize(
-                type_id, context.labels, type_labels, type_realization, dtd
-            ) if witness else None
-            return SatResult(True, METHOD, witness=tree, stats=stats)
+            witness = partial(
+                _realize, type_id, context.labels, type_labels, type_realization, dtd
+            )
+            return SatResult(True, METHOD, witness=witness, stats=stats)
     return SatResult(False, METHOD, stats=stats)
 
 
@@ -758,6 +777,4 @@ SPEC = register_decider(DeciderSpec(
     cost_rank=40,
     may_decline=True,  # raises ReproError beyond max_facts: fall back
     prepare=prepare_types,
-    accepts_context=True,
-    builds_witness=True,
 ))

@@ -134,5 +134,4 @@ SPEC = register_decider(DeciderSpec(
     complexity="NEXPTIME",
     cost_rank=50,
     prepare=prepare_nexptime,
-    accepts_context=True,
 ))

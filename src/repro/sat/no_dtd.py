@@ -7,10 +7,13 @@ label set ``Ele = labels(p) ∪ {X}``: with no DTD, ``↓``/``↓*`` reach every
 label, and a conjunction of qualifiers is satisfiable at a node iff each
 conjunct is — witnesses live in independent branches because nothing
 constrains the children words.  The witness construction is the paper's
-``Tree(p)``: a pattern tree with a separate branch per qualifier.
+``Tree(p)``: a pattern tree with a separate branch per qualifier, built
+on the result's first ``.witness`` read.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.errors import FragmentError
 from repro.sat.result import SatResult
@@ -36,9 +39,9 @@ def sat_no_dtd(query: Path) -> SatResult:
     if Feature.LABEL_TEST not in used:
         # the paper's observation: without label tests every query in the
         # fragment is satisfiable
-        witness = _build_witness(query, _trivial_reach(query))
         return SatResult(
-            True, METHOD, witness=witness, reason="label-test-free: always satisfiable"
+            True, METHOD, witness=partial(_build_witness, query),
+            reason="label-test-free: always satisfiable",
         )
 
     labels = sorted(labels_mentioned(query))
@@ -117,8 +120,7 @@ def sat_no_dtd(query: Path) -> SatResult:
     stats = {"reach_entries": len(reach_cache), "sat_entries": len(sat_cache)}
     if not satisfiable_roots:
         return SatResult(False, METHOD, stats=stats)
-    root_label = satisfiable_roots[0]
-    witness = _build_witness_checked(query, root_label, reach, sat_q)
+    witness = partial(_build_witness_checked, query, satisfiable_roots[0], reach, sat_q)
     return SatResult(True, METHOD, witness=witness, stats=stats)
 
 
@@ -127,25 +129,7 @@ def sat_no_dtd(query: Path) -> SatResult:
 # requirement gets its own branch.
 # ---------------------------------------------------------------------------
 
-class _TrivialTables:
-    """reach/sat tables for the label-test-free case: everything reachable,
-    everything satisfiable."""
-
-    def __init__(self, universe: frozenset[str]):
-        self.universe = universe
-
-
-def _trivial_reach(query: Path):
-    labels = sorted(labels_mentioned(query)) or ["X"]
-
-    def reach(sub: Path, label: str) -> frozenset[str]:
-        del sub, label
-        return frozenset(labels)
-
-    return reach
-
-
-def _build_witness(query: Path, reach) -> XMLTree:
+def _build_witness(query: Path) -> XMLTree:
     """Label-test-free witness: greedily realize one branch per
     requirement; any labels work, so use the mentioned ones."""
     root = Node("X")

@@ -426,7 +426,7 @@ class SchemaContexts:
         if name in self._unavailable or self._dtd is None:
             return None
         spec = get_decider(name)
-        if spec.prepare is None or not spec.accepts_context:
+        if spec.prepare is None:
             self._unavailable.add(name)
             return None
         start = time.perf_counter()
@@ -457,7 +457,6 @@ def execute_plan(
     pre_canonicalized: bool = False,
     trace: ExecutionTrace | None = None,
     contexts: "dict[str, Any] | SchemaContexts | None" = None,
-    witness: bool = True,
 ) -> SatResult:
     """Run ``plan`` against a concrete query: apply its rewrite passes in
     order, then the decider chain.
@@ -477,11 +476,10 @@ def execute_plan(
     decider names to the shared per-schema setup (a plain dict or a lazy
     :class:`SchemaContexts`); each member is looked up via ``.get``.
 
-    ``witness=False`` asks for the verdict only: members whose spec
-    ``takes_witness`` skip building a witness tree, so a SAT result may
-    carry none.  The batch engine's runtimes pass it (a decision-cache
-    entry keeps only verdict, method and reason); library
-    :func:`~repro.sat.dispatch.decide` keeps the default.
+    A SAT result's witness is built on its first read (see
+    :class:`~repro.sat.result.SatResult`): the batch engine's runtimes,
+    which keep only verdict, method and reason, build none, and the
+    per-member ``trace`` latencies exclude witness building.
     """
     for name in plan.rewrites:
         if pre_canonicalized and name == "canonicalize":
@@ -502,7 +500,6 @@ def execute_plan(
             result = spec.call(
                 query, dtd, bounds,
                 context=contexts.get(name) if contexts else None,
-                witness=witness,
             )
         except ReproError:
             if trace is not None:

@@ -54,10 +54,8 @@ def sat_positive(query: Path, dtd: DTD, bounds: Bounds | None = None) -> SatResu
     used = features_of(query)
 
     if used <= _DOWNWARD_OK:
-        inner = sat_exptime_types(query, dtd)
-        return SatResult(
-            inner.satisfiable, METHOD, witness=inner.witness,
-            reason="downward positive via types fixpoint", stats=inner.stats,
+        return _via_types(
+            sat_exptime_types(query, dtd), "downward positive via types fixpoint"
         )
 
     if CHILD_UP.contains(query):
@@ -66,11 +64,9 @@ def sat_positive(query: Path, dtd: DTD, bounds: Bounds | None = None) -> SatResu
             return SatResult(
                 False, METHOD, reason="query climbs above the root"
             )
-        inner = sat_exptime_types(rewritten.path, dtd)
-        return SatResult(
-            inner.satisfiable, METHOD, witness=inner.witness,
-            reason="upward steps eliminated (Thm 6.8(2) rewriting)",
-            stats=inner.stats,
+        return _via_types(
+            sat_exptime_types(rewritten.path, dtd),
+            "upward steps eliminated (Thm 6.8(2) rewriting)",
         )
 
     bounds = bounds or small_model_bounds(query, dtd)
@@ -79,6 +75,16 @@ def sat_positive(query: Path, dtd: DTD, bounds: Bounds | None = None) -> SatResu
         inner.satisfiable, METHOD, witness=inner.witness,
         reason=f"bounded search with Lemma 4.5 bounds: {inner.reason}",
         stats=inner.stats,
+    )
+
+
+def _via_types(inner: SatResult, reason: str) -> SatResult:
+    """The types fixpoint's answer under this procedure's name.  Its
+    witness is passed on unread: it is realized only if this result's
+    ``.witness`` is read."""
+    return SatResult(
+        inner.satisfiable, METHOD, witness=lambda: inner.witness,
+        reason=reason, stats=inner.stats,
     )
 
 

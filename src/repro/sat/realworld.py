@@ -45,7 +45,8 @@ A SAT verdict carries a witness: each ``(type, qualifier set)`` key
 records the host children that made it true when it flipped, and the
 tree is read back from those records, with children words from the
 feasibility models and minimal subtrees for every other child.  The
-batch engine's verdict-only call (``witness=False``) skips that read.
+read happens on the result's first ``.witness`` read, so the batch
+engine, which keeps only verdicts, never makes it.
 
 All combinatorial widths are hard-budgeted; exceeding a budget raises
 :class:`~repro.errors.ReproError`, which the planner's ``may_decline``
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Iterator, Mapping, Union as TUnion
 
@@ -315,8 +317,8 @@ class _Solver:
     When a key flips to true, ``hosts`` records the ``(host label, host
     qualifier ids)`` children that made it true.  Those keys were all
     true already, so the records form a well-founded derivation that
-    :meth:`witness` turns into a tree.  A verdict-only call never reads
-    them back.
+    :meth:`witness` turns into a tree.  A caller that reads only the
+    verdict never reads them back.
     """
 
     dtd: DTD
@@ -596,16 +598,15 @@ class _Solver:
 # -- the decider -----------------------------------------------------------------
 
 def sat_realworld(
-    query: Path, dtd: DTD, context: RealWorldContext | None = None,
-    *, witness: bool = True,
+    query: Path, dtd: DTD, context: RealWorldContext | None = None
 ) -> SatResult:
     """Decide ``(query, dtd)`` for DC/DF-restrained ``dtd`` and ``query``
     in ``X(↓,↓*,∪,[])`` or ``X(↓,↑)``.
 
     Declines (``ReproError``) when a combinatorial budget trips, so the
     planner falls through to the EXPTIME chain with verdicts unchanged.
-    ``witness=False`` (the batch engine's verdict-only call) skips
-    reading the witness tree back; the verdict and stats are the same.
+    A SAT result reads its witness tree back on its first ``.witness``
+    read.
     """
     rewritten = query
     features = features_of(query)
@@ -630,8 +631,8 @@ def sat_realworld(
         "steps": solver.steps,
         "passes": solver.passes,
     }
-    tree = solver.witness(rewritten) if satisfiable and witness else None
-    return SatResult(satisfiable, METHOD, witness=tree, stats=stats)
+    witness = partial(solver.witness, rewritten) if satisfiable else None
+    return SatResult(satisfiable, METHOD, witness=witness, stats=stats)
 
 
 SPEC = register_decider(DeciderSpec(
@@ -648,6 +649,4 @@ SPEC = register_decider(DeciderSpec(
     traits=("dc_df_restrained",),
     may_decline=True,  # budget trips raise ReproError: fall back to EXPTIME
     prepare=prepare_realworld,
-    accepts_context=True,
-    builds_witness=True,
 ))

@@ -17,9 +17,8 @@ module the caller touched first.
 
 from __future__ import annotations
 
-import inspect
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.errors import FragmentError
@@ -81,22 +80,14 @@ class DeciderSpec:
         batch engine's worker runtimes call it **once per schema**, not
         per plan (once per chunk with affinity off), then hand the
         context to every ``call`` on that schema — N jobs pay setup once
-        instead of N times.
+        instead of N times; the decision function then takes it as a
+        ``context=`` keyword.
         A context is a pure cache: it must never change a verdict.
-    accepts_context:
-        The decision function takes a ``context=`` keyword carrying the
-        object ``prepare`` returned.
-    builds_witness:
-        The decision function builds a witness tree for a SAT answer and
-        skips it when called with the keyword ``witness=False``.  The
-        batch engine keeps only verdicts, so its runtimes ask for none;
-        library :func:`~repro.sat.dispatch.decide` keeps the witness.
-    takes_witness:
-        Derived, not an argument: ``builds_witness`` holds *and* the
-        current ``fn`` accepts a ``witness`` keyword.  :meth:`call`
-        forwards the request only then, so a ``dataclasses.replace`` that
-        swaps ``fn`` for a narrower double (a test's fault injector, a
-        benchmark's timing wrapper) keeps working.
+
+    A decision function that reads its witness tree off its tables
+    returns it unbuilt (see :class:`~repro.sat.result.SatResult`), so a
+    caller that keeps only the verdict, as the batch engine does, never
+    builds one.
     """
 
     name: str
@@ -112,33 +103,21 @@ class DeciderSpec:
     traits: tuple[str, ...] = ()
     may_decline: bool = False
     prepare: Callable | None = None
-    accepts_context: bool = False
-    builds_witness: bool = False
-    takes_witness: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "takes_witness",
-            self.builds_witness and _takes_keyword(self.fn, "witness"),
-        )
 
     def accepts(self, features: frozenset[Feature]) -> bool:
         return features <= self.allowed
 
-    def call(self, query, dtd=None, bounds=None, context=None, witness=True):
-        """Run the decision function.  ``witness=False`` asks for the
-        verdict only; it is forwarded when ``takes_witness`` holds."""
+    def call(self, query, dtd=None, bounds=None, context=None):
+        """Run the decision function, handing it ``context`` (the object
+        ``prepare`` returned) when one is given."""
         args = [query]
         if self.needs_dtd:
             args.append(dtd)
         if self.accepts_bounds:
             args.append(bounds)
-        kwargs = {}
-        if self.accepts_context and context is not None:
-            kwargs["context"] = context
-        if not witness and self.takes_witness:
-            kwargs["witness"] = False
-        return self.fn(*args, **kwargs)
+        if context is not None:
+            return self.fn(*args, context=context)
+        return self.fn(*args)
 
     def describe(self) -> str:
         qualifiers = []
@@ -148,25 +127,6 @@ class DeciderSpec:
             qualifiers.append("may decline")
         suffix = f" ({'; '.join(qualifiers)})" if qualifiers else ""
         return f"{self.name}: {self.shape} — {self.theorem}, {self.complexity}{suffix}"
-
-
-def _takes_keyword(fn: Callable, name: str) -> bool:
-    """Does ``fn`` accept the keyword argument ``name``?"""
-    try:
-        parameters = inspect.signature(fn).parameters.values()
-    except (TypeError, ValueError):
-        return False
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        or (
-            parameter.name == name
-            and parameter.kind in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            )
-        )
-        for parameter in parameters
-    )
 
 
 _REGISTRY: dict[str, DeciderSpec] = {}

@@ -20,11 +20,14 @@ we decide, by layered reachability in the Glushkov automaton.)
 The decision procedure memoizes ``sat(i, A)`` — "segments ``i..n`` are
 realizable starting from a context node of type ``A``" — and for each
 segment computes the feasible landing types via the automaton analysis.
+A SAT result realizes the recorded landing choices into a witness tree
+on its first ``.witness`` read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.dtd.model import DTD
 from repro.errors import FragmentError, UnsupportedQueryError
@@ -119,7 +122,9 @@ def sat_sibling(query: Path, dtd: DTD) -> SatResult:
     except UnsupportedQueryError as exc:
         return SatResult(False, METHOD, reason=str(exc))
     if not segments:
-        return SatResult(True, METHOD, witness=minimal_tree(dtd), reason="empty path")
+        return SatResult(
+            True, METHOD, witness=partial(minimal_tree, dtd), reason="empty path"
+        )
 
     memo: dict[tuple[int, str], bool] = {}
     choice: dict[tuple[int, str], str] = {}
@@ -150,7 +155,7 @@ def sat_sibling(query: Path, dtd: DTD) -> SatResult:
     stats = {"memo_entries": len(memo)}
     if not satisfiable:
         return SatResult(False, METHOD, stats=stats)
-    witness = _build_witness(dtd, segments, choice)
+    witness = partial(_build_witness, dtd, segments, choice)
     return SatResult(True, METHOD, witness=witness, stats=stats)
 
 

@@ -3,8 +3,10 @@ engine drops.
 
 * verdict-only decisions: an engine run calls no witness builder, while
   its verdicts and methods equal library ``decide()``'s, whose SAT
-  witnesses conform and satisfy; ``DeciderSpec.call`` forwards the
-  request only to a function that takes it;
+  witnesses conform and satisfy;
+* witnesses are built on first read: a result runs its builder once,
+  whatever wraps the decider, and a decided question whose result is
+  dropped unread leaves no reference cycle behind;
 * one planning form: the engine, ``decide()``, ``Planner.plan_query`` and
   ``repro explain`` all plan on the canonical form, so a question whose
   operators change under canonicalization runs one chain everywhere;
@@ -21,25 +23,32 @@ engine drops.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import random
 import sys
 from collections import Counter
 
+import pytest
+
 from repro.dtd import parse_dtd, random_dtd
 from repro.engine import BatchEngine, Job, SchemaRegistry
 from repro.errors import FragmentError, ReproError
 from repro.sat import Planner, decide, get_decider
-from repro.sat import disjunction_free, downward, exptime_types, realworld
+from repro.sat import (
+    disjunction_free, downward, exptime_types, no_dtd, positive, realworld, sibling,
+)
 from repro.sat import registry as sat_registry
 from repro.sat.costmodel import CostModel, calibrate
 from repro.sat.exptime_types import Check, Child, Desc, Done
 from repro.sat.realworld import MAX_CHOICES, _Solver, prepare_realworld
+from repro.sat.result import SatResult
 from repro.testing.oracle import build_corpus
 from repro.workloads import wide_dtd
 from repro.workloads.batch import batch_jobs
 from repro.workloads.realworld import realworld_jobs, realworld_schemas
 from repro.xmltree import conforms
+from repro.xmltree.model import Node, XMLTree
 from repro.xpath import ast, fragments, parse_query
 from repro.xpath.canonical import canonicalize
 from repro.xpath.fragments import (
@@ -171,29 +180,114 @@ class TestVerdictOnly:
         assert witnesses >= 100
         assert sum(calls.values()) >= 100  # decide() keeps its witnesses
 
-    def test_call_forwards_the_request_only_to_a_function_that_takes_it(self):
+
+class TestWitnessOnFirstRead:
+    def test_the_builder_runs_once_on_the_first_read(self):
+        built = []
+
+        def builder():
+            built.append(1)
+            return XMLTree(Node("r"))
+
+        result = SatResult(True, "test", witness=builder)
+        assert built == [] and "unread" in repr(result)
+        first = result.witness
+        assert result.witness is first and built == [1]
+        assert result.describe() == "SAT [test]; witness has 1 nodes"
+        assert built == [1]
+
+    def test_a_decider_builds_on_the_first_read(self, monkeypatch):
+        calls = _count_witness_builders(monkeypatch)
+        result = downward.sat_downward(parse_query("a/c"), _DISJFREE)
+        assert result.satisfiable and sum(calls.values()) == 0
+        tree = result.witness
+        assert result.witness is tree and calls == {"_build_witness": 1}
+        assert conforms(tree, _DISJFREE) and satisfies(tree, parse_query("a/c"))
+
+    def test_wrapped_deciders_build_no_tree_until_read(self, monkeypatch):
+        calls = _count_witness_builders(monkeypatch)
         spec = get_decider("downward")
         query, dtd = parse_query("a"), _DISJFREE
-        assert spec.takes_witness
-        assert spec.call(query, dtd, witness=False).witness is None
-        assert spec.call(query, dtd).witness is not None
 
         def narrow(query, dtd, context=None):
             return downward.sat_downward(query, dtd, context)
 
-        double = dataclasses.replace(spec, fn=narrow)
-        assert not double.takes_witness
-        assert double.call(query, dtd, witness=False).witness is not None
-
         def traced(*args, **kwargs):
             return spec.fn(*args, **kwargs)
 
-        wrapped = dataclasses.replace(spec, fn=traced)
-        assert wrapped.takes_witness
-        assert wrapped.call(query, dtd, witness=False).witness is None
-        assert not dataclasses.replace(
-            get_decider("bounded"), fn=traced
-        ).takes_witness  # its decider builds no optional witness
+        for fn in (narrow, traced):
+            double = dataclasses.replace(spec, fn=fn)
+            for context in (None, spec.prepare(dtd)):
+                calls.clear()
+                result = double.call(query, dtd, context=context)
+                assert result.satisfiable and sum(calls.values()) == 0, fn
+                assert result.witness is not None and calls == {"_build_witness": 1}
+
+    def test_positive_passes_the_types_witness_on_unread(self, monkeypatch):
+        calls = _count_witness_builders(monkeypatch)
+        query = parse_query("a/c")
+        result = positive.sat_positive(query, _DISJFREE)
+        assert result.satisfiable and calls["_realize"] == 0
+        tree = result.witness
+        assert result.witness is tree and calls["_realize"] == 1
+        assert conforms(tree, _DISJFREE) and satisfies(tree, query)
+
+    def test_sibling_and_no_dtd_build_only_when_read(self, monkeypatch):
+        calls: Counter = Counter()
+        for owner, name in (
+            (sibling, "_build_witness"),
+            (no_dtd, "_build_witness"),
+            (no_dtd, "_build_witness_checked"),
+        ):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _key=(owner.__name__, name)):
+                calls[_key] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        cases = (
+            (lambda query: sibling.sat_sibling(query, _DISJFREE), "a/>"),
+            (no_dtd.sat_no_dtd, "a[b]/**/c"),
+            (no_dtd.sat_no_dtd, ".[lab() = a]/b"),
+        )
+        for decide_fn, text in cases:
+            query = parse_query(text)
+            calls.clear()
+            result = decide_fn(query)
+            assert result.satisfiable and sum(calls.values()) == 0, text
+            tree = result.witness
+            assert result.witness is tree and sum(calls.values()) == 1, text
+            assert satisfies(tree, query), text
+
+
+#: one question on ``_DISJFREE`` for each decider that keeps per-question
+#: tables: three SAT (their witnesses unread), and one UNSAT
+_UNREAD_CASES = (
+    ("downward", "a/c | b/**/d"),
+    ("disjunction_free", "a[c]/d | b[a]"),
+    ("exptime_types", "a[not(c)]"),
+    ("realworld", "a[c]/d | b[a]"),
+)
+
+
+class TestUnreadResultsLeaveNoCycles:
+    @pytest.mark.parametrize("name, text", _UNREAD_CASES)
+    def test_dropping_an_unread_result_frees_everything(self, name, text):
+        spec = get_decider(name)
+        query = parse_query(text)
+        context = spec.prepare(_DISJFREE) if spec.prepare is not None else None
+        spec.call(query, _DISJFREE, context=context)  # warm the schema's caches
+        gc.collect()
+        gc.disable()
+        try:
+            result = spec.call(query, _DISJFREE, context=context)
+            verdict = result.satisfiable
+            del result
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert verdict is not None and garbage == 0, (name, text, garbage)
 
 
 # -- one planning form ---------------------------------------------------------
