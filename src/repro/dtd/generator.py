@@ -1,10 +1,15 @@
 """Random DTD generation for workloads and property tests.
 
-The generator guarantees every element type terminates and is reachable
-from the root, so generated DTDs satisfy the paper's standing assumptions.
-Shape knobs control the Section 6 classes: pass ``allow_union=False`` for
-disjunction-free DTDs, ``allow_recursion=False`` for nonrecursive ones,
-``allow_star=False`` for no-star ones.
+The generator guarantees every element type terminates, the paper's
+standing assumption (Section 2.1).  It does not make every type reachable
+from the root: each type draws its children at random, and a type no
+reachable type draws is declared but can occur in no conforming tree.
+Over seeds 0–199 with ``n_types=12``, 44% of the generated types are
+unreachable, and the two 48-type schemas of the pooled EXPTIME workload
+(seeds 11 and 12) reach 26 and 24 types.  Shape knobs control the
+Section 6 classes: pass ``allow_union=False`` for disjunction-free DTDs,
+``allow_recursion=False`` for nonrecursive ones, ``allow_star=False`` for
+no-star ones.
 """
 
 from __future__ import annotations

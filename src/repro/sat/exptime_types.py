@@ -26,10 +26,20 @@ construction specialized to XPath):
    the EXPTIME lives.
 
 ``(p, D)`` is satisfiable iff some realizable root type makes ``p`` true.
-Each realizable type remembers one witnessing children word, so SAT
-answers come with a concrete conforming tree, realized on the result's
-first ``.witness`` read (the batch engine, which keeps only verdicts,
-never realizes one).
+Only element types reachable from the root can occur in a conforming
+tree, and a reachable type's children are reachable too, so the fixpoint
+runs over the root-reachable labels alone: their types form a closed
+sub-fixpoint whose root types are those of the full one.  Each realizable
+type remembers one witnessing children word, so SAT answers come with a
+concrete conforming tree, realized on the result's first ``.witness``
+read (the batch engine, which keeps only verdicts, never realizes one).
+
+The closure runs on per-question interned ids (:class:`_Closure`): each
+distinct qualifier and path is numbered once, looked up by object
+identity first and then by its kind and its children's ids, so deciding
+a question hashes and compares no AST node.  Each distinct path is
+decomposed by ``first_cases`` once; its cases are recorded as ids and
+replayed by the compiler.
 
 Everything past the closure runs on machine integers:
 
@@ -43,25 +53,29 @@ Everything past the closure runs on machine integers:
   state_shift | state``;
 * the fixpoint is a **reverse-dependency worklist**, the shape of
   :func:`repro.dtd.properties.terminating_types` and of the chaotic
-  iteration in :mod:`repro.sat.realworld`: labels are queued
-  leaf-first (:class:`PackedTypesContext` holds the order, each label's
-  parent labels and its arcs grouped by child label), and a label's
-  parents are queued again only when it gains a type with a new fact
-  contribution;
-* :class:`_LabelSearch` — the persistent per-label reachability BFS:
-  seen-set, parent links and settled nodes (indexed by automaton state)
-  survive between the label's searches, so a re-run only walks the arcs
-  into child labels that offered new contributions, against just those.
-  The ``searches`` stat counts label searches.
+  iteration in :mod:`repro.sat.realworld`: the root-reachable labels are
+  queued leaf-first (:class:`PackedTypesContext` holds the order, each
+  label's parent labels and its arcs grouped by child label), and a
+  label's parents are queued again only when it gains a type with a new
+  fact contribution;
+* :class:`_LabelSearch` — the persistent per-label reachability BFS, one
+  per root-reachable label: seen-set, parent links and settled nodes
+  (indexed by automaton state) survive between the label's searches, so
+  a re-run only walks the arcs into child labels that offered new
+  contributions, against just those.
+
+Two stats count the fixpoint's work, over root-reachable labels only:
+``types`` is the number of realizable types and ``searches`` the number
+of label searches (each reachable label once on a nonrecursive schema).
+``facts`` and ``closure_quals`` measure the closure.
 
 The Glushkov tables come from :mod:`repro.sat.bits`, whose packed word
 kernels the bounded and NEXPTIME deciders share.  ``first_cases`` and
 the step cases are also the query decomposition of
-:mod:`repro.sat.realworld`.  ``first_cases`` is not memoized: the
-closure decomposes each distinct path once to collect it and once to
-compile it, the ``realworld`` solver about once per qualifier and
-element type, and a process-wide memo keyed by whole paths cost about
-as much in hashing as it saved, while keeping parsed queries alive.
+:mod:`repro.sat.realworld`, which decomposes each path object once per
+question.  ``first_cases`` itself is not memoized: a process-wide memo
+keyed by whole paths cost about as much in hashing as it saved, while
+keeping parsed queries alive.
 """
 
 from __future__ import annotations
@@ -81,8 +95,6 @@ from repro.xpath.ast import Path, Qualifier
 from repro.xpath.fragments import REC_NEG_DOWN_UNION, Feature, features_of
 
 METHOD = "thm5.3-types-fixpoint"
-
-_TRUE = ast.PathExists(ast.Empty())
 
 
 # -- step-case decomposition -------------------------------------------------
@@ -162,74 +174,152 @@ def _first_cases(path: Path) -> list:
     raise FragmentError(f"unexpected path node {path!r}")
 
 
-def _residual_qual(path: Path) -> Qualifier | None:
-    """Tracked qualifier for a residual path (``None`` when trivially ε)."""
-    if isinstance(path, ast.Empty):
-        return None
-    return ast.PathExists(path)
-
-
 # -- closure collection --------------------------------------------------------
 
+#: node kinds with no fields, and the two that carry only a name
+_ATOMS = (ast.Empty, ast.Wildcard, ast.DescOrSelf)
+_NAMED = (ast.Label, ast.LabelTest)
+#: binary kinds, keyed by their ``left`` and ``right`` ids
+_PAIRS = (ast.Seq, ast.Union, ast.And, ast.Or)
+
+
 class _Closure:
+    """One question's residual-qualifier closure, on interned ids.
+
+    :meth:`intern` numbers each distinct qualifier and path the first
+    time it meets it.  It looks a node up by object identity first (and
+    holds the node, so identities stay unique), then by its *key*: its
+    kind and its children's ids, or its name.  So equal nodes share an
+    id, and no lookup hashes or compares an AST node.
+
+    * ``quals`` — qualifier ids in collection order (the seed first);
+      ``qual_slot`` maps an id to its position, the qualifier's truth bit;
+    * ``facts``/``fact_index`` — ``("c", label | None, qid | None)`` and
+      ``("cd", qid)`` child facts, in collection order;
+    * ``dquals`` — ids of the residuals a ``("cd", q)`` fact tracks;
+    * ``path_cases`` — each collected path's first-step cases, recorded
+      as ids (``None`` for ``Done``, a fact index for ``Child`` and
+      ``Desc``, ``(qid, residual path id)`` for ``Check``), which the
+      compiler replays instead of decomposing the path again.
+    """
+
+    __slots__ = ("quals", "qual_slot", "dquals", "facts", "fact_index",
+                 "path_cases", "keys", "nodes", "_ids", "_objects")
+
     def __init__(self) -> None:
-        self.quals: list[Qualifier] = []
-        self.qual_set: set[Qualifier] = set()
-        self.dquals: set[Qualifier] = set()
+        self.quals: list[int] = []
+        self.qual_slot: dict[int, int] = {}
+        self.dquals: set[int] = set()
         self.facts: list[tuple] = []
         self.fact_index: dict[tuple, int] = {}
-        self._paths_seen: set[Path] = set()
+        self.path_cases: dict[int, tuple] = {}
+        self.keys: list[tuple] = []                 # id -> key
+        self.nodes: list[Path | Qualifier | None] = []   # id -> first object
+        self._ids: dict[tuple, int] = {}            # key -> id
+        self._objects: dict[int, tuple] = {}        # id(node) -> (node, id)
 
-    def add_qual(self, qualifier: Qualifier, pending: deque) -> None:
-        if qualifier not in self.qual_set:
-            self.qual_set.add(qualifier)
-            self.quals.append(qualifier)
-            pending.append(qualifier)
+    def intern(self, node: Path | Qualifier) -> int:
+        entry = self._objects.get(id(node))
+        if entry is not None:
+            return entry[1]
+        kind = type(node)
+        if kind in _PAIRS:
+            key = (kind, self.intern(node.left), self.intern(node.right))
+        elif kind is ast.Filter:
+            key = (kind, self.intern(node.path), self.intern(node.qualifier))
+        elif kind is ast.PathExists:
+            key = (kind, self.intern(node.path))
+        elif kind is ast.Not:
+            key = (kind, self.intern(node.inner))
+        elif kind in _NAMED:
+            key = (kind, node.name)
+        elif kind in _ATOMS:
+            key = (kind,)
+        else:
+            raise FragmentError(f"{node!r} outside X(child,dos,union,qual,neg)")
+        nid = self._number(key, node)
+        self._objects[id(node)] = (node, nid)
+        return nid
 
-    def add_fact(self, fact: tuple) -> None:
-        if fact not in self.fact_index:
-            self.fact_index[fact] = len(self.facts)
+    def _number(self, key: tuple, node: Path | Qualifier | None) -> int:
+        nid = self._ids.get(key)
+        if nid is None:
+            nid = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.nodes.append(node)
+        return nid
+
+    def _residual(self, path: Path) -> int:
+        """The id of ``PathExists(path)``, numbered without building it."""
+        return self._number((ast.PathExists, self.intern(path)), None)
+
+    def node(self, nid: int) -> Path | Qualifier:
+        """The AST node of an id (for messages and tests): the first
+        object met with its key, or a new ``PathExists`` for a residual
+        qualifier that was numbered without one."""
+        node = self.nodes[nid]
+        if node is None:
+            node = ast.PathExists(self.nodes[self.keys[nid][1]])
+        return node
+
+    def add_qual(self, qid: int, pending: deque) -> None:
+        if qid not in self.qual_slot:
+            self.qual_slot[qid] = len(self.quals)
+            self.quals.append(qid)
+            pending.append(qid)
+
+    def add_fact(self, fact: tuple) -> int:
+        index = self.fact_index.get(fact)
+        if index is None:
+            index = self.fact_index[fact] = len(self.facts)
             self.facts.append(fact)
+        return index
 
     def collect(self, seed: Qualifier) -> None:
-        pending: deque[Qualifier] = deque()
-        self.add_qual(seed, pending)
+        pending: deque[int] = deque()
+        self.add_qual(self.intern(seed), pending)
+        keys = self.keys
         while pending:
-            qualifier = pending.popleft()
-            if isinstance(qualifier, (ast.And, ast.Or)):
-                self.add_qual(qualifier.left, pending)
-                self.add_qual(qualifier.right, pending)
-            elif isinstance(qualifier, ast.Not):
-                self.add_qual(qualifier.inner, pending)
-            elif isinstance(qualifier, ast.PathExists):
-                self._collect_path(qualifier.path, pending)
-            elif isinstance(qualifier, (ast.LabelTest,)):
-                pass
-            else:
-                raise FragmentError(
-                    f"qualifier {qualifier!r} outside X(child,dos,union,qual,neg)"
-                )
+            key = keys[pending.popleft()]
+            kind = key[0]
+            if kind is ast.And or kind is ast.Or:
+                self.add_qual(key[1], pending)
+                self.add_qual(key[2], pending)
+            elif kind is ast.Not:
+                self.add_qual(key[1], pending)
+            elif kind is ast.PathExists:
+                self._collect_path(key[1], pending)
+            # a LabelTest reads no facts
 
-    def _collect_path(self, path: Path, pending: deque) -> None:
-        if path in self._paths_seen:
+    def _collect_path(self, pid: int, pending: deque) -> None:
+        if pid in self.path_cases:
             return
-        self._paths_seen.add(path)
-        for case in first_cases(path):
+        self.path_cases[pid] = ()
+        record: list = []
+        for case in first_cases(self.nodes[pid]):
             if isinstance(case, Done):
-                continue
-            if isinstance(case, Child):
-                residual = _residual_qual(case.residual)
-                self.add_fact(("c", case.label, residual))
+                record.append(None)
+            elif isinstance(case, Child):
+                residual = (
+                    None if type(case.residual) is ast.Empty
+                    else self._residual(case.residual)
+                )
+                record.append(self.add_fact(("c", case.label, residual)))
                 if residual is not None:
                     self.add_qual(residual, pending)
             elif isinstance(case, Desc):
-                residual = _residual_qual(case.residual) or _TRUE
-                self.add_fact(("cd", residual))
+                # with an empty residual this is PathExists(ε): always true
+                residual = self._residual(case.residual)
+                record.append(self.add_fact(("cd", residual)))
                 self.dquals.add(residual)
                 self.add_qual(residual, pending)
-            elif isinstance(case, Check):
-                self.add_qual(case.qualifier, pending)
-                self._collect_path(case.residual, pending)
+            else:  # Check
+                qid = self.intern(case.qualifier)
+                self.add_qual(qid, pending)
+                rid = self.intern(case.residual)
+                self._collect_path(rid, pending)
+                record.append((qid, rid))
+        self.path_cases[pid] = tuple(record)
 
 
 # -- compiled qualifier closure --------------------------------------------------
@@ -247,85 +337,80 @@ _OP_NOT = 7
 
 class _Compiler:
     """Emits a closure's instruction list: :meth:`qual` and :meth:`path`
-    compile one node, after what it reads, and return its slot.  Its
-    state is attributes and the two mutually recursive steps are
-    methods, so compiling leaves no reference cycle behind."""
+    compile one id, after what it reads, and return its slot.  A path
+    replays the cases :class:`_Closure` recorded for it.  Its state is
+    attributes and the two mutually recursive steps are methods, so
+    compiling leaves no reference cycle behind."""
 
-    __slots__ = ("qual_slot", "fact_index", "label_index", "path_slot", "ops",
+    __slots__ = ("closure", "label_index", "path_slot", "ops", "emitted",
                  "compiling", "next_slot")
 
-    def __init__(self, qual_slot: dict[Qualifier, int], fact_index: dict[tuple, int],
-                 label_index: dict[str, int]):
-        self.qual_slot = qual_slot
-        self.fact_index = fact_index
+    def __init__(self, closure: _Closure, label_index: dict[str, int]):
+        self.closure = closure
         self.label_index = label_index
-        self.path_slot: dict[Path, int] = {}
+        self.path_slot: dict[int, int] = {}
         self.ops: list[tuple[int, ...]] = []
-        self.compiling: set = set()
-        self.next_slot = len(qual_slot)
+        self.emitted: set[int] = set()      # qualifier slots already written
+        self.compiling: set[int] = set()
+        self.next_slot = len(closure.quals)
 
-    def qual(self, qual) -> int:
-        slot = self.qual_slot[qual]
-        if qual in self.compiling:
-            raise FragmentError(f"cyclic qualifier closure at {qual!r}")
-        if any(op[1] == slot for op in self.ops):
+    def qual(self, qid: int) -> int:
+        slot = self.closure.qual_slot[qid]
+        if slot in self.emitted:
             return slot
-        self.compiling.add(qual)
-        if isinstance(qual, ast.PathExists):
-            source = self.path(qual.path)
-            self.ops.append((_OP_COPY, slot, source))
-        elif isinstance(qual, ast.LabelTest):
-            self.ops.append((_OP_LABEL, slot, self.label_index.get(qual.name, -1)))
-        elif isinstance(qual, ast.And):
-            left = self.qual(qual.left)
-            right = self.qual(qual.right)
-            self.ops.append((_OP_AND, slot, left, right))
-        elif isinstance(qual, ast.Or):
-            left = self.qual(qual.left)
-            right = self.qual(qual.right)
-            self.ops.append((_OP_OR, slot, left, right))
-        elif isinstance(qual, ast.Not):
-            inner = self.qual(qual.inner)
-            self.ops.append((_OP_NOT, slot, inner))
-        else:
-            raise FragmentError(f"unexpected qualifier {qual!r}")
-        self.compiling.discard(qual)
+        if qid in self.compiling:
+            raise FragmentError(
+                f"cyclic qualifier closure at {self.closure.node(qid)!r}"
+            )
+        self.compiling.add(qid)
+        key = self.closure.keys[qid]
+        kind = key[0]
+        if kind is ast.PathExists:
+            op = (_OP_COPY, slot, self.path(key[1]))
+        elif kind is ast.LabelTest:
+            op = (_OP_LABEL, slot, self.label_index.get(key[1], -1))
+        elif kind is ast.And:
+            op = (_OP_AND, slot, self.qual(key[1]), self.qual(key[2]))
+        elif kind is ast.Or:
+            op = (_OP_OR, slot, self.qual(key[1]), self.qual(key[2]))
+        else:  # ast.Not
+            op = (_OP_NOT, slot, self.qual(key[1]))
+        self.ops.append(op)
+        self.emitted.add(slot)
+        self.compiling.discard(qid)
         return slot
 
-    def path(self, path: Path) -> int:
-        slot = self.path_slot.get(path)
+    def path(self, pid: int) -> int:
+        slot = self.path_slot.get(pid)
         if slot is not None:
-            if path in self.compiling:
-                raise FragmentError(f"cyclic path closure at {path!r}")
+            if pid in self.compiling:
+                raise FragmentError(
+                    f"cyclic path closure at {self.closure.node(pid)!r}"
+                )
             return slot
-        slot = self.path_slot[path] = self.next_slot
+        slot = self.path_slot[pid] = self.next_slot
         self.next_slot += 1
-        self.compiling.add(path)
-        fact_index = self.fact_index
+        self.compiling.add(pid)
         mask = 0
         term_ops: list[tuple[int, ...]] = []
         done = False
-        for case in first_cases(path):
-            if isinstance(case, Done):
+        for case in self.closure.path_cases[pid]:
+            if case is None:  # Done
                 done = True
                 break
-            if isinstance(case, Child):
-                fact = ("c", case.label, _residual_qual(case.residual))
-                mask |= 1 << fact_index[fact]
-            elif isinstance(case, Desc):
-                residual = _residual_qual(case.residual) or _TRUE
-                mask |= 1 << fact_index[("cd", residual)]
-            else:  # Check
-                qual = self.qual(case.qualifier)
-                residual = self.path(case.residual)
-                term_ops.append((_OP_TERM, slot, qual, residual))
+            if type(case) is int:  # Child or Desc: a fact index
+                mask |= 1 << case
+            else:  # Check: (qualifier id, residual path id)
+                term_ops.append(
+                    (_OP_TERM, slot, self.qual(case[0]), self.path(case[1]))
+                )
         if done:
             self.ops.append((_OP_TRUE, slot))
         else:
             if mask:
                 self.ops.append((_OP_FACT, slot, mask))
             self.ops.extend(term_ops)
-        self.compiling.discard(path)
+        self.compiling.discard(pid)
         return slot
 
 
@@ -352,12 +437,12 @@ class CompiledClosure:
     )
 
     def __init__(self, closure: _Closure, label_index: dict[str, int]):
-        qual_slot = {qual: index for index, qual in enumerate(closure.quals)}
+        qual_slot = closure.qual_slot
         self.qual_count = len(closure.quals)
         self.fact_count = len(closure.facts)
-        compiler = _Compiler(qual_slot, closure.fact_index, label_index)
-        for qual in closure.quals:
-            compiler.qual(qual)
+        compiler = _Compiler(closure, label_index)
+        for qid in closure.quals:
+            compiler.qual(qid)
         ops = compiler.ops
         self.slot_count = compiler.next_slot
         self.ops = tuple(ops)
@@ -368,33 +453,33 @@ class CompiledClosure:
         # ↓*-truth bits, ordered by the qualifier's closure index so the
         # bit layout is deterministic: bit j is set iff the qualifier
         # holds here or the ("cd", q) fact (when tracked) is present
-        dqual_order = sorted(closure.dquals, key=lambda qual: qual_slot[qual])
+        dqual_order = sorted(closure.dquals, key=qual_slot.__getitem__)
         self.dqual_count = len(dqual_order)
         self.dqual_terms = tuple(
-            (qual_slot[qual], closure.fact_index.get(("cd", qual), -1))
-            for qual in dqual_order
+            (qual_slot[qid], closure.fact_index.get(("cd", qid), -1))
+            for qid in dqual_order
         )
 
         # contribution terms: ("c", label, qual) facts gate on the child's
         # label id (-1 = wildcard, -2 = label absent from the schema) and
         # optionally a truth bit; ("cd", q) facts gate on a ↓*-truth bit
-        dqual_bit = {qual: bit for bit, qual in enumerate(dqual_order)}
+        dqual_bit = {qid: bit for bit, qid in enumerate(dqual_order)}
         c_terms = []
         cd_terms = []
         for index, fact in enumerate(closure.facts):
             if fact[0] == "c":
-                _tag, label, qual = fact
+                _tag, label, qid = fact
                 if label is None:
                     label_id = -1
                 else:
                     label_id = label_index.get(label, -2)
                 c_terms.append((
                     1 << index, label_id,
-                    -1 if qual is None else qual_slot[qual],
+                    -1 if qid is None else qual_slot[qid],
                 ))
             else:
-                _tag, qual = fact
-                cd_terms.append((1 << index, dqual_bit[qual]))
+                _tag, qid = fact
+                cd_terms.append((1 << index, dqual_bit[qid]))
         self.c_terms = tuple(c_terms)
         self.cd_terms = tuple(cd_terms)
 
@@ -564,12 +649,20 @@ class PackedTypesContext:
     * ``arcs[label][state]`` — Glushkov successors ``(succ, child label)``;
     * ``arcs_into[label]`` — the same arcs grouped by child label:
       ``(child label, ((state, succ), ...))`` per distinct child label;
-    * ``parent_labels[label]`` — the labels whose content model
-      mentions it;
-    * ``leaf_first`` — every label, children before parents except
-      along recursive cycles (a depth-first post-order);
+    * ``parent_labels[label]`` — the root-reachable labels whose
+      content model mentions it;
+    * ``leaf_first`` — the labels reachable from the root, children
+      before parents except along recursive cycles (a depth-first
+      post-order from the root).  Only these labels are searched: a
+      conforming tree contains no other, and a reachable label's
+      children are reachable too, so their types form a closed
+      sub-fixpoint whose root types are those of the full one;
     * ``shifts``/``accept_masks`` — the packing width of a state and
       the accepting-state bitmask, per label.
+
+    Label ids, ``label_index`` and the arc tables cover every element
+    type, reachable or not: label tests and contribution terms index
+    them.
     """
 
     __slots__ = ("labels", "label_index", "arcs", "arcs_into",
@@ -581,10 +674,9 @@ class PackedTypesContext:
         self.label_index = {name: index for index, name in enumerate(self.labels)}
         arcs = []
         arcs_into = []
-        parent_labels: list[list[int]] = [[] for _ in self.labels]
         shifts = []
         accept_masks = []
-        for label_id, name in enumerate(self.labels):
+        for name in self.labels:
             tables = cached_tables(dtd.production(name))
             label_arcs = tuple(
                 tuple(
@@ -597,47 +689,45 @@ class PackedTypesContext:
             for state, state_arcs in enumerate(label_arcs):
                 for succ, child_label in state_arcs:
                     grouped.setdefault(child_label, []).append((state, succ))
-            into = tuple(
+            arcs.append(label_arcs)
+            arcs_into.append(tuple(
                 (child_label, tuple(grouped[child_label]))
                 for child_label in sorted(grouped)
-            )
-            for child_label, _pairs in into:
-                parent_labels[child_label].append(label_id)
-            arcs.append(label_arcs)
-            arcs_into.append(into)
+            ))
             shifts.append(max(1, (len(tables.symbols) - 1).bit_length()))
             accept_masks.append(tables.accept_mask)
         self.arcs = tuple(arcs)
         self.arcs_into = tuple(arcs_into)
+        children = [[child for child, _pairs in into] for into in arcs_into]
+        self.leaf_first = _leaf_first(children, self.label_index[dtd.root])
+        parent_labels: list[list[int]] = [[] for _ in self.labels]
+        for label_id in sorted(self.leaf_first):
+            for child in children[label_id]:
+                parent_labels[child].append(label_id)
         self.parent_labels = tuple(tuple(labels) for labels in parent_labels)
-        self.leaf_first = _leaf_first(
-            [[child for child, _pairs in into] for into in self.arcs_into]
-        )
         self.shifts = tuple(shifts)
         self.accept_masks = tuple(accept_masks)
 
 
-def _leaf_first(children: list[list[int]]) -> tuple[int, ...]:
-    """Every label in depth-first post-order over child edges: a label
-    follows all of its children except those on a recursive cycle
-    through it.  Iterative, so a deep schema cannot exhaust the stack."""
+def _leaf_first(children: list[list[int]], root: int) -> tuple[int, ...]:
+    """The labels reachable from ``root``, in depth-first post-order over
+    child edges: a label follows all of its children except those on a
+    recursive cycle through it.  Iterative, so a deep schema cannot
+    exhaust the stack."""
     visited = [False] * len(children)
+    visited[root] = True
     order: list[int] = []
-    for start in range(len(children)):
-        if visited[start]:
-            continue
-        visited[start] = True
-        stack = [(start, iter(children[start]))]
-        while stack:
-            label, pending = stack[-1]
-            for child in pending:
-                if not visited[child]:
-                    visited[child] = True
-                    stack.append((child, iter(children[child])))
-                    break
-            else:
-                stack.pop()
-                order.append(label)
+    stack = [(root, iter(children[root]))]
+    while stack:
+        label, pending = stack[-1]
+        for child in pending:
+            if not visited[child]:
+                visited[child] = True
+                stack.append((child, iter(children[child])))
+                break
+        else:
+            stack.pop()
+            order.append(label)
     return tuple(order)
 
 
@@ -678,7 +768,13 @@ def sat_exptime_types(
     compiled = CompiledClosure(closure, context.label_index)
 
     label_count = len(context.labels)
-    searches = [_LabelSearch(context, label_id) for label_id in range(label_count)]
+    # only root-reachable labels are searched (see PackedTypesContext),
+    # and each starts queued
+    searches: list[_LabelSearch | None] = [None] * label_count
+    queued = bytearray(label_count)
+    for label_id in context.leaf_first:
+        searches[label_id] = _LabelSearch(context, label_id)
+        queued[label_id] = 1
     qd_shift = compiled.qual_count + compiled.dqual_count
     d_shift = compiled.dqual_count
     type_labels: list[int] = []
@@ -692,7 +788,6 @@ def sat_exptime_types(
 
     parent_labels = context.parent_labels
     queue = deque(context.leaf_first)
-    queued = bytearray(b"\x01") * label_count
     search_count = 0
     while queue:
         label_id = queue.popleft()

@@ -27,6 +27,78 @@ from repro.sat.registry import DeciderSpec, register_decider
 METHOD = "thm6.11-no-dtd"
 
 
+class _ReachProgram:
+    """One question's ``reach(p', A)`` and ``sat(q, A)`` tables over the
+    label set ``universe``, filled on demand.  The memos are keyed on the
+    stable ``query_key`` (a content digest, so the tables could be shared
+    across processes/sessions, unlike per-process salted ``hash()``);
+    keys are memoized by node identity because the AST is fixed for the
+    duration of the call.  The memos are attributes and the recurrences
+    methods, so a question's tables hold no reference cycle."""
+
+    __slots__ = ("universe", "reach_memo", "sat_memo", "node_keys")
+
+    def __init__(self, universe: frozenset[str]):
+        self.universe = universe
+        self.reach_memo: dict[tuple[str, str], frozenset[str]] = {}
+        self.sat_memo: dict[tuple[str, str], bool] = {}
+        self.node_keys: dict[int, str] = {}
+
+    def key_of(self, node: Path | Qualifier) -> str:
+        key = self.node_keys.get(id(node))
+        if key is None:
+            key = self.node_keys[id(node)] = query_key(node)
+        return key
+
+    def reach(self, sub: Path, label: str) -> frozenset[str]:
+        key = (self.key_of(sub), label)
+        cached = self.reach_memo.get(key)
+        if cached is None:
+            cached = self.reach_memo[key] = self._reach(sub, label)
+        return cached
+
+    def _reach(self, sub: Path, label: str) -> frozenset[str]:
+        if isinstance(sub, ast.Empty):
+            return frozenset({label})
+        if isinstance(sub, ast.Label):
+            # no DTD: any label can appear as a child of any node
+            return frozenset({sub.name})
+        if isinstance(sub, (ast.Wildcard, ast.DescOrSelf)):
+            return self.universe
+        if isinstance(sub, ast.Union):
+            return self.reach(sub.left, label) | self.reach(sub.right, label)
+        if isinstance(sub, ast.Seq):
+            targets: set[str] = set()
+            for middle in self.reach(sub.left, label):
+                targets |= self.reach(sub.right, middle)
+            return frozenset(targets)
+        if isinstance(sub, ast.Filter):
+            return frozenset(
+                target for target in self.reach(sub.path, label)
+                if self.sat_q(sub.qualifier, target)
+            )
+        raise FragmentError(f"unexpected node {sub!r}")
+
+    def sat_q(self, qualifier: Qualifier, label: str) -> bool:
+        key = (self.key_of(qualifier), label)
+        cached = self.sat_memo.get(key)
+        if cached is None:
+            cached = self.sat_memo[key] = self._sat_q(qualifier, label)
+        return cached
+
+    def _sat_q(self, qualifier: Qualifier, label: str) -> bool:
+        if isinstance(qualifier, ast.PathExists):
+            return bool(self.reach(qualifier.path, label))
+        if isinstance(qualifier, ast.LabelTest):
+            return qualifier.name == label
+        if isinstance(qualifier, ast.And):
+            # independent branches: conjuncts decide separately
+            return self.sat_q(qualifier.left, label) and self.sat_q(qualifier.right, label)
+        if isinstance(qualifier, ast.Or):
+            return self.sat_q(qualifier.left, label) or self.sat_q(qualifier.right, label)
+        raise FragmentError(f"unexpected qualifier {qualifier!r}")
+
+
 def sat_no_dtd(query: Path) -> SatResult:
     """Decide satisfiability of ``query ∈ X(↓,↓*,∪,[])`` (label tests
     allowed) over unconstrained trees."""
@@ -48,79 +120,17 @@ def sat_no_dtd(query: Path) -> SatResult:
     fresh = "X"
     while fresh in labels:
         fresh += "_"
-    universe = frozenset(labels) | {fresh}
-
-    # memo tables keyed on the stable query_key (a content digest, so the
-    # tables could be shared across processes/sessions, unlike per-process
-    # salted hash()); keys are memoized by node identity because the AST
-    # is fixed for the duration of the call
-    reach_cache: dict[tuple[str, str], frozenset[str]] = {}
-    sat_cache: dict[tuple[str, str], bool] = {}
-    node_keys: dict[int, str] = {}
-
-    def key_of(node: Path | Qualifier) -> str:
-        key = node_keys.get(id(node))
-        if key is None:
-            key = query_key(node)
-            node_keys[id(node)] = key
-        return key
-
-    def reach(sub: Path, label: str) -> frozenset[str]:
-        key = (key_of(sub), label)
-        cached = reach_cache.get(key)
-        if cached is None:
-            cached = _reach(sub, label)
-            reach_cache[key] = cached
-        return cached
-
-    def _reach(sub: Path, label: str) -> frozenset[str]:
-        if isinstance(sub, ast.Empty):
-            return frozenset({label})
-        if isinstance(sub, ast.Label):
-            # no DTD: any label can appear as a child of any node
-            return frozenset({sub.name})
-        if isinstance(sub, (ast.Wildcard, ast.DescOrSelf)):
-            return universe
-        if isinstance(sub, ast.Union):
-            return reach(sub.left, label) | reach(sub.right, label)
-        if isinstance(sub, ast.Seq):
-            targets: set[str] = set()
-            for middle in reach(sub.left, label):
-                targets |= reach(sub.right, middle)
-            return frozenset(targets)
-        if isinstance(sub, ast.Filter):
-            return frozenset(
-                target for target in reach(sub.path, label) if sat_q(sub.qualifier, target)
-            )
-        raise FragmentError(f"unexpected node {sub!r}")
-
-    def sat_q(qualifier: Qualifier, label: str) -> bool:
-        key = (key_of(qualifier), label)
-        cached = sat_cache.get(key)
-        if cached is None:
-            cached = _sat_q(qualifier, label)
-            sat_cache[key] = cached
-        return cached
-
-    def _sat_q(qualifier: Qualifier, label: str) -> bool:
-        if isinstance(qualifier, ast.PathExists):
-            return bool(reach(qualifier.path, label))
-        if isinstance(qualifier, ast.LabelTest):
-            return qualifier.name == label
-        if isinstance(qualifier, ast.And):
-            # independent branches: conjuncts decide separately
-            return sat_q(qualifier.left, label) and sat_q(qualifier.right, label)
-        if isinstance(qualifier, ast.Or):
-            return sat_q(qualifier.left, label) or sat_q(qualifier.right, label)
-        raise FragmentError(f"unexpected qualifier {qualifier!r}")
-
+    program = _ReachProgram(frozenset(labels) | {fresh})
     satisfiable_roots = [
-        label for label in sorted(universe) if reach(query, label)
+        label for label in sorted(program.universe) if program.reach(query, label)
     ]
-    stats = {"reach_entries": len(reach_cache), "sat_entries": len(sat_cache)}
+    stats = {
+        "reach_entries": len(program.reach_memo),
+        "sat_entries": len(program.sat_memo),
+    }
     if not satisfiable_roots:
         return SatResult(False, METHOD, stats=stats)
-    witness = partial(_build_witness_checked, query, satisfiable_roots[0], reach, sat_q)
+    witness = partial(_build_witness_checked, query, satisfiable_roots[0], program)
     return SatResult(True, METHOD, witness=witness, stats=stats)
 
 
@@ -172,60 +182,61 @@ def _grow_qualifier(node: Node, qualifier: Qualifier) -> None:
     raise FragmentError(f"unexpected qualifier {qualifier!r}")
 
 
-def _build_witness_checked(query: Path, root_label: str, reach, sat_q) -> XMLTree:
+def _build_witness_checked(query: Path, root_label: str, program: _ReachProgram) -> XMLTree:
     """Witness construction guided by the reach/sat tables (needed when
     label tests force choices)."""
-
-    def realize_path(node: Node, sub: Path, target: str) -> Node:
-        if isinstance(sub, ast.Empty):
-            return node
-        if isinstance(sub, ast.Label):
-            return node.append(Node(sub.name))
-        if isinstance(sub, ast.Wildcard):
-            return node.append(Node(target))
-        if isinstance(sub, ast.DescOrSelf):
-            if target == node.label:
-                return node  # descendant-or-self includes self
-            return node.append(Node(target))
-        if isinstance(sub, ast.Union):
-            if target in reach(sub.left, node.label):
-                return realize_path(node, sub.left, target)
-            return realize_path(node, sub.right, target)
-        if isinstance(sub, ast.Seq):
-            for middle in sorted(reach(sub.left, node.label)):
-                if target in reach(sub.right, middle):
-                    mid = realize_path(node, sub.left, middle)
-                    return realize_path(mid, sub.right, target)
-            raise AssertionError("reach promised a decomposition")
-        if isinstance(sub, ast.Filter):
-            end = realize_path(node, sub.path, target)
-            realize_qualifier(end, sub.qualifier)
-            return end
-        raise FragmentError(f"unexpected node {sub!r}")
-
-    def realize_qualifier(node: Node, qualifier: Qualifier) -> None:
-        if isinstance(qualifier, ast.PathExists):
-            targets = reach(qualifier.path, node.label)
-            realize_path(node, qualifier.path, min(targets))
-            return
-        if isinstance(qualifier, ast.LabelTest):
-            return
-        if isinstance(qualifier, ast.And):
-            realize_qualifier(node, qualifier.left)
-            realize_qualifier(node, qualifier.right)
-            return
-        if isinstance(qualifier, ast.Or):
-            if sat_q(qualifier.left, node.label):
-                realize_qualifier(node, qualifier.left)
-            else:
-                realize_qualifier(node, qualifier.right)
-            return
-        raise FragmentError(f"unexpected qualifier {qualifier!r}")
-
     root = Node(root_label)
-    target = min(reach(query, root_label))
-    realize_path(root, query, target)
+    target = min(program.reach(query, root_label))
+    _realize_path(program, root, query, target)
     return XMLTree(root)
+
+
+def _realize_path(program: _ReachProgram, node: Node, sub: Path, target: str) -> Node:
+    if isinstance(sub, ast.Empty):
+        return node
+    if isinstance(sub, ast.Label):
+        return node.append(Node(sub.name))
+    if isinstance(sub, ast.Wildcard):
+        return node.append(Node(target))
+    if isinstance(sub, ast.DescOrSelf):
+        if target == node.label:
+            return node  # descendant-or-self includes self
+        return node.append(Node(target))
+    if isinstance(sub, ast.Union):
+        if target in program.reach(sub.left, node.label):
+            return _realize_path(program, node, sub.left, target)
+        return _realize_path(program, node, sub.right, target)
+    if isinstance(sub, ast.Seq):
+        for middle in sorted(program.reach(sub.left, node.label)):
+            if target in program.reach(sub.right, middle):
+                mid = _realize_path(program, node, sub.left, middle)
+                return _realize_path(program, mid, sub.right, target)
+        raise AssertionError("reach promised a decomposition")
+    if isinstance(sub, ast.Filter):
+        end = _realize_path(program, node, sub.path, target)
+        _realize_qualifier(program, end, sub.qualifier)
+        return end
+    raise FragmentError(f"unexpected node {sub!r}")
+
+
+def _realize_qualifier(program: _ReachProgram, node: Node, qualifier: Qualifier) -> None:
+    if isinstance(qualifier, ast.PathExists):
+        targets = program.reach(qualifier.path, node.label)
+        _realize_path(program, node, qualifier.path, min(targets))
+        return
+    if isinstance(qualifier, ast.LabelTest):
+        return
+    if isinstance(qualifier, ast.And):
+        _realize_qualifier(program, node, qualifier.left)
+        _realize_qualifier(program, node, qualifier.right)
+        return
+    if isinstance(qualifier, ast.Or):
+        if program.sat_q(qualifier.left, node.label):
+            _realize_qualifier(program, node, qualifier.left)
+        else:
+            _realize_qualifier(program, node, qualifier.right)
+        return
+    raise FragmentError(f"unexpected qualifier {qualifier!r}")
 
 
 SPEC = register_decider(DeciderSpec(

@@ -78,20 +78,7 @@ def parse_segments(query: Path) -> list[Segment]:
     :class:`UnsupportedQueryError` if the query starts with a sibling move
     (the root has no siblings — unsatisfiable, handled by the caller)."""
     steps: list[Path] = []
-
-    def flatten(node: Path) -> None:
-        if isinstance(node, ast.Seq):
-            flatten(node.left)
-            flatten(node.right)
-            return
-        if isinstance(node, ast.Empty):
-            return
-        if isinstance(node, (ast.Label, ast.RightSib, ast.LeftSib)):
-            steps.append(node)
-            return
-        raise FragmentError(f"sat_sibling requires X(rs,ls) with label steps; got {node}")
-
-    flatten(query)
+    _flatten(query, steps)
     segments: list[Segment] = []
     index = 0
     while index < len(steps):
@@ -107,6 +94,56 @@ def parse_segments(query: Path) -> list[Segment]:
             index += 1
         segments.append(Segment(step.name, tuple(moves)))
     return segments
+
+
+def _flatten(node: Path, steps: list[Path]) -> None:
+    """Append the steps of ``node`` to ``steps``, left to right."""
+    if isinstance(node, ast.Seq):
+        _flatten(node.left, steps)
+        _flatten(node.right, steps)
+        return
+    if isinstance(node, ast.Empty):
+        return
+    if isinstance(node, (ast.Label, ast.RightSib, ast.LeftSib)):
+        steps.append(node)
+        return
+    raise FragmentError(f"sat_sibling requires X(rs,ls) with label steps; got {node}")
+
+
+class _SegmentProgram:
+    """One question's ``sat(i, A)`` table — segments ``i..n`` are
+    realizable from a context node of type ``A`` — and the landing each
+    true entry chose.  The memo is an attribute and the recurrence a
+    method, so a question's tables hold no reference cycle."""
+
+    __slots__ = ("dtd", "segments", "memo", "choice")
+
+    def __init__(self, dtd: DTD, segments: list[Segment]):
+        self.dtd = dtd
+        self.segments = segments
+        self.memo: dict[tuple[int, str], bool] = {}
+        self.choice: dict[tuple[int, str], str] = {}
+
+    def sat(self, i: int, context: str) -> bool:
+        key = (i, context)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        self.memo[key] = False  # break accidental cycles conservatively
+        feasible = feasible_landings(self.dtd, context, self.segments[i])
+        result = False
+        if i == len(self.segments) - 1:
+            result = bool(feasible)
+            if feasible:
+                self.choice[key] = min(feasible)
+        else:
+            for landing in sorted(feasible):
+                if self.sat(i + 1, landing):
+                    self.choice[key] = landing
+                    result = True
+                    break
+        self.memo[key] = result
+        return result
 
 
 def sat_sibling(query: Path, dtd: DTD) -> SatResult:
@@ -126,36 +163,12 @@ def sat_sibling(query: Path, dtd: DTD) -> SatResult:
             True, METHOD, witness=partial(minimal_tree, dtd), reason="empty path"
         )
 
-    memo: dict[tuple[int, str], bool] = {}
-    choice: dict[tuple[int, str], str] = {}
-
-    def sat(i: int, context: str) -> bool:
-        key = (i, context)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        memo[key] = False  # break accidental cycles conservatively
-        segment = segments[i]
-        feasible = feasible_landings(dtd, context, segment)
-        result = False
-        if i == len(segments) - 1:
-            result = bool(feasible)
-            if feasible:
-                choice[key] = min(feasible)
-        else:
-            for landing in sorted(feasible):
-                if sat(i + 1, landing):
-                    choice[key] = landing
-                    result = True
-                    break
-        memo[key] = result
-        return result
-
-    satisfiable = sat(0, dtd.root)
-    stats = {"memo_entries": len(memo)}
+    program = _SegmentProgram(dtd, segments)
+    satisfiable = program.sat(0, dtd.root)
+    stats = {"memo_entries": len(program.memo)}
     if not satisfiable:
         return SatResult(False, METHOD, stats=stats)
-    witness = partial(_build_witness, dtd, segments, choice)
+    witness = partial(_build_witness, dtd, segments, program.choice)
     return SatResult(True, METHOD, witness=witness, stats=stats)
 
 
@@ -251,37 +264,39 @@ def _can_extend(nfa, state: int, extra: int) -> bool:
 def _build_witness(dtd: DTD, segments: list[Segment], choice: dict) -> XMLTree | None:
     """Realize the recorded landing choices into a conforming tree by
     enumerating candidate children words and simulating the moves."""
-
-    def realize(i: int, context_label: str) -> Node | None:
-        node = Node(context_label)
-        for attr in sorted(dtd.attrs_of(context_label)):
-            node.attrs[attr] = f"{attr}0"
-        if i == len(segments):
-            for symbol in _shortest(dtd, context_label):
-                node.append(minimal_node(dtd, symbol))
-            return node
-        segment = segments[i]
-        landing = choice.get((i, context_label))
-        if landing is None:
-            return None
-        word, b_pos = _find_word(dtd, context_label, segment, landing)
-        if word is None:
-            return None
-        end_pos = b_pos + segment.net
-        for position, symbol in enumerate(word, start=1):
-            if position == end_pos:
-                child = realize(i + 1, symbol)
-                if child is None:
-                    return None
-                node.append(child)
-            else:
-                node.append(minimal_node(dtd, symbol))
-        return node
-
-    root = realize(0, dtd.root)
+    root = _realize(dtd, segments, choice, 0, dtd.root)
     if root is None:
         return None
     return XMLTree(root)
+
+
+def _realize(
+    dtd: DTD, segments: list[Segment], choice: dict, i: int, context_label: str,
+) -> Node | None:
+    node = Node(context_label)
+    for attr in sorted(dtd.attrs_of(context_label)):
+        node.attrs[attr] = f"{attr}0"
+    if i == len(segments):
+        for symbol in _shortest(dtd, context_label):
+            node.append(minimal_node(dtd, symbol))
+        return node
+    segment = segments[i]
+    landing = choice.get((i, context_label))
+    if landing is None:
+        return None
+    word, b_pos = _find_word(dtd, context_label, segment, landing)
+    if word is None:
+        return None
+    end_pos = b_pos + segment.net
+    for position, symbol in enumerate(word, start=1):
+        if position == end_pos:
+            child = _realize(dtd, segments, choice, i + 1, symbol)
+            if child is None:
+                return None
+            node.append(child)
+        else:
+            node.append(minimal_node(dtd, symbol))
+    return node
 
 
 def _shortest(dtd: DTD, label: str) -> tuple[str, ...]:

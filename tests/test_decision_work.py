@@ -261,13 +261,16 @@ class TestWitnessOnFirstRead:
             assert satisfies(tree, query), text
 
 
-#: one question on ``_DISJFREE`` for each decider that keeps per-question
-#: tables: three SAT (their witnesses unread), and one UNSAT
+#: one question for each decider that keeps per-question tables, on
+#: ``_DISJFREE`` (``no_dtd`` reads no schema): five SAT (their witnesses
+#: unread), and one UNSAT
 _UNREAD_CASES = (
     ("downward", "a/c | b/**/d"),
     ("disjunction_free", "a[c]/d | b[a]"),
     ("exptime_types", "a[not(c)]"),
     ("realworld", "a[c]/d | b[a]"),
+    ("no_dtd", ".[lab() = a]/b[c]"),
+    ("sibling", "a/>"),
 )
 
 

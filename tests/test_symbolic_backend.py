@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 
 import pytest
 
@@ -35,16 +36,15 @@ from repro.sat.bits import (
     enumerate_words_packed,
     longest_accepted_length,
 )
+from repro.sat import exptime_types
 from repro.sat.costmodel import CostModel, size_bucket
 from repro.sat.exptime_types import (
-    _TRUE,
     Child,
     CompiledClosure,
     Desc,
     Done,
     PackedTypesContext,
     _Closure,
-    _residual_qual,
     first_cases,
     prepare_types,
     sat_exptime_types,
@@ -54,11 +54,17 @@ from repro.sat.telemetry import PlanTelemetry
 from repro.regex import ast as rx
 from repro.regex.ops import enumerate_words
 from repro.workloads import wide_dtd
+from repro.workloads.batch import batch_jobs
 from repro.workloads.queries import random_query
 from repro.xmltree.validate import conforms
 from repro.xpath import ast, parse_query
 from repro.xpath.canonical import canonicalize
-from repro.xpath.fragments import REC_NEG_DOWN_UNION, feature_signature, features_of
+from repro.xpath.fragments import (
+    REC_NEG_DOWN,
+    REC_NEG_DOWN_UNION,
+    feature_signature,
+    features_of,
+)
 from repro.xpath.semantics import satisfies
 
 #: the shared wide-schema query mix: negation-heavy closures with real
@@ -213,14 +219,34 @@ class TestPackedWordKernel:
         assert longest_accepted_length(nested) is None
 
 
+_TRUE = ast.PathExists(ast.Empty())
+
+
+def _residual_qual(path):
+    """The qualifier a residual path's fact tracks (``None`` for ε)."""
+    return None if isinstance(path, ast.Empty) else ast.PathExists(path)
+
+
+def _ast_fact(closure, fact):
+    """A closure fact with its qualifier ids read back as AST nodes."""
+    if fact[0] == "c":
+        _tag, label, qid = fact
+        return ("c", label, None if qid is None else closure.node(qid))
+    return ("cd", closure.node(fact[1]))
+
+
 def _reference_truths(closure, label, fact_bits):
     """The closure's meaning restated as plain recursion over
-    ``first_cases``: the truths and ``↓*``-truths of every closure
-    qualifier at a node labelled ``label`` whose children supply the
-    facts in ``fact_bits``.  The compiled program must agree with it."""
+    ``first_cases`` on AST nodes: the ids of the closure qualifiers that
+    hold, and of the ``↓*``-tracked ones whose ``↓*``-truth holds, at a
+    node labelled ``label`` whose children supply the facts in
+    ``fact_bits``.  The compiled program must agree with it."""
+    fact_index = {
+        _ast_fact(closure, fact): index for fact, index in closure.fact_index.items()
+    }
 
     def has(fact):
-        return bool(fact_bits >> closure.fact_index[fact] & 1)
+        return bool(fact_bits >> fact_index[fact] & 1)
 
     @functools.cache
     def truth(qual):
@@ -249,11 +275,12 @@ def _reference_truths(closure, label, fact_bits):
                 return True
         return False
 
-    truths = {qual for qual in closure.quals if truth(qual)}
-    dtruths = {
-        qual for qual in closure.dquals
-        if truth(qual) or (("cd", qual) in closure.fact_index and has(("cd", qual)))
-    }
+    truths = {qid for qid in closure.quals if truth(closure.node(qid))}
+    dtruths = set()
+    for qid in closure.dquals:
+        qual = closure.node(qid)
+        if truth(qual) or (("cd", qual) in fact_index and has(("cd", qual))):
+            dtruths.add(qid)
     return truths, dtruths
 
 
@@ -304,7 +331,7 @@ class TestCompiledClosure:
                     )
                     for position, qual in enumerate(closure.quals):
                         assert bool(truth_bits >> position & 1) == (qual in truths), (
-                            str(query), label, fact_bits, str(qual)
+                            str(query), label, fact_bits, str(closure.node(qual))
                         )
                     for position, qual in enumerate(dquals):
                         assert bool(dtruth_bits >> position & 1) == (qual in dtruths)
@@ -324,6 +351,78 @@ class TestCompiledClosure:
         truth_bits, _ = compiled.evaluate(0, 0)
         seed_position = 0  # the seed qualifier is always collected first
         assert not truth_bits >> seed_position & 1
+
+
+def _pooled_questions(count: int):
+    """``count`` canonical pooled-EXPTIME questions on the workload's two
+    48-type schemas, with each schema's prepared context."""
+    schemas = {
+        f"g{index}": random_dtd(random.Random(seed), n_types=48)
+        for index, seed in enumerate((11, 12), start=1)
+    }
+    jobs = batch_jobs(
+        random.Random(5303), schemas, count,
+        fragments=(REC_NEG_DOWN, REC_NEG_DOWN_UNION), duplicate_rate=0.0,
+    )
+    questions = [
+        (schemas[job.schema], canonicalize(parse_query(job.query))) for job in jobs
+    ]
+    contexts = {id(dtd): prepare_types(dtd) for dtd in schemas.values()}
+    return [(query, dtd, contexts[id(dtd)]) for dtd, query in questions]
+
+
+def _decide_all(questions) -> set:
+    verdicts = set()
+    for query, dtd, context in questions:
+        try:
+            verdicts.add(sat_exptime_types(query, dtd, context=context).satisfiable)
+        except ReproError:
+            pass
+    return verdicts
+
+
+class TestInternedClosure:
+    """The closure runs on per-question interned ids: deciding a question
+    hashes and compares no AST node, and decomposes each distinct path
+    once."""
+
+    def test_deciding_hashes_and_compares_no_ast_node(self, monkeypatch):
+        questions = _pooled_questions(200)
+        calls: Counter = Counter()
+        for cls in vars(ast).values():
+            if not (isinstance(cls, type) and issubclass(cls, (ast.Path, ast.Qualifier))):
+                continue
+            for name in ("__hash__", "__eq__"):
+                original = cls.__dict__.get(name)
+                if original is None:  # the two abstract bases
+                    continue
+
+                def counted(*args, _original=original, _name=name):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(cls, name, counted)
+        assert hash(ast.Label("a")) == hash(ast.Label("a")) and calls["__hash__"] == 2
+        calls.clear()
+        assert _decide_all(questions) == {True, False}
+        assert calls == Counter(), calls
+
+    def test_first_cases_runs_once_per_distinct_path(self, monkeypatch):
+        questions = _pooled_questions(200)
+        decomposed: list = []
+
+        def counted(path):
+            decomposed.append(path)
+            return first_cases(path)
+
+        monkeypatch.setattr(exptime_types, "first_cases", counted)
+        for query, dtd, context in questions:
+            decomposed.clear()
+            try:
+                sat_exptime_types(query, dtd, context=context)
+            except ReproError:
+                continue
+            assert decomposed and len(decomposed) == len(set(decomposed)), str(query)
 
 
 class TestWideSchemaBackends:

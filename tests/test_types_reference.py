@@ -8,12 +8,14 @@ parents are searched again only when it gains a type with a new fact
 contribution.  The round-based ``_LabelSearch`` and fixpoint loop it
 replaced are kept here, verbatim, as the reference:
 
-* verdicts and the realized type count (the ``types`` stat) are identical
-  on the pooled EXPTIME schemas, on wide schemas and on seeded random
-  recursive schemas, and every SAT witness conforms and satisfies its
-  query;
+* verdicts are identical on the pooled EXPTIME schemas, on wide schemas
+  and on seeded random recursive schemas, and every SAT witness conforms
+  and satisfies its query.  The worklist searches only the labels the
+  root reaches, so its realized type count (the ``types`` stat) equals
+  the number of the reference's types whose label the root reaches;
 * the worklist's work is bounded by a count, not a timing: on a chain
-  schema each label is searched once;
+  schema each label is searched once, and a label the root does not
+  reach is never searched;
 * witnesses deeper than the interpreter's recursion limit are built, and
   answered through the engine (a Thm 4.1 witness and a Thm 6.8 merged
   witness as well).
@@ -27,6 +29,7 @@ from collections import deque
 import pytest
 
 from repro.dtd import is_nonrecursive, parse_dtd, random_dtd
+from repro.dtd.graph import DTDGraph
 from repro.dtd.properties import max_document_depth
 from repro.engine import BatchEngine, Job, SchemaRegistry
 from repro.errors import ReproError
@@ -150,8 +153,9 @@ class _LabelSearch:
 
 def reference_decide(query, dtd, context, max_facts: int = 22):
     """``(verdict, stats)`` of the previous decider: the same closure and
-    compiled program, then the round-based fixpoint loop (verbatim) and
-    the root-type test."""
+    compiled program, then the round-based fixpoint loop (verbatim) over
+    every label and the root-type test.  ``reachable_types`` counts the
+    types whose label the root reaches."""
     closure = _Closure()
     closure.collect(ast.PathExists(query))
     if len(closure.facts) > max_facts:
@@ -204,10 +208,14 @@ def reference_decide(query, dtd, context, max_facts: int = 22):
                         changed = True
                     derive_memo[memo_key] = type_id
 
+    reachable = {
+        context.label_index[name] for name in DTDGraph(dtd).reachable_from_root
+    }
     stats = {
         "closure_quals": compiled.qual_count,
         "facts": compiled.fact_count,
         "types": len(type_labels),
+        "reachable_types": sum(1 for label in type_labels if label in reachable),
         "rounds": rounds,
     }
     root_id = context.label_index[dtd.root]
@@ -232,8 +240,9 @@ def assert_agrees(query, dtd, context):
         return None
     result = sat_exptime_types(query, dtd, context=context)
     assert result.satisfiable == expected, str(query)
-    for stat in ("types", "facts", "closure_quals"):
+    for stat in ("facts", "closure_quals"):
         assert result.stats[stat] == reference_stats[stat], (str(query), stat)
+    assert result.stats["types"] == reference_stats["reachable_types"], str(query)
     if result.satisfiable:
         assert conforms(result.witness, dtd), str(query)
         assert satisfies(result.witness, query), str(query)
@@ -316,6 +325,54 @@ class TestWorkBound:
         assert result.satisfiable is True
         assert result.stats["searches"] <= 2 * len(dtd.element_types)
         assert sat_exptime_types(parse_query("a1/a3"), dtd).is_unsat
+
+
+#: a root that reaches five labels with a nonrecursive part, in a schema
+#: that also declares three it does not reach: ``u`` and ``v`` form a
+#: cycle, and ``w`` recurses on itself and has the root as a child
+TRIMMED = parse_dtd(
+    """
+    root r
+    r -> a, b*
+    a -> c?, d
+    b -> c | d
+    c -> eps
+    d -> c*
+    u -> v, a
+    v -> u?
+    w -> w*, r
+    """
+)
+TRIMMED_QUERIES = (
+    "a/d[not(c)]", "b[c] | a[not(d)]", "**/c[not(**/d)]", "a[not(d)]",
+    "**/d[c and not(c/*)]", "*[lab() = b]/c", ".[not(**/u)]",
+    "u", "**/v", "**[lab() = w]", "**/r", "a/c[not(lab() = c)]",
+)
+
+
+class TestRootReachableTrim:
+    def test_unreachable_labels_are_never_searched(self):
+        reachable = DTDGraph(TRIMMED).reachable_from_root
+        assert reachable == {"r", "a", "b", "c", "d"}
+        context = prepare_types(TRIMMED)
+        verdicts = set()
+        for text in TRIMMED_QUERIES:
+            result = assert_agrees(parse_query(text), TRIMMED, context)
+            # nonrecursive reachable part: leaf-first, each searched once
+            assert result.stats["searches"] == len(reachable), text
+            verdicts.add(result.satisfiable)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", ["g1", "g2"])
+    def test_pooled_schemas_search_only_reachable_labels(self, name):
+        dtd = pooled_schemas()[name]
+        reachable = DTDGraph(dtd).reachable_from_root
+        # the precondition of the trim's gain on the pooled workload
+        assert len(reachable) < len(dtd.element_types)
+        context = prepare_types(dtd)
+        searched = {context.labels[label] for label in context.leaf_first}
+        assert searched == reachable
+        assert len(context.leaf_first) == len(searched)
 
 
 # -- deep witnesses ------------------------------------------------------------------
