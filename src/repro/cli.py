@@ -58,8 +58,8 @@ Subcommands
     process, so the second pass exercises the warm cache; per-pass
     ``decide()`` counts and cache stats are printed at the end.
     ``--state-dir DIR`` (or its other name, ``--state-tier``) persists
-    plan caches, per-plan telemetry, the cost model, and the decision
-    cache across processes in the SQLite state tier ``DIR/state.sqlite``
+    plan caches, per-plan telemetry, and the decision cache across
+    processes in the SQLite state tier ``DIR/state.sqlite``
     (see :mod:`repro.engine.statetier`): a rerun on a previously-seen
     workload starts warm (zero plans built).
 
@@ -74,7 +74,7 @@ Subcommands
         python -m repro serve --port 7077 --schema-dir schemas/
 
     Clients write job lines and read streamed result lines on the same
-    connection.  The engine — lanes, caches, cost model — persists
+    connection.  The engine — lanes, caches, telemetry — persists
     across every request; SIGTERM drains in-flight jobs, snapshots
     the state tier, and exits 0.  ``--max-inflight`` bounds admitted
     jobs (excess gets a ``retry`` response), ``--snapshot-interval``
@@ -91,12 +91,12 @@ Subcommands
         python -m repro route --workers 4 --socket /run/repro.sock \
             --schema-dir schemas/ --state-tier state/
 
-    With ``--state-tier`` every worker warms its plan and cost caches
-    from the shared SQLite tier before the router accepts traffic, so
-    no process ever plans cold; on SIGTERM each worker drains and
-    merges its samples back.  Spawned workers run ``serve``'s default
-    settings: ``route`` passes none, and the tier never carries them.
-    ``--attach SOCKET`` routes to pre-started engines instead of
+    With ``--state-tier`` every worker warms its plan and decision
+    caches from the shared SQLite tier before the router accepts
+    traffic, so no process ever plans cold; on SIGTERM each worker
+    drains and saves its state back.  Spawned workers run ``serve``'s
+    default settings: ``route`` passes none, and the tier never carries
+    them.  ``--attach SOCKET`` routes to pre-started engines instead of
     spawning.
 
 ``stats``
@@ -107,8 +107,8 @@ Subcommands
     ``--plans`` renders the persisted per-plan telemetry table (latency,
     verdict mix, fallback rate) from a ``--state-dir``; ``--json``
     switches either mode to machine-readable output (with ``--plans``
-    that is the full engine-stats snapshot, per-plan rows, and cost
-    model)::
+    that is the full engine-stats snapshot, per-plan rows, and each
+    process's last-run stats)::
 
         python -m repro stats --plans --state-dir state/
         python -m repro stats --plans --state-dir state/ --json
@@ -221,26 +221,19 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.sat import Planner
-
     query = parse_query(args.query)
     # planned on the canonical form, as the engine and decide() plan
     features = features_of(canonicalize(query))
     state = _load_tier(args)[0] if args.state_tier is not None else None
-    planner = (
-        Planner(cost_model=state.cost_model)
-        if state is not None and state.cost_model is not None
-        else DEFAULT_PLANNER
-    )
     if args.dtd is not None:
         registry = SchemaRegistry()
         if state is not None:
             registry.adopt_plans(state.plans)
         name = os.path.splitext(os.path.basename(args.dtd))[0]
         artifacts = registry.register_file(name, args.dtd)
-        plan = planner.plan_for(features, artifacts=artifacts)
+        plan = DEFAULT_PLANNER.plan_for(features, artifacts=artifacts)
     else:
-        plan = planner.plan_for(features)
+        plan = DEFAULT_PLANNER.plan_for(features)
     stats = (
         state.telemetry.get(plan.telemetry_key)
         if state is not None and state.telemetry is not None
@@ -369,7 +362,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     engine = _make_engine(args, registry, tracer)
 
     # a SIGINT/SIGTERM mid-run must not lose the run's plans, telemetry,
-    # and cost samples: unwind via _SignalExit, snapshot the state tier,
+    # and decisions: unwind via _SignalExit, snapshot the state tier,
     # close the engine (the finally), and exit 128+signum
     def _interrupt(signum, frame):
         raise _SignalExit(signum)
@@ -622,10 +615,6 @@ def _cmd_stats_plans(args: argparse.Namespace) -> int:
                 }
                 for key, row in rows.items()
             },
-            "cost_model": (
-                state.cost_model.to_dict()
-                if state.cost_model is not None else None
-            ),
             "processes": engine_rows,
         }
         print(json.dumps(payload, indent=2))
@@ -638,12 +627,6 @@ def _cmd_stats_plans(args: argparse.Namespace) -> int:
         print("no plan telemetry recorded")
         return 0
     print(state.telemetry.table())
-    if state.cost_model is not None and len(state.cost_model):
-        print(
-            f"cost model: {len(state.cost_model)} "
-            f"(signature x bucket x decider) cells, "
-            f"{state.cost_model.observations:g} observations"
-        )
     return 0
 
 
@@ -695,12 +678,11 @@ def _add_state_option(parser: argparse.ArgumentParser) -> None:
     """``--state-tier`` and ``--state-dir``: two names for one option."""
     parser.add_argument(
         "--state-tier", "--state-dir", dest="state_tier", metavar="PATH",
-        help="persisted engine state (plans, telemetry, cost model, "
-             "decisions): a SQLite state tier at PATH, or at "
-             "PATH/state.sqlite when PATH is a directory (a legacy JSON "
-             "state dir there is imported on first open).  Any number of "
-             "processes may load and save it at once; cost samples merge "
-             "instead of overwriting",
+        help="persisted engine state (plans, telemetry, decisions): a "
+             "SQLite state tier at PATH, or at PATH/state.sqlite when PATH "
+             "is a directory (a legacy JSON state dir there is imported on "
+             "first open).  Any number of processes may load and save it "
+             "at once",
     )
 
 
@@ -925,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--json", action="store_true",
         help="machine-readable output (with --plans: engine-stats "
-             "snapshot, per-plan rows, and cost model)",
+             "snapshot, per-plan rows, and per-process stats)",
     )
     stats.set_defaults(func=_cmd_stats)
 

@@ -25,8 +25,8 @@ package amortizes their setup across production-scale workloads:
   daemons, so an in-process engine never loads ``asyncio``);
 * :mod:`repro.engine.statetier` — :class:`StateTier`, the one place
   engine state persists: a concurrent-safe SQLite (WAL) database that
-  N processes load and save simultaneously, cost samples merging instead
-  of overwriting (a legacy JSON state dir is imported on first open);
+  N processes load and save simultaneously, each key's newest write
+  winning (a legacy JSON state dir is imported on first open);
 * :mod:`repro.engine.router` — :class:`EngineRouter`, the multi-process
   front door behind ``python -m repro route``: shards JSONL jobs across
   N engine processes by schema fingerprint and warms them from the tier.
@@ -39,7 +39,6 @@ from repro.engine.batch import (
     Job,
     JobResult,
     PlanGroup,
-    plan_route,
 )
 from repro.engine.cache import CachedDecision, DecisionCache, decision_key, decision_key_for
 from repro.engine.executors import (
@@ -63,7 +62,7 @@ from repro.engine.statetier import PersistedState, StateTier, resolve_tier_path
 
 __all__ = [
     "BatchEngine", "BatchReport", "EngineStats", "Job", "JobResult",
-    "PlanGroup", "plan_route",
+    "PlanGroup",
     "CachedDecision", "DecisionCache", "decision_key", "decision_key_for",
     "ChunkOutcome", "ChunkTask", "Executor", "ExecutorStats",
     "InlineExecutor", "PersistentPoolExecutor", "WorkerRuntime",

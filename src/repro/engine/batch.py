@@ -1,6 +1,6 @@
 """The batch satisfiability engine.
 
-:class:`BatchEngine` layers three amortizations over
+:class:`BatchEngine` layers seven amortizations over
 :func:`repro.sat.dispatch.decide` for the serve-many-queries-per-schema
 workload:
 
@@ -96,14 +96,12 @@ from repro.engine.registry import SchemaArtifacts, SchemaRegistry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import FAILED, JobTrace, Span, Tracer, attempt_spans
 from repro.sat.bounded import Bounds
-from repro.sat.costmodel import CostModel, size_bucket
 from repro.sat.planner import ExecutionTrace, Plan, Planner
 # not called here: re-exported because perfbench/layers.py patches
 # ``repro.engine.batch.execute_plan``
 from repro.sat.planner import execute_plan as execute_plan
-from repro.sat.registry import decider_traits, get_decider
+from repro.sat.registry import decider_traits
 from repro.sat.telemetry import LATENCY_BUCKETS_MS, PlanTelemetry, verdict_name
-from repro.xpath.rewrite import get_pass
 from repro.xpath.ast import Path
 from repro.xpath.canonical import canonicalize
 from repro.xpath.fragments import features_of
@@ -255,10 +253,6 @@ class EngineStats:
     lane_contexts: dict[int, int] = field(default_factory=dict)
     lane_evictions: dict[int, int] = field(default_factory=dict)
     lane_peak_depth: dict[int, int] = field(default_factory=dict)
-    # cost-model epsilon-exploration probes run this pass (timing a
-    # fallback chain member the normal path would never measure)
-    explore_probes: int = _counter(
-        "planner", "explore probes", "cost-model exploration probes")
     # answered decisions whose answering decider is schema-trait gated,
     # keyed by decider name — the engine-level view of how much traffic
     # the real-world PTIME fast paths absorb instead of the EXPTIME lanes
@@ -461,23 +455,6 @@ class BatchReport:
         return counts
 
 
-def plan_route(query: Path, artifacts: SchemaArtifacts | None) -> str:
-    """``"inline"`` for queries whose plan is PTIME, ``"pool"`` for those
-    routed to the heavy EXPTIME/NEXPTIME/bounded procedures.
-
-    Thin wrapper over the query planner (kept for callers that only care
-    about the inline/pool split); the :class:`BatchEngine` itself consults
-    the full :class:`~repro.sat.planner.Plan` from the schema's plan
-    cache.
-    """
-    return _ROUTE_PLANNER.plan_query(query, artifacts=artifacts).route
-
-
-#: module-level planner backing the plan_route convenience wrapper; plans
-#: for registered schemas still land in the shared per-artifact caches
-_ROUTE_PLANNER = Planner()
-
-
 @dataclass
 class _GroupEntry:
     """One unique question queued in a plan group: its decision-cache
@@ -541,8 +518,6 @@ class BatchEngine:
         cache: DecisionCache | None = None,
         workers: int = 1,
         bounds: Bounds | None = None,
-        planner: Planner | None = None,
-        cost_model: CostModel | None = None,
         telemetry: PlanTelemetry | None = None,
         state_tier: "StateTier | str | None" = None,
         group_chunk_size: int | None = None,
@@ -591,30 +566,7 @@ class BatchEngine:
         )
         self.registry = registry if registry is not None else SchemaRegistry()
         self.cache = cache if cache is not None else DecisionCache()
-        if planner is not None:
-            # a caller-supplied planner is never mutated: if it carries a
-            # cost model the engine feeds that one, otherwise the engine
-            # still measures (into its own model) but the planner keeps
-            # planning statically — attaching our model behind the
-            # caller's back would change routing process-wide (e.g. for
-            # DEFAULT_PLANNER)
-            if (
-                cost_model is not None
-                and planner.cost_model is not None
-                and planner.cost_model is not cost_model
-            ):
-                raise EngineError(
-                    "planner already carries a different cost model; pass "
-                    "one of cost_model= or planner=, not conflicting both"
-                )
-            self.planner = planner
-            self.cost_model = (
-                planner.cost_model if planner.cost_model is not None
-                else (cost_model if cost_model is not None else CostModel())
-            )
-        else:
-            self.cost_model = cost_model if cost_model is not None else CostModel()
-            self.planner = Planner(cost_model=self.cost_model)
+        self.planner = Planner()
         self.telemetry = telemetry if telemetry is not None else PlanTelemetry()
         self.workers = workers
         self.bounds = bounds
@@ -669,12 +621,10 @@ class BatchEngine:
     def load_tier_state(self) -> int:
         """Warm this engine from its state tier — the cache warming every
         process does before serving traffic: plan caches (applied now for
-        registered schemas, at registration for later ones), telemetry,
-        cost-model measurements and cached decisions.  Learned state
-        only: the tier never changes the engine's settings.  After the
-        merge the tier's cost baseline is re-anchored, so later saves
-        contribute only samples observed by *this* process.  Returns the
-        number of plans available from persistence."""
+        registered schemas, at registration for later ones), telemetry
+        and cached decisions.  Learned state only: the tier never changes
+        the engine's settings.  Returns the number of plans available
+        from persistence."""
         if self.state_tier is None:
             raise EngineError("engine has no state tier")
         state = self.state_tier.load()
@@ -685,16 +635,13 @@ class BatchEngine:
         self.registry.adopt_plans(state.plans, names=state.plan_names)
         if state.telemetry is not None:
             self.telemetry.merge(state.telemetry)
-        if state.cost_model is not None:
-            self.cost_model.merge(state.cost_model)
         if state.decisions:
             self.persisted_decisions_loaded += self.cache.load_records(state.decisions)
-        self.state_tier.note_cost_baseline(self.cost_model)
         return state.plan_count
 
     def save_state(self) -> str:
-        """Persist plan caches, telemetry, cost model, the decision cache
-        and this run's engine stats to the engine's state tier (never
+        """Persist plan caches, telemetry, the decision cache and this
+        run's engine stats to the engine's state tier (never
         its settings); returns the database path.  Hygiene applies on the
         way out: cached decisions are capped per schema and telemetry
         rows not seen within ``telemetry_max_age_days`` are aged out."""
@@ -705,7 +652,6 @@ class BatchEngine:
         self.state_tier.save(
             registry=self.registry,
             telemetry=self.telemetry,
-            cost_model=self.cost_model,
             cache=self.cache,
             decision_cap_per_schema=self.decision_cap_per_schema,
             telemetry_max_age_days=self.telemetry_max_age_days,
@@ -719,35 +665,18 @@ class BatchEngine:
     def metrics_registry(self) -> MetricsRegistry:
         """One unified metrics registry over every stat silo the engine
         holds: the :class:`EngineStats` of every run so far (counters
-        summed over the engine's life), the per-plan telemetry table, the
-        cost model, and — when a tracer is attached — its trace counters.
+        summed over the engine's life), the per-plan telemetry table,
+        and — when a tracer is attached — its trace counters.
         Render with
         :meth:`~repro.obs.metrics.MetricsRegistry.render_prometheus` or
         :meth:`~repro.obs.metrics.MetricsRegistry.as_dict`."""
         registry = copy.deepcopy(self._lifetime_metrics)
         self.telemetry.register_metrics(registry)
-        self.cost_model.register_metrics(registry)
         if self.tracer is not None:
             self.tracer.register_metrics(registry)
         for source in self.metrics_sources:
             source.register_metrics(registry)
         return registry
-
-    def retune(self, decay: float | None = None) -> int:
-        """Drop every cached plan — including persisted plans waiting for
-        their schema's registration — so the next request replans against
-        the cost model's current measurements (verdicts cannot change —
-        only chain order and inline/pool routing).  With ``decay``, the
-        cost model's cells are first scaled down by that factor
-        (:meth:`~repro.sat.costmodel.CostModel.decay`), so stale
-        measurements lose their grip on routing at the same moment.
-        Returns the number of plans dropped."""
-        if decay is not None:
-            self.cost_model.decay(decay)
-        return (
-            self.planner.invalidate(*self.registry)
-            + self.registry.discard_pending_plans()
-        )
 
     # -- lifecycle ----------------------------------------------------------
     @property
@@ -1081,8 +1010,8 @@ class BatchEngine:
         emit: Callable[[int], None],
     ) -> None:
         """The one absorb path: fold every drained ``(task, outcome)``
-        pair into results, counters, the decision cache, telemetry, the
-        cost model and traces, and stream each finalized job.
+        pair into results, counters, the decision cache, telemetry and
+        traces, and stream each finalized job.
 
         Each task is absorbed **exactly once**: its bookkeeping record
         is popped on arrival, so a duplicate outcome (a retry racing its
@@ -1104,7 +1033,7 @@ class BatchEngine:
             if record is None:
                 continue
             group, chunk, enqueued = record
-            plan, artifacts = group.plan, group.artifacts
+            plan = group.plan
             for entry in chunk:
                 del in_flight[entry.key]
             if outcome.dtd_shipped:
@@ -1231,7 +1160,7 @@ class BatchEngine:
                     # one question failing must not poison its groupmates;
                     # every job awaiting it gets the per-job error
                     stats.errors += len(entry.indices)
-                    self._observe(stats, plan, artifacts, trace, "error")
+                    self._observe(stats, plan, trace, "error")
                     if len(entry.indices) > 1:
                         self.telemetry.record_failure(plan, len(entry.indices) - 1)
                     for index in entry.indices:
@@ -1244,8 +1173,7 @@ class BatchEngine:
                 if shared_setup and executed > 0:
                     stats.setup_reuse += 1
                 executed += 1
-                self._observe(stats, plan, artifacts, trace, verdict_name(satisfiable))
-                self._explore(stats, plan, entry.canonical, artifacts, trace)
+                self._observe(stats, plan, trace, verdict_name(satisfiable))
                 decision = CachedDecision(satisfiable, method, reason)
                 self.cache.put(entry.key, decision)
                 for ask_position, index in enumerate(entry.indices):
@@ -1292,111 +1220,30 @@ class BatchEngine:
         self,
         stats: EngineStats,
         plan: Plan,
-        artifacts: SchemaArtifacts | None,
         trace: ExecutionTrace,
         verdict: str,
     ) -> None:
-        """Feed one plan execution into per-plan telemetry and the cost
-        model.
+        """Feed one plan execution into per-plan telemetry.
 
         The recorded latency is the decider-chain time from the trace —
         the same definition on the inline and pooled paths, so one plan's
         histogram never mixes wall time (with rewrite/fork/IPC overhead)
-        with pure decide time.  Only *conclusive* attempts (sat/unsat)
-        become cost-model samples: an `unknown` is cheap precisely
-        because the decider gave up, and counting it would promote
-        fast-but-useless semi-decision procedures to chain primary (they
-        would then run on every job only to fall through)."""
+        with pure decide time."""
         if verdict == "error":
             # a failed execution has no meaningful decision latency — a
             # ~0 ms sample would drag the histogram down (same rule as
             # the pooled worker-death path)
             self.telemetry.record_failure(plan)
-        else:
-            self.telemetry.record(
-                plan, trace.elapsed_ms, verdict,
-                decider=trace.decider, fallback=trace.fallback_used,
-                group_size=trace.group_size, group_lead=trace.group_lead,
-                shared_setup=trace.shared_setup, runtime_hit=trace.runtime_hit,
-            )
-            if trace.decider is not None and decider_traits(trace.decider):
-                stats.trait_routed_answers[trace.decider] = (
-                    stats.trait_routed_answers.get(trace.decider, 0) + 1
-                )
-        bucket = artifacts.cost_bucket if artifacts else size_bucket(None)
-        for name, attempt_ms, outcome in trace.attempts:
-            if outcome in ("sat", "unsat"):
-                self.cost_model.observe(plan.signature, bucket, name, attempt_ms)
-
-    def _explore(
-        self,
-        stats: EngineStats,
-        plan: Plan,
-        canonical: Path,
-        artifacts: SchemaArtifacts | None,
-        trace: ExecutionTrace,
-    ) -> None:
-        """Cost-model epsilon-exploration: normal operation only times
-        the chain member that answers, so a fallback that would win
-        stays unmeasured until someone calls ``calibrate()``.  With
-        ``CostModel(explore_every=N)`` every N-th decision of a
-        (signature × bucket) re-times the *stalest* chain member on the
-        question just answered.  The probe runs in the engine's own
-        process while a chunk is absorbed, and its verdict is discarded
-        — the job's answer is already committed — so exploration can
-        never change a verdict, and the hygiene rule still applies:
-        inconclusive probes record nothing.  Like the chain, the probe
-        reads only the verdict (so it builds no witness) and runs on the
-        schema's prepared context from the in-process runtime, so a
-        decider with a ``prepare`` hook is not timed with its set-up
-        included."""
-        chain = (plan.decider,) + plan.fallbacks
-        if len(chain) < 2 or not self.cost_model.explore_every:
             return
-        bucket = artifacts.cost_bucket if artifacts else size_bucket(None)
-        conclusive = {
-            name for name, _ms, outcome in trace.attempts
-            if outcome in ("sat", "unsat")
-        }
-        probe = self.cost_model.exploration_candidate(
-            plan.signature, bucket, chain, exclude=conclusive
+        self.telemetry.record(
+            plan, trace.elapsed_ms, verdict,
+            decider=trace.decider, fallback=trace.fallback_used,
+            group_size=trace.group_size, group_lead=trace.group_lead,
+            shared_setup=trace.shared_setup, runtime_hit=trace.runtime_hit,
         )
-        if probe is None:
-            return
-        stats.explore_probes += 1
-        # the probe must see exactly what execute_plan hands the chain:
-        # the plan's rewrite passes applied (canonicalize already was) —
-        # otherwise a rewrite-bearing plan's probe times a query shape
-        # the decider never receives, or just declines it
-        probe_query = canonical
-        for pass_name in plan.rewrites:
-            if pass_name == "canonicalize":
-                continue
-            rewritten = get_pass(pass_name).run(probe_query)
-            if not rewritten.complete:
-                return
-            probe_query = rewritten.path
-        spec = get_decider(probe)
-        dtd = artifacts.dtd if artifacts else None
-        # time the probe the way the chain runs: on the schema's prepared
-        # context (the in-process runtime's, built here if no chunk has
-        # yet, outside the timer), reading only the verdict
-        context = None
-        if artifacts is not None:
-            context = self._inline().runtime.contexts_for(
-                artifacts.fingerprint, dtd
-            ).get(probe)
-        probe_start = time.perf_counter()
-        try:
-            result = spec.call(probe_query, dtd, self.bounds, context=context)
-        except Exception:
-            # a decline (or a latent bug in a decider the plan never
-            # needed) must not fail a job whose answer is already in
-            return
-        if result.satisfiable is not None:
-            self.cost_model.observe(
-                plan.signature, bucket, probe,
-                (time.perf_counter() - probe_start) * 1e3,
+        if trace.decider is not None and decider_traits(trace.decider):
+            stats.trait_routed_answers[trace.decider] = (
+                stats.trait_routed_answers.get(trace.decider, 0) + 1
             )
 
     def _result(

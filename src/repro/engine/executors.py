@@ -200,10 +200,9 @@ class WorkerRuntime:
         return None
 
     def contexts_for(self, fingerprint: str | None, dtd) -> SchemaContexts:
-        """The schema's shared contexts (the engine's cost-model probes
-        read them too).  Only chunks against a fingerprinted schema are
-        worth caching across chunks — a no-DTD plan has no ``prepare``
-        work to share."""
+        """The schema's shared contexts.  Only chunks against a
+        fingerprinted schema are worth caching across chunks — a no-DTD
+        plan has no ``prepare`` work to share."""
         if not self.caching or fingerprint is None:
             return SchemaContexts(dtd)
         contexts = self._contexts.get(fingerprint)

@@ -81,15 +81,6 @@ class SchemaArtifacts:
         """Proposition 3.3 normal form ``N(D)`` (computed once, on demand)."""
         return normalize(self.dtd)
 
-    @cached_property
-    def cost_bucket(self) -> str:
-        """The cost model's schema-size bucket, computed once —
-        ``DTD.size()`` walks every production, too costly per decided
-        job."""
-        from repro.sat.costmodel import size_bucket
-
-        return size_bucket(self.dtd.size())
-
     @property
     def short_fingerprint(self) -> str:
         return self.fingerprint[:12]
@@ -141,9 +132,11 @@ class SchemaRegistry:
     ) -> int:
         """Warm plan caches from persisted state (``--state-dir``): plans
         for already-registered schemas are applied immediately, the rest
-        wait for their schema's registration.  Existing cache entries win
-        (they were planned against the live cost model).  Returns the
-        number of plans applied right away."""
+        wait for their schema's registration.  Existing cache entries
+        win.  A persisted plan is adopted as it was saved: one an older
+        version reordered or routed by measured cost runs the same
+        chain members, so it gives the same answers.  Returns the number
+        of plans applied right away."""
         applied = 0
         for fingerprint, per_schema in plans_by_fingerprint.items():
             pending = self._pending_plans.setdefault(fingerprint, {})
@@ -154,16 +147,6 @@ class SchemaRegistry:
             if artifacts is not None:
                 applied += self._apply_pending_plans(artifacts)
         return applied
-
-    def discard_pending_plans(self) -> int:
-        """Drop adopted-but-unapplied persisted plans (used by
-        ``BatchEngine.retune``: a schema registered afterwards must be
-        replanned against current measurements, not handed a stale
-        persisted plan).  Returns the number of plans discarded."""
-        dropped = sum(len(per_schema) for per_schema in self._pending_plans.values())
-        self._pending_plans.clear()
-        self._pending_names.clear()
-        return dropped
 
     def pending_plan_records(self) -> dict[str, tuple[str, dict[str, Plan]]]:
         """Adopted plans whose schema was never registered this run, as

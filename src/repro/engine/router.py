@@ -242,7 +242,7 @@ class EngineRouter(JsonlDaemon):
     ``on_ready`` is called with the router once every worker is
     connectable **and** the client endpoint is bound — the warm-boot
     barrier: by then each spawned engine has already adopted the shared
-    tier's plans and cost cells."""
+    tier's plans, telemetry and decisions."""
 
     command = "route"
 

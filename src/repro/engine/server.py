@@ -4,7 +4,7 @@
 asyncio daemon that multiplexes any number of concurrent client
 connections onto **one** long-lived
 :class:`~repro.engine.batch.BatchEngine`.  The engine's decision cache,
-plan caches, cost model, and persistent worker lanes amortize across
+plan caches, telemetry, and persistent worker lanes amortize across
 every request the process ever serves — the step from "CLI that
 amortizes within a run" to "service that amortizes across millions of
 requests".

@@ -3,13 +3,11 @@
 A long-lived checker accumulates routing knowledge that would die with
 the process: per-schema plan caches (the planner's routing decisions,
 keyed by feature signature), per-plan telemetry
-(:class:`~repro.sat.telemetry.PlanTelemetry`), the cost model's
-measured per-(signature × size-bucket) decider latencies
-(:class:`~repro.sat.costmodel.CostModel`), the decision cache, and the
-last run's engine stats.  :class:`StateTier` keeps all of it in a single
-SQLite database that any number of processes on the host read and write
-concurrently, so a cold process that has seen the workload before builds
-**zero** plans and re-decides nothing the cache still covers:
+(:class:`~repro.sat.telemetry.PlanTelemetry`), the decision cache, and
+the last run's engine stats.  :class:`StateTier` keeps all of it in a
+single SQLite database that any number of processes on the host read and
+write concurrently, so a cold process that has seen the workload before
+builds **zero** plans and re-decides nothing the cache still covers:
 
 * **WAL mode** so readers never block the writer and vice versa, with a
   ``busy_timeout`` plus a bounded retry loop around every write
@@ -19,19 +17,10 @@ concurrently, so a cold process that has seen the workload before builds
   decisions (``query × fingerprint × bounds``) and telemetry rows
   (``telemetry_key``) — a newer snapshot of the same key replaces the
   older one, different keys never interfere;
-* **monotonic merge for cost samples**: each :meth:`save` writes only
-  the samples this process observed since its last load/save (the delta
-  against a per-handle baseline) and folds them into the stored cell
-  with ``count = count + Δcount`` / ``total_ms = total_ms + Δtotal`` /
-  ``last_tick = max`` — a float-weighted combine that preserves means
-  and counts, so N concurrent writers lose no samples;
-* **hygiene**: cells the in-process model's ``decay()`` aged out are
-  *deleted* from the tier (``CostModel.consume_dropped``), so a stale
-  shared row cannot resurrect a retired measurement; cached decisions
-  are capped per schema (newest win) and telemetry rows whose newest
-  observation is older than ``telemetry_max_age_days`` age out — size
-  and freshness trims that can cost warm-start coverage but never
-  correctness;
+* **hygiene**: cached decisions are capped per schema (newest win) and
+  telemetry rows whose newest observation is older than
+  ``telemetry_max_age_days`` age out — size and freshness trims that
+  can cost warm-start coverage but never correctness;
 * a **versioned schema** (``meta.tier_version``) — a newer on-disk
   version refuses loudly instead of corrupting, an unreadable database
   file is set aside as ``*.corrupt`` and rebuilt, and any other
@@ -50,7 +39,12 @@ collectors.
 The tier holds learned state only.  An engine's settings come from its
 constructor (and the CLI flags that feed it), never from the tier;
 settings persisted by earlier versions (a legacy ``scheduler.json``, an
-old tier's ``scheduler`` table) are ignored.
+old tier's ``scheduler`` table) are ignored.  So are the measured
+decider latencies earlier versions kept for a cost model that reordered
+plans (a legacy ``cost_model.json``, an old tier's ``cost_cells`` table
+and ``cost_min_samples`` meta row): plans depend only on the query's
+feature signature and the schema's class.  An old tier keeps those
+leftovers on disk, unread.
 """
 
 from __future__ import annotations
@@ -66,7 +60,6 @@ from typing import Any
 
 from repro.errors import EngineError
 from repro.obs.log import get_logger
-from repro.sat.costmodel import CostModel
 from repro.sat.planner import Plan
 from repro.sat.telemetry import PlanTelemetry
 
@@ -90,13 +83,9 @@ _DB_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 LEGACY_JSON_VERSION = 1
 PLANS_FILE = "plans.json"
 TELEMETRY_FILE = "telemetry.json"
-COST_MODEL_FILE = "cost_model.json"
 DECISIONS_FILE = "decisions.json"
 ENGINE_STATS_FILE = "engine_stats.json"
-_LEGACY_FILES = (
-    PLANS_FILE, TELEMETRY_FILE, COST_MODEL_FILE,
-    DECISIONS_FILE, ENGINE_STATS_FILE,
-)
+_LEGACY_FILES = (PLANS_FILE, TELEMETRY_FILE, DECISIONS_FILE, ENGINE_STATS_FILE)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -137,7 +126,6 @@ class PersistedState:
     plans: dict[str, dict[str, Plan]] = field(default_factory=dict)  # fingerprint -> sig -> Plan
     plan_names: dict[str, str] = field(default_factory=dict)         # fingerprint -> schema name
     telemetry: PlanTelemetry | None = None
-    cost_model: CostModel | None = None
     decisions: list[tuple[tuple[str, str, str], dict[str, Any]]] = field(default_factory=list)
     #: the last persisted EngineStats.as_dict() snapshot, if any
     engine_stats: dict[str, Any] | None = None
@@ -212,16 +200,6 @@ def read_legacy_json(state_dir: str) -> PersistedState:
                 f"{TELEMETRY_FILE}: corrupt payload ({error}); ignored",
             )
 
-    record = _read_json(os.path.join(state_dir, COST_MODEL_FILE), state.warnings)
-    if record is not None:
-        try:
-            state.cost_model = CostModel.from_dict(record)
-        except (ValueError, TypeError) as error:
-            _warn(
-                state.warnings,
-                f"{COST_MODEL_FILE}: corrupt payload ({error}); ignored",
-            )
-
     record = _read_json(os.path.join(state_dir, DECISIONS_FILE), state.warnings)
     if record is not None:
         entries = record.get("entries")
@@ -278,15 +256,6 @@ CREATE TABLE IF NOT EXISTS plans (
     updated REAL NOT NULL,
     PRIMARY KEY (fingerprint, signature)
 );
-CREATE TABLE IF NOT EXISTS cost_cells (
-    signature TEXT NOT NULL,
-    bucket TEXT NOT NULL,
-    decider TEXT NOT NULL,
-    count REAL NOT NULL,
-    total_ms REAL NOT NULL,
-    last_tick INTEGER NOT NULL,
-    PRIMARY KEY (signature, bucket, decider)
-);
 CREATE TABLE IF NOT EXISTS decisions (
     qkey TEXT NOT NULL,
     fingerprint TEXT NOT NULL,
@@ -329,9 +298,9 @@ def _is_lock_error(error: sqlite3.DatabaseError) -> bool:
 class StateTier:
     """One shared SQLite state database (see the module docstring).
 
-    A ``StateTier`` is a per-process *handle*: it owns one connection,
-    the per-handle cost-sample baseline, and the tier's read/write/merge
-    counters (``register_metrics`` publishes them as ``repro_tier_*``).
+    A ``StateTier`` is a per-process *handle*: it owns one connection
+    and the tier's read/write counters (``register_metrics`` publishes
+    them as ``repro_tier_*``).
     The handle is thread-safe (one internal lock serializes its own
     operations); cross-process safety comes from SQLite itself.
     """
@@ -360,12 +329,9 @@ class StateTier:
         self.saves = 0
         self.rows_read = 0
         self.rows_written = 0
-        self.cells_merged = 0
-        self.cells_deleted = 0
         self.lock_retries = 0
         self.migrated_records = 0
         self._lock = threading.RLock()
-        self._cost_baseline: dict[tuple[str, str, str], tuple[float, float]] = {}
         self._closed = False
         directory = os.path.dirname(self.path) or "."
         os.makedirs(directory, exist_ok=True)
@@ -514,17 +480,6 @@ class StateTier:
                 for fingerprint, per_schema in state.plans.items()
             },
             telemetry=state.telemetry,
-            cost_cells={
-                key: (entry.count, entry.total_ms, entry.last_tick)
-                for key, entry in (
-                    state.cost_model.cells() if state.cost_model is not None
-                    else {}
-                ).items()
-            },
-            cost_min_samples=(
-                state.cost_model.min_samples
-                if state.cost_model is not None else None
-            ),
             decision_records=[
                 [list(key), record] for key, record in state.decisions
             ],
@@ -584,24 +539,6 @@ class StateTier:
                 {"plans": telemetry_record}
             )
 
-        min_samples_row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = 'cost_min_samples'"
-        ).fetchone()
-        cost_entries = []
-        for row in self._conn.execute(
-            "SELECT signature, bucket, decider, count, total_ms, last_tick "
-            "FROM cost_cells"
-        ):
-            self.rows_read += 1
-            cost_entries.append(list(row))
-        if cost_entries or min_samples_row is not None:
-            state.cost_model = CostModel.from_dict({
-                "min_samples": (
-                    min_samples_row[0] if min_samples_row is not None else 3
-                ),
-                "entries": cost_entries,
-            })
-
         for qkey, fingerprint, bounds, satisfiable, method, reason in (
             self._conn.execute(
                 "SELECT qkey, fingerprint, bounds, satisfiable, method, "
@@ -660,40 +597,12 @@ class StateTier:
                     rows[process] = stats
             return rows
 
-    # -- cost baseline -------------------------------------------------------
-    def note_cost_baseline(self, cost_model: CostModel) -> None:
-        """Snapshot ``cost_model``'s cells as this handle's baseline.
-        The engine calls this right after merging a loaded tier into its
-        model; every later :meth:`save` writes only the growth since the
-        baseline, so samples the tier already holds are never
-        double-counted and concurrent writers' samples all land."""
-        self._cost_baseline = {
-            key: (entry.count, entry.total_ms)
-            for key, entry in cost_model.cells().items()
-        }
-
-    def _cost_deltas(
-        self, cost_model: CostModel
-    ) -> dict[tuple[str, str, str], tuple[float, float, int]]:
-        deltas = {}
-        for key, entry in cost_model.cells().items():
-            base_count, base_total = self._cost_baseline.get(key, (0.0, 0.0))
-            # decay() shrinks local cells below the baseline; the tier
-            # only ages cells by whole drops (consume_dropped), so a
-            # negative delta clamps to "nothing new to contribute"
-            count = max(0.0, entry.count - base_count)
-            total = max(0.0, entry.total_ms - base_total)
-            if count > 0.0 or total > 0.0:
-                deltas[key] = (count, total, entry.last_tick)
-        return deltas
-
     # -- save ----------------------------------------------------------------
     def save(
         self,
         *,
         registry=None,
         telemetry: PlanTelemetry | None = None,
-        cost_model: CostModel | None = None,
         cache=None,
         decision_cap_per_schema: int | None = None,
         telemetry_max_age_days: float | None = None,
@@ -702,12 +611,12 @@ class StateTier:
     ) -> None:
         """Persist the given engine components (pieces passed as ``None``
         are left untouched) with the tier's consistency model: LWW per
-        key, monotonic cost merge, hygiene caps enforced in the
-        database.  One ``BEGIN IMMEDIATE`` transaction, retried on lock
-        contention; ``engine_stats`` (an ``EngineStats.as_dict()``
-        snapshot) and ``metrics_text`` (a rendered Prometheus textfile,
-        written next to the database) are observability exports riding
-        along with the state."""
+        key, hygiene caps enforced in the database.  One ``BEGIN
+        IMMEDIATE`` transaction, retried on lock contention;
+        ``engine_stats`` (an ``EngineStats.as_dict()`` snapshot) and
+        ``metrics_text`` (a rendered Prometheus textfile, written next to
+        the database) are observability exports riding along with the
+        state."""
         plan_records = registry.plan_records() if registry is not None else None
         decision_records = None
         if cache is not None:
@@ -716,11 +625,6 @@ class StateTier:
                 decision_records = cap_decision_records(
                     decision_records, decision_cap_per_schema
                 )
-        cost_cells = None
-        dropped: set[tuple[str, str, str]] = set()
-        if cost_model is not None:
-            cost_cells = self._cost_deltas(cost_model)
-            dropped = cost_model.consume_dropped()
         with self._lock:
             self._require_open()
             self._with_retry(
@@ -729,19 +633,11 @@ class StateTier:
                     plan_records=plan_records,
                     telemetry=telemetry,
                     telemetry_max_age_days=telemetry_max_age_days,
-                    cost_cells=cost_cells,
-                    cost_dropped=dropped,
-                    cost_min_samples=(
-                        cost_model.min_samples if cost_model is not None
-                        else None
-                    ),
                     decision_records=decision_records,
                     decision_cap_per_schema=decision_cap_per_schema,
                     engine_stats=engine_stats,
                 ),
             )
-            if cost_model is not None:
-                self.note_cost_baseline(cost_model)
         self.saves += 1
         if metrics_text is not None:
             atomic_write_text(
@@ -755,9 +651,6 @@ class StateTier:
         plan_records=None,
         telemetry: PlanTelemetry | None = None,
         telemetry_max_age_days: float | None = None,
-        cost_cells=None,
-        cost_dropped: set[tuple[str, str, str]] = frozenset(),
-        cost_min_samples: int | None = None,
         decision_records=None,
         decision_cap_per_schema: int | None = None,
         engine_stats: dict[str, Any] | None = None,
@@ -808,36 +701,6 @@ class StateTier:
                         "DELETE FROM telemetry WHERE updated < ?",
                         (now - telemetry_max_age_days * 86400.0,),
                     )
-
-            if cost_cells is not None:
-                for (signature, bucket, decider), (count, total, tick) in (
-                    cost_cells.items()
-                ):
-                    conn.execute(
-                        "INSERT INTO cost_cells(signature, bucket, decider, "
-                        "count, total_ms, last_tick) VALUES(?, ?, ?, ?, ?, ?) "
-                        "ON CONFLICT(signature, bucket, decider) DO UPDATE SET "
-                        "count = count + excluded.count, "
-                        "total_ms = total_ms + excluded.total_ms, "
-                        "last_tick = MAX(last_tick, excluded.last_tick)",
-                        (signature, bucket, decider,
-                         round(count, 4), round(total, 4), tick),
-                    )
-                    self.cells_merged += 1
-                    self.rows_written += 1
-            for signature, bucket, decider in sorted(cost_dropped):
-                deleted = conn.execute(
-                    "DELETE FROM cost_cells WHERE signature = ? AND "
-                    "bucket = ? AND decider = ?",
-                    (signature, bucket, decider),
-                ).rowcount
-                self.cells_deleted += max(deleted, 0)
-                self._cost_baseline.pop((signature, bucket, decider), None)
-            if cost_min_samples is not None:
-                conn.execute(
-                    "INSERT OR REPLACE INTO meta(key, value) VALUES(?, ?)",
-                    ("cost_min_samples", str(cost_min_samples)),
-                )
 
             if decision_records is not None:
                 touched_fingerprints = set()
@@ -910,10 +773,6 @@ class StateTier:
             ("rows_read", "rows_read", "rows read from the shared tier"),
             ("rows_written", "rows_written",
              "rows upserted into the shared tier"),
-            ("cells_merged", "cells_merged",
-             "cost-sample deltas merged into shared cells"),
-            ("cells_deleted", "cells_deleted",
-             "decay-dropped cost cells deleted from the shared tier"),
             ("lock_retries", "lock_retries",
              "write transactions retried on lock contention"),
             ("migrated_records", "migrated_records",

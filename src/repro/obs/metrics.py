@@ -1,12 +1,11 @@
 """Unified metrics registry: one namespace over the engine's stat silos.
 
-The engine accumulates numbers in three unrelated shapes —
-:class:`~repro.engine.batch.EngineStats` counters,
-:class:`~repro.sat.telemetry.PlanStats` histogram rows, and
-:class:`~repro.sat.costmodel.CostModel` cells — plus the executor
-layer's lane-health figures.  Each of those now *registers into* a
-:class:`MetricsRegistry` (``register_metrics(registry)`` hooks), which
-renders the whole set two ways:
+The engine accumulates numbers in two unrelated shapes —
+:class:`~repro.engine.batch.EngineStats` counters and
+:class:`~repro.sat.telemetry.PlanStats` histogram rows — plus the
+executor layer's lane-health figures.  Each of those now *registers
+into* a :class:`MetricsRegistry` (``register_metrics(registry)``
+hooks), which renders the whole set two ways:
 
 * :meth:`MetricsRegistry.as_dict` — nested JSON for machine consumers
   (``repro stats --json``);

@@ -36,7 +36,6 @@ from repro.sat.exptime_types import sat_exptime_types
 from repro.sat.positive import sat_positive
 from repro.sat.bounded import Bounds, sat_bounded, iter_conforming_trees
 from repro.sat.family import sat_universal_family
-from repro.sat.costmodel import CostModel, calibrate, size_bucket
 from repro.sat.planner import (
     DEFAULT_PLANNER,
     ExecutionTrace,
@@ -67,9 +66,6 @@ __all__ = [
     "sat_bounded",
     "iter_conforming_trees",
     "DEFAULT_PLANNER",
-    "CostModel",
-    "calibrate",
-    "size_bucket",
     "ExecutionTrace",
     "Plan",
     "PlanStats",

@@ -61,9 +61,4 @@ def decide(
     return execute_plan(plan, canonical, dtd, bounds, pre_canonicalized=True)
 
 
-def _decide_no_dtd(query: Path, bounds: Bounds | None) -> SatResult:
-    """Back-compat shim: decide over unconstrained trees (no DTD)."""
-    return decide(query, None, bounds)
-
-
 __doc__ = (__doc__ or "") + "\n" + routing_table() + "\n"

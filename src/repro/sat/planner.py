@@ -16,7 +16,8 @@ rewrite-pass registry (:data:`repro.xpath.rewrite.PASSES`) in cost-rank
 order.  Because a plan depends on nothing else, it is cached per
 ``(feature signature × schema fingerprint)`` on the schema's artifact
 record, so a warm batch run resolves routing without invoking the
-planner at all.
+planner at all, and two planners (or two processes) build equal plans
+for one signature and one schema class.
 
 Plans serialize (``to_dict``/``from_dict``) and explain themselves
 (``python -m repro explain``); :func:`execute_plan` runs one against a
@@ -32,7 +33,6 @@ from typing import Any, Callable
 from repro.dtd.model import DTD
 from repro.dtd import properties as dtd_properties
 from repro.errors import FragmentError, ReproError
-from repro.sat.costmodel import INLINE_THRESHOLD_MS, CostModel, size_bucket
 from repro.sat.registry import DeciderSpec, deciders, get_decider, registry_size
 from repro.sat.result import SatResult
 from repro.xpath.ast import Path
@@ -62,9 +62,6 @@ class Plan:
     fallbacks: tuple[str, ...] = ()  # tried in order if the primary declines
     route: str = "inline"            # "inline" (PTIME) | "pool" (heavy)
     notes: tuple[str, ...] = ()
-    #: cost-model view of the chain at plan time: (decider, effective ms),
-    #: sorted by cost; empty when the plan was built with static ranking
-    costs: tuple[tuple[str, float], ...] = ()
 
     @property
     def spec(self) -> DeciderSpec:
@@ -74,8 +71,7 @@ class Plan:
     def telemetry_key(self) -> str:
         """The stable aggregation key of this routing decision: two plans
         share a telemetry row iff they route identically (same schema
-        class, rewrites, and decider chain) — the cost annotation does
-        not split rows."""
+        class, rewrites, and decider chain)."""
         chain = "+".join((self.decider,) + self.fallbacks)
         return f"{self.schema or '-'}|{self.signature}|{chain}"
 
@@ -92,7 +88,7 @@ class Plan:
         return self.spec.complexity
 
     def to_dict(self) -> dict[str, Any]:
-        record = {
+        return {
             "signature": self.signature,
             "schema": self.schema,
             "rewrites": list(self.rewrites),
@@ -101,16 +97,15 @@ class Plan:
             "route": self.route,
             "notes": list(self.notes),
         }
-        if self.costs:
-            record["costs"] = [[name, cost] for name, cost in self.costs]
-        return record
 
     @classmethod
     def from_dict(cls, record: dict[str, Any]) -> "Plan":
         """Rebuild a persisted plan.  Raises :class:`ValueError` when the
         chain names a decider that is not registered (e.g. one retired
         since the plan was saved): such a plan cannot run, so the state
-        loaders skip it and its signature is replanned."""
+        loaders skip it and its signature is replanned.  Keys this
+        version does not write are ignored: a plan an older version
+        annotated with measured ``costs`` loads as it was routed."""
         plan = cls(
             signature=record["signature"],
             schema=record.get("schema"),
@@ -119,10 +114,6 @@ class Plan:
             fallbacks=tuple(record.get("fallbacks", ())),
             route=record.get("route", "inline"),
             notes=tuple(record.get("notes", ())),
-            costs=tuple(
-                (str(name), float(cost))
-                for name, cost in record.get("costs", ())
-            ),
         )
         for name in (plan.decider,) + plan.fallbacks:
             try:
@@ -151,14 +142,6 @@ class Plan:
         else:
             lines.append("  fallbacks  : (none)")
         lines.append(f"  route      : {self.route}")
-        if self.costs:
-            from repro.sat.costmodel import UNMEASURED_BASE_MS
-
-            parts = [
-                f"{name} {'unmeasured' if cost >= UNMEASURED_BASE_MS else f'{cost:.3f}ms'}"
-                for name, cost in self.costs
-            ]
-            lines.append(f"  costs      : {', '.join(parts)}")
         for note in self.notes:
             lines.append(f"  note       : {note}")
         return "\n".join(lines)
@@ -212,8 +195,6 @@ def build_plan(
     has_dtd: bool,
     traits: TraitCheck,
     schema: str | None = None,
-    cost_model: CostModel | None = None,
-    schema_size: int | None = None,
 ) -> Plan:
     """Construct the plan for a feature set against one schema class.
 
@@ -229,12 +210,8 @@ def build_plan(
     operator set actually matches — so planning a downward query never
     pays for a disjunction-freeness check.
 
-    With a ``cost_model``, the statically scanned chain is re-ordered by
-    measured latency for this (signature × schema-size bucket): the
-    cheapest member becomes the primary and the rest stay as fallbacks.
-    The chain members never change — only their order — and execution
-    treats ``unknown``/declines from non-final members as fall-through,
-    so cost-based ordering cannot change verdicts.
+    The plan routes ``inline`` exactly when its primary is PTIME, and
+    ``pool`` otherwise.
     """
     signature = feature_signature(features)
     notes: list[str] = []
@@ -278,50 +255,14 @@ def build_plan(
             f"({'with' if has_dtd else 'without'} a DTD)"
         )
 
-    chain = [primary.name] + fallbacks
-    costs: tuple[tuple[str, float], ...] = ()
-    if cost_model is not None:
-        bucket = size_bucket(schema_size)
-        by_cost = sorted(
-            (round(cost_model.effective_cost(get_decider(name), signature, bucket), 3),
-             position, name)
-            for position, name in enumerate(chain)
-        )
-        ordered = [name for _cost, _position, name in by_cost]
-        costs = tuple((name, cost) for cost, _position, name in by_cost)
-        if ordered != chain:
-            winner = cost_model.measured(signature, bucket, ordered[0])
-            notes.append(
-                f"cost model ({bucket} schemas): {ordered[0]} promoted "
-                f"(measured {winner.mean_ms:.3f}ms mean over {winner.count:g} runs)"
-            )
-            chain = ordered
-        primary = get_decider(chain[0])
-
-    route = "inline" if primary.complexity == "PTIME" else "pool"
-    if (
-        cost_model is not None
-        and route == "pool"
-        and cost_model.is_measured(primary, signature, size_bucket(schema_size))
-        and costs
-        and costs[0][1] <= INLINE_THRESHOLD_MS
-    ):
-        # measured cheaper than fork overhead: keep it in-process
-        route = "inline"
-        notes.append(
-            f"cost model: {primary.name} measured under "
-            f"{INLINE_THRESHOLD_MS:.0f}ms, routed inline"
-        )
-
     return Plan(
         signature=signature,
         schema=schema,
         rewrites=tuple(rewrites),
-        decider=chain[0],
-        fallbacks=tuple(chain[1:]),
-        route=route,
+        decider=primary.name,
+        fallbacks=tuple(fallbacks),
+        route="inline" if primary.complexity == "PTIME" else "pool",
         notes=tuple(notes),
-        costs=costs,
     )
 
 
@@ -331,7 +272,7 @@ class ExecutionTrace:
     its latency, and its outcome (``sat``/``unsat``/``unknown``,
     ``declined`` for a fallback request, ``failed`` for a hard error
     from a member that may not decline).  Feeds per-plan telemetry and
-    the cost model.
+    the job's trace spans.
 
     When the plan-grouped scheduler ran this execution as part of a
     :class:`~repro.engine.batch.PlanGroup` chunk, ``group_size`` is the
@@ -461,13 +402,9 @@ def execute_plan(
     """Run ``plan`` against a concrete query: apply its rewrite passes in
     order, then the decider chain.
 
-    Chain semantics keep any permutation verdict-equivalent: a member that
-    declines (raises :class:`ReproError`) or returns ``unknown`` while
-    later members remain falls through to the next; an ``unknown`` is
-    returned only when no later member concludes.  This is what makes
-    cost-model promotion of a semi-decision procedure sound — if the
-    promoted decider cannot conclude, the statically ranked decider still
-    gets the question.
+    A member that declines (raises :class:`ReproError`) or returns
+    ``unknown`` while later members remain falls through to the next; an
+    ``unknown`` is returned only when no later member concludes.
 
     ``pre_canonicalized`` skips the plan's ``canonicalize`` pass for
     callers that already hold the canonical form (the batch engine
@@ -544,9 +481,8 @@ class Planner:
     amortize even that.
     """
 
-    def __init__(self, cost_model: CostModel | None = None) -> None:
+    def __init__(self) -> None:
         self._no_dtd_cache: dict[str, Plan] = {}
-        self.cost_model = cost_model
         self.invocations = 0  # plans actually built
         self.cache_hits = 0   # plans served from a plan cache
 
@@ -566,14 +502,11 @@ class Planner:
                     self.cache_hits += 1
                     return plan
             self.invocations += 1
-            schema_dtd = getattr(artifacts, "dtd", None)
             plan = build_plan(
                 features,
                 has_dtd=True,
                 traits=lambda name: _artifact_trait(artifacts, name),
                 schema=getattr(artifacts, "short_fingerprint", None),
-                cost_model=self.cost_model,
-                schema_size=schema_dtd.size() if schema_dtd is not None else None,
             )
             if cache is not None:
                 cache[signature] = plan
@@ -585,8 +518,6 @@ class Planner:
                 has_dtd=True,
                 traits=lambda name: _TRAIT_PREDICATES[name](dtd),
                 schema="(unregistered)",
-                cost_model=self.cost_model,
-                schema_size=dtd.size(),
             )
         signature = feature_signature(features)
         plan = self._no_dtd_cache.get(signature)
@@ -594,10 +525,7 @@ class Planner:
             self.cache_hits += 1
             return plan
         self.invocations += 1
-        plan = build_plan(
-            features, has_dtd=False, traits=lambda name: False,
-            cost_model=self.cost_model,
-        )
+        plan = build_plan(features, has_dtd=False, traits=lambda name: False)
         self._no_dtd_cache[signature] = plan
         return plan
 
@@ -608,20 +536,6 @@ class Planner:
         return self.plan_for(
             features_of(canonicalize(query)), artifacts=artifacts, dtd=dtd
         )
-
-    def invalidate(self, *artifact_records) -> int:
-        """Drop cached plans so the next request replans against the
-        current cost-model measurements.  Clears the given artifact
-        records' plan caches (and always this planner's no-DTD cache);
-        returns the number of plans dropped."""
-        dropped = len(self._no_dtd_cache)
-        self._no_dtd_cache.clear()
-        for artifacts in artifact_records:
-            cache = getattr(artifacts, "plan_cache", None)
-            if cache is not None:
-                dropped += len(cache)
-                cache.clear()
-        return dropped
 
     def stats(self) -> dict[str, int]:
         return {

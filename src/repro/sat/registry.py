@@ -52,14 +52,10 @@ class DeciderSpec:
         ``"NEXPTIME"``, ``"NP"``, ``"semi-decision"``).  ``"PTIME"`` plans
         run inline in the batch engine; everything else is pooled.
     cost_rank:
-        Position in the static routing order: the planner picks the
-        *lowest* matching rank, so cheaper/stronger procedures get low
-        ranks.  The rank is a *prior*, not the last word — once the cost
-        model (:mod:`repro.sat.costmodel`) has measured a decider's
-        latency for a (feature signature × schema-size bucket), the
-        measured mean re-orders the plan's chain and can promote a
-        nominally heavier procedure (execution falls through on
-        ``unknown``/declines, so reordering never changes verdicts).
+        Position in the routing order, the paper's result map: the
+        planner picks the *lowest* matching rank, so cheaper/stronger
+        procedures get low ranks, and the fallbacks after it follow in
+        rank order.  The order is static: no measurement changes it.
     needs_dtd:
         ``True`` for deciders over ``(query, DTD)`` pairs, ``False`` for
         the no-DTD setting.

@@ -10,9 +10,8 @@ table, merges across engines/processes, serializes for the engine's
 ``--state-dir`` persistence, and renders the ``repro stats --plans``
 report.
 
-The measured latencies feed the planner's cost model
-(:mod:`repro.sat.costmodel`), closing the loop: static ``cost_rank`` is
-only the prior, observed behaviour decides routing.
+Telemetry observes routing and never changes it: a plan depends only on
+the query's feature signature and the schema's class.
 """
 
 from __future__ import annotations
@@ -113,9 +112,9 @@ class PlanStats:
     @property
     def top_decider(self) -> str:
         """The chain member answering most of this plan's executions —
-        the ``repro stats --plans`` "winner" column, which is where a
-        cost-model promotion (e.g. ``nexptime`` over ``exptime_types``)
-        becomes visible to operators."""
+        the ``repro stats --plans`` "winner" column, which shows when a
+        fallback (e.g. ``nexptime`` after ``exptime_types`` declines)
+        answers most of a plan's traffic."""
         if not self.deciders:
             return "-"
         return max(sorted(self.deciders), key=self.deciders.__getitem__)
@@ -198,8 +197,7 @@ class PlanTelemetry:
     """Per-plan stats table keyed by :attr:`Plan.telemetry_key`.
 
     The plan's serialized form rides along with its stats so a persisted
-    table can be rendered (and fed back into the cost model) without the
-    original :class:`Plan` objects.
+    table can be rendered without the original :class:`Plan` objects.
 
     :meth:`summary` rows are cached until :meth:`record`,
     :meth:`record_failure`, :meth:`merge` or :meth:`prune` changes the

@@ -418,7 +418,8 @@ class TestStateDir:
         out = capsys.readouterr().out
         assert "mean_ms" in out and "p50_ms" in out and "fb%" in out
         assert "sat" in out and "unsat" in out
-        assert "cost model:" in out
+        assert "winner" in out
+        assert "cost model" not in out
 
     def test_empty_state_dir_is_fine(self, schema_dir, jobs_file, tmp_path, capsys):
         state_dir = tmp_path / "empty"
@@ -593,7 +594,8 @@ class TestObservability:
         assert record["plans"]
         row = next(iter(record["plans"].values()))
         assert "mean_ms" in row and "verdicts" in row
-        assert record["cost_model"]["entries"]
+        assert "plan" in row and row["plan"]["decider"]
+        assert set(record) == {"engine", "plans", "processes"}
 
     def test_log_level_debug_shows_engine_internals(
         self, schema_dir, tmp_path, capsys

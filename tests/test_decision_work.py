@@ -15,9 +15,7 @@ engine drops.
   search (ids, ``steps``, ``memo_keys``, ``passes``) of the decomposition
   it replaced, kept here verbatim as the reference;
 * ``downward`` gives identical results with and without its prepared
-  tables;
-* cost-model probes and ``calibrate()`` time deciders on prepared
-  contexts, as the chain runs them.
+  tables.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import dataclasses
 import gc
 import json
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -38,8 +35,6 @@ from repro.sat import Planner, decide, get_decider
 from repro.sat import (
     disjunction_free, downward, exptime_types, no_dtd, positive, realworld, sibling,
 )
-from repro.sat import registry as sat_registry
-from repro.sat.costmodel import CostModel, calibrate
 from repro.sat.exptime_types import Check, Child, Desc, Done
 from repro.sat.realworld import MAX_CHOICES, _Solver, prepare_realworld
 from repro.sat.result import SatResult
@@ -152,12 +147,7 @@ class TestVerdictOnly:
     def test_engine_builds_no_witness_and_agrees_with_decide(self, monkeypatch):
         schemas, jobs = _mixed_workload()
         calls = _count_witness_builders(monkeypatch)
-        # a cost model that never reorders a chain keeps the engine's
-        # deciders those of decide()'s static plans
-        static = CostModel(min_samples=10**9)
-        with BatchEngine(
-            registry=_registry(schemas), workers=1, cost_model=static
-        ) as engine:
+        with BatchEngine(registry=_registry(schemas), workers=1) as engine:
             results = _run(engine, jobs)
         assert sum(calls.values()) == 0, calls
         methods = Counter(result.method for result in results)
@@ -314,9 +304,7 @@ class TestOnePlanningForm:
     def test_engine_and_decide_agree_on_double_negations(self):
         schemas, jobs = _double_negations()
         registry = _registry(schemas)
-        with BatchEngine(
-            registry=registry, workers=1, cost_model=CostModel(min_samples=10**9)
-        ) as engine:
+        with BatchEngine(registry=registry, workers=1) as engine:
             results = _run(engine, jobs)
         planner = Planner()
         moved = 0
@@ -582,62 +570,3 @@ class TestPreparedTables:
             compared += 1
             sat += plain[0] is True
         assert compared == 600 and sat >= 20
-
-
-# -- cost-model samples taken the way the engine decides --------------------------
-
-class TestProbeContexts:
-    def test_probe_reuses_the_runtime_context(self, monkeypatch):
-        built = []
-        original = exptime_types.PackedTypesContext
-
-        def counted(dtd):
-            built.append(dtd)
-            return original(dtd)
-
-        monkeypatch.setattr(exptime_types, "PackedTypesContext", counted)
-        registry = _registry(realworld_schemas())
-        model = CostModel(explore_every=1)
-        with BatchEngine(registry=registry, workers=1, cost_model=model) as engine:
-            # a negation question: exptime_types answers it in-process and
-            # the runtime prepares the schema for it
-            report = engine.run([Job("body/p[not(a)]", "xhtml", "neg")])
-            assert report.results[0].method == exptime_types.METHOD
-            assert len(built) == 1
-            # realworld answers this one; the probe times exptime_types
-            report = engine.run([Job("head[title]", "xhtml", "pos")])
-            assert report.results[0].method == realworld.METHOD
-            assert report.stats.explore_probes == 1
-        assert len(built) == 1
-        bucket = registry.get("xhtml").cost_bucket
-        assert model.measured("qual", bucket, "exptime_types") is not None
-
-    def test_calibrate_prepares_each_decider_once(self, monkeypatch):
-        calls: Counter = Counter()
-        for name in ("realworld", "exptime_types", "nexptime"):
-            spec = get_decider(name)
-            module = sys.modules[spec.prepare.__module__]
-            hook = spec.prepare.__name__
-
-            def counted(dtd, _hook=spec.prepare, _name=name):
-                calls[_name] += 1
-                return _hook(dtd)
-
-            monkeypatch.setitem(
-                sat_registry._REGISTRY, name,
-                dataclasses.replace(spec, prepare=counted),
-            )
-            monkeypatch.setattr(module, hook, counted)
-        dtd = realworld_schemas()["xhtml"]
-        registry = _registry({"xhtml": dtd})
-        queries = [
-            canonicalize(parse_query(text))
-            for text in ("head[title]", "body[p/a]", "body/p[em]", "html[head]", "*[td]")
-        ]
-        plan = Planner().plan_for(
-            fragments.features_of(queries[0]), artifacts=registry.get("xhtml")
-        )
-        assert plan.decider == "realworld" and len(plan.fallbacks) == 2
-        recorded = calibrate(CostModel(), plan, queries, dtd)
-        assert recorded > 0
-        assert calls and max(calls.values()) == 1, calls

@@ -14,7 +14,6 @@ from repro.engine import (
     Job,
     SchemaRegistry,
     decision_key,
-    plan_route,
     read_jobs,
     read_jobs_file,
     schema_fingerprint,
@@ -24,7 +23,7 @@ from repro.engine import (
 from repro.engine.cache import NO_SCHEMA, CachedDecision
 from repro.errors import EngineError
 from repro.obs.trace import ListSink, Tracer
-from repro.sat import decide
+from repro.sat import Planner, decide
 from repro.workloads import batch_jobs, document_dtd
 from repro.xpath import parse_query
 from repro.xpath import fragments as frag
@@ -167,32 +166,37 @@ class TestDecisionCache:
 
 # -- routing ---------------------------------------------------------------------
 
+def _route(query, artifacts) -> str:
+    """``"inline"`` for a PTIME plan, ``"pool"`` for a heavy one."""
+    return Planner().plan_query(query, artifacts=artifacts).route
+
+
 class TestPlanRoute:
     def test_ptime_fragments_inline(self, registry):
         threesat = registry.get("threesat")
-        assert plan_route(parse_query("X1 | **/T"), threesat) == "inline"
-        assert plan_route(parse_query("X1/>/X2"), threesat) == "inline"
-        assert plan_route(parse_query("A[B]"), None) == "inline"
-        assert plan_route(parse_query("A[@a = '1']"), None) == "inline"
+        assert _route(parse_query("X1 | **/T"), threesat) == "inline"
+        assert _route(parse_query("X1/>/X2"), threesat) == "inline"
+        assert _route(parse_query("A[B]"), None) == "inline"
+        assert _route(parse_query("A[@a = '1']"), None) == "inline"
 
     def test_heavy_fragments_pooled(self, registry):
         threesat = registry.get("threesat")
-        assert plan_route(parse_query("X1[not(T)]"), threesat) == "pool"
-        assert plan_route(parse_query("X1[not(@a = '1')]"), threesat) == "pool"
-        assert plan_route(parse_query("A[not(B)]"), None) == "pool"
+        assert _route(parse_query("X1[not(T)]"), threesat) == "pool"
+        assert _route(parse_query("X1[not(@a = '1')]"), threesat) == "pool"
+        assert _route(parse_query("A[not(B)]"), None) == "pool"
 
     def test_disjunction_free_qualifiers_inline(self, registry):
         disjfree = registry.get("disjfree")
-        assert plan_route(parse_query("A[C]"), disjfree) == "inline"
-        assert plan_route(parse_query("A[not(C)]"), disjfree) == "pool"
+        assert _route(parse_query("A[C]"), disjfree) == "inline"
+        assert _route(parse_query("A[not(C)]"), disjfree) == "pool"
         # threesat has disjunction but is duplicate-free: qualifiers stay
         # inline on the trait-gated realworld path (PR 9)
-        assert plan_route(parse_query("A[C]"), registry.get("threesat")) == "inline"
+        assert _route(parse_query("A[C]"), registry.get("threesat")) == "inline"
         # a schema outside every PTIME class still pools qualifier queries
         registry.register(
             "unrestrained", "root r\nr -> (A, B) + (A, C)\nA -> eps\nB -> eps\nC -> eps"
         )
-        assert plan_route(parse_query("A[C]"), registry.get("unrestrained")) == "pool"
+        assert _route(parse_query("A[C]"), registry.get("unrestrained")) == "pool"
 
 
 # -- the batch engine ------------------------------------------------------------
@@ -1028,7 +1032,7 @@ class TestOnePipeline:
 
         _patch_decider(monkeypatch, decider, fn=too_deep)
         with BatchEngine(registry=registry, workers=workers) as engine:
-            assert plan_route(parse_query(query), registry.get("disjfree")) == route
+            assert _route(parse_query(query), registry.get("disjfree")) == route
             (result,) = engine.run([Job(query, "disjfree")]).results
         assert result.error == (
             "query nests too deeply (maximum recursion depth exceeded)"

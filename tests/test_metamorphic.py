@@ -1,30 +1,29 @@
 """Metamorphic guarantees of the planner feedback loop.
 
-Telemetry, cost-based routing, plan-cache persistence, and plan-grouped
-scheduling are *performance* features: none of them may change a single
-verdict.  The tests here decide one corpus several ways — static
-ranking, cost-based ranking after calibration, a cold engine warmed from
-a persisted state directory, and the plan-grouped scheduler on/off — and
-require bit-identical verdicts (for grouping also bit-identical
+Telemetry, plan-cache persistence, and plan-grouped scheduling are
+*performance* features: none of them may change a single verdict.  The
+tests here decide one corpus several ways — static ranking, plans an
+older version reordered and rerouted by measured cost, a cold engine
+warmed from a persisted state directory, and the plan-grouped scheduler
+on/off — and require bit-identical verdicts (for grouping also bit-identical
 decision-cache contents and telemetry verdict mixes), plus unit coverage
 of the telemetry aggregator and the state serialization round trip.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.dtd import parse_dtd
-from repro.engine import BatchEngine, DecisionCache, EngineStats, SchemaRegistry
+from repro.engine import BatchEngine, DecisionCache, SchemaRegistry
 from repro.engine.statetier import StateTier, read_legacy_json
-from repro.sat import CostModel, Plan, PlanTelemetry, Planner, calibrate
-from repro.sat.costmodel import size_bucket
+from repro.sat import Plan, PlanTelemetry
 from repro.sat.telemetry import PlanStats
 from repro.workloads import batch_jobs
 from repro.xpath import fragments as frag
-from repro.xpath import parse_query
 
 TINY_DTD = """
 root r
@@ -84,41 +83,32 @@ def _saved(state_dir):
 
 class TestMetamorphicVerdicts:
     def test_cost_based_ranking_never_changes_verdicts(self):
+        """Plans an older version reordered and routed inline by measured
+        cost are adopted as they were saved, and answer as the static
+        plans do."""
         jobs = _corpus()
         static_engine = BatchEngine(registry=_registry())
         baseline = _verdicts(static_engine.run(jobs))
 
-        # train a cost model on the negation plans of both schemas, then
-        # decide the same corpus with cost-based ranking
-        model = CostModel(min_samples=1)
-        calibration = [
-            parse_query(text)
-            for text in ("A[not(B)]", "B[not(C)]", ".[not(A)]")
-        ]
-        registry = _registry()
-        for name in ("tiny", "doc"):
-            artifacts = registry.get(name)
-            plan = Planner().plan_query(calibration[0], artifacts=artifacts)
-            queries = (
-                calibration if name == "tiny"
-                else [parse_query("title[not(para)]")]
-            )
-            calibrate(model, plan, queries, artifacts.dtd)
-        cost_engine = BatchEngine(
-            registry=registry, planner=Planner(cost_model=model)
+        reordered: dict[str, dict[str, Plan]] = {}
+        for artifacts in static_engine.registry:
+            per_schema = reordered[artifacts.fingerprint] = {}
+            for signature, plan in artifacts.plan_cache.items():
+                chain = (plan.decider,) + plan.fallbacks
+                per_schema[signature] = dataclasses.replace(
+                    plan, decider=chain[-1],
+                    fallbacks=tuple(reversed(chain[:-1])), route="inline",
+                )
+        assert any(
+            plan.fallbacks
+            for per_schema in reordered.values()
+            for plan in per_schema.values()
         )
-        assert _verdicts(cost_engine.run(jobs)) == baseline
-
-    def test_retune_never_changes_verdicts(self):
-        jobs = _corpus(80)
-        engine = BatchEngine(registry=_registry())
-        baseline = _verdicts(engine.run(jobs))
-        # second pass replans against the measurements the first pass fed
-        # into the engine's own cost model
-        dropped = engine.retune()
-        assert dropped >= 1
-        engine.cache.clear()
-        assert _verdicts(engine.run(jobs)) == baseline
+        registry = _registry()
+        registry.adopt_plans(reordered)
+        report = BatchEngine(registry=registry).run(jobs)
+        assert report.stats.planner_invocations == 0
+        assert _verdicts(report) == baseline
 
     def test_persisted_state_reload_never_changes_verdicts(self, tmp_path):
         state_dir = str(tmp_path / "state")
@@ -452,7 +442,6 @@ class TestStatePersistence:
             tier.save(
                 registry=engine.registry,
                 telemetry=engine.telemetry,
-                cost_model=engine.cost_model,
                 cache=engine.cache,
             )
         state = _saved(state_dir)
@@ -462,8 +451,6 @@ class TestStatePersistence:
         )
         assert state.telemetry is not None
         assert state.telemetry.to_dict() == engine.telemetry.to_dict()
-        assert state.cost_model is not None
-        assert state.cost_model.to_dict() == engine.cost_model.to_dict()
         assert len(state.decisions) == len(engine.cache)
 
     def test_missing_dir_is_empty_state(self, tmp_path):
@@ -477,33 +464,18 @@ class TestStatePersistence:
         state_dir.mkdir()
         (state_dir / "plans.json").write_text("{ this is not json")
         (state_dir / "telemetry.json").write_text('["a list, not an object"]')
+        # an older version's cost model file is ignored, corrupt or not
         (state_dir / "cost_model.json").write_text('{"version": 99}')
         state = read_legacy_json(str(state_dir))
         assert state.plan_count == 0
         assert state.telemetry is None
-        assert state.cost_model is None
-        assert len(state.warnings) == 3
+        assert len(state.warnings) == 2
+        assert not any("cost_model" in warning for warning in state.warnings)
         # a corrupt state dir must not break the engine
         engine = BatchEngine(registry=_registry(), state_tier=str(state_dir))
         assert engine.state_warnings == state.warnings
         report = engine.run(_corpus(20))
         assert report.stats.errors == 0
-
-    def test_cost_model_round_trip_and_merge(self):
-        model = CostModel(min_samples=2)
-        bucket = size_bucket(8)
-        model.observe("neg,qual", bucket, "bounded", 0.5)
-        model.observe("neg,qual", bucket, "bounded", 1.5)
-        rebuilt = CostModel.from_dict(model.to_dict())
-        assert rebuilt.to_dict() == model.to_dict()
-        entry = rebuilt.measured("neg,qual", bucket, "bounded")
-        assert entry is not None and entry.mean_ms == pytest.approx(1.0)
-        other = CostModel()
-        other.observe("neg,qual", bucket, "bounded", 4.0)
-        rebuilt.merge(other)
-        merged = rebuilt.measured("neg,qual", bucket, "bounded")
-        assert merged is not None and merged.count == 3
-        assert merged.mean_ms == pytest.approx(2.0)
 
     def test_decision_cache_records_round_trip(self):
         engine = BatchEngine(registry=_registry())
@@ -678,218 +650,6 @@ class TestStateDirHygiene:
         engine.close()
 
 
-class TestCostModelHygiene:
-    """Regressions for cost-model poisoning: inconclusive runs must never
-    become latency samples, or a fast-but-useless semi-decision procedure
-    gets promoted to primary and every job pays for it twice."""
-
-    def test_unknown_attempts_are_not_cost_samples(self):
-        from repro.sat.planner import ExecutionTrace
-
-        engine = BatchEngine(registry=_registry())
-        plan = engine.planner.plan_query(
-            parse_query("A[not(B)]"), artifacts=engine.registry.get("tiny")
-        )
-        trace = ExecutionTrace()
-        trace.add("bounded", 0.01, "unknown")       # gave up fast
-        trace.add("exptime_types", 2.0, "unsat")    # actually answered
-        engine._observe(
-            EngineStats(), plan, engine.registry.get("tiny"), trace, "unsat"
-        )
-        bucket = size_bucket(engine.registry.get("tiny").dtd.size())
-        assert engine.cost_model.measured(plan.signature, bucket, "bounded") is None
-        entry = engine.cost_model.measured(plan.signature, bucket, "exptime_types")
-        assert entry is not None and entry.count == 1
-
-    def test_calibrate_skips_inconclusive_deciders(self):
-        from repro.sat.bounded import Bounds
-        from repro.sat.planner import Plan
-
-        dtd = _schemas()["doc"]  # starred: bounded answers unknown on UNSAT
-        plan = Plan(
-            signature="neg,qual", schema=None, rewrites=("canonicalize",),
-            decider="bounded", fallbacks=(),
-        )
-        model = CostModel(min_samples=1)
-        recorded = calibrate(
-            model, plan,
-            [parse_query(".[title and not(title)]")], dtd,
-            bounds=Bounds(max_depth=1, max_trees=4),
-        )
-        assert recorded == 0
-        assert model.measured("neg,qual", size_bucket(dtd.size()), "bounded") is None
-
-
-class TestCostModelExploration:
-    """Epsilon-exploration and decay (ROADMAP: cost-model freshness).
-    Exploration probes are extra timings whose verdicts are discarded —
-    the same hygiene rules as everywhere else apply: inconclusive probes
-    record nothing, and neither feature can change a verdict."""
-
-    def test_exploration_off_by_default(self):
-        model = CostModel()
-        assert model.explore_every == 0
-        assert model.exploration_candidate("s", "m", ("a", "b")) is None
-
-    def test_exploration_paces_and_picks_stalest(self):
-        model = CostModel(min_samples=1, explore_every=2)
-        chain = ("primary", "fb1", "fb2")
-        # off-beat calls nominate nothing; on the beat, everything is
-        # unmeasured so static chain order breaks the tie
-        assert model.exploration_candidate("s", "m", chain) is None
-        assert model.exploration_candidate("s", "m", chain) == "primary"
-        model.observe("s", "m", "primary", 1.0)
-        assert model.exploration_candidate("s", "m", chain) is None
-        assert model.exploration_candidate("s", "m", chain) == "fb1"
-        model.observe("s", "m", "fb1", 1.0)
-        model.observe("s", "m", "fb2", 1.0)
-        # all measured: the oldest tick (primary) is stalest
-        assert model.exploration_candidate("s", "m", chain) is None
-        assert model.exploration_candidate("s", "m", chain) == "primary"
-
-    def test_excluded_members_are_not_probed(self):
-        model = CostModel(explore_every=1)
-        chain = ("primary", "fb1")
-        assert model.exploration_candidate(
-            "s", "m", chain, exclude={"primary"}
-        ) == "fb1"
-        assert model.exploration_candidate(
-            "s", "m", chain, exclude={"primary", "fb1"}
-        ) is None
-
-    def test_single_member_chains_never_explore(self):
-        model = CostModel(explore_every=1)
-        assert model.exploration_candidate("s", "m", ("only",)) is None
-
-    def test_rejects_negative_explore_every(self):
-        with pytest.raises(ValueError):
-            CostModel(explore_every=-1)
-
-    def test_engine_probe_measures_a_fallback(self):
-        # a fallback no normal execution would time gets measured by the
-        # engine's probe hook; verdicts match the unexplored engine
-        jobs = [(f"A[not({x})]", "tiny") for x in ("A", "B", "C")]
-        explored = BatchEngine(
-            registry=_registry(),
-            cost_model=CostModel(min_samples=1, explore_every=1),
-        )
-        baseline = BatchEngine(registry=_registry())
-        explored_report = explored.run(jobs)
-        assert _verdicts(explored_report) == _verdicts(baseline.run(jobs))
-        assert explored_report.stats.explore_probes >= 1
-        artifacts = explored.registry.get("tiny")
-        plan = explored.planner.plan_query(
-            parse_query("A[not(B)]"), artifacts=artifacts
-        )
-        fallback_cells = [
-            name for name in plan.fallbacks
-            if explored.cost_model.measured(
-                plan.signature, artifacts.cost_bucket, name
-            ) is not None
-        ]
-        assert fallback_cells, "no fallback was ever probed"
-
-    def test_inconclusive_probes_record_nothing(self, monkeypatch):
-        # hygiene: a probe that answers unknown must not become a latency
-        # sample (same rule as TestCostModelHygiene) — force the nexptime
-        # fallback to give up, then probe it on every decision
-        import dataclasses
-
-        from repro.sat import registry as sat_registry
-        from repro.sat.result import SatResult
-
-        spec = sat_registry.get_decider("nexptime")
-
-        def gives_up(query, dtd, width_cap=5, assignment_cap=4096,
-                     context=None):
-            return SatResult(None, spec.method, reason="gave up")
-
-        monkeypatch.setitem(
-            sat_registry._REGISTRY, "nexptime",
-            dataclasses.replace(spec, fn=gives_up),
-        )
-        model = CostModel(min_samples=1, explore_every=1)
-        engine = BatchEngine(registry=_registry(), cost_model=model)
-        report = engine.run([(f"A[not({x})]", "tiny") for x in ("A", "B", "C")])
-        assert report.stats.explore_probes >= 1
-        artifacts = engine.registry.get("tiny")
-        plan = engine.planner.plan_query(
-            parse_query("A[not(B)]"), artifacts=artifacts
-        )
-        assert "nexptime" in plan.fallbacks
-        assert model.measured(
-            plan.signature, artifacts.cost_bucket, "nexptime"
-        ) is None
-
-    def test_probe_applies_plan_rewrites(self):
-        # a rewrite-bearing plan (upward_to_qualifiers) must probe the
-        # REWRITTEN query — the unrewritten upward form would just make
-        # the probed decider decline and the cell would never refresh
-        model = CostModel(min_samples=1, explore_every=1)
-        engine = BatchEngine(registry=_registry(), cost_model=model)
-        artifacts = engine.registry.get("tiny")
-        plan = engine.planner.plan_query(
-            parse_query("A/^"), artifacts=artifacts
-        )
-        assert "upward_to_qualifiers" in plan.rewrites
-        assert plan.fallbacks                  # multi-member chain
-        report = engine.run([("A/^", "tiny"), ("A/^/B", "tiny")])
-        assert report.stats.errors == 0
-        assert report.stats.explore_probes >= 1
-        probed = [
-            name for name in plan.fallbacks
-            if model.measured(
-                plan.signature, artifacts.cost_bucket, name
-            ) is not None
-        ]
-        assert probed, "the rewrite-bearing plan's probe never concluded"
-
-    def test_decay_preserves_means_and_expires_cells(self):
-        model = CostModel(min_samples=2)
-        for elapsed in (1.0, 3.0, 2.0):
-            model.observe("s", "m", "d", elapsed)
-        entry = model.measured("s", "m", "d")
-        assert entry.count == 3 and entry.mean_ms == pytest.approx(2.0)
-        assert model.decay(0.5) == 0
-        entry = model.measured("s", "m", "d")
-        assert entry.count == pytest.approx(1.5)
-        assert entry.mean_ms == pytest.approx(2.0)   # mean preserved
-        assert not model.is_measured(
-            type("S", (), {"name": "d"})(), "s", "m"
-        )  # 1.5 < min_samples: unmeasured again
-        assert model.decay(0.5) == 1                 # 0.75 < 1: dropped
-        assert model.measured("s", "m", "d") is None
-
-    def test_decay_validates_factor(self):
-        model = CostModel()
-        for factor in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                model.decay(factor)
-
-    def test_retune_with_decay_never_changes_verdicts(self):
-        jobs = _corpus(40)
-        engine = BatchEngine(registry=_registry())
-        baseline = _verdicts(engine.run(jobs))
-        engine.retune(decay=0.5)
-        engine.cache.clear()
-        assert _verdicts(engine.run(jobs)) == baseline
-
-    def test_serialization_round_trips_ticks_and_legacy_entries(self):
-        model = CostModel(min_samples=1)
-        model.observe("s", "m", "d", 2.0)
-        rebuilt = CostModel.from_dict(model.to_dict())
-        assert rebuilt.to_dict() == model.to_dict()
-        assert rebuilt.measured("s", "m", "d").last_tick == 1
-        # legacy 5-element entries (pre-tick state files) still load
-        legacy = CostModel.from_dict({
-            "min_samples": 1,
-            "entries": [["s", "m", "d", 2, 4.0]],
-        })
-        entry = legacy.measured("s", "m", "d")
-        assert entry is not None and entry.count == 2.0
-        assert entry.last_tick == 0
-
-
 class TestStateDirSharing:
     def test_alternating_workloads_keep_each_others_plans(self, tmp_path):
         """A run that registers only schema B must not erase schema A's
@@ -914,23 +674,6 @@ class TestStateDirSharing:
         report = third.run([("A[not(B)]", "tiny"), ("B | C", "tiny")])
         assert report.stats.planner_invocations == 0
         assert report.stats.persisted_plans_loaded >= tiny_plans
-
-    def test_retune_discards_pending_persisted_plans(self, tmp_path):
-        """A schema registered after retune() must be replanned, not
-        handed a stale persisted plan."""
-        state_dir = str(tmp_path / "state")
-        first = BatchEngine(state_tier=state_dir)
-        first.registry.register("tiny", _schemas()["tiny"])
-        first.run([("A[not(B)]", "tiny")])
-        first.save_state()
-
-        second = BatchEngine(state_tier=state_dir)  # tiny not yet registered
-        assert second.retune() >= 1
-        second.cache.clear()  # the persisted decisions would answer first
-        second.registry.register("tiny", _schemas()["tiny"])
-        report = second.run([("A[not(B)]", "tiny")])
-        assert report.stats.planner_invocations == 1
-        assert report.stats.persisted_plans_loaded == 0
 
     def test_inline_errors_do_not_skew_latency_histogram(self):
         engine = BatchEngine(registry=_registry())
@@ -960,9 +703,8 @@ class TestStateDirSharing:
                 "k": {"plan": None, "stats": {"count": "zzz"}}}})
         )
         state = read_legacy_json(str(state_dir))
-        assert state.cost_model is not None       # clamped + bad entry skipped
-        assert len(state.cost_model) == 0
         assert state.telemetry is not None and len(state.telemetry) == 0
+        assert not any("cost_model" in warning for warning in state.warnings)
         engine = BatchEngine(registry=_registry(), state_tier=str(state_dir))
         assert engine.state_warnings == state.warnings
         report = engine.run([("A[not(B)]", "tiny")])

@@ -21,20 +21,17 @@ from repro.dtd import parse_dtd
 from repro.engine import BatchEngine, DecisionCache, SchemaRegistry
 from repro.sat import (
     DEFAULT_PLANNER,
-    CostModel,
     ExecutionTrace,
     Plan,
     Planner,
     all_deciders,
     bounded,
     build_plan,
-    calibrate,
     decide,
     exptime_types,
     get_decider,
     nexptime,
     routing_table,
-    size_bucket,
 )
 from repro.sat.family import sat_universal_family
 from repro.sat.planner import execute_plan
@@ -318,7 +315,7 @@ class TestExecutePlanDirectly:
         assert after == before + 1
 
 
-# -- plan round-trip and cost-based choice --------------------------------------
+# -- plan round-trip and plans persisted by older versions ---------------------
 
 class TestPlanRoundTrip:
     """Property: ``Plan.to_dict`` -> ``Plan.from_dict`` is the identity —
@@ -349,6 +346,9 @@ class TestPlanRoundTrip:
     @settings(max_examples=30)
     @given(feature_bits=st.integers(min_value=0, max_value=2 ** len(Feature) - 1))
     def test_round_trip_survives_json_and_cost_annotations(self, feature_bits):
+        """A plan survives JSON, and a record an older version annotated
+        with measured ``costs`` loads as the same plan: the key is
+        ignored, and this version never writes it."""
         import json
 
         members = sorted(Feature, key=lambda f: f.value)
@@ -356,101 +356,95 @@ class TestPlanRoundTrip:
             feature for index, feature in enumerate(members)
             if feature_bits >> index & 1
         )
-        model = CostModel(min_samples=1)
         plan = build_plan(
             features, has_dtd=True, traits=lambda name: False,
-            schema="abc123def456", cost_model=model, schema_size=12,
+            schema="abc123def456",
         )
-        assert plan.costs  # the model annotates every chain member
-        rebuilt = Plan.from_dict(json.loads(json.dumps(plan.to_dict())))
+        record = plan.to_dict()
+        assert "costs" not in record
+        assert Plan.from_dict(json.loads(json.dumps(record))) == plan
+        annotated = dict(record, costs=[[plan.decider, 0.25]])
+        rebuilt = Plan.from_dict(json.loads(json.dumps(annotated)))
         assert rebuilt == plan
         assert rebuilt.telemetry_key == plan.telemetry_key
 
     def test_telemetry_key_ignores_cost_annotations(self):
         features = features_of(parse_query("A[not(B)]"))
         bare = build_plan(features, has_dtd=True, traits=lambda name: False)
-        annotated = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=CostModel(), schema_size=12,
+        annotated = Plan.from_dict(
+            dict(bare.to_dict(), costs=[["exptime_types", 1.5]])
         )
         assert bare.telemetry_key == annotated.telemetry_key
 
 
-class TestCostBasedChoice:
-    def _neg_features(self):
-        return features_of(parse_query("A[not(B)]"))
+class TestStaticPlans:
+    """A plan is a function of the feature signature and the schema
+    class: the registry scan's order, ``inline`` exactly when the
+    primary is PTIME."""
 
-    def test_unmeasured_model_keeps_static_order(self):
-        features = self._neg_features()
-        static = build_plan(features, has_dtd=True, traits=lambda name: False)
-        costed = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=CostModel(), schema_size=12,
+    @settings(max_examples=60)
+    @given(
+        feature_bits=st.integers(min_value=0, max_value=2 ** len(Feature) - 1),
+        has_dtd=st.booleans(),
+    )
+    def test_route_is_inline_exactly_when_the_primary_is_ptime(
+        self, feature_bits, has_dtd
+    ):
+        members = sorted(Feature, key=lambda f: f.value)
+        features = frozenset(
+            feature for index, feature in enumerate(members)
+            if feature_bits >> index & 1
         )
-        assert costed.decider == static.decider
-        assert costed.fallbacks == static.fallbacks
-        assert costed.route == static.route
+        plan = build_plan(features, has_dtd=has_dtd, traits=lambda name: False)
+        assert (plan.route == "inline") == (plan.complexity == "PTIME")
+        chain = (plan.decider,) + plan.fallbacks
+        ranks = [get_decider(name).cost_rank for name in chain]
+        assert ranks == sorted(ranks)
 
-    def test_measured_fallback_gets_promoted(self):
-        features = self._neg_features()
-        static = build_plan(features, has_dtd=True, traits=lambda name: False)
-        assert static.decider == "exptime_types"
-        assert "nexptime" in static.fallbacks
-        model = CostModel(min_samples=3)
-        bucket = size_bucket(12)
-        for _ in range(3):
-            model.observe(static.signature, bucket, "nexptime", 0.1)
-            model.observe(static.signature, bucket, "exptime_types", 5.0)
-        promoted = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=model, schema_size=12,
+    def test_decisions_on_one_schema_leave_another_schemas_plan_static(self):
+        """Deciding questions on one schema changes no plan on another
+        schema of the same size: the engine plans the signature there as
+        a fresh planner does, in the pool."""
+        first = "root r\nr -> A, (B + C)\nA -> eps\nB -> eps\nC -> eps\n"
+        second = first.replace("C", "D")
+        registry = SchemaRegistry()
+        registry.register("first", first)
+        registry.register("second", second)
+        assert (
+            registry.get("first").dtd.size() == registry.get("second").dtd.size()
         )
-        assert promoted.decider == "nexptime"
-        assert promoted.fallbacks == ("exptime_types",)
-        assert any("promoted" in note for note in promoted.notes)
-        # chain members never change, only their order
-        assert set((promoted.decider,) + promoted.fallbacks) \
-            == set((static.decider,) + static.fallbacks)
-
-    def test_measured_cheap_primary_routes_inline(self):
-        features = self._neg_features()
-        model = CostModel(min_samples=1)
-        bucket = size_bucket(12)
-        model.observe("neg,qual", bucket, "exptime_types", 0.2)
-        plan = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=model, schema_size=12,
+        with BatchEngine(registry=registry, workers=1) as engine:
+            report = engine.run([
+                ("A[not(B)]", "first"), ("A[not(C)]", "first"),
+                ("B[not(A)]", "first"),
+            ])
+            methods = {result.method for result in report.results}
+            assert methods == {get_decider("exptime_types").method}
+            features = features_of(parse_query("A[not(B)]"))
+            plan = engine.planner.plan_for(
+                features, artifacts=engine.registry.get("second")
+            )
+        fresh = Planner().plan_for(
+            features, artifacts=SchemaRegistry().register("second", second)
         )
+        assert plan == fresh
         assert plan.decider == "exptime_types"
-        assert plan.route == "inline"
+        assert plan.route == "pool"
+        assert "costs" not in plan.to_dict()
 
-    def test_slow_measurement_never_outranks_by_accident(self):
-        features = self._neg_features()
-        model = CostModel(min_samples=1)
-        bucket = size_bucket(500)
-        model.observe("neg,qual", bucket, "nexptime", 9000.0)
-        model.observe("neg,qual", bucket, "exptime_types", 3.0)
-        plan = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=model, schema_size=500,
-        )
-        assert plan.decider == "exptime_types"
-
-    def test_size_buckets_are_independent(self):
-        features = self._neg_features()
-        model = CostModel(min_samples=1)
-        model.observe("neg,qual", size_bucket(8), "nexptime", 0.05)
-        model.observe("neg,qual", size_bucket(8), "exptime_types", 4.0)
-        tiny = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=model, schema_size=8,
-        )
-        large = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=model, schema_size=500,
-        )
-        assert tiny.decider == "nexptime"
-        assert large.decider == "exptime_types"
+    def test_engine_plans_equal_a_fresh_planners(self, registry):
+        texts = [
+            "A[not(B)]", "A | **/B", "A/>/B", "A[not(@a = '1')]",
+            "A[not(>)]", "A[^*/. and @a = '1']/D",
+        ]
+        with BatchEngine(registry=registry) as engine:
+            engine.run([(text, "general") for text in texts] * 3)
+        artifacts = registry.get("general")
+        assert len(artifacts.plan_cache) == len(texts)
+        fresh_artifacts = SchemaRegistry().register("general", GENERAL_DTD)
+        for text in texts:
+            fresh = Planner().plan_query(parse_query(text), artifacts=fresh_artifacts)
+            assert artifacts.plan_cache[fresh.signature] == fresh
 
 
 class TestExecutionTraceAndFallThrough:
@@ -467,16 +461,17 @@ class TestExecutionTraceAndFallThrough:
     def test_promoted_semi_decision_falls_through_on_unknown(self):
         """An `unknown` from a non-final chain member must not become the
         answer while a definitive member remains — the guarantee that
-        makes cost-based promotion verdict-preserving."""
+        lets a persisted plan whose chain an older version reordered by
+        measured cost run as it was saved."""
         dtd = parse_dtd(GENERAL_DTD)
         query = parse_query("A[not(B)]")
         static = build_plan(
             features_of(query), has_dtd=True, traits=lambda name: False
         )
-        # force a semi-decision procedure first, as an aggressive cost
-        # model would on a bucket where it measured fast; `bounded` honours
-        # the caller's search bounds, so tight bounds make it answer
-        # `unknown` while the definitive members ignore them
+        # put a semi-decision procedure first, as older versions' cost
+        # model did on a schema size where it measured fast; `bounded`
+        # honours the caller's search bounds, so tight bounds make it
+        # answer `unknown` while the definitive members ignore them
         chain = (static.decider,) + static.fallbacks
         reordered = Plan(
             signature=static.signature,
@@ -499,33 +494,36 @@ class TestExecutionTraceAndFallThrough:
         assert trace.decider == "exptime_types"
 
     def test_static_and_promoted_chains_agree_on_verdicts(self, registry):
+        """Every order of a static chain answers as the static chain
+        does: a plan an older version persisted with a measured order is
+        adopted as it is."""
+        from itertools import permutations
+
         artifacts = registry.get("general")
         queries = [
             "A[not(B)]", "B[not(C)]", ".[not(A)]", "A[not(D)]",
             ".[A and not(B)]", ".[not(B) and not(C)]",
         ]
-        static_planner = Planner()
-        model = CostModel(min_samples=1)
-        plan = static_planner.plan_query(
+        static_plan = Planner().plan_query(
             parse_query(queries[0]), artifacts=artifacts
         )
-        calibrate(
-            model, plan, [parse_query(q) for q in queries[:3]], artifacts.dtd
-        )
-        cost_planner = Planner(cost_model=model)
-        for text in queries:
-            query = parse_query(text)
-            static_plan = build_plan(
-                features_of(query), has_dtd=True,
-                traits=lambda name: False, schema=artifacts.short_fingerprint,
+        chain = (static_plan.decider,) + static_plan.fallbacks
+        assert len(chain) > 1
+        for order in permutations(chain):
+            promoted = Plan(
+                signature=static_plan.signature,
+                schema=static_plan.schema,
+                rewrites=static_plan.rewrites,
+                decider=order[0],
+                fallbacks=order[1:],
+                route=static_plan.route,
             )
-            cost_plan = cost_planner.plan_for(
-                features_of(query),
-                dtd=artifacts.dtd,
-            )
-            static_result = execute_plan(static_plan, query, artifacts.dtd)
-            cost_result = execute_plan(cost_plan, query, artifacts.dtd)
-            assert static_result.satisfiable == cost_result.satisfiable, text
+            for text in queries:
+                query = parse_query(text)
+                assert (
+                    execute_plan(static_plan, query, artifacts.dtd).satisfiable
+                    == execute_plan(promoted, query, artifacts.dtd).satisfiable
+                ), (order, text)
 
 
 class TestArtifactTraitResolution:
@@ -603,21 +601,3 @@ class TestArtifactTraitResolution:
         from repro.sat.planner import _artifact_trait
 
         assert _artifact_trait(Legacy(), "disjunction_free") is True
-
-
-class TestPlannerInvalidate:
-    def test_invalidate_forces_replan_under_new_measurements(self, registry):
-        artifacts = registry.get("general")
-        model = CostModel(min_samples=1)
-        planner = Planner(cost_model=model)
-        query = parse_query("A[not(B)]")
-        first = planner.plan_query(query, artifacts=artifacts)
-        assert first.decider == "exptime_types"
-        bucket = size_bucket(artifacts.dtd.size())
-        model.observe(first.signature, bucket, "nexptime", 0.05)
-        model.observe(first.signature, bucket, "exptime_types", 8.0)
-        # cached plan still served until invalidated
-        assert planner.plan_query(query, artifacts=artifacts).decider == "exptime_types"
-        dropped = planner.invalidate(artifacts)
-        assert dropped >= 1
-        assert planner.plan_query(query, artifacts=artifacts).decider == "nexptime"

@@ -1,11 +1,12 @@
 """Tests for the SQLite state tier (:mod:`repro.engine.statetier`).
 
-Covers the tier's consistency model (LWW per key, monotonic cost-sample
-merge, decay hygiene), crash-safety of its snapshots (the atomic
-``metrics.prom`` write, a transaction failing part-way, SIGKILL at
-random points, a database damaged mid-run), warm starts through the
-tier, concurrent multi-process writers, legacy JSON-dir migration from
-a committed fixture, and version/corruption handling.
+Covers the tier's consistency model (LWW per key, every writer's rows
+landing), crash-safety of its snapshots (the atomic ``metrics.prom``
+write, a transaction failing part-way, SIGKILL at random points, a
+database damaged mid-run), warm starts through the tier, concurrent
+multi-process writers, legacy JSON-dir migration from a committed
+fixture, a tier an older version left with its cost-model leftovers,
+and version/corruption handling.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cli import main
-from repro.engine import BatchEngine, Job, SchemaRegistry, StateTier
+from repro.engine import (
+    BatchEngine, CachedDecision, DecisionCache, Job, SchemaRegistry, StateTier,
+)
 from repro.engine.statetier import (
     TIER_FILENAME,
     atomic_write_text,
@@ -36,7 +39,7 @@ from repro.engine.statetier import (
     resolve_tier_path,
 )
 from repro.errors import EngineError
-from repro.sat.costmodel import CostModel
+from repro.xpath import parse_query
 
 #: a JSON state dir as the retired JSON writer left it: ``save_state``
 #: after ``BatchEngine(registry=_registry()).run(_jobs())``
@@ -87,6 +90,22 @@ def _legacy_copy(tmp_path) -> str:
     state_dir = str(tmp_path / "state")
     shutil.copytree(LEGACY_FIXTURE, state_dir)
     return state_dir
+
+
+#: the tables of a tier this version creates
+FRESH_TABLES = {"meta", "plans", "decisions", "telemetry", "engine_stats"}
+
+
+def _tables(db_path: str) -> set[str]:
+    conn = sqlite3.connect(db_path)
+    try:
+        return {
+            name for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+    finally:
+        conn.close()
 
 
 def _file_bytes(directory: str) -> dict[str, bytes]:
@@ -173,7 +192,7 @@ class TestAtomicWrite:
             after = tier.load()
             assert not tier.warnings
         assert after.plan_count == before.plan_count
-        assert after.cost_model.to_dict() == before.cost_model.to_dict()
+        assert after.telemetry.to_dict() == before.telemetry.to_dict()
         assert sorted(after.decisions) == sorted(before.decisions)
         # and the handle still saves afterwards
         engine.save_state()
@@ -209,10 +228,12 @@ class TestTierBasics:
 
         with StateTier(tier_path) as tier:
             state = tier.load()
-        assert state.plan_count >= 1
-        assert state.decisions
-        assert state.cost_model is not None and len(state.cost_model) >= 1
+        assert state.plan_count == sum(
+            len(artifacts.plan_cache) for artifacts in engine.registry
+        )
+        assert len(state.decisions) == len(engine.cache)
         assert state.telemetry is not None
+        assert state.telemetry.to_dict() == engine.telemetry.to_dict()
 
         warm = BatchEngine(registry=_registry(), state_tier=tier_path)
         report = warm.run(_jobs())
@@ -296,138 +317,11 @@ class TestTierBasics:
         assert "repro_tier_loads_total 1" in rendered
         assert "repro_tier_saves_total 1" in rendered
         assert "repro_tier_rows_written_total" in rendered
-        assert "repro_tier_cells_merged_total" in rendered
+        assert "repro_tier_rows_read_total" in rendered
+        assert "repro_tier_cells" not in rendered
         engine.close()
         # metrics.prom lands next to the database for textfile collectors
         assert os.path.exists(str(tmp_path / "tier" / "metrics.prom"))
-
-
-# -- satellite: cost-model merge hygiene ------------------------------------------
-
-class TestCostMergeHygiene:
-    def test_merge_is_float_weighted_and_preserves_means(self):
-        left = CostModel()
-        for _ in range(2):
-            left.observe("sig", "s", "d", 5.0)      # mean 5.0
-        right = CostModel()
-        for _ in range(6):
-            right.observe("sig", "s", "d", 10.0)    # mean 10.0
-        left.merge(right)
-        entry = left.measured("sig", "s", "d")
-        assert entry.count == pytest.approx(8.0)
-        assert entry.total_ms == pytest.approx(70.0)
-        assert entry.mean_ms == pytest.approx(8.75)  # sample-weighted
-
-    def test_merge_takes_last_tick_max(self):
-        left = CostModel()
-        left.observe("sig", "s", "d", 1.0)
-        right = CostModel()
-        for _ in range(5):
-            right.observe("sig", "s", "d", 1.0)
-        right_tick = right.measured("sig", "s", "d").last_tick
-        left.merge(right)
-        assert left.measured("sig", "s", "d").last_tick == right_tick
-
-    def test_tier_merge_is_additive_across_handles(self, tmp_path):
-        tier_path = str(tmp_path / "tier")
-        one = StateTier(tier_path)
-        model_one = CostModel()
-        for _ in range(3):
-            model_one.observe("sig", "s", "d", 2.0)
-        one.save(cost_model=model_one)
-
-        two = StateTier(tier_path)
-        loaded = two.load().cost_model
-        assert loaded.measured("sig", "s", "d").count == pytest.approx(3.0)
-        model_two = CostModel()
-        model_two.merge(loaded)
-        two.note_cost_baseline(model_two)   # what the engine does on load
-        for _ in range(2):
-            model_two.observe("sig", "s", "d", 4.0)
-        two.save(cost_model=model_two)
-
-        merged = one.load().cost_model.measured("sig", "s", "d")
-        assert merged.count == pytest.approx(5.0)
-        assert merged.total_ms == pytest.approx(3 * 2.0 + 2 * 4.0)
-        one.close()
-        two.close()
-
-    def test_resave_without_new_samples_adds_nothing(self, tmp_path):
-        tier = StateTier(str(tmp_path / "tier"))
-        model = CostModel()
-        model.observe("sig", "s", "d", 1.0)
-        tier.save(cost_model=model)
-        tier.save(cost_model=model)     # no growth since the baseline
-        tier.save(cost_model=model)
-        entry = tier.load().cost_model.measured("sig", "s", "d")
-        assert entry.count == pytest.approx(1.0)
-        tier.close()
-
-    def test_decayed_cells_never_resurrect_from_the_tier(self, tmp_path):
-        tier_path = str(tmp_path / "tier")
-        tier = StateTier(tier_path)
-        model = CostModel()
-        model.observe("sig", "s", "d", 1.0)
-        tier.save(cost_model=model)
-        assert tier.load().cost_model is not None
-
-        dropped = model.decay(0.25)     # count 1 -> 0.25 -> dropped
-        assert dropped == 1
-        tier.save(cost_model=model)
-        assert tier.cells_deleted == 1
-        state = tier.load()
-        assert (
-            state.cost_model is None
-            or state.cost_model.measured("sig", "s", "d") is None
-        )
-        tier.close()
-
-    def test_reobservation_after_drop_revives_the_cell(self, tmp_path):
-        tier = StateTier(str(tmp_path / "tier"))
-        model = CostModel()
-        model.observe("sig", "s", "d", 1.0)
-        tier.save(cost_model=model)
-        model.decay(0.25)
-        model.observe("sig", "s", "d", 7.0)     # fresh sample: legitimate
-        tier.save(cost_model=model)
-        entry = tier.load().cost_model.measured("sig", "s", "d")
-        assert entry is not None
-        assert entry.count >= 1.0
-        tier.close()
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=1),
-                st.floats(min_value=0.1, max_value=50.0),
-            ),
-            min_size=1, max_size=30,
-        ),
-        st.integers(min_value=1, max_value=4),
-    )
-    def test_no_samples_lost_across_interleaved_saves(
-        self, tmp_path_factory, samples, save_every
-    ):
-        """Property: however two writers interleave observations and
-        saves, the tier ends up with every sample exactly once."""
-        tmp_path = tmp_path_factory.mktemp("tier-prop")
-        tier_path = str(tmp_path / "tier")
-        handles = [StateTier(tier_path), StateTier(tier_path)]
-        models = [CostModel(), CostModel()]
-        for step, (writer, elapsed) in enumerate(samples):
-            models[writer].observe("sig", "s", "d", elapsed)
-            if step % save_every == 0:
-                handles[writer].save(cost_model=models[writer])
-        for handle, model in zip(handles, models):
-            handle.save(cost_model=model)
-        entry = handles[0].load().cost_model.measured("sig", "s", "d")
-        assert entry.count == pytest.approx(len(samples))
-        assert entry.total_ms == pytest.approx(
-            sum(elapsed for _, elapsed in samples), rel=1e-3
-        )
-        for handle in handles:
-            handle.close()
 
 
 # -- satellite: warm starts through the tier --------------------------------------
@@ -522,30 +416,51 @@ class TestWarmStart:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["plans"]
-        assert payload["cost_model"]["entries"]
+        assert "cost_model" not in payload
         assert len(payload["processes"]) == 1
 
 
-def _concurrent_writer(tier_path: str, samples: int, ms: float) -> None:
+def _writer_key(writer: int, index: int) -> tuple[str, str, str]:
+    """A decision key only writer ``writer`` saves."""
+    return (f"w{writer}-q{index}", f"fp{writer}", "-")
+
+
+def _writer_rows(writer: int, rows: int) -> DecisionCache:
+    cache = DecisionCache(capacity=max(rows, 1))
+    for index in range(rows):
+        cache.put(
+            _writer_key(writer, index),
+            CachedDecision(index % 2 == 0, "test", f"row {index}"),
+        )
+    return cache
+
+
+def _concurrent_writer(tier_path: str, writer: int, rows: int) -> None:
+    """Save this writer's decision rows, growing by one row at a time,
+    with a snapshot every fifth row and one at the end."""
     tier = StateTier(tier_path)
-    model = CostModel()
-    model.merge(tier.load().cost_model or CostModel())
-    tier.note_cost_baseline(model)
-    for i in range(samples):
-        model.observe("sig", "s", "d", ms)
-        if i % 5 == 0:
-            tier.save(cost_model=model)
-    tier.save(cost_model=model)
+    for index in range(rows):
+        if index % 5 == 0:
+            tier.save(cache=_writer_rows(writer, index + 1))
+    tier.save(cache=_writer_rows(writer, rows))
     tier.close()
 
 
+def _saved_keys(tier_path: str) -> list[tuple[str, str, str]]:
+    with StateTier(tier_path) as tier:
+        return [key for key, _record in tier.load().decisions]
+
+
 class TestConcurrentWriters:
-    def _run(self, tier_path: str, writers: int, samples: int) -> None:
+    """Writers save their own keys into one tier, at once: every row
+    each of them saved lands, once."""
+
+    def _run(self, tier_path: str, writers: int, rows: int) -> None:
         processes = [
             multiprocessing.Process(
-                target=_concurrent_writer, args=(tier_path, samples, 2.0)
+                target=_concurrent_writer, args=(tier_path, writer, rows)
             )
-            for _ in range(writers)
+            for writer in range(writers)
         ]
         for process in processes:
             process.start()
@@ -553,13 +468,16 @@ class TestConcurrentWriters:
             process.join(timeout=120)
             assert process.exitcode == 0
 
+    def _expected(self, writers: int, rows: int) -> list[tuple[str, str, str]]:
+        return sorted(
+            _writer_key(writer, index)
+            for writer in range(writers) for index in range(rows)
+        )
+
     def test_two_process_writers_lose_no_samples(self, tmp_path):
         tier_path = str(tmp_path / "tier")
-        self._run(tier_path, writers=2, samples=25)
-        with StateTier(tier_path) as tier:
-            entry = tier.load().cost_model.measured("sig", "s", "d")
-        assert entry.count == pytest.approx(2 * 25)
-        assert entry.total_ms == pytest.approx(2 * 25 * 2.0, rel=1e-3)
+        self._run(tier_path, writers=2, rows=25)
+        assert sorted(_saved_keys(tier_path)) == self._expected(2, 25)
 
     @pytest.mark.skipif(
         os.environ.get("REPRO_TIER_STRESS") != "1",
@@ -567,10 +485,8 @@ class TestConcurrentWriters:
     )
     def test_many_process_writers_lose_no_samples(self, tmp_path):
         tier_path = str(tmp_path / "tier")
-        self._run(tier_path, writers=6, samples=200)
-        with StateTier(tier_path) as tier:
-            entry = tier.load().cost_model.measured("sig", "s", "d")
-        assert entry.count == pytest.approx(6 * 200)
+        self._run(tier_path, writers=6, rows=200)
+        assert sorted(_saved_keys(tier_path)) == self._expected(6, 200)
 
 
 # -- satellite: legacy JSON migration ---------------------------------------------
@@ -589,7 +505,7 @@ class TestLegacyMigration:
         state = tier.load()
         tier.close()
 
-        # plans, decisions, cost cells round-trip exactly
+        # plans and decisions round-trip exactly
         assert {
             (fp, sig) for fp, plans in state.plans.items() for sig in plans
         } == {
@@ -598,12 +514,14 @@ class TestLegacyMigration:
         assert sorted(key for key, _ in state.decisions) == sorted(
             key for key, _ in legacy.decisions
         )
-        assert state.cost_model.to_dict() == legacy.cost_model.to_dict()
         assert sorted(state.telemetry.items()) == sorted(
             legacy.telemetry.items()
         )
-        # the JSON files stay on disk untouched
+        # the JSON files stay on disk untouched; the fixture's
+        # cost_model.json and scheduler.json are not imported
         assert _file_bytes(state_dir) == files
+        assert "cost_model.json" in files and "scheduler.json" in files
+        assert _tables(os.path.join(state_dir, TIER_FILENAME)) == FRESH_TABLES
 
         # and a tier-backed engine serves identical verdicts, warm
         warm = BatchEngine(registry=_registry(), state_tier=state_dir)
@@ -651,19 +569,255 @@ class TestLegacyMigration:
         assert _file_bytes(state_dir) == files
 
 
+# -- a tier an older version wrote ------------------------------------------------
+
+#: the table layout of a version-1 tier as versions with a measured cost
+#: model wrote it, ``cost_cells`` included
+_COST_MODEL_ERA_DDL = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE plans (
+    fingerprint TEXT NOT NULL, signature TEXT NOT NULL, name TEXT NOT NULL,
+    plan TEXT NOT NULL, updated REAL NOT NULL,
+    PRIMARY KEY (fingerprint, signature)
+);
+CREATE TABLE cost_cells (
+    signature TEXT NOT NULL, bucket TEXT NOT NULL, decider TEXT NOT NULL,
+    count REAL NOT NULL, total_ms REAL NOT NULL, last_tick INTEGER NOT NULL,
+    PRIMARY KEY (signature, bucket, decider)
+);
+CREATE TABLE decisions (
+    qkey TEXT NOT NULL, fingerprint TEXT NOT NULL, bounds TEXT NOT NULL,
+    satisfiable INTEGER, method TEXT NOT NULL, reason TEXT NOT NULL,
+    updated REAL NOT NULL, PRIMARY KEY (qkey, fingerprint, bounds)
+);
+CREATE TABLE telemetry (
+    key TEXT PRIMARY KEY, plan TEXT, stats TEXT NOT NULL,
+    updated REAL NOT NULL
+);
+CREATE TABLE engine_stats (
+    process TEXT PRIMARY KEY, stats TEXT NOT NULL, updated REAL NOT NULL
+);
+"""
+
+
+def _cost_model_era_tier(tier_dir: Path, cells: list[tuple]) -> str:
+    """A version-1 tier at ``tier_dir`` holding the given ``cost_cells``
+    rows and a ``cost_min_samples`` meta row, and nothing else."""
+    tier_dir.mkdir()
+    conn = sqlite3.connect(str(tier_dir / TIER_FILENAME))
+    try:
+        conn.executescript(_COST_MODEL_ERA_DDL)
+        conn.executemany(
+            "INSERT INTO meta(key, value) VALUES(?, ?)",
+            [("tier_version", "1"), ("cost_min_samples", "3")],
+        )
+        conn.executemany("INSERT INTO cost_cells VALUES(?, ?, ?, ?, ?, ?)", cells)
+        conn.commit()
+    finally:
+        conn.close()
+    return str(tier_dir)
+
+
+def _cost_cells(tier_path: str) -> list[tuple]:
+    conn = sqlite3.connect(os.path.join(tier_path, TIER_FILENAME))
+    try:
+        return sorted(conn.execute("SELECT * FROM cost_cells"))
+    finally:
+        conn.close()
+
+
+class TestOldTier:
+    """A tier an older version left behind — measured cost cells, their
+    ``cost_min_samples`` meta row, and a plan it promoted and routed
+    inline by measurement, carrying ``costs`` — opens without a
+    warning, adopts that plan as it was routed, serves, saves, and
+    reads back through ``repro stats --plans --json``.  The cost-model
+    leftovers stay on disk, unread."""
+
+    QUERY = "A[not(B)]"
+
+    def _old_tier(self, tmp_path) -> tuple[str, dict]:
+        from repro.sat import Planner
+
+        artifacts = _registry().get("catalog")
+        static = Planner().plan_query(parse_query(self.QUERY), artifacts=artifacts)
+        assert static.route == "pool" and len(static.fallbacks) == 1
+        record = dict(
+            static.to_dict(),
+            decider=static.fallbacks[0], fallbacks=[static.decider],
+            route="inline",
+            notes=["cost model (xs schemas): nexptime promoted"],
+            costs=[[static.fallbacks[0], 0.041], [static.decider, 0.12]],
+        )
+        tier_path = _cost_model_era_tier(
+            tmp_path / "old",
+            [(static.signature, "xs", static.fallbacks[0], 3.0, 0.123, 7),
+             (static.signature, "xs", static.decider, 3.0, 0.36, 6)],
+        )
+        conn = sqlite3.connect(os.path.join(tier_path, TIER_FILENAME))
+        conn.execute(
+            "INSERT INTO plans VALUES(?, ?, ?, ?, ?)",
+            (artifacts.fingerprint, static.signature, "catalog",
+             json.dumps(record, sort_keys=True), 1.0),
+        )
+        conn.commit()
+        conn.close()
+        return tier_path, record
+
+    def test_an_old_tier_opens_adopts_serves_and_saves(self, tmp_path, capsys):
+        tier_path, record = self._old_tier(tmp_path)
+        with StateTier(tier_path) as tier:
+            state = tier.load()
+            assert not tier.warnings
+        (adopted,) = state.plans[_registry().get("catalog").fingerprint].values()
+        assert (adopted.decider, adopted.fallbacks, adopted.route) == (
+            record["decider"], tuple(record["fallbacks"]), "inline"
+        )
+        assert "costs" not in adopted.to_dict()
+
+        with BatchEngine(registry=_registry()) as fresh:
+            (expected,) = fresh.run([Job(self.QUERY, "catalog")]).results
+        with BatchEngine(registry=_registry(), state_tier=tier_path) as engine:
+            assert engine.state_warnings == []
+            report = engine.run([Job(self.QUERY, "catalog")])
+            assert report.stats.planner_invocations == 0
+            (result,) = report.results
+            assert result.satisfiable == expected.satisfiable
+            engine.save_state()
+
+        db_path = os.path.join(tier_path, TIER_FILENAME)
+        assert _tables(db_path) == FRESH_TABLES | {"cost_cells"}
+        conn = sqlite3.connect(db_path)
+        try:
+            assert conn.execute("SELECT COUNT(*) FROM cost_cells").fetchone() == (2,)
+            assert conn.execute(
+                "SELECT value FROM meta WHERE key = 'cost_min_samples'"
+            ).fetchone() == ("3",)
+            (saved,) = conn.execute("SELECT plan FROM plans").fetchone()
+        finally:
+            conn.close()
+        assert json.loads(saved) == {
+            key: value for key, value in record.items() if key != "costs"
+        }
+
+        assert main(["stats", "--plans", "--state-tier", tier_path, "--json"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert "cost_model" not in payload
+        (row,) = payload["plans"].values()
+        assert row["plan"]["decider"] == record["decider"]
+        assert row["count"] == 1
+        assert captured.err == ""
+
+    def test_a_fresh_tier_has_no_cost_cells(self, tmp_path):
+        tier_path = str(tmp_path / "tier")
+        with BatchEngine(registry=_registry(), state_tier=tier_path) as engine:
+            engine.run(_jobs())
+            engine.save_state()
+        db_path = os.path.join(tier_path, TIER_FILENAME)
+        assert _tables(db_path) == FRESH_TABLES
+        conn = sqlite3.connect(db_path)
+        try:
+            keys = {key for (key,) in conn.execute("SELECT key FROM meta")}
+        finally:
+            conn.close()
+        assert keys == {"tier_version"}
+
+
+#: leftover cost cells of an old tier: (signature, bucket, decider,
+#: count, total_ms, last_tick)
+_OLD_COST_CELLS = [
+    ("sig", "xs", "exptime_types", 3.0, 0.123, 7),
+    ("sig", "xs", "nexptime", 5.0, 0.5, 9),
+]
+
+
+class TestCostMergeHygiene:
+    """Saves merge no cost samples: what handles sharing a tier merge is
+    their keyed rows, every handle's rows landing once.  An old tier's
+    leftover cost cells are never added to, re-counted or dropped by
+    those saves."""
+
+    def test_tier_merge_is_additive_across_handles(self, tmp_path):
+        tier_path = _cost_model_era_tier(tmp_path / "old", _OLD_COST_CELLS)
+        one = StateTier(tier_path)
+        one.save(cache=_writer_rows(0, 3))
+
+        two = StateTier(tier_path)
+        assert len(two.load().decisions) == 3
+        two.save(cache=_writer_rows(1, 2))
+
+        assert sorted(key for key, _ in one.load().decisions) == sorted(
+            [_writer_key(0, index) for index in range(3)]
+            + [_writer_key(1, index) for index in range(2)]
+        )
+        assert _cost_cells(tier_path) == sorted(_OLD_COST_CELLS)
+        one.close()
+        two.close()
+
+    def test_resave_without_new_samples_adds_nothing(self, tmp_path):
+        tier_path = _cost_model_era_tier(tmp_path / "old", _OLD_COST_CELLS)
+        tier = StateTier(tier_path)
+        cache = _writer_rows(0, 4)
+        tier.save(cache=cache)
+        first = sorted(tier.load().decisions)
+        tier.save(cache=cache)      # nothing new since the last save
+        tier.save(cache=cache)
+        assert sorted(tier.load().decisions) == first
+        assert len(first) == 4
+        assert _cost_cells(tier_path) == sorted(_OLD_COST_CELLS)
+        tier.close()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=30),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_no_samples_lost_across_interleaved_saves(
+        self, tmp_path_factory, writers, save_every
+    ):
+        """Property: however two handles interleave new rows and saves,
+        the tier ends up with each handle's newest rows."""
+        tier_path = str(tmp_path_factory.mktemp("tier-prop") / "tier")
+        handles = [StateTier(tier_path), StateTier(tier_path)]
+        rows = [0, 0]
+        for step, writer in enumerate(writers):
+            rows[writer] += 1
+            if step % save_every == 0:
+                handles[writer].save(cache=_writer_rows(writer, rows[writer]))
+        for writer, handle in enumerate(handles):
+            handle.save(cache=_writer_rows(writer, rows[writer]))
+        with_rows = [
+            _writer_key(writer, index)
+            for writer in (0, 1) for index in range(rows[writer])
+        ]
+        state = handles[0].load()
+        assert sorted(key for key, _ in state.decisions) == sorted(with_rows)
+        for key, record in state.decisions:
+            index = int(key[0].split("-q")[1])
+            assert record["satisfiable"] == (index % 2 == 0)
+        for handle in handles:
+            handle.close()
+
+
 # -- the fault matrix of a snapshot ----------------------------------------------
 
-#: cost cells each snapshot of the SIGKILL test rewrites, so that its
-#: transaction lasts long enough for a kill to land inside it
-_KILL_CELLS = 4200
+#: decision rows each snapshot of the SIGKILL test rewrites, so that
+#: its transaction lasts long enough for a kill to land inside it
+_KILL_ROWS = 4200
+
+#: the fingerprint of those rows
+_KILL_FINGERPRINT = "kill-test"
 
 #: the SIGKILL test's engine process: warm from the tier at argv[1],
-#: then snapshot in a loop with fresh cost samples in every cell until
+#: then snapshot in a loop with a fresh verdict in every row until
 #: killed, printing "writing" as each save's transaction begins and
 #: "saved" after each save
 _SNAPSHOT_FOREVER = f"""
 import sys
-from repro.engine import BatchEngine, Job, SchemaRegistry, StateTier
+from repro.engine import (
+    BatchEngine, CachedDecision, DecisionCache, Job, SchemaRegistry, StateTier,
+)
 
 real_write = StateTier._write_state
 
@@ -675,11 +829,20 @@ StateTier._write_state = write
 registry = SchemaRegistry()
 registry.register("catalog", {DTD_TEXT!r})
 registry.register("doc", {DOC_DTD_TEXT!r})
-engine = BatchEngine(registry=registry, state_tier=sys.argv[1])
+engine = BatchEngine(
+    registry=registry, state_tier=sys.argv[1],
+    cache=DecisionCache(capacity={_KILL_ROWS} * 2),
+    decision_cap_per_schema={_KILL_ROWS},
+)
 engine.run([Job(q, s) for s in ("catalog", "doc") for q in {QUERIES!r}])
+snapshot = 0
 while True:
-    for cell in range({_KILL_CELLS}):
-        engine.cost_model.observe(f"sig{{cell}}", "s", "d", 1.0)
+    snapshot += 1
+    for row in range({_KILL_ROWS}):
+        engine.cache.put(
+            (f"q{{row}}", {_KILL_FINGERPRINT!r}, "-"),
+            CachedDecision(snapshot % 2 == 0, "test", f"snapshot {{snapshot}}"),
+        )
     engine.save_state()
     print("saved", flush=True)
 """
@@ -730,7 +893,13 @@ class TestSnapshotFaults:
                 first_plans = state.plan_count
                 assert first_plans >= 1
             assert state.plan_count >= first_plans
-            assert len(state.cost_model) >= _KILL_CELLS
+            # every row of one snapshot: the last that committed
+            kill_rows = [
+                record for key, record in state.decisions
+                if key[1] == _KILL_FINGERPRINT
+            ]
+            assert len(kill_rows) == _KILL_ROWS
+            assert len({record["reason"] for record in kill_rows}) == 1
 
     def test_batch_over_a_tier_damaged_mid_run_exits_3(
         self, tmp_path, monkeypatch, capsys

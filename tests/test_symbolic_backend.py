@@ -12,9 +12,9 @@ Three layers of evidence:
 * **golden verdicts** — on wide schemas (64–256 element types) the
   fixpoint reproduces the verdicts recorded from the object-based
   fixpoint it replaced, with every SAT witness re-validated;
-* **engine integration** — a measured cost model promotes a fallback
-  over the fixpoint through real pool lanes, and the answering decider
-  is visible in plan telemetry.
+* **engine integration** — a question beyond the fixpoint's fact cap
+  falls through to the next chain member on real pool lanes, and the
+  answering decider is visible in plan telemetry.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.sat.bits import (
     longest_accepted_length,
 )
 from repro.sat import exptime_types
-from repro.sat.costmodel import CostModel, size_bucket
 from repro.sat.exptime_types import (
     Child,
     CompiledClosure,
@@ -59,12 +58,7 @@ from repro.workloads.queries import random_query
 from repro.xmltree.validate import conforms
 from repro.xpath import ast, parse_query
 from repro.xpath.canonical import canonicalize
-from repro.xpath.fragments import (
-    REC_NEG_DOWN,
-    REC_NEG_DOWN_UNION,
-    feature_signature,
-    features_of,
-)
+from repro.xpath.fragments import REC_NEG_DOWN, REC_NEG_DOWN_UNION
 from repro.xpath.semantics import satisfies
 
 #: the shared wide-schema query mix: negation-heavy closures with real
@@ -560,44 +554,30 @@ class TestWideSchemaOracle:
 
 
 class TestPoolLanePromotion:
-    """A fallback promoted over the fixpoint by *measurement* (seeded
-    cost model), answering through real pool lanes, with verdicts
-    identical to the fixpoint's."""
+    """The static chain's fallback answers through real pool lanes when
+    its primary, the fixpoint, declines a question beyond its fact cap,
+    with the verdicts of the fixpoint run without that cap."""
 
     def test_promoted_fallback_answers_on_lanes(self):
         dtd = wide_dtd(48)
+        many = " and ".join(f"not(T{i})" for i in range(16, 39))
         queries = [
             "T1[not(T4)]",
             "T2[T7 and not(T8)]",
-            "T1[not(T4/T13) and T5]",
-            "T1[not(T4) and not(T5) and T6]",
-            # nexptime answers unknown here: the chain falls through to
-            # the fixpoint on the lane
-            "T1[T4 and not(T4)]",
+            # 23 child facts or more: exptime_types declines (its cap is
+            # 22) and the chain falls through to nexptime on the lane
+            "T1[" + " and ".join(f"not(T{i})" for i in range(2, 25)) + "]",
+            f"T2[T7 and {many}]",
+            f"T1[T4/T13 and {many}]",
         ]
         reference = {
-            text: sat_exptime_types(parse_query(text), dtd).satisfiable
+            text: sat_exptime_types(parse_query(text), dtd, max_facts=40).satisfiable
             for text in queries
         }
 
-        cost_model = CostModel(min_samples=3)
-        bucket = size_bucket(dtd.size())
-        for text in queries:
-            signature = feature_signature(
-                features_of(canonicalize(parse_query(text)))
-            )
-            for _ in range(3):
-                # both measured and above the inline threshold, so the
-                # plan is reordered in favour of nexptime but stays
-                # routed to the pool lanes
-                cost_model.observe(signature, bucket, "nexptime", 20.0)
-                cost_model.observe(signature, bucket, "exptime_types", 50.0)
-
         registry = SchemaRegistry()
         registry.register("wide", dtd)
-        engine = BatchEngine(
-            registry=registry, workers=2, cost_model=cost_model,
-        )
+        engine = BatchEngine(registry=registry, workers=2)
         try:
             report = engine.run([
                 Job(text, "wide", id=f"q{index}")
@@ -606,11 +586,15 @@ class TestPoolLanePromotion:
         finally:
             engine.close()
         assert report.stats.errors == 0
-        assert report.stats.pool_decides > 0, "must exercise real pool lanes"
+        assert report.stats.pool_decides == len(queries), "must use real lanes"
         for result in report.results:
             assert result.satisfiable == reference[result.query], result.query
-        rows = [stats for key, stats in engine.telemetry.items() if "nexptime" in key]
-        assert rows
-        for stats in rows:
-            assert stats.top_decider == "nexptime"
-            assert stats.deciders.get("exptime_types", 0) > 0  # the fall-through
+        rows = dict(engine.telemetry.items())
+        assert {
+            engine.telemetry.plan_record(key)["decider"] for key in rows
+        } == {"exptime_types"}
+        answered = Counter()
+        for stats in rows.values():
+            answered.update(stats.deciders)
+        assert answered == {"exptime_types": 2, "nexptime": 3}
+        assert sum(stats.fallbacks for stats in rows.values()) == 3
