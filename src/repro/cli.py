@@ -39,15 +39,17 @@ Subcommands
             --schema catalog=catalog.dtd --schema docs=docs.dtd \
             --out results.jsonl --workers 4 --repeat 2 --state-dir state/
 
-    Every decision runs as a chunk of jobs sharing a plan and a schema,
-    with shared per-schema setup: PTIME jobs as chunks of one, in-process
-    and answered during the scan; heavy jobs in chunks of up to
-    ``--group-chunk-size N`` (default 16), on worker lanes when
+    Every decision runs as a chunk of one schema's jobs, with shared
+    per-schema setup: PTIME jobs as chunks of one, in-process and
+    answered during the scan; heavy jobs in chunks of up to
+    ``--group-chunk-size N`` (default 4), on worker lanes when
     ``--workers`` is above 1.  Chunks route to **persistent worker
     lanes** by schema-fingerprint affinity, so a lane keeps each
     schema's DTD and prepared contexts warm across chunks;
-    ``--no-affinity`` restores stateless runtimes and
-    ``--lane-queue-depth N`` tunes the spill-over threshold.
+    ``--no-affinity`` restores stateless runtimes.  A lane holds at most
+    ``--lane-queue-depth N`` chunks (default 4): a chunk spills off a
+    preferred lane that deep, and the engine decides a chunk in-process
+    when every lane is that deep.
     ``--group-chunk-size 1 --no-affinity`` dispatches per job.
     ``--decision-cap`` / ``--telemetry-max-age`` control state
     hygiene (persisted decisions per schema, telemetry row aging).
@@ -702,8 +704,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--group-chunk-size", type=int, default=None, metavar="N",
-        help="max jobs per chunk of a heavy (pool-route) plan; PTIME "
-             "plans run in chunks of one (default 16)",
+        help="max jobs per chunk of a schema's heavy (pool-route) "
+             "questions; PTIME plans run in chunks of one (default 4)",
     )
     parser.add_argument(
         "--affinity", action=argparse.BooleanOptionalAction, default=None,
@@ -714,8 +716,9 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--lane-queue-depth", type=int, default=None, metavar="N",
-        help="in-flight chunks a preferred lane may hold before a chunk "
-             "spills to the least-loaded lane (default 4)",
+        help="in-flight chunks a lane may hold: a chunk spills off a "
+             "preferred lane this deep, and the engine decides it "
+             "in-process when every lane is (default 4)",
     )
     parser.add_argument(
         "--decision-cap", type=int, default=None, metavar="N",
@@ -828,8 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
         help="admitted-but-unfinished jobs across all connections before "
-             "new jobs are shed with a retry response (default: workers x "
-             "lane queue depth x chunk size)",
+             "new jobs are shed with a retry response (default: 64 x "
+             "workers)",
     )
     serve.add_argument(
         "--snapshot-interval", type=float, default=300.0, metavar="SECONDS",

@@ -10,7 +10,8 @@ package amortizes their setup across production-scale workloads:
   canonical query form × schema fingerprint;
 * :mod:`repro.engine.batch` — :class:`BatchEngine` runs ``(query,
   schema_ref)`` job streams, inline for PTIME fragments and on a process
-  pool for EXPTIME/NEXPTIME ones;
+  pool for EXPTIME/NEXPTIME ones (deciding in-process what the pool has
+  no room for);
 * :mod:`repro.engine.executors` — the execution layer: an
   :class:`Executor` abstraction over :class:`InlineExecutor` and
   :class:`PersistentPoolExecutor`, whose long-lived worker lanes cache
@@ -38,7 +39,6 @@ from repro.engine.batch import (
     EngineStats,
     Job,
     JobResult,
-    PlanGroup,
 )
 from repro.engine.cache import CachedDecision, DecisionCache, decision_key, decision_key_for
 from repro.engine.executors import (
@@ -62,7 +62,6 @@ from repro.engine.statetier import PersistedState, StateTier, resolve_tier_path
 
 __all__ = [
     "BatchEngine", "BatchReport", "EngineStats", "Job", "JobResult",
-    "PlanGroup",
     "CachedDecision", "DecisionCache", "decision_key", "decision_key_for",
     "ChunkOutcome", "ChunkTask", "Executor", "ExecutorStats",
     "InlineExecutor", "PersistentPoolExecutor", "WorkerRuntime",

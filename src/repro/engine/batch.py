@@ -16,24 +16,29 @@ workload:
    schema fingerprint (:class:`DecisionCache`), so repeated questions
    (including syntactic variants) skip ``decide()`` entirely;
 4. **one job pipeline** — every job that misses the decision cache and
-   is not coalesced onto an identical question in flight becomes an
-   entry of a :class:`PlanGroup` (``Plan.telemetry_key`` × schema
-   fingerprint) and is decided as part of a chunk on an executor.  A
-   PTIME plan (``plan.route == "inline"``) runs as a chunk of one on the
-   engine's in-process executor (a worker round trip would cost more
-   than the decision), absorbed before the scan moves on, so its answer
-   streams during the scan; a plan routed to the heavy
-   EXPTIME/NEXPTIME/bounded procedures (``plan.route == "pool"``) runs
-   in chunks of up to ``group_chunk_size`` on a process pool when
-   ``workers > 1`` and in-process otherwise.  A chunk goes out as soon
-   as it is full and the partial ones after the scan; one absorb path
-   folds every chunk back into results, counters, telemetry and traces;
-5. **plan-grouped scheduling** — a chunk pickles the DTD and plan once
-   instead of per job, and the decider chain's ``prepare`` hooks
-   (:class:`repro.sat.planner.SchemaContexts`) run at most once per
-   chunk, so N groupmates share per-schema setup (the types fixpoint's
-   automata, the bounded engine's schema classification and word
-   tables) that per-job dispatch rebuilds N times.
+   is not coalesced onto an identical question in flight is planned
+   and decided as part of a chunk on an executor.  A PTIME plan
+   (``plan.route == "inline"``) runs as a chunk of one on the engine's
+   in-process executor (a worker round trip would cost more than the
+   decision), absorbed before the scan moves on, so its answer streams
+   during the scan.  A question whose plan is routed to the heavy
+   EXPTIME/NEXPTIME/bounded procedures (``plan.route == "pool"``) waits
+   with its schema's other such questions, whatever their plans, and
+   they go out in chunks of ``group_chunk_size``: a chunk as soon as
+   it is full and the partial ones after the scan.  With
+   ``workers > 1`` a chunk goes to a lane with room, and the engine
+   decides the chunks no lane has room for itself, so it and its lanes
+   work at the same time; with one worker every chunk runs in-process.
+   One absorb path folds every chunk back into results, counters,
+   telemetry and traces;
+5. **grouped scheduling** — a pool chunk is one schema's questions,
+   each with its plan: it pickles the DTD (on first touch) and each
+   plan once instead of per job, and the decider chain's ``prepare``
+   hooks (:class:`repro.sat.planner.SchemaContexts`) run at most once
+   per chunk, so N groupmates share per-schema setup (the types
+   fixpoint's automata, the bounded engine's schema classification and
+   word tables) that per-job dispatch rebuilds N times.  Per-plan
+   telemetry counts a chunk once for each plan with a question in it.
    ``group_chunk_size=1, affinity=False``
    (``--group-chunk-size 1 --no-affinity``) dispatches per job; grouping
    is a pure scheduling change — verdicts, cache contents, and telemetry
@@ -48,21 +53,24 @@ workload:
    prepared contexts by schema fingerprint **across chunks** (one
    context per schema, shared by every plan asked of it).  Chunks
    route to lanes by schema-fingerprint affinity (a consistent hash,
-   spilling over when the preferred lane's queue is deeper than
-   ``lane_queue_depth``), the DTD ships to a lane only on first touch,
-   and a dead lane is respawned cold with its in-flight chunks retried
-   once.  Disable with ``affinity=False`` (``--no-affinity``) for
-   stateless runtimes (fresh contexts per chunk, the DTD shipped every
-   time); affinity is a pure scheduling change too — same bit-identical
-   guarantees as grouping.  The executors are built from ``affinity``
-   and ``lane_queue_depth``, so both are read-only after construction;
+   spilling to the least-loaded lane when the preferred lane already
+   holds ``lane_queue_depth`` chunks; when every lane does, the engine
+   decides the chunk in-process on the same warm runtime a one-worker
+   engine uses, and its jobs report route ``inline``), the DTD ships to
+   a lane only on first touch, and a dead lane is respawned cold with
+   its in-flight chunks retried once.  Disable with ``affinity=False``
+   (``--no-affinity``) for stateless runtimes (fresh contexts per
+   chunk, the DTD shipped every time); affinity is a pure scheduling
+   change too — same bit-identical guarantees as grouping.  The
+   executors are built from ``affinity`` and ``lane_queue_depth``, so
+   both are read-only after construction;
 7. **an engine lifecycle** — executors are *engine*-lifetime, not
    run-lifetime: worker lanes, their shipped-DTD sets, and their runtime
    context caches persist across :meth:`BatchEngine.run` calls, so the
    second batch over the same schemas ships zero DTDs and starts from
    warm contexts.  The engine is a context manager; ``close()`` releases
    the lanes, and a closed engine refuses further runs instead of
-   hanging on torn-down queues.  This is what lets one engine back a
+   hanging on torn-down pipes.  This is what lets one engine back a
    long-lived service (:mod:`repro.engine.server`).
 
 Identical in-flight questions are coalesced: a job asking a question
@@ -457,31 +465,16 @@ class BatchReport:
 
 @dataclass
 class _GroupEntry:
-    """One unique question queued in a plan group: its decision-cache
-    key, pre-canonicalized query, and every job index awaiting it (the
-    first asked; the rest coalesced onto it)."""
+    """One unique question waiting for its chunk or running in it: its
+    decision-cache key, pre-canonicalized query, plan and schema, and
+    every job index awaiting it (the first asked; the rest coalesced
+    onto it)."""
 
     key: CacheKey
     canonical: Path
-    indices: list[int]
-
-
-@dataclass
-class PlanGroup:
-    """Jobs sharing one routing decision (``Plan.telemetry_key``) against
-    one schema — the scheduler's unit of dispatch: a chunk ships the DTD
-    and plan once and shares the schema's ``prepare`` contexts.
-
-    ``queued`` holds the entries not yet sent to an executor: they go
-    out as one chunk as soon as ``chunk_size`` of them wait (1 for a
-    PTIME plan, so its answer is not held back), and whatever is left
-    goes out after the job scan.
-    """
-
     plan: Plan
     artifacts: SchemaArtifacts | None
-    chunk_size: int
-    queued: list[_GroupEntry] = field(default_factory=list)
+    indices: list[int]
 
 
 #: the placeholder result of a job whose question is queued or running
@@ -489,7 +482,7 @@ _PENDING = CachedDecision(None, "pending")
 
 
 #: scheduler setting defaults, for constructor arguments left None
-DEFAULT_GROUP_CHUNK_SIZE = 16
+DEFAULT_GROUP_CHUNK_SIZE = 4
 DEFAULT_DECISION_CAP_PER_SCHEMA = 512
 DEFAULT_TELEMETRY_MAX_AGE_DAYS = 30.0
 DEFAULT_AFFINITY = True
@@ -497,9 +490,9 @@ DEFAULT_AFFINITY = True
 
 class BatchEngine:
     """Execute batches of ``(query, schema_ref)`` jobs with schema-artifact
-    reuse, plan-cached routing, decision caching, and a plan-grouped
-    process pool of persistent, schema-affine worker lanes for heavy
-    fragments.
+    reuse, plan-cached routing, decision caching, and a process pool of
+    persistent, schema-affine worker lanes that takes heavy fragments in
+    per-schema chunks.
 
     The engine is a long-lived object with an explicit lifecycle: both
     executors (inline and pool) live as long as the engine, so lanes and
@@ -613,8 +606,9 @@ class BatchEngine:
 
     @property
     def lane_queue_depth(self) -> int:
-        """In-flight chunks a preferred lane may hold before a chunk
-        spills (read-only: the pool is built from it)."""
+        """In-flight chunks a lane may hold: a chunk spills off a
+        preferred lane this deep, and one that finds every lane this deep
+        is decided in-process (read-only: the pool is built from it)."""
         return self._lane_queue_depth
 
     # -- state persistence --------------------------------------------------
@@ -751,14 +745,17 @@ class BatchEngine:
 
         The scan parses, canonicalizes and looks up each job in the
         decision cache.  A miss that cannot be coalesced onto an
-        identical question in flight is planned and queued in its
-        :class:`PlanGroup`, and every decision runs in a chunk on an
-        executor: a pool-route chunk on the pool when ``workers > 1``
-        (absorbed after the scan), every other chunk on the in-process
-        executor (absorbed the moment it is sent).  A group's chunk goes
-        out as soon as it is full — one job for a PTIME plan,
-        ``group_chunk_size`` for a pool-route one — and its partial
-        chunk after the scan.  :meth:`_absorb` folds every chunk back.
+        identical question in flight is planned, and every decision runs
+        in a chunk on an executor.  A PTIME plan's question is a chunk of
+        one on the in-process executor, absorbed the moment it is sent.
+        A pool-route question waits with its schema's others and goes
+        out in a chunk of ``group_chunk_size`` (the partial chunks after
+        the scan).  With ``workers > 1`` such a chunk goes to a lane with
+        room — the outcomes the lanes already returned are absorbed
+        first — and when every lane holds ``lane_queue_depth`` chunks
+        the engine decides it in-process; the pooled chunks are absorbed
+        as they come back, the rest after the scan.  :meth:`_absorb`
+        folds every chunk back.
 
         ``on_result`` (optional) is invoked exactly once per job, with
         the finalized :class:`JobResult`, the moment that job's verdict
@@ -780,13 +777,14 @@ class BatchEngine:
         # reassembled at absorb time from its chunk's outcome
         traces: dict[int, JobTrace] = {}
         results: list[JobResult | None] = []
-        # (schema fingerprint, telemetry key) -> plan group, and the
-        # coalescing map: key -> the entry queued or running for it
-        groups: dict[tuple[str | None, str], PlanGroup] = {}
+        # schema fingerprint -> its pool-route questions waiting for a
+        # chunk, and the coalescing map: key -> the entry queued or
+        # running for it
+        groups: dict[str | None, list[_GroupEntry]] = {}
         in_flight: dict[CacheKey, _GroupEntry] = {}
-        # every chunk handed to an executor, by task id: its group, its
-        # entries, and the enqueue timestamp (for dwell measurement)
-        submitted: dict[int, tuple[PlanGroup, list[_GroupEntry], float]] = {}
+        # every chunk handed to an executor, by task id: its entries and
+        # the enqueue timestamp (for dwell measurement)
+        submitted: dict[int, tuple[list[_GroupEntry], float]] = {}
         # the engine-lifetime pool, acquired lazily so a run with no
         # pooled work never forks lanes; lane_respawns is reported as a
         # per-run delta against the executor's lifetime counter
@@ -799,34 +797,39 @@ class BatchEngine:
             if on_result is not None:
                 on_result(results[index])
 
-        def dispatch(group: PlanGroup) -> None:
-            """Send the group's queued entries as one chunk."""
-            nonlocal pool, pool_respawns_before
-            chunk, group.queued = group.queued, []
-            pooled = group.plan.route == "pool" and self.workers > 1
-            if pooled and pool is None:
-                pool = self._pool()
-                pool_respawns_before = pool.stats().lane_respawns
-            executor = pool if pooled else self._inline()
-            task_id = self._take_task_id()
-            submitted[task_id] = (group, chunk, time.perf_counter())
-            executor.submit(
-                ChunkTask(
-                    task_id=task_id,
-                    fingerprint=(
-                        group.artifacts.fingerprint if group.artifacts else None
-                    ),
-                    canonicals=tuple(entry.canonical for entry in chunk),
-                    plan=group.plan,
-                    bounds=self.bounds,
-                ),
-                group.artifacts.dtd if group.artifacts else None,
+        def absorb(outcomes, route: str) -> None:
+            self._absorb(
+                outcomes, route, submitted, in_flight, results, stats,
+                traces, emit,
             )
-            if not pooled:
-                self._absorb(
-                    executor.drain(), "inline", submitted, in_flight,
-                    results, stats, traces, emit,
-                )
+
+        def dispatch(chunk: list[_GroupEntry]) -> None:
+            """Send one chunk: a pool-route chunk to a lane with room
+            when the engine has lanes, every other chunk (and one no
+            lane has room for) to the in-process executor."""
+            nonlocal pool, pool_respawns_before
+            artifacts = chunk[0].artifacts
+            task = ChunkTask(
+                task_id=self._take_task_id(),
+                fingerprint=artifacts.fingerprint if artifacts else None,
+                canonicals=tuple(entry.canonical for entry in chunk),
+                plans=tuple(entry.plan for entry in chunk),
+                bounds=self.bounds,
+            )
+            dtd = artifacts.dtd if artifacts else None
+            submitted[task.task_id] = (chunk, time.perf_counter())
+            if chunk[0].plan.route == "pool" and self.workers > 1:
+                if pool is None:
+                    pool = self._pool()
+                    pool_respawns_before = pool.stats().lane_respawns
+                # what the lanes already returned frees their room, and
+                # its jobs' callbacks fire now rather than after the scan
+                absorb(pool.drain(wait=False), "pool")
+                if pool.submit(task, dtd):
+                    return
+            inline = self._inline()
+            inline.submit(task, dtd)
+            absorb(inline.drain(), "inline")
 
         try:
             for index, raw in enumerate(jobs):
@@ -933,34 +936,26 @@ class BatchEngine:
                     emit(index)
                     continue
 
-                group_key = (
-                    artifacts.fingerprint if artifacts else None,
-                    plan.telemetry_key,
-                )
-                group = groups.get(group_key)
-                if group is None:
-                    group = groups[group_key] = PlanGroup(
-                        plan=plan, artifacts=artifacts,
-                        chunk_size=(
-                            self.group_chunk_size if plan.route == "pool" else 1
-                        ),
-                    )
                 entry = in_flight[key] = _GroupEntry(
-                    key=key, canonical=canonical, indices=[index]
+                    key=key, canonical=canonical, plan=plan,
+                    artifacts=artifacts, indices=[index],
                 )
-                group.queued.append(entry)
                 results[index] = self._result(job, artifacts, _PENDING, route="pool")
-                if len(group.queued) >= group.chunk_size:
-                    dispatch(group)
+                if plan.route != "pool":
+                    dispatch([entry])
+                    continue
+                fingerprint = artifacts.fingerprint if artifacts else None
+                queued = groups.setdefault(fingerprint, [])
+                queued.append(entry)
+                if len(queued) >= self.group_chunk_size:
+                    groups[fingerprint] = []
+                    dispatch(queued)
 
-            for group in groups.values():
-                if group.queued:
-                    dispatch(group)
+            for queued in groups.values():
+                if queued:
+                    dispatch(queued)
             if pool is not None:
-                self._absorb(
-                    pool.drain(), "pool", submitted, in_flight,
-                    results, stats, traces, emit,
-                )
+                absorb(pool.drain(), "pool")
                 pool_stats = pool.stats()
                 stats.lanes = pool_stats.lanes
                 # executor counters are lifetime; respawns this run is
@@ -1002,7 +997,7 @@ class BatchEngine:
         self,
         outcomes: Iterable[tuple[ChunkTask, ChunkOutcome]],
         route: str,
-        submitted: dict[int, tuple[PlanGroup, list[_GroupEntry], float]],
+        submitted: dict[int, tuple[list[_GroupEntry], float]],
         in_flight: dict[CacheKey, _GroupEntry],
         results: list[JobResult | None],
         stats: EngineStats,
@@ -1022,6 +1017,13 @@ class BatchEngine:
         coalescing map, so a later ask of the same question hits the
         cache, or is decided afresh if this one failed.
 
+        A chunk holds questions of one schema under any number of plans;
+        per-plan telemetry counts a chunk once for each plan with a
+        question in it (the plan's first answered question leads), and
+        a question reuses shared setup when its plan's primary decider
+        had a context for the chunk and an earlier question of the plan
+        already ran in it.
+
         When tracing, each leader job gets a ``chunk`` span (lane,
         dwell, DTD-ship/runtime-hit flags) whose children are the
         chunk's ``prepare`` (on the first traced entry only) and the
@@ -1032,8 +1034,7 @@ class BatchEngine:
             record = submitted.pop(task.task_id, None)
             if record is None:
                 continue
-            group, chunk, enqueued = record
-            plan = group.plan
+            chunk, enqueued = record
             for entry in chunk:
                 del in_flight[entry.key]
             if outcome.dtd_shipped:
@@ -1063,10 +1064,9 @@ class BatchEngine:
             if outcome.error is not None:
                 # the whole chunk failed (its lane died and the one
                 # retry died too): per-job errors, nothing cached
-                jobs_hit = sum(len(entry.indices) for entry in chunk)
-                stats.errors += jobs_hit
-                self.telemetry.record_failure(plan, jobs_hit)
                 for entry in chunk:
+                    stats.errors += len(entry.indices)
+                    self.telemetry.record_failure(entry.plan, len(entry.indices))
                     for index in entry.indices:
                         self._fail(results[index], outcome.error)
                         trace = traces.get(index)
@@ -1080,27 +1080,29 @@ class BatchEngine:
                             )
                             tracer.finish(
                                 trace, verdict="error", route="error",
-                                plan=plan,
+                                plan=entry.plan,
                             )
                         emit(index)
                 continue
-            shared_setup = outcome.shared_setup
             stats.plan_groups += 1
             stats.group_sizes.append(len(chunk))
             # only a failed *primary* prepare means the chunk ran without
             # shared setup; a fallback hook failing mid-chunk leaves it
-            if outcome.prepare_error is not None and not shared_setup:
+            if outcome.prepare_error is not None and not outcome.shared_setup:
                 stats.prepare_fallbacks += 1
-            executed = 0
+            # telemetry keys of the plans with an answered question so far
+            led: set[str] = set()
             prepare_span_pending = True
             for entry, question_outcome in zip(chunk, outcome.outcomes):
                 satisfiable, method, reason, error, attempts = question_outcome
+                plan = entry.plan
+                lead = plan.telemetry_key not in led
                 trace = ExecutionTrace(
                     attempts=attempts,
                     group_size=len(chunk),
-                    group_lead=executed == 0,
-                    shared_setup=shared_setup,
-                    runtime_hit=outcome.runtime_hit,
+                    group_lead=lead,
+                    shared_setup=plan.decider in outcome.shared,
+                    runtime_hit=plan.decider in outcome.warm,
                 )
                 verdict = "error" if error is not None else verdict_name(satisfiable)
                 if tracer is not None:
@@ -1109,7 +1111,7 @@ class BatchEngine:
                         children = []
                         if prepare_span_pending:
                             prepare_span_pending = False
-                            prepare_attrs = {"shared": shared_setup}
+                            prepare_attrs = {"shared": outcome.shared_setup}
                             if outcome.prepare_error is not None:
                                 prepare_attrs["error"] = outcome.prepare_error
                             children.append(Span(
@@ -1170,9 +1172,9 @@ class BatchEngine:
                 # errored entries are excluded so EngineStats and the per-plan
                 # telemetry rows report the same grouped-job/reuse counts
                 stats.grouped_jobs += 1
-                if shared_setup and executed > 0:
+                if trace.shared_setup and not lead:
                     stats.setup_reuse += 1
-                executed += 1
+                led.add(plan.telemetry_key)
                 self._observe(stats, plan, trace, verdict_name(satisfiable))
                 decision = CachedDecision(satisfiable, method, reason)
                 self.cache.put(entry.key, decision)

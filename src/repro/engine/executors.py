@@ -13,10 +13,11 @@ Every decision :class:`~repro.engine.batch.BatchEngine` makes runs as a
 implementations:
 
 * :class:`InlineExecutor` — runs chunks in-process: every PTIME chunk
-  (a chunk of one, drained the moment it is submitted), and heavy
-  chunks as well when the engine has one worker.  It holds one
-  :class:`WorkerRuntime` for the engine's lifetime, so the second chunk
-  of a schema reuses the first chunk's prepared contexts;
+  (a chunk of one, drained the moment it is submitted), heavy chunks
+  when the engine has one worker, and the heavy chunks no lane has room
+  for.  It holds one :class:`WorkerRuntime` for the engine's lifetime,
+  so the second chunk of a schema reuses the first chunk's prepared
+  contexts;
 * :class:`PersistentPoolExecutor` — a pool of long-lived worker
   *lanes* (one process each), every lane owning a :class:`WorkerRuntime`
   that caches DTDs and prepared :class:`~repro.sat.planner.SchemaContexts`
@@ -28,6 +29,18 @@ implementations:
   deep), ships the DTD to a lane only on first touch instead of pickling
   it per chunk, and survives worker death by respawning the lane with a
   cold runtime and retrying its in-flight chunks once.
+
+Each lane reads its chunks from its own pipe, which ``submit`` writes in
+the calling thread before it returns: a chunk reaches its lane while
+the engine goes on scanning, with no feeder thread waiting for the busy
+engine thread to hand over the GIL.  A lane holds at most
+``lane_queue_depth`` chunks.  When every lane is that deep, ``submit``
+refuses the chunk and the engine decides it itself on its
+:class:`InlineExecutor`, so the engine and its lanes work at the same
+time instead of taking turns.  ``drain(wait=False)`` yields only the
+outcomes already back; the engine calls it before each ``submit``, so
+a send never waits on a lane that is itself waiting for its results to
+be read.
 
 Affinity is a *scheduling* feature: with ``affinity=False`` the same
 lanes run statelessly (least-loaded routing, a fresh context per chunk,
@@ -43,7 +56,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 import zlib
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Any, Iterator, Protocol, runtime_checkable
@@ -65,12 +78,13 @@ DEFAULT_LANE_QUEUE_DEPTH = 4
 @dataclass(frozen=True)
 class ChunkTask:
     """One unit of executor work: a chunk of pre-canonicalized questions
-    sharing a plan and a schema."""
+    against one schema, each with its plan (``plans[i]`` decides
+    ``canonicals[i]``; a plan several questions share pickles once)."""
 
     task_id: int
     fingerprint: str | None
     canonicals: tuple
-    plan: Plan
+    plans: tuple[Plan, ...]
     bounds: Any = None
 
 
@@ -80,14 +94,17 @@ class ChunkOutcome:
 
     ``error`` is a whole-chunk failure (the lane died and its one retry
     died too); otherwise ``outcomes`` has one entry per question.
-    ``shared_setup`` means the plan's primary decider had a prepared
-    context for the chunk; ``runtime_hit`` means that context was built
-    before the chunk ran, by an earlier chunk of any plan on the schema
-    (the cross-chunk cache paid off); the remaining flags record how the
-    scheduler placed the chunk.
+    ``shared`` names the primary deciders of the chunk's plans that had
+    a prepared context for the chunk, and ``warm`` those whose context
+    was built before the chunk ran, by an earlier chunk of any plan on
+    the schema (the cross-chunk cache paid off).  ``shared_setup`` and
+    ``runtime_hit`` say the same of every primary in the chunk; the
+    remaining flags record how the scheduler placed the chunk.
     """
 
     outcomes: list[GroupOutcome] = field(default_factory=list)
+    shared: frozenset[str] = frozenset()
+    warm: frozenset[str] = frozenset()
     shared_setup: bool = False
     prepare_error: str | None = None
     runtime_hit: bool = False
@@ -126,15 +143,18 @@ class ExecutorStats:
 class Executor(Protocol):
     """The engine's execution contract: submit chunks, then drain.
 
-    ``submit`` may be interleaved with work; ``drain`` yields every
+    ``submit`` may be interleaved with work, and returns whether the
+    executor took the chunk (a pool with no lane room refuses it, and
+    the caller decides it elsewhere).  ``drain`` yields every
     outstanding ``(task, outcome)`` pair (order unspecified) and returns
-    once nothing is in flight.  ``close`` releases workers; a closed
-    executor must not be reused.
+    once nothing is in flight; ``drain(wait=False)`` yields only the
+    outcomes already back and never blocks.  ``close`` releases workers;
+    a closed executor must not be reused.
     """
 
-    def submit(self, task: ChunkTask, dtd) -> None: ...
+    def submit(self, task: ChunkTask, dtd) -> bool: ...
 
-    def drain(self) -> Iterator[tuple[ChunkTask, ChunkOutcome]]: ...
+    def drain(self, wait: bool = True) -> Iterator[tuple[ChunkTask, ChunkOutcome]]: ...
 
     def stats(self) -> ExecutorStats: ...
 
@@ -242,16 +262,19 @@ class WorkerRuntime:
             )
         contexts = self.contexts_for(task.fingerprint, dtd)
         prepare_ms_before = contexts.prepare_ms
-        runtime_hit = task.plan.decider in contexts
-        # build the primary's context eagerly: every question runs it, and
+        primaries = dict.fromkeys(plan.decider for plan in task.plans)
+        warm = frozenset(name for name in primaries if name in contexts)
+        # build each primary's context eagerly: its questions run it, and
         # a failing prepare should be visible even if the first question
-        # errors.  shared_setup is pinned here — a fallback context built
+        # errors.  shared is pinned here — a fallback context built
         # mid-chunk must not retroactively count earlier questions as
         # setup reuses
-        shared_setup = contexts.get(task.plan.decider) is not None
+        shared = frozenset(
+            name for name in primaries if contexts.get(name) is not None
+        )
         outcomes = [
-            self._run_question(task, canonical, dtd, contexts=contexts)
-            for canonical in task.canonicals
+            self._run_question(plan, canonical, dtd, task.bounds, contexts)
+            for plan, canonical in zip(task.plans, task.canonicals)
         ]
         if contexts.prepare_error is not None:
             # a failed prepare is memoized only within the chunk (never
@@ -261,18 +284,21 @@ class WorkerRuntime:
             self._contexts.pop(task.fingerprint, None)
         return ChunkOutcome(
             outcomes=outcomes,
-            shared_setup=shared_setup,
+            shared=shared,
+            warm=warm,
+            shared_setup=len(shared) == len(primaries),
             prepare_error=contexts.prepare_error,
-            runtime_hit=runtime_hit,
+            runtime_hit=len(warm) == len(primaries),
             prepare_ms=contexts.prepare_ms - prepare_ms_before,
         )
 
-    def _run_question(self, task: ChunkTask, canonical, dtd, contexts) -> GroupOutcome:
+    @staticmethod
+    def _run_question(plan: Plan, canonical, dtd, bounds, contexts) -> GroupOutcome:
         trace = ExecutionTrace()
         try:
             # an outcome carries no witness, so none is ever built
             result = execute_plan(
-                task.plan, canonical, dtd, task.bounds,
+                plan, canonical, dtd, bounds,
                 pre_canonicalized=True, trace=trace, contexts=contexts,
             )
         except Exception as error:
@@ -286,15 +312,17 @@ class WorkerRuntime:
 
 
 class InlineExecutor:
-    """In-process :class:`Executor`: PTIME chunks on every engine, and
-    heavy chunks too when the engine has one worker.
+    """In-process :class:`Executor`: PTIME chunks on every engine, heavy
+    chunks when the engine has one worker, and the heavy chunks its
+    lanes have no room for.
 
-    Chunks queue on ``submit`` and execute during ``drain``; the engine
-    drains right after each submit, so no chunk outlives the
-    :meth:`~repro.engine.batch.BatchEngine.run` that sent it.  The
-    runtime lives as long as the executor — which the engine keeps for
-    its own lifetime — so chunk N of a schema reuses chunk 1's contexts
-    even across separate runs.
+    Chunks queue on ``submit`` (which always takes them) and execute
+    during ``drain``, whatever ``wait`` says: nothing runs in the
+    background.  The engine drains right after each submit, so no chunk
+    outlives the :meth:`~repro.engine.batch.BatchEngine.run` that sent
+    it.  The runtime lives as long as the executor — which the engine
+    keeps for its own lifetime — so chunk N of a schema reuses chunk 1's
+    contexts even across separate runs.
     """
 
     def __init__(self, affinity: bool = True):
@@ -303,13 +331,14 @@ class InlineExecutor:
         self._stats = ExecutorStats(lanes=0)
         self._closed = False
 
-    def submit(self, task: ChunkTask, dtd) -> None:
+    def submit(self, task: ChunkTask, dtd) -> bool:
         if self._closed:
             raise EngineError("inline executor already closed")
         self._queue.append((task, dtd))
         self._stats.dispatched += 1
+        return True
 
-    def drain(self) -> Iterator[tuple[ChunkTask, ChunkOutcome]]:
+    def drain(self, wait: bool = True) -> Iterator[tuple[ChunkTask, ChunkOutcome]]:
         if self._closed:
             raise EngineError("inline executor already closed")
         while self._queue:
@@ -330,11 +359,16 @@ class InlineExecutor:
 
 def _worker_main(lane_id: int, caching: bool, requests, results) -> None:
     """Lane entry point: loop over chunk requests until the ``None``
-    sentinel, keeping one :class:`WorkerRuntime` alive across chunks.
-    ``results`` is the write end of the lane's own result pipe."""
+    sentinel or the end of the request pipe, keeping one
+    :class:`WorkerRuntime` alive across chunks.  ``requests`` is the
+    read end of the lane's own request pipe and ``results`` the write
+    end of its own result pipe."""
     runtime = WorkerRuntime(caching=caching)
     while True:
-        message = requests.get()
+        try:
+            message = requests.recv()
+        except (EOFError, OSError):
+            break
         if message is None:
             break
         task, dtd = message
@@ -370,6 +404,8 @@ class _Lane:
         self.lane_id = lane_id
         self._ctx = ctx
         self._caching = caching
+        #: write end of the lane's request pipe (its worker holds the
+        #: read end)
         self.requests = None
         #: read end of the lane's result pipe (its worker holds the only
         #: write end)
@@ -391,7 +427,10 @@ class _Lane:
 
     def ensure_started(self) -> None:
         if self.process is None:
-            self.requests = self._ctx.Queue()
+            # requests go down a pipe written in the caller's thread: a
+            # queue's feeder thread could send only once the busy engine
+            # thread yields the GIL, up to a switch interval later
+            reader, self.requests = self._ctx.Pipe(duplex=False)
             # one result pipe per lane, not one queue shared by all: a
             # worker killed mid-write, or while holding a shared queue's
             # cross-process write lock, would wedge every other lane's
@@ -400,14 +439,18 @@ class _Lane:
             self.results, writer = self._ctx.Pipe(duplex=False)
             self.process = self._ctx.Process(
                 target=_worker_main,
-                args=(self.lane_id, self._caching, self.requests, writer),
+                args=(self.lane_id, self._caching, reader, writer),
                 daemon=True,
             )
             self.process.start()
+            reader.close()
             writer.close()
             _LOG.debug("lane %d forked (pid %s)", self.lane_id, self.process.pid)
 
     def send(self, entry: _InFlight, ship_always: bool) -> None:
+        """Pickle and write the chunk before returning.  Raises
+        ``OSError`` (``BrokenPipeError``) when the lane's process is
+        gone; the entry is in flight by then, so recovery retries it."""
         self.ensure_started()
         task = entry.task
         dtd = None
@@ -422,40 +465,59 @@ class _Lane:
                 self.shipped.add(task.fingerprint)
         entry.dtd_shipped = dtd is not None
         self.in_flight[task.task_id] = entry
-        self.requests.put((task, dtd))
+        self.requests.send((task, dtd))
+
+    def close_pipes(self) -> None:
+        for end in (self.requests, self.results):
+            if end is not None:
+                try:
+                    end.close()
+                except OSError:
+                    pass
 
     def stop(self) -> None:
         if self.process is None:
             return
-        try:
-            self.requests.put(None)
-        except Exception:
-            pass
-        self.process.join(timeout=2.0)
+        if not self.in_flight:
+            # a lane with chunks in flight is not sent the sentinel: the
+            # write could wait on a lane blocked writing unread results
+            try:
+                self.requests.send(None)
+            except Exception:
+                pass
+            self.process.join(timeout=2.0)
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=2.0)
-        self.requests.close()
-        self.requests.cancel_join_thread()
-        self.results.close()
+        self.close_pipes()
 
 
 class PersistentPoolExecutor:
     """Process-pool :class:`Executor` with schema-affinity lanes.
 
-    Routing: a chunk's affinity key (schema fingerprint, or the plan's
-    telemetry key for no-DTD chunks) hashes to a *preferred* lane, so
-    every chunk of one schema keeps landing on the same worker and finds
-    its runtime caches warm.  When the preferred lane's queue is already
-    ``lane_queue_depth`` deep and another lane is strictly shallower,
+    Routing: a chunk's affinity key (schema fingerprint, or its first
+    plan's telemetry key for no-DTD chunks) hashes to a *preferred*
+    lane, so every chunk of one schema keeps landing on the same worker
+    and finds its runtime caches warm.  A lane holds at most
+    ``lane_queue_depth`` chunks: when the preferred lane is that deep,
     the chunk spills to the least-loaded lane — affinity is a
     preference, not a straitjacket (a skewed workload must not serialize
-    behind one hot lane).
+    behind one hot lane) — and when every lane is, ``submit`` refuses it
+    (returns ``False``) and the caller decides it in-process.
+
+    ``submit`` writes the chunk to its lane's request pipe before it
+    returns and reads nothing back: the caller calls ``drain(wait=False)``
+    first, which takes in the outcomes already back (freeing their
+    lanes' room), so the write never waits on a lane that is blocked
+    writing results nobody reads.
 
     Fault tolerance: a lane that dies (killed worker, hard crash in C
     code) is respawned with a cold runtime and each of its in-flight
     chunks is retried **once**; a chunk whose retry also dies comes back
     as a whole-chunk error, which the engine turns into per-job errors.
+    A death shows up as the end of the lane's result pipe, as a failed
+    write to its request pipe, or as a dead process while ``drain``
+    waits.
     """
 
     def __init__(
@@ -484,76 +546,99 @@ class PersistentPoolExecutor:
             _Lane(lane_id, mp_context, affinity) for lane_id in range(workers)
         ]
         self._stats = ExecutorStats(lanes=workers)
-        #: chunks whose retry also died, finished parent-side and waiting
-        #: for drain to hand them back
-        self._failed: list[tuple[ChunkTask, ChunkOutcome]] = []
+        #: finished chunks waiting for drain to hand them back: outcomes
+        #: read off the lanes, and chunks whose retry also died
+        self._done: deque[tuple[ChunkTask, ChunkOutcome]] = deque()
         self._closed = False
 
     # -- routing ------------------------------------------------------------
     def _affinity_key(self, task: ChunkTask) -> str:
-        return task.fingerprint or task.plan.telemetry_key
+        return task.fingerprint or task.plans[0].telemetry_key
 
-    def _route(self, task: ChunkTask) -> tuple[_Lane, bool]:
-        """Pick the lane for ``task``; returns ``(lane, spilled)``."""
+    def _route(self, task: ChunkTask) -> tuple[_Lane | None, bool]:
+        """Pick the lane for ``task``; returns ``(lane, spilled)``, with
+        no lane when every lane already holds ``lane_queue_depth``
+        chunks."""
         least = min(self._lanes, key=lambda lane: (lane.depth, lane.lane_id))
-        if not self.affinity:
-            return least, False
-        key = self._affinity_key(task)
-        preferred = self._lanes[
-            zlib.crc32(key.encode("utf-8")) % len(self._lanes)
-        ]
-        if (
-            preferred.depth >= self.lane_queue_depth
-            and least.depth < preferred.depth
-        ):
-            return least, True
-        return preferred, False
+        if self.affinity:
+            key = self._affinity_key(task)
+            preferred = self._lanes[
+                zlib.crc32(key.encode("utf-8")) % len(self._lanes)
+            ]
+            if preferred.depth < self.lane_queue_depth:
+                return preferred, False
+        if least.depth < self.lane_queue_depth:
+            return least, self.affinity
+        return None, False
 
     # -- the Executor contract ----------------------------------------------
-    def submit(self, task: ChunkTask, dtd) -> None:
+    def submit(self, task: ChunkTask, dtd) -> bool:
         if self._closed:
             raise EngineError("executor already closed")
         lane, spilled = self._route(task)
+        if lane is None:
+            return False
         if lane.started and not lane.alive():
             lane = self._recover(lane)
-        entry = _InFlight(task=task, dtd=dtd, spilled=spilled)
-        lane.send(entry, ship_always=not self.affinity)
+        self._send(lane, _InFlight(task=task, dtd=dtd, spilled=spilled),
+                   ship_always=not self.affinity)
         self._stats.dispatched += 1
-        if lane.depth > self._stats.lane_peak_depth.get(lane.lane_id, 0):
-            self._stats.lane_peak_depth[lane.lane_id] = lane.depth
         if spilled:
             self._stats.affinity_spills += 1
-        if entry.dtd_shipped:
-            self._stats.dtd_ships += 1
+        return True
 
-    def drain(self) -> Iterator[tuple[ChunkTask, ChunkOutcome]]:
+    def drain(self, wait: bool = True) -> Iterator[tuple[ChunkTask, ChunkOutcome]]:
         if self._closed:
             # without this guard a drain on a closed pool would spin on
-            # the torn-down result queue forever
+            # the torn-down result pipes forever
             raise EngineError("executor already closed")
         while True:
-            while self._failed:
-                yield self._failed.pop(0)
+            while self._done:
+                yield self._done.popleft()
             busy = [lane for lane in self._lanes if lane.in_flight]
             if not busy:
                 return
-            ready = connection.wait([lane.results for lane in busy], timeout=0.05)
+            ready = connection.wait(
+                [lane.results for lane in busy], timeout=0.05 if wait else 0
+            )
+            # ``lane in self._lanes``: a recovery may replace a lane of
+            # ``busy`` part-way through either loop
             if not ready:
+                if not wait:
+                    return
                 for lane in busy:
-                    if not lane.alive():
+                    if lane in self._lanes and not lane.alive():
                         self._recover(lane)
                 continue
-            lane = next(lane for lane in busy if lane.results is ready[0])
-            try:
-                lane_id, task_id, outcome = lane.results.recv()
-            except (EOFError, OSError):
-                # the worker died, possibly part-way through a message
-                self._recover(lane)
-                continue
-            entry = self._pop_in_flight(task_id)
-            if entry is None:
-                continue  # a retry already resolved this task
-            yield self._finish(entry, lane_id, outcome)
+            for lane in busy:
+                if lane in self._lanes and lane.results in ready:
+                    self._receive(lane)
+
+    def _receive(self, lane: _Lane) -> None:
+        """Read one message off a ready lane into ``_done``."""
+        try:
+            lane_id, task_id, outcome = lane.results.recv()
+        except (EOFError, OSError):
+            # the worker died, possibly part-way through a message
+            self._recover(lane)
+            return
+        entry = self._pop_in_flight(task_id)
+        if entry is not None:  # else a retry already resolved this task
+            self._done.append(self._finish(entry, lane_id, outcome))
+
+    def _send(self, lane: _Lane, entry: _InFlight, ship_always: bool) -> None:
+        """Put ``entry`` in flight on ``lane``; a lane found dead by the
+        write is recovered, which retries the entry with the lane's
+        other in-flight chunks."""
+        try:
+            lane.send(entry, ship_always)
+        except OSError:
+            self._recover(lane)
+            return
+        if entry.dtd_shipped:
+            self._stats.dtd_ships += 1
+        if lane.depth > self._stats.lane_peak_depth.get(lane.lane_id, 0):
+            self._stats.lane_peak_depth[lane.lane_id] = lane.depth
 
     def _pop_in_flight(self, task_id: int) -> _InFlight | None:
         for lane in self._lanes:
@@ -590,14 +675,7 @@ class PersistentPoolExecutor:
             lane.lane_id, len(orphans),
         )
         lane.in_flight.clear()
-        try:
-            if lane.requests is not None:
-                lane.requests.close()
-                lane.requests.cancel_join_thread()
-            if lane.results is not None:
-                lane.results.close()
-        except Exception:
-            pass
+        lane.close_pipes()
         fresh = _Lane(lane.lane_id, self._ctx, self.affinity)
         self._lanes[index] = fresh
         self._stats.lane_respawns += 1
@@ -612,17 +690,15 @@ class PersistentPoolExecutor:
                     "chunk %d survived no lane (retried once, lane died "
                     "again); failing its jobs", entry.task.task_id,
                 )
-                self._failed.append((entry.task, ChunkOutcome(
+                self._done.append((entry.task, ChunkOutcome(
                     lane=index, retried=True, spilled=entry.spilled,
                     error="worker lane died twice (chunk retried once)",
                 )))
                 continue
             entry.attempts += 1
             self._stats.chunk_retries += 1
-            targets[position % len(targets)].send(entry, ship_always=True)
+            self._send(targets[position % len(targets)], entry, ship_always=True)
             position += 1
-            if entry.dtd_shipped:
-                self._stats.dtd_ships += 1
         return fresh
 
     def stats(self) -> ExecutorStats:

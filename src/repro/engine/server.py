@@ -21,10 +21,10 @@ shared engine; results stream back per job via the engine's
 ``on_result`` callback, so a big batch does not block its own output.
 
 Backpressure: when admitted-but-unanswered jobs reach ``max_inflight``
-(default ``workers × lane_queue_depth × group_chunk_size``, the lane
-queues' worth of work), new jobs get a ``retry`` response instead of
-unbounded buffering — the same shed-don't-queue stance the lanes take
-at ``lane_queue_depth``.
+(default ``64 × workers``), new jobs get a ``retry`` response instead of
+unbounded buffering.  The lanes' queues do not bound a batch — the
+engine decides in-process the chunks its lanes have no room for — so
+the bar is a fixed share of work per worker, not a lane capacity.
 
 Lifecycle: SIGTERM/SIGINT stop intake, drain every admitted job, stream
 the remaining results, snapshot ``save_state()`` into the engine's state
@@ -58,6 +58,9 @@ _LOG = get_logger("repro.engine.server")
 
 #: largest number of pending jobs one engine batch will take
 DEFAULT_MAX_BATCH = 256
+
+#: admitted-but-unanswered jobs per engine worker before new ones are shed
+DEFAULT_INFLIGHT_PER_WORKER = 64
 #: seconds between periodic save_state() snapshots while serving
 DEFAULT_SNAPSHOT_INTERVAL = 300.0
 
@@ -169,16 +172,12 @@ class EngineServer(JsonlDaemon):
             )
         self.engine = engine
         self.max_batch = max_batch
-        # default backpressure bar: the pooled lanes' queueing capacity —
-        # admitting more than the lanes can hold only grows server-side
-        # buffers without making anything finish sooner
+        # default backpressure bar: a fixed share of work per worker —
+        # admitting much more only grows server-side buffers without
+        # making anything finish sooner
         self.max_inflight = (
             max_inflight if max_inflight is not None
-            else max(
-                1,
-                engine.workers * engine.lane_queue_depth
-                * engine.group_chunk_size,
-            )
+            else DEFAULT_INFLIGHT_PER_WORKER * engine.workers
         )
         self.snapshot_interval = snapshot_interval
         self.stats = ServerStats()

@@ -274,11 +274,11 @@ class ExecutionTrace:
     from a member that may not decline).  Feeds per-plan telemetry and
     the job's trace spans.
 
-    When the plan-grouped scheduler ran this execution as part of a
-    :class:`~repro.engine.batch.PlanGroup` chunk, ``group_size`` is the
-    chunk's job count (0 = not run in a chunk), ``group_lead`` marks the
-    chunk's first execution (so per-plan group counters tick once per
-    chunk), and ``shared_setup`` records whether the primary's
+    When the engine ran this execution as part of a chunk,
+    ``group_size`` is the chunk's job count (0 = not run in a chunk),
+    ``group_lead`` marks the first execution of this plan in the chunk
+    (so per-plan group counters tick once per chunk a plan had
+    questions in), and ``shared_setup`` records whether the primary's
     ``prepare`` context was available (a ``False`` means it has no hook,
     or ``prepare`` failed and the chunk fell back to per-job setup).
     ``runtime_hit`` marks a chunk that found the primary's context

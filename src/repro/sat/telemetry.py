@@ -199,9 +199,11 @@ class PlanTelemetry:
     The plan's serialized form rides along with its stats so a persisted
     table can be rendered without the original :class:`Plan` objects.
 
-    :meth:`summary` rows are cached until :meth:`record`,
-    :meth:`record_failure`, :meth:`merge` or :meth:`prune` changes the
-    table, so every change must go through those methods (not through a
+    :meth:`summary` rows are cached: :meth:`record` and
+    :meth:`record_failure` mark their plan's row stale, and the next
+    :meth:`summary` rebuilds only the stale rows; a new plan,
+    :meth:`merge` or :meth:`prune` drops the cached rows.  So every
+    change must go through those methods (not through a
     :class:`PlanStats` obtained from :meth:`get`).
     """
 
@@ -209,6 +211,8 @@ class PlanTelemetry:
         self._stats: dict[str, PlanStats] = {}
         self._plans: dict[str, dict[str, Any]] = {}
         self._summary: dict[str, dict[str, Any]] | None = None
+        #: plans recorded since the cached rows were built
+        self._stale: set[str] = set()
 
     def __len__(self) -> int:
         return len(self._stats)
@@ -237,26 +241,26 @@ class PlanTelemetry:
         shared_setup: bool = False,
         runtime_hit: bool = False,
     ) -> None:
-        self._summary = None
-        key = plan.telemetry_key
-        stats = self._stats.get(key)
-        if stats is None:
-            stats = self._stats[key] = PlanStats()
-            self._plans[key] = plan.to_dict()
-        stats.record(
+        self._row_for(plan).record(
             elapsed_ms, verdict, decider=decider, fallback=fallback,
             group_size=group_size, group_lead=group_lead,
             shared_setup=shared_setup, runtime_hit=runtime_hit,
         )
 
     def record_failure(self, plan, jobs: int = 1) -> None:
-        self._summary = None
+        self._row_for(plan).record_failure(jobs)
+
+    def _row_for(self, plan) -> PlanStats:
+        """The plan's stats, created on its first record; its summary
+        row is stale from here on."""
         key = plan.telemetry_key
         stats = self._stats.get(key)
         if stats is None:
             stats = self._stats[key] = PlanStats()
             self._plans[key] = plan.to_dict()
-        stats.record_failure(jobs)
+            self._summary = None  # rows stay in key order
+        self._stale.add(key)
+        return stats
 
     def merge(self, other: "PlanTelemetry") -> None:
         self._summary = None
@@ -325,35 +329,43 @@ class PlanTelemetry:
         """Compact per-plan rows for ``EngineStats.as_dict`` and JSON
         consumers (one entry per plan, no histograms).
 
-        The rows are built once per change to the table; each call
-        returns fresh dicts, so a caller may keep or mutate its copy."""
+        A row is rebuilt only after its plan changed; each call returns
+        fresh dicts, so a caller may keep or mutate its copy."""
         if self._summary is None:
             self._summary = self._summary_rows()
+        else:
+            for key in self._stale:
+                self._summary[key] = self._summary_row(self._stats[key])
+        self._stale.clear()
         return {
             key: {**row, "verdicts": dict(row["verdicts"])}
             for key, row in self._summary.items()
         }
 
     def _summary_rows(self) -> dict[str, dict[str, Any]]:
-        rows = {}
-        for key, stats in sorted(self._stats.items()):
-            row = {
-                "count": stats.count,
-                "mean_ms": round(stats.mean_ms, 4),
-                "p50_ms": round(stats.percentile_ms(0.5), 4),
-                "p90_ms": round(stats.percentile_ms(0.9), 4),
-                "verdicts": {k: v for k, v in stats.verdicts.items() if v},
-                "fallback_rate": round(stats.fallback_rate, 4),
-            }
-            if stats.deciders:
-                row["top_decider"] = stats.top_decider
-            if stats.groups:
-                row["groups"] = stats.groups
-                row["grouped_jobs"] = stats.grouped_jobs
-                row["setup_reuse"] = stats.setup_reuse
-                row["runtime_hits"] = stats.runtime_hits
-            rows[key] = row
-        return rows
+        return {
+            key: self._summary_row(stats)
+            for key, stats in sorted(self._stats.items())
+        }
+
+    @staticmethod
+    def _summary_row(stats: PlanStats) -> dict[str, Any]:
+        row = {
+            "count": stats.count,
+            "mean_ms": round(stats.mean_ms, 4),
+            "p50_ms": round(stats.percentile_ms(0.5), 4),
+            "p90_ms": round(stats.percentile_ms(0.9), 4),
+            "verdicts": {k: v for k, v in stats.verdicts.items() if v},
+            "fallback_rate": round(stats.fallback_rate, 4),
+        }
+        if stats.deciders:
+            row["top_decider"] = stats.top_decider
+        if stats.groups:
+            row["groups"] = stats.groups
+            row["grouped_jobs"] = stats.grouped_jobs
+            row["setup_reuse"] = stats.setup_reuse
+            row["runtime_hits"] = stats.runtime_hits
+        return row
 
     def register_metrics(self, registry) -> None:
         """Register every plan row into a unified metrics registry

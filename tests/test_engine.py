@@ -383,7 +383,9 @@ class _CrashFirstExecutor:
     whole-chunk failure — the shape a real lane death produces after its
     one retry also died.  Later chunks run in-process on a
     :class:`WorkerRuntime`.  Simulates a pool-worker crash mid-run
-    without burning real fork time."""
+    without burning real fork time.  It takes every chunk, and runs
+    them only in a waiting drain (``drain(wait=False)`` finds nothing
+    back yet)."""
 
     def __init__(self, workers, affinity=True, lane_queue_depth=4):
         from repro.engine.executors import ExecutorStats, WorkerRuntime
@@ -396,11 +398,12 @@ class _CrashFirstExecutor:
     def submit(self, task, dtd):
         self.calls += 1
         self._queue.append((task, dtd, self.calls == 1))
+        return True
 
-    def drain(self):
+    def drain(self, wait=True):
         from repro.engine.executors import ChunkOutcome
 
-        while self._queue:
+        while wait and self._queue:
             task, dtd, crash = self._queue.pop(0)
             if crash:
                 yield task, ChunkOutcome(
@@ -617,7 +620,9 @@ class TestGroupedScheduler:
 class _DuplicatingExecutor:
     """Executor stand-in that hands every chunk back TWICE — the first
     time marked as a retry.  The engine must absorb each task exactly
-    once, or a retried chunk would double-report group counters."""
+    once, or a retried chunk would double-report group counters.  Like
+    :class:`_CrashFirstExecutor`, it runs chunks only in a waiting
+    drain."""
 
     def __init__(self, workers, affinity=True, lane_queue_depth=4):
         from repro.engine.executors import ExecutorStats, WorkerRuntime
@@ -628,11 +633,12 @@ class _DuplicatingExecutor:
 
     def submit(self, task, dtd):
         self._queue.append((task, dtd))
+        return True
 
-    def drain(self):
+    def drain(self, wait=True):
         import dataclasses
 
-        while self._queue:
+        while wait and self._queue:
             task, dtd = self._queue.pop(0)
             outcome = self.runtime.run_chunk(task, dtd)
             yield task, dataclasses.replace(outcome, retried=True)
@@ -680,7 +686,10 @@ class TestWorkerDeathRecovery:
             dataclasses.replace(spec, fn=killer),
         )
         jobs = [Job(query, "disjfree") for query in self.HEAVY]
-        engine = BatchEngine(registry=registry, workers=2)
+        # one chunk, so one chunk is in flight on the killed lane
+        engine = BatchEngine(
+            registry=registry, workers=2, group_chunk_size=len(jobs)
+        )
         report = engine.run(jobs)
         assert report.stats.errors == 0                 # no verdict loss
         assert report.stats.chunk_retries == 1
@@ -740,6 +749,63 @@ class TestWorkerDeathRecovery:
         assert stats.grouped_jobs == 3
         assert stats.groups == 1
         assert stats.setup_reuse == 2
+
+
+    def test_send_to_a_dead_lane_recovers(self, registry, monkeypatch):
+        # the lanes' processes are gone but still reported alive, so the
+        # dead lane is found by the write to its request pipe: it is
+        # respawned, the chunk retried once, and every job answered once
+        from repro.engine.executors import _Lane
+
+        jobs = [Job(query, "disjfree", id=query) for query in self.HEAVY]
+        engine = BatchEngine(registry=registry, workers=2)
+        engine.run(jobs[:1])
+        for lane in engine._pool_executor._lanes:
+            if lane.started:
+                lane.process.kill()
+                lane.process.join()
+        monkeypatch.setattr(_Lane, "alive", lambda self: True)
+        answered = []
+        report = engine.run(jobs[1:], on_result=answered.append)
+        assert sorted(result.id for result in answered) == sorted(self.HEAVY[1:])
+        assert report.stats.errors == 0
+        assert report.stats.lane_respawns == 1
+        assert report.stats.chunk_retries == 1
+        baseline = BatchEngine(registry=registry, workers=1).run(jobs[1:])
+        assert [r.satisfiable for r in report.results] == [
+            r.satisfiable for r in baseline.results
+        ]
+        engine.close()
+
+    def test_deep_lanes_with_big_chunks_do_not_deadlock(self, registry):
+        # one schema, so every chunk prefers one lane; 64 chunks may wait
+        # on it, and six of about 43 KB each overrun its 64 KiB request
+        # pipe: the sends wait for the lane, never on each other
+        steps = "/".join(["*"] * 120)
+        jobs = [
+            Job(f"A[not({steps}/C)] | B[not(A)] | .[not(A/C{i})]", "disjfree")
+            for i in range(96)
+        ]
+        engine = BatchEngine(
+            registry=registry, workers=2, lane_queue_depth=64,
+            group_chunk_size=16,
+        )
+        reports = []
+        runner = threading.Thread(
+            target=lambda: reports.append(engine.run(jobs)), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), "engine.run() hung"
+        (report,) = reports
+        assert report.stats.errors == 0
+        assert len(report.results) == len(jobs)
+        assert report.stats.pool_decides == len(jobs)   # all on lanes
+        baseline = BatchEngine(registry=registry, workers=1).run(jobs)
+        assert [r.satisfiable for r in report.results] == [
+            r.satisfiable for r in baseline.results
+        ]
+        engine.close()
 
 
 # -- engine lifecycle ------------------------------------------------------------

@@ -60,7 +60,7 @@ def _chunk_task(registry, name, queries, task_id=1):
         task_id=task_id,
         fingerprint=artifacts.fingerprint,
         canonicals=canonicals,
-        plan=plan,
+        plans=(plan,) * len(canonicals),
     )
     return task, artifacts.dtd
 
@@ -391,6 +391,59 @@ class TestPersistentPoolExecutor:
         # queued behind the killer); only the poison chunk failed
         assert executor.stats().chunk_retries == 2
         assert executor.stats().lane_respawns >= 2
+
+    def test_chunk_reaches_its_lane_while_the_caller_is_busy(self, registry):
+        # submit writes the chunk itself: with a one-second switch
+        # interval a feeder thread could not send while this thread
+        # spins, but the lane answers during the spin all the same.  One
+        # select call checks the result pipe, so no other thread can
+        # take the GIL before the check is made
+        import select
+        import sys
+        import time
+
+        executor = PersistentPoolExecutor(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0)
+        try:
+            task, dtd = _chunk_task(registry, "threesat", ("X1/T",))
+            assert executor.submit(task, dtd) is True
+            deadline = time.perf_counter() + 0.3
+            while time.perf_counter() < deadline:
+                pass
+            results = executor._lanes[0].results
+            assert select.select([results], [], [], 0)[0] == [results]
+            drained = list(executor.drain(wait=False))
+        finally:
+            sys.setswitchinterval(interval)
+            executor.close()
+        assert [done.task_id for done, _outcome in drained] == [task.task_id]
+        assert drained[0][1].error is None
+
+    def test_full_lanes_refuse_a_chunk(self, registry):
+        # a lane holds at most lane_queue_depth chunks: with every lane
+        # that deep, submit refuses the chunk and the caller keeps it
+        executor = PersistentPoolExecutor(2, lane_queue_depth=1)
+        try:
+            tasks = [
+                _chunk_task(registry, "disjfree", HEAVY[:1], task_id=task_id)
+                for task_id in range(3)
+            ]
+            accepted = [executor.submit(task, dtd) for task, dtd in tasks]
+            assert accepted == [True, True, False]
+            assert sorted(lane.depth for lane in executor._lanes) == [1, 1]
+            drained = list(executor.drain())
+            assert sorted(done.task_id for done, _outcome in drained) == [0, 1]
+            # drained lanes have room again, and a non-waiting drain
+            # returns at once when nothing is back
+            task, dtd = tasks[2]
+            assert executor.submit(task, dtd) is True
+            drained += list(executor.drain(wait=False)) + list(executor.drain())
+        finally:
+            executor.close()
+        assert sorted(done.task_id for done, _outcome in drained) == [0, 1, 2]
+        assert all(outcome.error is None for _t, outcome in drained)
+        assert executor.stats().dispatched == 3
 
     def test_lanes_fork_lazily(self, registry):
         # a light run must not pay for the whole pool: only the lane a

@@ -13,13 +13,16 @@ of the telemetry aggregator and the state serialization round trip.
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
+import time
 
 import pytest
 
 from repro.dtd import parse_dtd
 from repro.engine import BatchEngine, DecisionCache, SchemaRegistry
 from repro.engine.statetier import StateTier, read_legacy_json
+from repro.obs.trace import ListSink, Tracer
 from repro.sat import Plan, PlanTelemetry
 from repro.sat.telemetry import PlanStats
 from repro.workloads import batch_jobs
@@ -147,6 +150,27 @@ def _cache_records(engine):
     return sorted(map(repr, engine.cache.to_records()))
 
 
+def _slow_lanes(monkeypatch):
+    """Make the types fixpoint sleep 20 ms per call in a forked lane
+    (lanes inherit the patched registry) and nowhere else, so lanes one
+    chunk deep stay full while the engine scans."""
+    from repro.sat import registry as sat_registry
+
+    engine_pid = os.getpid()
+    spec = sat_registry.get_decider("exptime_types")
+    original = spec.fn
+
+    def slow_in_lanes(query, dtd, max_facts=22, context=None):
+        if os.getpid() != engine_pid:
+            time.sleep(0.02)
+        return original(query, dtd, max_facts, context=context)
+
+    monkeypatch.setitem(
+        sat_registry._REGISTRY, "exptime_types",
+        dataclasses.replace(spec, fn=slow_in_lanes),
+    )
+
+
 def _verdict_mixes(engine):
     """Per-plan telemetry verdict mixes (plan key -> verdict counts)."""
     return {
@@ -246,6 +270,78 @@ class TestGroupedScheduling:
         assert pooled_report.stats.pool_decides >= 1
         assert inline_report.stats.pool_decides == 0
 
+    def test_chunk_holds_one_schemas_plans(self):
+        # pool-route questions of three plans (two primaries) on one
+        # schema share one chunk; per-plan telemetry counts the chunk
+        # once for each plan and reuse only after a plan's first question
+        jobs = [
+            ("A[not(B)]", "tiny"), ("A[not(B)] | C", "tiny"),
+            ("A[not(C)]", "tiny"), ("A[not(B)]/>", "tiny"),
+        ]
+        engine = BatchEngine(registry=_registry())
+        report = engine.run(jobs)
+        assert report.stats.plan_groups == 1
+        assert report.stats.group_sizes == [4]
+        assert report.stats.setup_reuse == 1
+        rows = {
+            key.split("|")[1]: stats for key, stats in engine.telemetry.items()
+        }
+        assert {name: (row.groups, row.grouped_jobs, row.setup_reuse)
+                for name, row in rows.items()} == {
+            "neg,qual": (1, 2, 1),
+            "neg,qual,union": (1, 1, 0),
+            "neg,qual,rs": (1, 1, 0),
+        }
+        per_job = BatchEngine(
+            registry=_registry(), group_chunk_size=1, affinity=False
+        )
+        assert _verdicts(report) == _verdicts(per_job.run(jobs))
+        assert _cache_records(engine) == _cache_records(per_job)
+        assert _verdict_mixes(engine) == _verdict_mixes(per_job)
+
+    @staticmethod
+    def _overflow_corpus():
+        # one schema and more pool-route questions than two one-deep
+        # lanes hold at once
+        labels = ("A", "B", "C")
+        return [
+            (f"{left}[not({right})]", "tiny")
+            for left in labels + (".",) for right in labels
+        ]
+
+    def test_overflow_runs_in_process(self, monkeypatch):
+        _slow_lanes(monkeypatch)
+        jobs = self._overflow_corpus()
+        sink = ListSink()
+        overflowing = BatchEngine(
+            registry=_registry(), workers=2, lane_queue_depth=1,
+            group_chunk_size=1, tracer=Tracer(sinks=(sink,)),
+        )
+        report = overflowing.run(jobs)
+        assert report.stats.errors == 0
+        routes = {result.route for result in report.results}
+        assert routes == {"pool", "inline"}
+        assert report.stats.pool_decides + report.stats.inline_decides == len(jobs)
+        # a chunk the engine decided itself ran on its in-process lane 0
+        inline_ids = {r.id for r in report.results if r.route == "inline"}
+        inline_records = [r for r in sink.records if r["job_id"] in inline_ids]
+        assert inline_records
+        for record in inline_records:
+            (chunk,) = [s for s in record["spans"] if s["name"] == "chunk"]
+            assert chunk["attrs"]["lane"] == 0
+        for other in (
+            BatchEngine(registry=_registry(), workers=1),
+            BatchEngine(
+                registry=_registry(), workers=2,
+                group_chunk_size=1, affinity=False,
+            ),
+        ):
+            assert _verdicts(other.run(jobs)) == _verdicts(report)
+            assert _cache_records(other) == _cache_records(overflowing)
+            assert _verdict_mixes(other) == _verdict_mixes(overflowing)
+            other.close()
+        overflowing.close()
+
 
 class TestAffinityScheduling:
     """Schema-affinity scheduling (persistent worker runtimes) is a pure
@@ -284,6 +380,30 @@ class TestAffinityScheduling:
         # the warm runtime actually engaged (several chunks per schema)
         assert affine_report.stats.runtime_context_hits >= 1
         assert stateless_report.stats.runtime_context_hits == 0
+
+    def test_overflow_matches_stateless(self, monkeypatch):
+        # lanes one chunk deep overflow into the engine with affinity on
+        # and off alike, and neither changes an answer
+        _slow_lanes(monkeypatch)
+        jobs = TestGroupedScheduling._overflow_corpus()
+        engines = [
+            BatchEngine(
+                registry=_registry(), workers=2, lane_queue_depth=1,
+                group_chunk_size=1, affinity=affinity,
+            )
+            for affinity in (True, False)
+        ]
+        affine_report, stateless_report = (e.run(jobs) for e in engines)
+        affine, stateless = engines
+        assert _verdicts(affine_report) == _verdicts(stateless_report)
+        assert _cache_records(affine) == _cache_records(stateless)
+        assert _verdict_mixes(affine) == _verdict_mixes(stateless)
+        for report in (affine_report, stateless_report):
+            assert report.stats.errors == 0
+            assert report.stats.inline_decides >= 1
+            assert report.stats.pool_decides >= 1
+        for engine in engines:
+            engine.close()
 
     def test_inline_runtime_persists_across_runs(self):
         engine = BatchEngine(registry=_registry(), group_chunk_size=4)
@@ -417,6 +537,24 @@ class TestEngineTelemetry:
         assert report.stats.decide_calls == 0
         assert builds == []
         assert report.stats.plans == original(engine.telemetry)
+
+    def test_run_deciding_one_plan_rebuilds_one_row(self, monkeypatch):
+        engine = BatchEngine(registry=_registry())
+        engine.run(_corpus(60) + [("A[not(B)]", "tiny")])
+        assert len(engine.telemetry) > 1
+        rebuilt = []
+        original = PlanTelemetry._summary_row
+
+        def counted(stats):
+            rebuilt.append(stats)
+            return original(stats)
+
+        monkeypatch.setattr(PlanTelemetry, "_summary_row", staticmethod(counted))
+        # a question not asked before, under a plan already recorded
+        report = engine.run([("A[not(C)]", "tiny")])
+        assert report.stats.decide_calls == 1
+        assert len(rebuilt) == 1
+        assert report.stats.plans == engine.telemetry._summary_rows()
 
     def test_runs_never_share_a_plans_dict(self):
         engine = BatchEngine(registry=_registry())
@@ -591,7 +729,7 @@ class TestStateDirHygiene:
         )
 
     #: the five scheduler settings' defaults, in ``_settings`` order
-    DEFAULT_SETTINGS = (16, 512, 30.0, True, 4)
+    DEFAULT_SETTINGS = (4, 512, 30.0, True, 4)
 
     def test_scheduler_tunables_round_trip(self, tmp_path):
         # settings come only from the constructor: an engine that ran and

@@ -456,7 +456,8 @@ class TestEngineTracing:
 
 class _DuplicatingExecutor:
     """Hands every chunk back twice (first marked retried) — the trace
-    layer must still finish each job exactly once."""
+    layer must still finish each job exactly once.  Chunks run only in
+    a waiting drain."""
 
     def __init__(self, workers, affinity=True, lane_queue_depth=4):
         from repro.engine.executors import ExecutorStats, WorkerRuntime
@@ -467,9 +468,10 @@ class _DuplicatingExecutor:
 
     def submit(self, task, dtd):
         self._queue.append((task, dtd))
+        return True
 
-    def drain(self):
-        while self._queue:
+    def drain(self, wait=True):
+        while wait and self._queue:
             task, dtd = self._queue.pop(0)
             outcome = self.runtime.run_chunk(task, dtd)
             yield task, dataclasses.replace(outcome, retried=True)
@@ -484,7 +486,8 @@ class _DuplicatingExecutor:
 
 class _CrashFirstExecutor:
     """First submitted chunk comes back as a whole-chunk failure (the
-    shape a lane death leaves after its one retry also died)."""
+    shape a lane death leaves after its one retry also died).  Chunks
+    run only in a waiting drain."""
 
     def __init__(self, workers, affinity=True, lane_queue_depth=4):
         from repro.engine.executors import ExecutorStats, WorkerRuntime
@@ -497,11 +500,12 @@ class _CrashFirstExecutor:
     def submit(self, task, dtd):
         self.calls += 1
         self._queue.append((task, dtd, self.calls == 1))
+        return True
 
-    def drain(self):
+    def drain(self, wait=True):
         from repro.engine.executors import ChunkOutcome
 
-        while self._queue:
+        while wait and self._queue:
             task, dtd, crash = self._queue.pop(0)
             if crash:
                 yield task, ChunkOutcome(
@@ -543,7 +547,10 @@ class TestSpanIntegrityUnderFailure:
             dataclasses.replace(spec, fn=killer),
         )
         jobs = [Job(query, "disjfree", id=query) for query in HEAVY]
-        engine, sink, tracer = traced_engine(registry, workers=2)
+        # one chunk, so one chunk is in flight on the killed lane
+        engine, sink, tracer = traced_engine(
+            registry, workers=2, group_chunk_size=len(jobs)
+        )
         report = engine.run(jobs)
         assert report.stats.errors == 0
         assert report.stats.chunk_retries == 1

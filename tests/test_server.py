@@ -61,10 +61,10 @@ class TestServerConfig:
             EngineServer(engine, port=0, snapshot_interval=-1.0)
 
     def test_default_inflight_bar_is_lane_capacity(self, engine):
+        # 64 jobs per worker, whatever the chunk size: the engine decides
+        # in-process what its lanes have no room for
         server = EngineServer(engine, port=0)
-        assert server.max_inflight == (
-            engine.workers * engine.lane_queue_depth * engine.group_chunk_size
-        )
+        assert server.max_inflight == 64 * engine.workers
 
     def test_stats_ride_the_engine_metrics_registry(self, engine):
         EngineServer(engine, port=0)
