@@ -11,19 +11,27 @@ engine's lanes hand it to the kernel, and each schema's ``prepare``
 context is built once, the way the lanes keep it warm.
 
 Each trial decides every question once.  The headline column times the
-plain call, which is what the engine's lanes make: they read only the
-verdict, so no witness tree is realized (``ms_per_question_verdict`` in
-the JSON).  The second column times the same call plus a read of the
-result's ``.witness``, which realizes the tree, as a caller of library
+plain call, one question at a time: it reads only the verdict, so no
+witness tree is realized (``ms_per_question_verdict`` in the JSON).  The
+second column times the same call plus a read of the result's
+``.witness``, which realizes the tree, as a caller of library
 ``decide()`` that reads it does (``ms_per_question``, the key's meaning
-since the harness began).  The harness runs
-``TRIALS`` trials of each, alternating, and reports the median, min and
-interquartile range of the milliseconds per question, with the mean
-number of label searches per decided question (the ``searches`` stat),
-the number of labels each schema's root reaches (``reachable_labels``:
-the kernel searches only those) and the host's core count and Python
-version.  Full mode decides 1,500 questions and writes
-``benchmarks/results/BENCH_thm53_kernel.json``.
+since the harness began).  The third, *joint*, decides the same
+questions the way the engine's lanes do: each schema's questions, in
+stream order, in chunks of ``DEFAULT_GROUP_CHUNK_SIZE``, one
+:func:`sat_exptime_types_joint` call per chunk (a chunk whose union of
+closures passes ``max_facts`` is decided one question at a time, as the
+lanes do).  Its verdicts must equal the one-at-a-time trial's, and the
+verdicts of joint calls of every size in ``CHECKED_SIZES`` are checked
+the same way, untimed (the ``joint`` object in the JSON: its timing,
+its ``speedup`` over the headline column, and ``types_per_fixpoint``).
+The harness runs ``TRIALS`` trials of each, alternating, and reports
+the median, min and interquartile range of the milliseconds per
+question, with the mean number of label searches per question decided
+alone (the ``searches`` stat), the number of labels each schema's root
+reaches (``reachable_labels``: the kernel searches only those) and the
+host's core count and Python version.  Full mode decides 1,500
+questions and writes ``benchmarks/results/BENCH_thm53_kernel.json``.
 
 Quick mode (``REPRO_BENCH_QUICK=1``, used by CI) decides 200 questions.
 Its only bar, in both modes, is a count: fewer than twice the larger
@@ -48,8 +56,13 @@ import time
 from benchmarks.conftest import format_table, timing_summary
 from repro.dtd import random_dtd
 from repro.dtd.graph import DTDGraph
+from repro.engine.batch import DEFAULT_GROUP_CHUNK_SIZE
 from repro.errors import ReproError
-from repro.sat.exptime_types import prepare_types, sat_exptime_types
+from repro.sat.exptime_types import (
+    prepare_types,
+    sat_exptime_types,
+    sat_exptime_types_joint,
+)
 from repro.workloads.batch import batch_jobs
 from repro.xpath import parse_query
 from repro.xpath.canonical import canonicalize
@@ -61,6 +74,8 @@ TRIALS = 5
 SCHEMA_SEEDS = (11, 12)
 SCHEMA_TYPES = 48
 QUESTION_SEED = 20250611
+#: joint-call sizes whose verdicts are checked against one at a time
+CHECKED_SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 16)
 
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -106,10 +121,55 @@ def decide_all(schemas, contexts, questions, read_witness):
     return time.perf_counter() - start, outcomes
 
 
+def stream_chunks(questions, size: int) -> list[tuple[str, list[int]]]:
+    """Each schema's question indices, in stream order, cut into chunks
+    of ``size``: the chunks the engine sends its lanes."""
+    per_schema: dict[str, list[int]] = {}
+    for index, (schema, _query) in enumerate(questions):
+        per_schema.setdefault(schema, []).append(index)
+    return [
+        (schema, indices[start:start + size])
+        for schema, indices in per_schema.items()
+        for start in range(0, len(indices), size)
+    ]
+
+
+def decide_chunked(schemas, contexts, questions, chunks):
+    """One joint trial: ``(seconds, verdicts, types per joint
+    fixpoint)``, a verdict ``None`` when its question declined."""
+    verdicts: list[bool | None] = [None] * len(questions)
+    types: list[int] = []
+    start = time.perf_counter()
+    for schema, indices in chunks:
+        dtd, context = schemas[schema], contexts[schema]
+        try:
+            results = sat_exptime_types_joint(
+                [questions[index][1] for index in indices], dtd, context=context
+            )
+        except ReproError:
+            # the union passed max_facts: one at a time, as the lanes do
+            results = []
+            for index in indices:
+                try:
+                    results.append(
+                        sat_exptime_types(questions[index][1], dtd, context=context)
+                    )
+                except ReproError:
+                    results.append(None)
+        else:
+            types.append(results[0].stats["types"])
+        for index, result in zip(indices, results):
+            if result is not None:
+                verdicts[index] = result.satisfiable
+    return time.perf_counter() - start, verdicts, types
+
+
 def test_thm53_kernel(report):
     schemas, contexts, questions = kernel_questions()
+    chunks = stream_chunks(questions, DEFAULT_GROUP_CHUNK_SIZE)
     verdict_ms: list[float] = []
     witness_ms: list[float] = []
+    joint_ms: list[float] = []
     outcomes = None
     for _ in range(TRIALS):
         for read_witness, sink in ((False, verdict_ms), (True, witness_ms)):
@@ -118,6 +178,17 @@ def test_thm53_kernel(report):
             if outcomes is None:
                 outcomes = trial
             assert trial == outcomes, "the kernel is not deterministic"
+        seconds, joint_verdicts, joint_types = decide_chunked(
+            schemas, contexts, questions, chunks
+        )
+        joint_ms.append(seconds * 1e3 / len(questions))
+    alone = [None if outcome is None else outcome[0] for outcome in outcomes]
+    assert joint_verdicts == alone, "a joint verdict differs from one at a time"
+    for size in CHECKED_SIZES:
+        _seconds, verdicts, _types = decide_chunked(
+            schemas, contexts, questions, stream_chunks(questions, size)
+        )
+        assert verdicts == alone, f"a joint verdict differs at chunk size {size}"
 
     decided = [outcome for outcome in outcomes if outcome is not None]
     searches = statistics.fmean(stats["searches"] for _, stats in decided)
@@ -145,8 +216,20 @@ def test_thm53_kernel(report):
         "sat": sum(1 for verdict, _ in decided if verdict),
         "unsat": sum(1 for verdict, _ in decided if verdict is False),
         "declined": len(outcomes) - len(decided),
+        "joint": {
+            "chunk_size": DEFAULT_GROUP_CHUNK_SIZE,
+            "ms_per_question": timing_summary(joint_ms),
+            "speedup": round(
+                statistics.median(verdict_ms) / statistics.median(joint_ms), 2
+            ),
+            "fixpoints": len(joint_types),
+            "chunks": len(chunks),
+            "types_per_fixpoint": round(statistics.fmean(joint_types), 2),
+            "checked_sizes": list(CHECKED_SIZES),
+        },
     }
     timing = payload["ms_per_question_verdict"]
+    joint = payload["joint"]
     report("thm53_kernel", format_table(
         ["questions", "ms/question median", "min", "IQR", "with witness",
          "reachable labels", "searches/question", "bar", "types/question",
@@ -158,6 +241,16 @@ def test_thm53_kernel(report):
             payload["searches_per_question"], searches_bar,
             payload["types_per_question"],
             payload["sat"], payload["unsat"], payload["declined"],
+        ]],
+    ) + "\n\n" + format_table(
+        ["joint chunk size", "ms/question median", "min", "IQR", "speedup",
+         "joint fixpoints", "types/fixpoint", "checked sizes"],
+        [[
+            joint["chunk_size"], joint["ms_per_question"]["median"],
+            joint["ms_per_question"]["min"], joint["ms_per_question"]["iqr"],
+            joint["speedup"], f"{joint['fixpoints']} of {joint['chunks']}",
+            joint["types_per_fixpoint"],
+            " ".join(str(size) for size in CHECKED_SIZES),
         ]],
     ))
     if not QUICK:

@@ -37,8 +37,13 @@ workload:
    hooks (:class:`repro.sat.planner.SchemaContexts`) run at most once
    per chunk, so N groupmates share per-schema setup (the types
    fixpoint's automata, the bounded engine's schema classification and
-   word tables) that per-job dispatch rebuilds N times.  Per-plan
-   telemetry counts a chunk once for each plan with a question in it.
+   word tables) that per-job dispatch rebuilds N times.  A chunk's
+   questions whose plans lead with the Thm 5.3 types fixpoint also
+   share the fixpoint itself: the runtime decides up to
+   :data:`~repro.engine.executors.JOINT_QUESTIONS` of them in one joint
+   call, each with the verdict it gets alone (``joint_decides`` counts
+   them).  Per-plan telemetry counts a chunk once for each plan with a
+   question in it.
    ``group_chunk_size=1, affinity=False``
    (``--group-chunk-size 1 --no-affinity``) dispatches per job; grouping
    is a pure scheduling change — verdicts, cache contents, and telemetry
@@ -231,6 +236,11 @@ class EngineStats:
         "plan groups", "setup reuses", "jobs that reused a groupmate's prepare()")
     prepare_fallbacks: int = _counter(
         "plan groups", "prepare fallbacks", "chunks degraded to per-job setup")
+    # questions a chunk decided with its primary's joint entry: several
+    # Thm 5.3 questions in one fixpoint (see WorkerRuntime._decide_jointly)
+    joint_decides: int = _counter(
+        "plan groups", "joint decides",
+        "questions decided inside a joint fixpoint")
     group_sizes: list[int] = field(default_factory=list)
     # executor layer (this run): lanes in the pool (0 = no pool was
     # needed), whether schema-affinity scheduling was on, DTDs actually
@@ -1086,6 +1096,7 @@ class BatchEngine:
                 continue
             stats.plan_groups += 1
             stats.group_sizes.append(len(chunk))
+            stats.joint_decides += outcome.joint_decides
             # only a failed *primary* prepare means the chunk ran without
             # shared setup; a fallback hook failing mid-chunk leaves it
             if outcome.prepare_error is not None and not outcome.shared_setup:
@@ -1206,6 +1217,7 @@ class BatchEngine:
             "spilled": outcome.spilled,
             "retried": outcome.retried,
             "group_size": group_size,
+            "joint_decides": outcome.joint_decides,
             "chunk_ms": round(outcome.elapsed_ms, 3),
         }
         if error is not None:

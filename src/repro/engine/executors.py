@@ -42,6 +42,15 @@ outcomes already back; the engine calls it before each ``submit``, so
 a send never waits on a lane that is itself waiting for its results to
 be read.
 
+A runtime decides a chunk's questions together where a decider can:
+the Thm 5.3 types fixpoint has a *joint entry*
+(:func:`~repro.sat.exptime_types.sat_exptime_types_joint`), and the
+chunk's questions whose plans lead with it share one fixpoint per run
+of up to :data:`JOINT_QUESTIONS` (see
+:meth:`WorkerRuntime._decide_jointly`), so the per-label work every
+question pays is paid once per run.  Every other question runs its own
+decider chain, as does every question of a joint call that raises.
+
 Affinity is a *scheduling* feature: with ``affinity=False`` the same
 lanes run statelessly (least-loaded routing, a fresh context per chunk,
 the DTD shipped every time) — the PR-4 behaviour, kept as the
@@ -64,6 +73,9 @@ from typing import Any, Iterator, Protocol, runtime_checkable
 from repro.errors import EngineError, job_error_text
 from repro.obs.log import get_logger
 from repro.sat.planner import ExecutionTrace, Plan, SchemaContexts, execute_plan
+from repro.sat.registry import get_decider
+from repro.sat.telemetry import verdict_name
+from repro.xpath.fragments import signature_features
 
 _LOG = get_logger("repro.engine.executors")
 
@@ -73,6 +85,13 @@ GroupOutcome = tuple[bool | None, str, str, str | None, list[tuple[str, float, s
 
 #: scheduler setting default (see :class:`repro.engine.batch.BatchEngine`)
 DEFAULT_LANE_QUEUE_DEPTH = 4
+
+#: the most questions one joint call decides (see
+#: :meth:`WorkerRuntime._decide_jointly`).  A joint fixpoint's types grow
+#: with its questions, so past a few it costs more per question than
+#: deciding them one at a time, and a chunk may hold up to
+#: ``group_chunk_size`` questions (the measured curve is in CHANGES.md).
+JOINT_QUESTIONS = 4
 
 
 @dataclass(frozen=True)
@@ -121,6 +140,8 @@ class ChunkOutcome:
     prepare_ms: float = 0.0
     runtime_contexts: int = 0
     runtime_evictions: int = 0
+    #: questions decided inside a joint call
+    joint_decides: int = 0
 
 
 @dataclass
@@ -272,10 +293,17 @@ class WorkerRuntime:
         shared = frozenset(
             name for name in primaries if contexts.get(name) is not None
         )
-        outcomes = [
-            self._run_question(plan, canonical, dtd, task.bounds, contexts)
-            for plan, canonical in zip(task.plans, task.canonicals)
-        ]
+        outcomes: list[GroupOutcome | None] = [None] * len(task.plans)
+        joint_decides = (
+            self._decide_jointly(task, dtd, contexts, outcomes)
+            if len(outcomes) > 1 else 0
+        )
+        for index, outcome in enumerate(outcomes):
+            if outcome is None:
+                outcomes[index] = self._run_question(
+                    task.plans[index], task.canonicals[index], dtd,
+                    task.bounds, contexts,
+                )
         if contexts.prepare_error is not None:
             # a failed prepare is memoized only within the chunk (never
             # re-run per question); evict the schema's entry so the next
@@ -290,7 +318,71 @@ class WorkerRuntime:
             prepare_error=contexts.prepare_error,
             runtime_hit=len(warm) == len(primaries),
             prepare_ms=contexts.prepare_ms - prepare_ms_before,
+            joint_decides=joint_decides,
         )
+
+    @staticmethod
+    def _decide_jointly(
+        task: ChunkTask, dtd, contexts: SchemaContexts,
+        outcomes: list[GroupOutcome | None],
+    ) -> int:
+        """Decide the chunk's eligible questions with their primaries'
+        joint entries, filling their ``outcomes``; returns how many were
+        decided.
+
+        A question is eligible when its plan's primary has a joint entry
+        and a prepared context, the plan rewrites nothing but the
+        ``canonicalize`` pass the engine already applied, and the
+        primary accepts the question's features (the plan's signature:
+        the engine plans on the canonical form it sends).  Each
+        primary's eligible questions, in chunk order, are cut into
+        consecutive runs of at most :data:`JOINT_QUESTIONS`, as even as
+        possible; a run of one is left to its own chain.  A joint call
+        that raises anything (a decline when the run's union is too
+        large, a bug) leaves all of its questions to their own chains,
+        where a decline falls through to the fallbacks and a failure
+        stays the question's own.  A jointly decided question's one
+        attempt is timed at its share of the call."""
+        eligible: dict[str, list[int]] = {}
+        primaries: dict[Plan, str | None] = {}
+        for index, plan in enumerate(task.plans):
+            if plan not in primaries:
+                primaries[plan] = _joint_primary(plan, contexts)
+            name = primaries[plan]
+            if name is not None:
+                eligible.setdefault(name, []).append(index)
+        decided = 0
+        for name, indices in eligible.items():
+            joint = get_decider(name).joint
+            context = contexts.get(name)
+            runs = -(-len(indices) // JOINT_QUESTIONS)
+            cuts = [len(indices) * run // runs for run in range(runs + 1)]
+            for low, high in zip(cuts, cuts[1:]):
+                if high - low < 2:
+                    continue
+                members = indices[low:high]
+                start = time.perf_counter()
+                try:
+                    results = joint(
+                        [task.canonicals[index] for index in members], dtd,
+                        context=context,
+                    )
+                except Exception:
+                    # a decline (the run's union is past the decider's
+                    # cap) or a failure the questions' own chains report
+                    _LOG.debug(
+                        "joint %s call over %d questions raised; deciding "
+                        "them one at a time", name, len(members), exc_info=True,
+                    )
+                    continue
+                share_ms = (time.perf_counter() - start) * 1e3 / len(members)
+                for index, result in zip(members, results):
+                    outcomes[index] = (
+                        result.satisfiable, result.method, result.reason, None,
+                        [(name, share_ms, verdict_name(result.satisfiable))],
+                    )
+                decided += len(members)
+        return decided
 
     @staticmethod
     def _run_question(plan: Plan, canonical, dtd, bounds, contexts) -> GroupOutcome:
@@ -309,6 +401,21 @@ class WorkerRuntime:
             result.satisfiable, result.method, result.reason, None,
             trace.attempts,
         )
+
+
+def _joint_primary(plan: Plan, contexts: SchemaContexts) -> str | None:
+    """The name of ``plan``'s primary when its questions may be decided
+    jointly (see :meth:`WorkerRuntime._decide_jointly`), else ``None``."""
+    spec = get_decider(plan.decider)
+    if spec.joint is None:
+        return None
+    if any(name != "canonicalize" for name in plan.rewrites):
+        return None
+    if not spec.accepts(signature_features(plan.signature)):
+        return None
+    if plan.decider not in contexts:
+        return None
+    return plan.decider
 
 
 class InlineExecutor:

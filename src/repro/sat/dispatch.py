@@ -18,6 +18,7 @@ from the code.
 from __future__ import annotations
 
 from repro.dtd.model import DTD
+from repro.errors import ReproError, job_error_text
 from repro.sat.bounded import Bounds
 from repro.sat.planner import DEFAULT_PLANNER, Plan, execute_plan
 from repro.sat.registry import routing_table
@@ -50,15 +51,22 @@ def decide(
     plans.  ``plan`` short-circuits planning with an already-computed
     :class:`~repro.sat.planner.Plan` (it must have been built for the
     canonical form's feature signature and this schema's class).
+
+    A question nested past the interpreter's recursion limit raises
+    :class:`~repro.errors.ReproError` with the text the batch engine
+    gives such a job (``query nests too deeply (...)``).
     """
     if dtd is None and artifacts is not None:
         dtd = artifacts.dtd
-    canonical = canonicalize(query)
-    if plan is None:
-        plan = DEFAULT_PLANNER.plan_for(
-            features_of(canonical), artifacts=artifacts, dtd=dtd
-        )
-    return execute_plan(plan, canonical, dtd, bounds, pre_canonicalized=True)
+    try:
+        canonical = canonicalize(query)
+        if plan is None:
+            plan = DEFAULT_PLANNER.plan_for(
+                features_of(canonical), artifacts=artifacts, dtd=dtd
+            )
+        return execute_plan(plan, canonical, dtd, bounds, pre_canonicalized=True)
+    except RecursionError as error:
+        raise ReproError(job_error_text(error)) from error
 
 
 __doc__ = (__doc__ or "") + "\n" + routing_table() + "\n"

@@ -34,7 +34,29 @@ type remembers one witnessing children word, so SAT answers come with a
 concrete conforming tree, realized on the result's first ``.witness``
 read (the batch engine, which keeps only verdicts, never realizes one).
 
-The closure runs on per-question interned ids (:class:`_Closure`): each
+**Joint fixpoints.**  :func:`sat_exptime_types_joint` decides several
+questions over one DTD in one fixpoint: the closure collects every
+question's seed qualifier ``PathExists(query)``, the worklist below runs
+once over that union closure, and a question is SAT iff some realizable
+root type has its own seed's truth bit.  This is exact.  A label's types
+over the union closure are the truth vectors, over every question's
+qualifiers and ``↓*`` facts, that some conforming tree rooted at that
+label realizes; projecting them onto one question's qualifiers gives
+exactly the types that question's own fixpoint computes, because both
+range over the same set of trees.  What a question costs regardless of
+its size, a search of every root-reachable label, is then paid once per
+joint call, at the price of more types per fixpoint: past a few
+questions a joint fixpoint costs more per question than one at a time.
+A joint result's ``stats`` describe the shared fixpoint, not its own
+question: ``facts`` and ``closure_quals`` of the union closure, and the
+``types`` and ``searches`` of the one fixpoint.  A joint call declines
+when the union closure has more than ``max_facts`` facts.  The batch
+engine's worker runtimes decide a chunk's questions this way (see
+:meth:`repro.engine.executors.WorkerRuntime._decide_jointly`); library
+``decide()``, ``repro check --witness`` and ``repro explain`` decide one
+question at a time, with :func:`sat_exptime_types`.
+
+The closure runs on per-call interned ids (:class:`_Closure`): each
 distinct qualifier and path is numbered once, looked up by object
 identity first and then by its kind and its children's ids, so deciding
 a question hashes and compares no AST node.  Each distinct path is
@@ -83,6 +105,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from typing import Sequence
 
 from repro.dtd.model import DTD
 from repro.errors import FragmentError, ReproError
@@ -184,7 +207,8 @@ _PAIRS = (ast.Seq, ast.Union, ast.And, ast.Or)
 
 
 class _Closure:
-    """One question's residual-qualifier closure, on interned ids.
+    """The residual-qualifier closure of one or more seeds, on interned
+    ids.
 
     :meth:`intern` numbers each distinct qualifier and path the first
     time it meets it.  It looks a node up by object identity first (and
@@ -192,7 +216,7 @@ class _Closure:
     kind and its children's ids, or its name.  So equal nodes share an
     id, and no lookup hashes or compares an AST node.
 
-    * ``quals`` — qualifier ids in collection order (the seed first);
+    * ``quals`` — qualifier ids in collection order (the seeds first);
       ``qual_slot`` maps an id to its position, the qualifier's truth bit;
     * ``facts``/``fact_index`` — ``("c", label | None, qid | None)`` and
       ``("cd", qid)`` child facts, in collection order;
@@ -275,9 +299,17 @@ class _Closure:
             self.facts.append(fact)
         return index
 
-    def collect(self, seed: Qualifier) -> None:
+    def collect(self, *seeds: Qualifier) -> list[int]:
+        """Collect the closure of every seed, and return each seed's
+        truth slot.  The seeds are numbered first, in order, so a lone
+        seed's truth is bit 0; a seed equal to another seed, or to a
+        residual of one, shares its slot."""
         pending: deque[int] = deque()
-        self.add_qual(self.intern(seed), pending)
+        slots = []
+        for seed in seeds:
+            qid = self.intern(seed)
+            self.add_qual(qid, pending)
+            slots.append(self.qual_slot[qid])
         keys = self.keys
         while pending:
             key = keys[pending.popleft()]
@@ -290,6 +322,7 @@ class _Closure:
             elif kind is ast.PathExists:
                 self._collect_path(key[1], pending)
             # a LabelTest reads no facts
+        return slots
 
     def _collect_path(self, pid: int, pending: deque) -> None:
         if pid in self.path_cases:
@@ -750,19 +783,48 @@ def sat_exptime_types(
     changes a verdict.  A SAT result realizes its witness tree on its
     first ``.witness`` read.
     """
-    used = features_of(query)
-    if not used <= SPEC.allowed:
-        raise FragmentError(
-            f"sat_exptime_types requires X(child,dos,union,qual,neg); query uses "
-            f"{sorted(str(f) for f in used - SPEC.allowed)} extra"
-        )
+    return _solve((query,), dtd, max_facts, context)[0]
+
+
+def sat_exptime_types_joint(
+    queries: Sequence[Path], dtd: DTD, max_facts: int = 22,
+    context: PackedTypesContext | None = None,
+) -> list[SatResult]:
+    """Decide several questions over one DTD in one fixpoint, one
+    :class:`SatResult` per query, in order, each with the verdict
+    :func:`sat_exptime_types` gives it alone (the module docstring says
+    why).
+
+    A SAT result realizes, on its first ``.witness`` read, the tree of a
+    root type that makes its own query true.  Every result's ``stats``
+    describe the joint fixpoint: the union closure's ``facts`` and
+    ``closure_quals``, and the ``types`` and ``searches`` of the one
+    fixpoint all the queries shared.  Raises :class:`FragmentError` when
+    a query is outside the fragment, and declines with
+    :class:`ReproError` when the union closure has more than
+    ``max_facts`` facts."""
+    return _solve(tuple(queries), dtd, max_facts, context)
+
+
+def _solve(
+    queries: tuple[Path, ...], dtd: DTD, max_facts: int,
+    context: PackedTypesContext | None,
+) -> list[SatResult]:
+    for query in queries:
+        used = features_of(query)
+        if not used <= SPEC.allowed:
+            raise FragmentError(
+                f"sat_exptime_types requires X(child,dos,union,qual,neg); query uses "
+                f"{sorted(str(f) for f in used - SPEC.allowed)} extra"
+            )
     if context is None:
         context = prepare_types(dtd)
     closure = _Closure()
-    closure.collect(ast.PathExists(query))
+    seed_slots = closure.collect(*[ast.PathExists(query) for query in queries])
     if len(closure.facts) > max_facts:
+        of = f" of {len(queries)} questions" if len(queries) > 1 else ""
         raise ReproError(
-            f"{len(closure.facts)} child facts exceed max_facts={max_facts}; "
+            f"{len(closure.facts)} child facts{of} exceed max_facts={max_facts}; "
             "use sat_bounded for queries this large"
         )
     compiled = CompiledClosure(closure, context.label_index)
@@ -822,15 +884,27 @@ def sat_exptime_types(
         "types": len(type_labels),
         "searches": search_count,
     }
+    # a query holds at the root of a tree whose root type has its seed's
+    # truth bit; the first such root type found is its witness
     root_id = context.label_index[dtd.root]
-    # the seed qualifier PathExists(query) is collected first: bit 0
+    witness_types: list[int | None] = [None] * len(queries)
     for type_id, label_id in enumerate(type_labels):
-        if label_id == root_id and type_truths[type_id] & 1:
-            witness = partial(
-                _realize, type_id, context.labels, type_labels, type_realization, dtd
-            )
-            return SatResult(True, METHOD, witness=witness, stats=stats)
-    return SatResult(False, METHOD, stats=stats)
+        if label_id != root_id:
+            continue
+        truths = type_truths[type_id]
+        for position, slot in enumerate(seed_slots):
+            if witness_types[position] is None and truths >> slot & 1:
+                witness_types[position] = type_id
+    results = []
+    for type_id in witness_types:
+        if type_id is None:
+            results.append(SatResult(False, METHOD, stats=dict(stats)))
+            continue
+        witness = partial(
+            _realize, type_id, context.labels, type_labels, type_realization, dtd
+        )
+        results.append(SatResult(True, METHOD, witness=witness, stats=dict(stats)))
+    return results
 
 
 def _realize(
@@ -873,3 +947,8 @@ SPEC = register_decider(DeciderSpec(
     may_decline=True,  # raises ReproError beyond max_facts: fall back
     prepare=prepare_types,
 ))
+
+# the joint entry hangs on the decision function itself, so a spec whose
+# ``fn`` was replaced (a test double, a timing wrapper) has none and is
+# decided one question at a time (see DeciderSpec.joint)
+sat_exptime_types.joint = sat_exptime_types_joint

@@ -483,8 +483,17 @@ class Planner:
 
     def __init__(self) -> None:
         self._no_dtd_cache: dict[str, Plan] = {}
+        # each feature set's signature, computed once, so a plan-cache
+        # hit is two dict lookups (at most one entry per operator set)
+        self._signatures: dict[frozenset[Feature], str] = {}
         self.invocations = 0  # plans actually built
         self.cache_hits = 0   # plans served from a plan cache
+
+    def _signature(self, features: frozenset[Feature]) -> str:
+        signature = self._signatures.get(features)
+        if signature is None:
+            signature = self._signatures[features] = feature_signature(features)
+        return signature
 
     def plan_for(
         self,
@@ -495,7 +504,7 @@ class Planner:
     ) -> Plan:
         if artifacts is not None:
             cache = getattr(artifacts, "plan_cache", None)
-            signature = feature_signature(features)
+            signature = self._signature(features)
             if cache is not None:
                 plan = cache.get(signature)
                 if plan is not None:
@@ -519,7 +528,7 @@ class Planner:
                 traits=lambda name: _TRAIT_PREDICATES[name](dtd),
                 schema="(unregistered)",
             )
-        signature = feature_signature(features)
+        signature = self._signature(features)
         plan = self._no_dtd_cache.get(signature)
         if plan is not None:
             self.cache_hits += 1

@@ -83,7 +83,8 @@ class DeciderSpec:
     A decision function that reads its witness tree off its tables
     returns it unbuilt (see :class:`~repro.sat.result.SatResult`), so a
     caller that keeps only the verdict, as the batch engine does, never
-    builds one.
+    builds one.  A decision function may also carry a joint entry (see
+    :attr:`joint`); only the Thm 5.3 types fixpoint has one.
     """
 
     name: str
@@ -102,6 +103,18 @@ class DeciderSpec:
 
     def accepts(self, features: frozenset[Feature]) -> bool:
         return features <= self.allowed
+
+    @property
+    def joint(self) -> Callable | None:
+        """The decision function's *joint entry*, ``fn.joint``, or
+        ``None``: ``joint(queries, dtd, context=...)`` decides several
+        questions over one DTD at once and returns one result per query,
+        each with the verdict ``fn`` gives that query alone.  It is
+        reached only through ``fn``, so a spec whose ``fn`` was replaced
+        (``dataclasses.replace(spec, fn=...)``: a test double, a timing
+        wrapper) has none, and the batch engine then calls that ``fn``
+        on each question."""
+        return getattr(self.fn, "joint", None)
 
     def call(self, query, dtd=None, bounds=None, context=None):
         """Run the decision function, handing it ``context`` (the object

@@ -10,6 +10,12 @@ table, merges across engines/processes, serializes for the engine's
 ``--state-dir`` persistence, and renders the ``repro stats --plans``
 report.
 
+A latency sample is the decider-chain time of one execution.  A question
+the batch engine decided inside a joint call (several Thm 5.3 questions
+in one fixpoint, see :mod:`repro.engine.executors`) records its share:
+the call's time divided by its question count, so the samples of one
+call sum to the time it took and none reads 0 ms.
+
 Telemetry observes routing and never changes it: a plan depends only on
 the query's feature signature and the schema's class.
 """

@@ -124,6 +124,13 @@ def feature_signature(features: frozenset[Feature]) -> str:
     return ",".join(sorted(f.value for f in features)) or "()"
 
 
+def signature_features(signature: str) -> frozenset[Feature]:
+    """The operator set a :func:`feature_signature` names."""
+    if signature == "()":
+        return frozenset()
+    return frozenset(Feature(value) for value in signature.split(","))
+
+
 @dataclass(frozen=True)
 class Fragment:
     """A named set of allowed operators."""

@@ -535,6 +535,48 @@ class TestGroupedScheduler:
         assert report.results[1].error is None
         assert report.results[1].satisfiable is not None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_joint_decides_counted(self, registry, workers):
+        # a chunk of two or more Thm 5.3 questions is decided jointly;
+        # per-job dispatch and PTIME-only runs decide none jointly
+        from repro.obs.metrics import MetricsRegistry
+
+        jobs = [Job(query, "disjfree") for query in self.HEAVY[:4]]
+        engine = self._engine(registry, workers=workers)
+        try:
+            report = engine.run(jobs)
+        finally:
+            engine.close()
+        assert report.stats.errors == 0
+        assert report.stats.group_sizes == [4]
+        assert report.stats.joint_decides == 4
+        assert report.stats.as_dict()["joint_decides"] == 4
+        assert "4 joint decides" in report.stats.describe()
+        metrics = MetricsRegistry()
+        report.stats.register_metrics(metrics)
+        assert metrics.counter("repro_joint_decides_total").value == 4
+        per_job = self._engine(
+            registry, workers=workers, group_chunk_size=1, affinity=False
+        )
+        try:
+            per_job_report = per_job.run(jobs)
+            ptime = per_job.run([Job(q, "disjfree") for q in ("A/C", "B", "A")])
+        finally:
+            per_job.close()
+        assert per_job_report.stats.joint_decides == 0
+        assert [r.satisfiable for r in report.results] == [
+            r.satisfiable for r in per_job_report.results
+        ]
+        assert [r.method for r in report.results] == [
+            r.method for r in per_job_report.results
+        ]
+        assert ptime.stats.inline_decides == 3
+        assert ptime.stats.joint_decides == 0
+        ptime_default = self._engine(registry).run(
+            [Job(q, "disjfree") for q in ("A/C", "B", "A")]
+        )
+        assert ptime_default.stats.joint_decides == 0
+
     def test_none_returning_prepare_runs_once_per_chunk(self, registry, monkeypatch):
         # a hook that legitimately yields no context must not be re-run
         # for every question in the chunk
@@ -554,9 +596,11 @@ class TestGroupedScheduler:
         assert report.stats.errors == 0
         assert report.stats.plan_groups == 1
         assert len(calls) == 1
-        # no context existed, so nothing counts as shared or fallen back
+        # no context existed, so nothing counts as shared or fallen back,
+        # and the questions were decided one at a time
         assert report.stats.setup_reuse == 0
         assert report.stats.prepare_fallbacks == 0
+        assert report.stats.joint_decides == 0
 
     def test_fallback_prepare_failure_keeps_primary_context(self, registry, monkeypatch):
         # a broken *fallback* hook marks only that decider context-less;

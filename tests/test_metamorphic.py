@@ -21,6 +21,7 @@ import pytest
 
 from repro.dtd import parse_dtd
 from repro.engine import BatchEngine, DecisionCache, SchemaRegistry
+from repro.engine.executors import JOINT_QUESTIONS
 from repro.engine.statetier import StateTier, read_legacy_json
 from repro.obs.trace import ListSink, Tracer
 from repro.sat import Plan, PlanTelemetry
@@ -225,6 +226,21 @@ class TestGroupedScheduling:
         assert _verdict_mixes(grouped) == _verdict_mixes(ungrouped)
         # chunking shows in the group-size distribution
         assert max(grouped_report.stats.group_sizes) <= 3
+        # one more input: chunks above the joint cap, decided in several
+        # joint calls each
+        jobs = jobs + self._overflow_corpus()
+        grouped = BatchEngine(registry=_registry(), group_chunk_size=16)
+        ungrouped = BatchEngine(
+            registry=_registry(), group_chunk_size=1, affinity=False
+        )
+        grouped_report = grouped.run(jobs)
+        ungrouped_report = ungrouped.run(jobs)
+        assert _verdicts(grouped_report) == _verdicts(ungrouped_report)
+        assert _cache_records(grouped) == _cache_records(ungrouped)
+        assert _verdict_mixes(grouped) == _verdict_mixes(ungrouped)
+        assert max(grouped_report.stats.group_sizes) > JOINT_QUESTIONS
+        assert grouped_report.stats.joint_decides > JOINT_QUESTIONS
+        assert ungrouped_report.stats.joint_decides == 0
 
     def test_single_job_groups(self):
         # every heavy question distinct per schema fragment shape: each

@@ -386,6 +386,31 @@ class TestEngineTracing:
         # Span.to_dict rounds ms to 4 decimals; tolerance covers that
         assert traced_total == pytest.approx(telemetry_total, abs=1e-3)
 
+    def test_pooled_chunk_span_counts_joint_decides(self, registry):
+        # a 2-worker run: each pooled chunk span carries how many of the
+        # chunk's questions were decided jointly, and each such job's one
+        # attempt is its share of the joint call
+        jobs = [Job(query, "disjfree", id=query) for query in HEAVY[:4]]
+        engine, sink, _tracer = traced_engine(registry, workers=2)
+        try:
+            report = engine.run(jobs)
+        finally:
+            engine.close()
+        assert report.stats.errors == 0
+        assert report.stats.joint_decides == 4
+        shares = set()
+        for record in sink.records:
+            assert record["route"] == "pool"
+            (chunk,) = spans_named(record, "chunk")
+            assert chunk["attrs"]["joint_decides"] == 4
+            (attempt,) = [
+                span for span in _all_spans(record)
+                if span["name"].startswith("attempt:")
+            ]
+            assert attempt["name"] == "attempt:exptime_types"
+            shares.add(attempt["ms"])
+        assert len(shares) == 1 and shares.pop() > 0.0
+
     def test_coalesced_followers_name_their_leader(self, registry):
         engine, sink, _ = traced_engine(registry, workers=2)
         engine.run([

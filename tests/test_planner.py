@@ -190,6 +190,26 @@ class TestPlanCache:
         assert other.invocations == 0
         assert other.cache_hits == 1
 
+    def test_warm_plan_for_computes_no_signature(self, registry, monkeypatch):
+        import repro.sat.planner as planner_module
+
+        planner = Planner()
+        artifacts = registry.get("general")
+        features = features_of(parse_query("A[not(B)]"))
+        plan = planner.plan_for(features, artifacts=artifacts)
+        no_dtd = planner.plan_for(features)
+        calls = []
+
+        def counting(features):
+            calls.append(features)
+            return feature_signature(features)
+
+        monkeypatch.setattr(planner_module, "feature_signature", counting)
+        assert planner.plan_for(features, artifacts=artifacts) is plan
+        assert planner.plan_for(features) is no_dtd
+        assert calls == []
+        assert planner.cache_hits == 2
+
     def test_warm_engine_run_makes_zero_planner_invocations(self, registry):
         jobs = [
             ("A | **/B", "general"), ("A[C]", "general"), ("A[not(B)]", "general"),

@@ -18,7 +18,10 @@ replaced are kept here, verbatim, as the reference:
   reach is never searched;
 * witnesses deeper than the interpreter's recursion limit are built, and
   answered through the engine (a Thm 4.1 witness and a Thm 6.8 merged
-  witness as well).
+  witness as well);
+* a joint fixpoint over several questions gives each the verdict it gets
+  alone, and a chunk decided by a worker runtime, jointly where it can,
+  answers each question as :func:`execute_plan` does alone.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from repro.dtd import is_nonrecursive, parse_dtd, random_dtd
 from repro.dtd.graph import DTDGraph
 from repro.dtd.properties import max_document_depth
 from repro.engine import BatchEngine, Job, SchemaRegistry
-from repro.errors import ReproError
-from repro.sat import decide
+from repro.engine.executors import JOINT_QUESTIONS, ChunkTask, WorkerRuntime
+from repro.errors import ReproError, job_error_text
+from repro.sat import Planner, decide
 from repro.sat.disjunction_free import METHOD as DISJFREE_METHOD
 from repro.sat.downward import METHOD as DOWNWARD_METHOD
 from repro.sat.downward import sat_downward
@@ -43,12 +47,15 @@ from repro.sat.exptime_types import (
     _Closure,
     prepare_types,
     sat_exptime_types,
+    sat_exptime_types_joint,
 )
+from repro.sat.planner import execute_plan
 from repro.workloads import batch_jobs, random_query, wide_dtd
 from repro.xmltree import generate
 from repro.xmltree.validate import conforms
 from repro.xpath import ast, parse_query
-from repro.xpath.fragments import REC_NEG_DOWN, REC_NEG_DOWN_UNION
+from repro.xpath.canonical import canonicalize
+from repro.xpath.fragments import REC_NEG_DOWN, REC_NEG_DOWN_UNION, features_of
 from repro.xpath.semantics import satisfies
 
 from test_symbolic_backend import WIDE_QUERIES
@@ -479,3 +486,259 @@ class TestDeepWitnesses:
         assert record.error is None, record.error
         assert record.satisfiable is True
         assert record.method == DISJFREE_METHOD
+
+
+# -- joint fixpoints ----------------------------------------------------------------
+
+def recursive_schemas(seed: int, count: int):
+    """``count`` seeded recursive ``random_dtd`` schemas."""
+    rng = random.Random(seed)
+    schemas = []
+    while len(schemas) < count:
+        dtd = random_dtd(rng, n_types=rng.randint(4, 16))
+        if not is_nonrecursive(dtd):
+            schemas.append(dtd)
+    return schemas
+
+
+def labelled_union(prefix: str, count: int) -> str:
+    """A question with ``count`` child facts: the root has none of
+    ``count`` children, none of them in the schema."""
+    return ".[not(" + " | ".join(f"{prefix}{i}" for i in range(count)) + ")]"
+
+
+def nested_question(depth: int):
+    """``a[not(a[not(...)])]``, ``depth`` filters deep, built without the
+    parser: the closure's interning recurses once per level."""
+    query = ast.Label("a")
+    for _ in range(depth):
+        query = ast.Filter(ast.Label("a"), ast.Not(ast.PathExists(query)))
+    return query
+
+
+def run_chunk(runtime, dtd, canonicals):
+    """One chunk of ``canonicals`` through ``runtime``, each with the plan
+    the planner makes for it, and the outcome ``execute_plan`` gives each
+    question alone."""
+    planner = Planner()
+    plans = tuple(planner.plan_for(features_of(q), dtd=dtd) for q in canonicals)
+    outcome = runtime.run_chunk(ChunkTask(
+        task_id=0, fingerprint=None, canonicals=tuple(canonicals), plans=plans,
+    ), dtd)
+    alone = []
+    for plan, canonical in zip(plans, canonicals):
+        try:
+            result = execute_plan(plan, canonical, dtd, pre_canonicalized=True)
+        except Exception as error:
+            alone.append((None, "error", "", job_error_text(error)))
+        else:
+            alone.append((result.satisfiable, result.method, result.reason, None))
+    return plans, outcome, alone
+
+
+class TestJointFixpoint:
+    def test_joint_verdicts_match_one_at_a_time(self):
+        rng = random.Random(2929)
+        sat_witnesses = 0
+        decided: set[int] = set()
+        for dtd in recursive_schemas(2929, 20):
+            context = prepare_types(dtd)
+            labels = sorted(dtd.element_types)
+            for size in (1, 2, 3, 4, 5, 8, 16):
+                # shallower questions keep some large unions in max_facts
+                queries = [
+                    canonicalize(random_query(
+                        rng, rng.choice((REC_NEG_DOWN, REC_NEG_DOWN_UNION)),
+                        labels, max_depth=3 if size <= 5 else 2,
+                    ))
+                    for _ in range(size)
+                ]
+                alone = [
+                    sat_exptime_types(query, dtd, context=context)
+                    for query in queries
+                ]
+                try:
+                    joint = sat_exptime_types_joint(queries, dtd, context=context)
+                except ReproError as error:
+                    # the union of a large chunk may pass max_facts
+                    assert "max_facts" in str(error)
+                    closure = _Closure()
+                    closure.collect(*(ast.PathExists(q) for q in queries))
+                    assert len(closure.facts) > 22
+                    continue
+                decided.add(size)
+                assert len(joint) == size
+                for query, one, result in zip(queries, alone, joint):
+                    assert result.satisfiable == one.satisfiable, str(query)
+                    assert result.method == one.method == METHOD
+                    # every result reports the one joint fixpoint
+                    assert result.stats == joint[0].stats
+                    if result.satisfiable:
+                        sat_witnesses += 1
+                        assert conforms(result.witness, dtd), str(query)
+                        assert satisfies(result.witness, query), str(query)
+                if size == 1:
+                    assert joint[0].stats == alone[0].stats
+        assert sat_witnesses >= 100
+        assert decided == {1, 2, 3, 4, 5, 8, 16}
+
+    def test_union_past_max_facts_declines(self):
+        dtd = pooled_schemas()["g1"]
+        queries = [parse_query(labelled_union(f"y{n}_", 8)) for n in range(3)]
+        for query in queries:
+            assert sat_exptime_types(query, dtd).stats["facts"] == 8
+        with pytest.raises(ReproError, match="24 child facts of 3 questions"):
+            sat_exptime_types_joint(queries, dtd)
+        (alone,) = sat_exptime_types_joint(queries[:1], dtd)
+        assert alone.satisfiable is True
+
+    def test_fragment_is_checked_per_question(self):
+        dtd = pooled_schemas()["g1"]
+        with pytest.raises(ReproError, match="requires X"):
+            sat_exptime_types_joint(
+                [parse_query(".[not(x)]"), parse_query("x/>")], dtd
+            )
+
+
+class TestJointChunks:
+    """A worker runtime decides a chunk's Thm 5.3 questions jointly where
+    it can, and every answer equals :func:`execute_plan` alone."""
+
+    def test_random_chunks_match_execute_plan(self):
+        rng = random.Random(2930)
+        runtime = WorkerRuntime()
+        joint = 0
+        for dtd in recursive_schemas(2930, 12):
+            labels = sorted(dtd.element_types)
+            for size in (1, 2, 3, 4, 6, 9, 16):
+                canonicals = [
+                    canonicalize(random_query(
+                        rng, rng.choice((REC_NEG_DOWN, REC_NEG_DOWN_UNION)),
+                        labels, max_depth=3,
+                    ))
+                    for _ in range(size)
+                ]
+                plans, outcome, alone = run_chunk(runtime, dtd, canonicals)
+                assert outcome.error is None
+                assert [o[:4] for o in outcome.outcomes] == alone
+                if size == 1:
+                    assert outcome.joint_decides == 0
+                joint += outcome.joint_decides
+                for (*_verdict, attempts), plan in zip(outcome.outcomes, plans):
+                    assert attempts[0][0] == plan.decider
+        assert joint >= 200
+
+    def test_joint_calls_take_at_most_the_joint_cap(self, monkeypatch):
+        from repro.sat import exptime_types
+
+        sizes = []
+        joint_entry = exptime_types.sat_exptime_types.joint
+
+        def counting(queries, dtd, **kwargs):
+            sizes.append(len(queries))
+            return joint_entry(queries, dtd, **kwargs)
+
+        monkeypatch.setattr(exptime_types.sat_exptime_types, "joint", counting)
+        dtd = pooled_schemas()["g1"]
+        labels = sorted(dtd.element_types)
+        canonicals = [
+            canonicalize(parse_query(f"{label}[not({other})]"))
+            for label, other in zip(labels[:9], labels[1:10])
+        ]
+        _plans, outcome, alone = run_chunk(WorkerRuntime(), dtd, canonicals)
+        assert [o[:4] for o in outcome.outcomes] == alone
+        # nine questions: three runs, each at most the cap, none alone
+        assert sizes == [3, 3, 3]
+        assert max(sizes) <= JOINT_QUESTIONS
+        assert outcome.joint_decides == 9
+        # a jointly decided question's one attempt is its share of a call
+        shares = {o[4][0][1] for o in outcome.outcomes[:3]}
+        assert len(shares) == 1 and shares.pop() > 0.0
+
+    def test_declines_and_failures_stay_alone(self):
+        dtd = pooled_schemas()["g1"]
+        labels = sorted(dtd.element_types)
+        small = [
+            canonicalize(parse_query(f"{labels[i]}[not({labels[i + 1]})]"))
+            for i in range(3)
+        ]
+        too_many_facts = canonicalize(parse_query(labelled_union("z", 23)))
+        union_past_cap = [
+            canonicalize(parse_query(labelled_union(f"y{n}_", 8)))
+            for n in range(3)
+        ]
+        outside = canonicalize(parse_query(f"{labels[0]}/>"))
+        too_deep = nested_question(3000)
+        runtime = WorkerRuntime()
+        chunks = [
+            # a question alone past max_facts declines to its fallbacks
+            small[:1] + [too_many_facts] + small[1:],
+            # three questions that fit alone but not together
+            union_past_cap,
+            # a question outside the fragment has its own plan
+            small + [outside],
+            # one question's decider raises: it alone fails
+            small[:2] + [too_deep] + small[2:],
+        ]
+        outcomes = []
+        for canonicals in chunks:
+            _plans, outcome, alone = run_chunk(runtime, dtd, canonicals)
+            assert outcome.error is None
+            assert [o[:4] for o in outcome.outcomes] == alone
+            outcomes.append(outcome)
+        declined = outcomes[0].outcomes[1]
+        assert declined[4][0][0] == "exptime_types"
+        assert declined[4][0][2] == "declined"
+        assert declined[3] is None and declined[1] != METHOD
+        assert outcomes[1].joint_decides == 0
+        assert [o[1] for o in outcomes[1].outcomes] == [METHOD] * 3
+        assert outcomes[2].joint_decides == 3
+        assert outcomes[2].outcomes[3][1] != METHOD
+        failed = outcomes[3].outcomes[2]
+        assert failed[1] == "error" and "nests too deeply" in failed[3]
+        assert all(o[3] is None for i, o in enumerate(outcomes[3].outcomes) if i != 2)
+
+    def test_replaced_decider_is_called_per_question(self, monkeypatch):
+        import dataclasses
+
+        from repro.sat import registry as sat_registry
+
+        spec = sat_registry.get_decider("exptime_types")
+        calls = []
+
+        def counting(query, dtd, max_facts=22, context=None):
+            calls.append(query)
+            return spec.fn(query, dtd, max_facts, context=context)
+
+        monkeypatch.setitem(
+            sat_registry._REGISTRY, "exptime_types",
+            dataclasses.replace(spec, fn=counting),
+        )
+        dtd = pooled_schemas()["g1"]
+        labels = sorted(dtd.element_types)
+        canonicals = [
+            canonicalize(parse_query(f"{labels[i]}[not({labels[i + 1]})]"))
+            for i in range(4)
+        ]
+        _plans, outcome, alone = run_chunk(WorkerRuntime(), dtd, canonicals)
+        assert outcome.joint_decides == 0
+        assert [o[:4] for o in outcome.outcomes] == alone
+        assert len(calls) == 8  # the chunk, then execute_plan alone
+
+
+class TestDecideRecursion:
+    def test_decide_reports_a_query_nested_too_deeply(self):
+        # exptime_types declines (500 facts) and the bounded fallback
+        # recurses once per step: the library says what the engine says
+        dtd = chain_dtd(1300)
+        text = "/".join(f"a{i}" for i in range(1, 500)) + "[not(zz)]"
+        with pytest.raises(ReproError, match="query nests too deeply"):
+            decide(parse_query(text), dtd)
+        registry = SchemaRegistry()
+        registry.register("chain", dtd)
+        engine = BatchEngine(registry=registry)
+        try:
+            (record,) = engine.run([Job(text, "chain", "deep")]).results
+        finally:
+            engine.close()
+        assert record.error.startswith("query nests too deeply")
