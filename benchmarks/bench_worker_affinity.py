@@ -21,11 +21,12 @@ Asserted invariants:
   chunks are runtime-context hits (counter checks);
 * in full mode (not ``REPRO_BENCH_QUICK``), affinity throughput is at
   least **1.5×** stateless on the ≥3-chunks-per-schema heavy workload
-  with 2 workers — the PR's acceptance bar.
+  with 2 workers — the PR's acceptance bar — on the medians of
+  ``ROUNDS`` interleaved rounds, each timing both arms on fresh engines.
 
-Quick mode (``REPRO_BENCH_QUICK=1``, used by CI) shrinks the workload
-and asserts only the deterministic counters and verdict equality, so CI
-never flakes on wall-clock noise.
+Quick mode (``REPRO_BENCH_QUICK=1``, used by CI) shrinks the workload,
+times one round, and asserts only the deterministic counters and
+verdict equality, so CI never flakes on wall-clock noise.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import random
 import time
 import zlib
 
-from benchmarks.conftest import format_table
+from benchmarks.conftest import format_table, timing_summary
 from repro.dtd import random_dtd
 from repro.engine import BatchEngine, DecisionCache, Job, SchemaRegistry
 from repro.engine.registry import schema_fingerprint
@@ -52,9 +53,10 @@ WORKERS = 2
 #: time, exactly what per-chunk rebuild punishes)
 CHUNK_SIZE = 4
 SPEEDUP_BAR = 1.5
-#: each configuration is timed this many times and the best wall time
-#: wins — the acceptance bar guards the scheduler, not container noise
-TIMING_RUNS = 1 if QUICK else 2
+#: rounds of one affinity run and one stateless run, each on fresh
+#: engines; the bar compares the two arms' median wall times, so one
+#: slow run on a noisy host decides nothing
+ROUNDS = 1 if QUICK else 5
 
 HEAVY_FRAGMENTS = (frag.DATA_NEG_DOWN, frag.CHILD_QUAL_NEG, frag.REC_NEG_DOWN)
 
@@ -101,29 +103,25 @@ def _heavy_jobs(rng: random.Random, schemas: dict, n_jobs: int) -> list[Job]:
 
 
 def _run(schemas: dict, jobs: list[Job], affinity: bool):
-    """Best wall time over ``TIMING_RUNS`` fresh engines (counters and
-    results come from the fastest run; every run is built from scratch,
-    so no run warms another)."""
-    best = None
-    for _attempt in range(TIMING_RUNS):
-        registry = SchemaRegistry()
-        for name, dtd in schemas.items():
-            registry.register(name, dtd)
-        engine = BatchEngine(
-            registry=registry, cache=DecisionCache(capacity=8192),
-            workers=WORKERS, group_chunk_size=CHUNK_SIZE,
-            affinity=affinity,
-            # the workload is balanced (one schema per lane): spilling a
-            # chunk off its warm lane only forces a cold rebuild, so keep
-            # the queue deep enough that nothing spills
-            lane_queue_depth=max(4, N_JOBS // CHUNK_SIZE),
-        )
-        start = time.perf_counter()
-        outcome = engine.run(jobs)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best[0]:
-            best = (elapsed, outcome, engine)
-    return best
+    """One timed run on a fresh engine (built from scratch, so no run
+    warms another): ``(wall ms, report, engine)``."""
+    registry = SchemaRegistry()
+    for name, dtd in schemas.items():
+        registry.register(name, dtd)
+    engine = BatchEngine(
+        registry=registry, cache=DecisionCache(capacity=8192),
+        workers=WORKERS, group_chunk_size=CHUNK_SIZE,
+        affinity=affinity,
+        # the workload is balanced (one schema per lane): spilling a
+        # chunk off its warm lane only forces a cold rebuild, so keep
+        # the queue deep enough that nothing spills
+        lane_queue_depth=max(4, N_JOBS // CHUNK_SIZE),
+    )
+    start = time.perf_counter()
+    outcome = engine.run(jobs)
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    engine.close()
+    return elapsed_ms, outcome, engine
 
 
 def _cache_records(engine):
@@ -140,10 +138,14 @@ def test_affinity_vs_stateless(report, rng):
     schemas = _schemas()
     jobs = _heavy_jobs(rng, schemas, N_JOBS)
 
-    affine_elapsed, affine, affine_engine = _run(schemas, jobs, affinity=True)
-    stateless_elapsed, stateless, stateless_engine = _run(
-        schemas, jobs, affinity=False
-    )
+    affine_ms, stateless_ms = [], []
+    for _round in range(ROUNDS):
+        elapsed_ms, affine, affine_engine = _run(schemas, jobs, affinity=True)
+        affine_ms.append(elapsed_ms)
+        elapsed_ms, stateless, stateless_engine = _run(
+            schemas, jobs, affinity=False
+        )
+        stateless_ms.append(elapsed_ms)
 
     # affinity must never change a verdict, a cached decision, or a
     # telemetry verdict mix
@@ -164,41 +166,43 @@ def test_affinity_vs_stateless(report, rng):
     assert stateless.stats.runtime_context_hits == 0
     assert stateless.stats.dtd_ships == stateless.stats.plan_groups
 
-    speedup = (
-        stateless_elapsed / affine_elapsed if affine_elapsed else float("inf")
-    )
+    affine_t = timing_summary(affine_ms)
+    stateless_t = timing_summary(stateless_ms)
+    speedup = stateless_t["median"] / affine_t["median"]
     rows = []
-    for name, elapsed, stats in (
-        ("affinity", affine_elapsed, affine.stats),
-        ("stateless", stateless_elapsed, stateless.stats),
+    for name, timing, stats in (
+        ("affinity", affine_t, affine.stats),
+        ("stateless", stateless_t, stateless.stats),
     ):
-        rate = stats.jobs / elapsed if elapsed else float("inf")
+        rate = stats.jobs / timing["median"] * 1e3
         rows.append([
             name, stats.jobs, stats.plan_groups, stats.dtd_ships,
             stats.runtime_context_hits, stats.affinity_spills,
-            f"{elapsed * 1e3:.1f} ms", f"{rate:,.0f} jobs/s",
+            f"{timing['median']:.1f} ms", f"{timing['iqr']:.1f} ms",
+            f"{rate:,.0f} jobs/s",
         ])
     table = format_table(
         ["executor", "jobs", "chunks", "DTD ships", "runtime hits",
-         "spills", "wall", "throughput"],
+         "spills", "median wall", "IQR", "throughput"],
         rows,
     )
     report(
         "worker_affinity",
-        table + f"\naffinity speedup: {speedup:.2f}x over stateless "
+        table + f"\naffinity speedup: {speedup:.2f}x over stateless on the "
+        f"medians of {ROUNDS} interleaved round(s) "
         f"({N_JOBS} heavy jobs, {len(schemas)} schemas of {N_TYPES} types, "
         f"{WORKERS} workers, chunk size {CHUNK_SIZE})",
     )
     if not QUICK:
         assert speedup >= SPEEDUP_BAR, (
-            f"affinity scheduling {speedup:.2f}x stateless — below the "
-            f"{SPEEDUP_BAR}x acceptance bar"
+            f"affinity scheduling {speedup:.2f}x stateless on the medians "
+            f"of {ROUNDS} rounds — below the {SPEEDUP_BAR}x acceptance bar"
         )
 
 
 def test_inline_runtime_reuses_across_chunks(report):
-    """Even without a pool (1 worker), the engine-lifetime inline
-    executor serves chunk N of a schema from chunk 1's contexts."""
+    """Even without a pool (1 worker), the engine's own runtime serves
+    chunk N of a schema from chunk 1's contexts."""
     schemas = _schemas()
     jobs = _heavy_jobs(random.Random(7), schemas, 16)
     registry = SchemaRegistry()

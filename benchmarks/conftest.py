@@ -36,8 +36,12 @@ def format_table(headers: list[str], rows: list[list[object]]) -> str:
 
 def timing_summary(trial_ms: list[float]) -> dict:
     """Median, min and interquartile range of per-trial milliseconds,
-    with the trials themselves, as the kernel harnesses record them."""
-    quartiles = statistics.quantiles(trial_ms, n=4, method="inclusive")
+    with the trials themselves, as the kernel harnesses record them
+    (one trial, as in a quick mode, has an IQR of 0)."""
+    quartiles = (
+        statistics.quantiles(trial_ms, n=4, method="inclusive")
+        if len(trial_ms) > 1 else trial_ms * 3
+    )
     return {
         "median": round(statistics.median(trial_ms), 4),
         "min": round(min(trial_ms), 4),

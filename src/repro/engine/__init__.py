@@ -12,11 +12,12 @@ package amortizes their setup across production-scale workloads:
   schema_ref)`` job streams, inline for PTIME fragments and on a process
   pool for EXPTIME/NEXPTIME ones (deciding in-process what the pool has
   no room for);
-* :mod:`repro.engine.executors` — the execution layer: an
-  :class:`Executor` abstraction over :class:`InlineExecutor` and
-  :class:`PersistentPoolExecutor`, whose long-lived worker lanes cache
-  schemas and prepared contexts (:class:`WorkerRuntime`) across chunks
-  with schema-fingerprint affinity routing;
+* :mod:`repro.engine.executors` — the execution layer: the
+  :class:`WorkerRuntime` that decides chunks and caches schemas and
+  prepared contexts across them (the engine calls its own directly),
+  and the :class:`Executor` contract with its one implementation,
+  :class:`PersistentPoolExecutor`, whose long-lived worker lanes each
+  hold a runtime and take chunks by schema-fingerprint affinity;
 * :mod:`repro.engine.jobs` — JSONL serialization driving ``python -m
   repro batch``;
 * :mod:`repro.engine.server` — :class:`EngineServer`, the asyncio daemon
@@ -46,7 +47,6 @@ from repro.engine.executors import (
     ChunkTask,
     Executor,
     ExecutorStats,
-    InlineExecutor,
     PersistentPoolExecutor,
     WorkerRuntime,
 )
@@ -64,7 +64,7 @@ __all__ = [
     "BatchEngine", "BatchReport", "EngineStats", "Job", "JobResult",
     "CachedDecision", "DecisionCache", "decision_key", "decision_key_for",
     "ChunkOutcome", "ChunkTask", "Executor", "ExecutorStats",
-    "InlineExecutor", "PersistentPoolExecutor", "WorkerRuntime",
+    "PersistentPoolExecutor", "WorkerRuntime",
     "SchemaArtifacts", "SchemaRegistry", "schema_fingerprint",
     "PersistedState", "StateTier", "resolve_tier_path",
     "read_jobs", "read_jobs_file", "write_jobs_file",

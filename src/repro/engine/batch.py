@@ -17,11 +17,11 @@ workload:
    (including syntactic variants) skip ``decide()`` entirely;
 4. **one job pipeline** — every job that misses the decision cache and
    is not coalesced onto an identical question in flight is planned
-   and decided as part of a chunk on an executor.  A PTIME plan
-   (``plan.route == "inline"``) runs as a chunk of one on the engine's
-   in-process executor (a worker round trip would cost more than the
-   decision), absorbed before the scan moves on, so its answer streams
-   during the scan.  A question whose plan is routed to the heavy
+   and decided as part of a chunk.  A PTIME plan (``plan.route ==
+   "inline"``) runs as a chunk of one on the engine's own runtime (a
+   worker round trip would cost more than the decision), absorbed
+   before the scan moves on, so its answer streams during the scan.  A
+   question whose plan is routed to the heavy
    EXPTIME/NEXPTIME/bounded procedures (``plan.route == "pool"``) waits
    with its schema's other such questions, whatever their plans, and
    they go out in chunks of ``group_chunk_size``: a chunk as soon as
@@ -49,29 +49,28 @@ workload:
    is a pure scheduling change — verdicts, cache contents, and telemetry
    verdict mixes are identical either way (see
    ``tests/test_metamorphic.py``);
-6. **persistent worker runtimes with schema affinity** — both executors
-   implement :class:`~repro.engine.executors.Executor`: the in-process
-   :class:`~repro.engine.executors.InlineExecutor` and a
-   :class:`~repro.engine.executors.PersistentPoolExecutor` of long-lived
-   worker *lanes*, each holding a
-   :class:`~repro.engine.executors.WorkerRuntime` that caches DTDs and
-   prepared contexts by schema fingerprint **across chunks** (one
-   context per schema, shared by every plan asked of it).  Chunks
+6. **persistent worker runtimes with schema affinity** — every chunk
+   runs on a :class:`~repro.engine.executors.WorkerRuntime` that caches
+   DTDs and prepared contexts by schema fingerprint **across chunks**
+   (one context per schema, shared by every plan asked of it): the
+   engine's own, which it calls directly, or one on each long-lived
+   worker *lane* of a
+   :class:`~repro.engine.executors.PersistentPoolExecutor`.  Chunks
    route to lanes by schema-fingerprint affinity (a consistent hash,
    spilling to the least-loaded lane when the preferred lane already
    holds ``lane_queue_depth`` chunks; when every lane does, the engine
-   decides the chunk in-process on the same warm runtime a one-worker
+   decides the chunk on its own runtime, the warm one a one-worker
    engine uses, and its jobs report route ``inline``), the DTD ships to
    a lane only on first touch, and a dead lane is respawned cold with
    its in-flight chunks retried once.  Disable with ``affinity=False``
    (``--no-affinity``) for stateless runtimes (fresh contexts per
    chunk, the DTD shipped every time); affinity is a pure scheduling
    change too — same bit-identical guarantees as grouping.  The
-   executors are built from ``affinity`` and ``lane_queue_depth``, so
-   both are read-only after construction;
-7. **an engine lifecycle** — executors are *engine*-lifetime, not
-   run-lifetime: worker lanes, their shipped-DTD sets, and their runtime
-   context caches persist across :meth:`BatchEngine.run` calls, so the
+   runtime and the pool are built from ``affinity`` and
+   ``lane_queue_depth``, so both are read-only after construction;
+7. **an engine lifecycle** — runtimes are *engine*-lifetime, not
+   run-lifetime: worker lanes, their shipped-DTD sets, and every runtime's
+   context cache persist across :meth:`BatchEngine.run` calls, so the
    second batch over the same schemas ships zero DTDs and starts from
    warm contexts.  The engine is a context manager; ``close()`` releases
    the lanes, and a closed engine refuses further runs instead of
@@ -102,8 +101,8 @@ from repro.engine.executors import (
     ChunkOutcome,
     ChunkTask,
     Executor,
-    InlineExecutor,
     PersistentPoolExecutor,
+    WorkerRuntime,
 )
 from repro.engine.registry import SchemaArtifacts, SchemaRegistry
 from repro.obs.metrics import MetricsRegistry
@@ -192,6 +191,16 @@ class JobResult:
         if self.error is not None:
             record["error"] = self.error
         return record
+
+
+def _rank_quantile(values: list, q: float, empty: Any) -> Any:
+    """The ``q``-quantile of ``values``: the sorted value at rank
+    ``q·n`` rounded half up, clamped to ``1..n`` (``empty`` when there
+    are none)."""
+    if not values:
+        return empty
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))]
 
 
 def _counter(line: str, label: str, help_text: str) -> Any:
@@ -284,29 +293,16 @@ class EngineStats:
     elapsed_s: float = 0.0
     cache: dict[str, Any] = field(default_factory=dict)
     registry: dict[str, Any] = field(default_factory=dict)
-    # per-plan telemetry summary — like the persisted_* fields this is an
-    # engine-lifetime snapshot (telemetry accumulates across runs and
-    # merges persisted state), not a per-run delta: counts reconcile with
-    # the sum of decide_calls over the engine's whole history
-    plans: dict[str, Any] = field(default_factory=dict)
 
     def jobs_per_group(self, q: float) -> int:
         """The ``q``-quantile of jobs per dispatched group chunk (0 when
         nothing was grouped this run)."""
-        if not self.group_sizes:
-            return 0
-        ordered = sorted(self.group_sizes)
-        index = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))
-        return ordered[index]
+        return _rank_quantile(self.group_sizes, q, 0)
 
     def dwell_percentile(self, q: float) -> float:
         """The ``q``-quantile of chunk enqueue→absorb dwell in ms (0.0
         when no chunk was dispatched this run)."""
-        if not self.chunk_dwell_ms:
-            return 0.0
-        ordered = sorted(self.chunk_dwell_ms)
-        index = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))
-        return ordered[index]
+        return _rank_quantile(self.chunk_dwell_ms, q, 0.0)
 
     def lane_health(self) -> dict[int, dict[str, int]]:
         """Per-lane health gauges folded from chunk outcomes: runtime
@@ -346,7 +342,6 @@ class EngineStats:
             "elapsed_s": round(self.elapsed_s, 4),
             "cache": dict(self.cache),
             "registry": dict(self.registry),
-            "plans": dict(self.plans),
         })
         return record
 
@@ -504,9 +499,9 @@ class BatchEngine:
     persistent, schema-affine worker lanes that takes heavy fragments in
     per-schema chunks.
 
-    The engine is a long-lived object with an explicit lifecycle: both
-    executors (inline and pool) live as long as the engine, so lanes and
-    their runtime caches stay warm across :meth:`run` calls.  Use it as
+    The engine is a long-lived object with an explicit lifecycle: its
+    own runtime and its pool live as long as the engine, so every
+    runtime's caches stay warm across :meth:`run` calls.  Use it as
     a context manager, or call :meth:`close` when done — a closed engine
     raises :class:`~repro.errors.EngineError` on further use."""
 
@@ -597,10 +592,10 @@ class BatchEngine:
         # serving front-end registers its connection/inflight gauges
         # here so they land in the state tier's metrics.prom)
         self.metrics_sources: list[Any] = []
-        # both executors are engine-lifetime (created lazily): the inline
-        # WorkerRuntime and the pool's lanes keep DTDs and prepared
-        # contexts warm across run() calls
-        self._inline_executor: InlineExecutor | None = None
+        # engine-lifetime, so DTDs and prepared contexts stay warm across
+        # run() calls: the runtime that decides in-process chunks, and the
+        # pool (created lazily, on the first pooled chunk)
+        self._runtime = WorkerRuntime(caching=self._affinity)
         self._pool_executor: Executor | None = None
         self._closed = False
         self._next_task_id = 0
@@ -610,8 +605,8 @@ class BatchEngine:
 
     @property
     def affinity(self) -> bool:
-        """Schema-affinity scheduling (read-only: the executors are built
-        from it)."""
+        """Schema-affinity scheduling (read-only: the runtime and the pool
+        are built from it)."""
         return self._affinity
 
     @property
@@ -688,11 +683,10 @@ class BatchEngine:
         return self._closed
 
     def close(self) -> None:
-        """Release the engine's executors — worker lanes, their runtimes,
-        and the inline runtime.  State is *not* saved here (call
-        :meth:`save_state` first if wanted).  Closing twice raises: a
-        double close means two owners think they hold the engine's
-        lifecycle, which is the bug worth surfacing."""
+        """Release the engine's worker lanes and their runtimes.  State
+        is *not* saved here (call :meth:`save_state` first if wanted).
+        Closing twice raises: a double close means two owners think they
+        hold the engine's lifecycle, which is the bug worth surfacing."""
         if self._closed:
             raise EngineError("engine already closed")
         self._closed = True
@@ -701,9 +695,6 @@ class BatchEngine:
                 self._pool_executor.close()
         finally:
             self._pool_executor = None
-            if self._inline_executor is not None:
-                self._inline_executor.close()
-                self._inline_executor = None
             if self._owns_tier and self.state_tier is not None:
                 self.state_tier.close()
 
@@ -716,13 +707,6 @@ class BatchEngine:
         return False
 
     # -- execution ----------------------------------------------------------
-    def _inline(self) -> InlineExecutor:
-        """The engine-lifetime in-process executor: its runtime caches
-        survive across :meth:`run` calls."""
-        if self._inline_executor is None:
-            self._inline_executor = InlineExecutor(affinity=self.affinity)
-        return self._inline_executor
-
     def _pool(self) -> Executor:
         """The engine-lifetime pool executor: lanes (and their shipped-DTD
         sets and runtime caches) persist across :meth:`run` calls."""
@@ -756,8 +740,8 @@ class BatchEngine:
         The scan parses, canonicalizes and looks up each job in the
         decision cache.  A miss that cannot be coalesced onto an
         identical question in flight is planned, and every decision runs
-        in a chunk on an executor.  A PTIME plan's question is a chunk of
-        one on the in-process executor, absorbed the moment it is sent.
+        in a chunk.  A PTIME plan's question is a chunk of one on the
+        engine's own runtime, absorbed the moment it is decided.
         A pool-route question waits with its schema's others and goes
         out in a chunk of ``group_chunk_size`` (the partial chunks after
         the scan).  With ``workers > 1`` such a chunk goes to a lane with
@@ -792,7 +776,7 @@ class BatchEngine:
         # running for it
         groups: dict[str | None, list[_GroupEntry]] = {}
         in_flight: dict[CacheKey, _GroupEntry] = {}
-        # every chunk handed to an executor, by task id: its entries and
+        # every chunk sent to be decided, by task id: its entries and
         # the enqueue timestamp (for dwell measurement)
         submitted: dict[int, tuple[list[_GroupEntry], float]] = {}
         # the engine-lifetime pool, acquired lazily so a run with no
@@ -814,9 +798,10 @@ class BatchEngine:
             )
 
         def dispatch(chunk: list[_GroupEntry]) -> None:
-            """Send one chunk: a pool-route chunk to a lane with room
-            when the engine has lanes, every other chunk (and one no
-            lane has room for) to the in-process executor."""
+            """Decide one chunk: a pool-route chunk goes to a lane with
+            room when the engine has lanes; every other chunk (and one
+            no lane has room for) runs on the engine's own runtime and
+            is absorbed at once."""
             nonlocal pool, pool_respawns_before
             artifacts = chunk[0].artifacts
             task = ChunkTask(
@@ -837,9 +822,9 @@ class BatchEngine:
                 absorb(pool.drain(wait=False), "pool")
                 if pool.submit(task, dtd):
                     return
-            inline = self._inline()
-            inline.submit(task, dtd)
-            absorb(inline.drain(), "inline")
+            outcome = self._runtime.run_chunk(task, dtd)
+            outcome.lane = 0
+            absorb([(task, outcome)], "inline")
 
         try:
             for index, raw in enumerate(jobs):
@@ -985,7 +970,7 @@ class BatchEngine:
             # later run would absorb them against this run's (now dead)
             # bookkeeping, so the warm pool is forfeited — it respawns
             # cold on the next pooled run.  In-process chunks need no
-            # such care: each one is absorbed as soon as it is sent
+            # such care: each one is absorbed as soon as it is decided
             if pool is not None:
                 self._discard_pool()
             raise
@@ -997,7 +982,6 @@ class BatchEngine:
         stats.persisted_decisions_loaded = self.persisted_decisions_loaded
         stats.cache = self.cache.stats()
         stats.registry = self.registry.stats()
-        stats.plans = self.telemetry.summary()
         self.last_stats = stats
         stats.register_metrics(self._lifetime_metrics)
         return BatchReport(results=[r for r in results if r is not None], stats=stats)
@@ -1022,7 +1006,8 @@ class BatchEngine:
         is popped on arrival, so a duplicate outcome (a retry racing its
         first attempt) can never double-report group counters —
         ``grouped_jobs``/``setup_reuse`` stay reconciled with the
-        per-plan telemetry rows even across lane deaths — and each job's
+        per-plan telemetry rows' ``count``/``setup_reuse`` even across
+        lane deaths — and each job's
         trace finishes, and ``emit`` fires, once.  Its entries leave the
         coalescing map, so a later ask of the same question hits the
         cache, or is decided afresh if this one failed.
@@ -1110,7 +1095,6 @@ class BatchEngine:
                 lead = plan.telemetry_key not in led
                 trace = ExecutionTrace(
                     attempts=attempts,
-                    group_size=len(chunk),
                     group_lead=lead,
                     shared_setup=plan.decider in outcome.shared,
                     runtime_hit=plan.decider in outcome.warm,
@@ -1181,7 +1165,7 @@ class BatchEngine:
                         emit(index)
                     continue
                 # errored entries are excluded so EngineStats and the per-plan
-                # telemetry rows report the same grouped-job/reuse counts
+                # telemetry rows report the same job/reuse counts
                 stats.grouped_jobs += 1
                 if trace.shared_setup and not lead:
                     stats.setup_reuse += 1
@@ -1252,8 +1236,8 @@ class BatchEngine:
         self.telemetry.record(
             plan, trace.elapsed_ms, verdict,
             decider=trace.decider, fallback=trace.fallback_used,
-            group_size=trace.group_size, group_lead=trace.group_lead,
-            shared_setup=trace.shared_setup, runtime_hit=trace.runtime_hit,
+            group_lead=trace.group_lead, shared_setup=trace.shared_setup,
+            runtime_hit=trace.runtime_hit,
         )
         if trace.decider is not None and decider_traits(trace.decider):
             stats.trait_routed_answers[trace.decider] = (

@@ -1,4 +1,4 @@
-"""Execution layer: persistent worker runtimes behind one abstraction.
+"""Execution layer: persistent worker runtimes, in-process and on lanes.
 
 The plan-grouped scheduler (PR 4) made heavy jobs cheap *within* a chunk
 — ``DeciderSpec.prepare`` contexts are shared by groupmates — but every
@@ -9,38 +9,37 @@ concentrate on a few recurring schemas (Ishihara et al., arXiv:1308.0769),
 which makes the schema the natural long-lived unit of work.
 
 Every decision :class:`~repro.engine.batch.BatchEngine` makes runs as a
-:class:`ChunkTask` on one :class:`Executor` abstraction with two
-implementations:
+:class:`ChunkTask` on a :class:`WorkerRuntime`, in one of two places:
 
-* :class:`InlineExecutor` — runs chunks in-process: every PTIME chunk
-  (a chunk of one, drained the moment it is submitted), heavy chunks
-  when the engine has one worker, and the heavy chunks no lane has room
-  for.  It holds one :class:`WorkerRuntime` for the engine's lifetime,
-  so the second chunk of a schema reuses the first chunk's prepared
-  contexts;
-* :class:`PersistentPoolExecutor` — a pool of long-lived worker
-  *lanes* (one process each), every lane owning a :class:`WorkerRuntime`
-  that caches DTDs and prepared :class:`~repro.sat.planner.SchemaContexts`
-  keyed by schema fingerprint **across chunks** — and, because the pool
-  itself is engine-lifetime, across
-  :meth:`~repro.engine.batch.BatchEngine.run` calls.  The scheduler routes a
-  chunk to a lane by schema-fingerprint affinity (a consistent hash,
-  spilling to the least-loaded lane when the preferred lane's queue is
-  deep), ships the DTD to a lane only on first touch instead of pickling
-  it per chunk, and survives worker death by respawning the lane with a
-  cold runtime and retrying its in-flight chunks once.
+* the engine's own runtime, which the engine calls directly and keeps
+  for its lifetime: every PTIME chunk (a chunk of one, absorbed the
+  moment it is decided), every chunk when the engine has one worker,
+  and the heavy chunks no lane has room for.  The second chunk of a
+  schema reuses the first chunk's prepared contexts, even in a later
+  run;
+* a :class:`PersistentPoolExecutor`, the engine's :class:`Executor`: a
+  pool of long-lived worker *lanes* (one process each), every lane
+  owning a :class:`WorkerRuntime` that caches DTDs and prepared
+  :class:`~repro.sat.planner.SchemaContexts` keyed by schema
+  fingerprint **across chunks** — and, because the pool itself is
+  engine-lifetime, across :meth:`~repro.engine.batch.BatchEngine.run`
+  calls.  The scheduler routes a chunk to a lane by schema-fingerprint
+  affinity (a consistent hash, spilling to the least-loaded lane when
+  the preferred lane's queue is deep), ships the DTD to a lane only on
+  first touch instead of pickling it per chunk, and survives worker
+  death by respawning the lane with a cold runtime and retrying its
+  in-flight chunks once.
 
 Each lane reads its chunks from its own pipe, which ``submit`` writes in
 the calling thread before it returns: a chunk reaches its lane while
 the engine goes on scanning, with no feeder thread waiting for the busy
 engine thread to hand over the GIL.  A lane holds at most
 ``lane_queue_depth`` chunks.  When every lane is that deep, ``submit``
-refuses the chunk and the engine decides it itself on its
-:class:`InlineExecutor`, so the engine and its lanes work at the same
-time instead of taking turns.  ``drain(wait=False)`` yields only the
-outcomes already back; the engine calls it before each ``submit``, so
-a send never waits on a lane that is itself waiting for its results to
-be read.
+refuses the chunk and the engine decides it on its own runtime, so the
+engine and its lanes work at the same time instead of taking turns.
+``drain(wait=False)`` yields only the outcomes already back; the engine
+calls it before each ``submit``, so a send never waits on a lane that
+is itself waiting for its results to be read.
 
 A runtime decides a chunk's questions together where a decider can:
 the Thm 5.3 types fixpoint has a *joint entry*
@@ -146,16 +145,14 @@ class ChunkOutcome:
 
 @dataclass
 class ExecutorStats:
-    """Lifetime counters of one executor (per-run deltas live on
-    :class:`~repro.engine.batch.EngineStats`, fed from chunk outcomes)."""
+    """What only the executor knows: its lanes, how many it respawned
+    over its lifetime, and each lane's deepest in-flight queue.  The
+    counts a chunk outcome carries (DTD ships, spills, runtime hits,
+    retries) are kept per run on
+    :class:`~repro.engine.batch.EngineStats` alone."""
 
     lanes: int = 0
-    dispatched: int = 0
-    dtd_ships: int = 0
-    affinity_spills: int = 0
-    runtime_context_hits: int = 0
     lane_respawns: int = 0
-    chunk_retries: int = 0
     #: deepest in-flight queue each lane reached (lane-health gauge)
     lane_peak_depth: dict[int, int] = field(default_factory=dict)
 
@@ -220,8 +217,6 @@ class WorkerRuntime:
         self.context_capacity = capacity
         self._dtds: dict[str, Any] = {}
         self._contexts: "OrderedDict[str, SchemaContexts]" = OrderedDict()
-        self.context_hits = 0
-        self.context_misses = 0
         self.context_evictions = 0
 
     @property
@@ -248,11 +243,9 @@ class WorkerRuntime:
             return SchemaContexts(dtd)
         contexts = self._contexts.get(fingerprint)
         if contexts is not None:
-            self.context_hits += 1
             self._contexts.move_to_end(fingerprint)
             return contexts
         contexts = self._contexts[fingerprint] = SchemaContexts(dtd)
-        self.context_misses += 1
         while len(self._contexts) > self.context_capacity:
             self._contexts.popitem(last=False)
             self.context_evictions += 1
@@ -416,52 +409,6 @@ def _joint_primary(plan: Plan, contexts: SchemaContexts) -> str | None:
     if plan.decider not in contexts:
         return None
     return plan.decider
-
-
-class InlineExecutor:
-    """In-process :class:`Executor`: PTIME chunks on every engine, heavy
-    chunks when the engine has one worker, and the heavy chunks its
-    lanes have no room for.
-
-    Chunks queue on ``submit`` (which always takes them) and execute
-    during ``drain``, whatever ``wait`` says: nothing runs in the
-    background.  The engine drains right after each submit, so no chunk
-    outlives the :meth:`~repro.engine.batch.BatchEngine.run` that sent
-    it.  The runtime lives as long as the executor — which the engine
-    keeps for its own lifetime — so chunk N of a schema reuses chunk 1's
-    contexts even across separate runs.
-    """
-
-    def __init__(self, affinity: bool = True):
-        self.runtime = WorkerRuntime(caching=affinity)
-        self._queue: list[tuple[ChunkTask, Any]] = []
-        self._stats = ExecutorStats(lanes=0)
-        self._closed = False
-
-    def submit(self, task: ChunkTask, dtd) -> bool:
-        if self._closed:
-            raise EngineError("inline executor already closed")
-        self._queue.append((task, dtd))
-        self._stats.dispatched += 1
-        return True
-
-    def drain(self, wait: bool = True) -> Iterator[tuple[ChunkTask, ChunkOutcome]]:
-        if self._closed:
-            raise EngineError("inline executor already closed")
-        while self._queue:
-            task, dtd = self._queue.pop(0)
-            outcome = self.runtime.run_chunk(task, dtd)
-            outcome.lane = 0
-            if outcome.runtime_hit:
-                self._stats.runtime_context_hits += 1
-            yield task, outcome
-
-    def stats(self) -> ExecutorStats:
-        return self._stats
-
-    def close(self) -> None:
-        self._queue.clear()
-        self._closed = True
 
 
 def _worker_main(lane_id: int, caching: bool, requests, results) -> None:
@@ -689,9 +636,6 @@ class PersistentPoolExecutor:
             lane = self._recover(lane)
         self._send(lane, _InFlight(task=task, dtd=dtd, spilled=spilled),
                    ship_always=not self.affinity)
-        self._stats.dispatched += 1
-        if spilled:
-            self._stats.affinity_spills += 1
         return True
 
     def drain(self, wait: bool = True) -> Iterator[tuple[ChunkTask, ChunkOutcome]]:
@@ -742,8 +686,6 @@ class PersistentPoolExecutor:
         except OSError:
             self._recover(lane)
             return
-        if entry.dtd_shipped:
-            self._stats.dtd_ships += 1
         if lane.depth > self._stats.lane_peak_depth.get(lane.lane_id, 0):
             self._stats.lane_peak_depth[lane.lane_id] = lane.depth
 
@@ -761,8 +703,6 @@ class PersistentPoolExecutor:
         outcome.dtd_shipped = entry.dtd_shipped
         outcome.spilled = entry.spilled
         outcome.retried = entry.attempts > 1
-        if outcome.runtime_hit:
-            self._stats.runtime_context_hits += 1
         return entry.task, outcome
 
     def _recover(self, lane: _Lane) -> _Lane:
@@ -803,7 +743,6 @@ class PersistentPoolExecutor:
                 )))
                 continue
             entry.attempts += 1
-            self._stats.chunk_retries += 1
             self._send(targets[position % len(targets)], entry, ship_always=True)
             position += 1
         return fresh

@@ -274,20 +274,18 @@ class ExecutionTrace:
     from a member that may not decline).  Feeds per-plan telemetry and
     the job's trace spans.
 
-    When the engine ran this execution as part of a chunk,
-    ``group_size`` is the chunk's job count (0 = not run in a chunk),
-    ``group_lead`` marks the first execution of this plan in the chunk
-    (so per-plan group counters tick once per chunk a plan had
-    questions in), and ``shared_setup`` records whether the primary's
+    The engine, which decides every question in a chunk, sets the
+    rest: ``group_lead`` marks the first execution of this plan in the
+    chunk (so per-plan group counters tick once per chunk a plan had
+    questions in), ``shared_setup`` records whether the primary's
     ``prepare`` context was available (a ``False`` means it has no hook,
-    or ``prepare`` failed and the chunk fell back to per-job setup).
+    or ``prepare`` failed and the chunk fell back to per-job setup), and
     ``runtime_hit`` marks a chunk that found the primary's context
     already prepared in a persistent worker runtime (schema-affinity
     scheduling), by an earlier chunk of any plan on the schema, instead
     of building it itself."""
 
     attempts: list[tuple[str, float, str]] = field(default_factory=list)
-    group_size: int = 0
     group_lead: bool = False
     shared_setup: bool = False
     runtime_hit: bool = False
@@ -331,8 +329,7 @@ class SchemaContexts:
     :class:`~repro.engine.executors.WorkerRuntime` keeps one per schema
     fingerprint across chunks, so a later chunk of any plan on that
     schema finds the contexts it shares already built (``name in
-    contexts``) and pays no setup for them.  ``hits`` counts ``get``
-    calls served from the memo (within and across chunks).
+    contexts``) and pays no setup for them.
     """
 
     def __init__(self, dtd: DTD | None):
@@ -340,7 +337,6 @@ class SchemaContexts:
         self._contexts: dict[str, Any] = {}
         self._unavailable: set[str] = set()
         self.prepare_error: str | None = None
-        self.hits = 0
         #: accumulated wall time spent inside ``prepare`` hooks (ms);
         #: the executor layer reports the per-chunk delta as the
         #: chunk's ``prepare`` span
@@ -362,7 +358,6 @@ class SchemaContexts:
     def get(self, name: str) -> Any:
         context = self._contexts.get(name)
         if context is not None:
-            self.hits += 1
             return context
         if name in self._unavailable or self._dtd is None:
             return None

@@ -55,11 +55,10 @@ class PlanStats:
     )
     deciders: dict[str, int] = field(default_factory=dict)  # answering decider
     fallbacks: int = 0  # executions answered by a non-primary chain member
-    # plan-grouped scheduling: chunks this plan was dispatched in, jobs
-    # executed inside a chunk, and jobs that reused a groupmate's
-    # prepare() context instead of paying that setup themselves
+    # plan-grouped scheduling: chunks this plan was dispatched in, and
+    # jobs that reused a groupmate's prepare() context instead of paying
+    # that setup themselves
     groups: int = 0
-    grouped_jobs: int = 0
     setup_reuse: int = 0
     # schema-affinity scheduling: chunks that found this plan's prepare()
     # contexts already warm in a persistent worker runtime (so even the
@@ -75,7 +74,6 @@ class PlanStats:
         verdict: str,
         decider: str | None = None,
         fallback: bool = False,
-        group_size: int = 0,
         group_lead: bool = False,
         shared_setup: bool = False,
         runtime_hit: bool = False,
@@ -89,14 +87,12 @@ class PlanStats:
             self.deciders[decider] = self.deciders.get(decider, 0) + 1
         if fallback:
             self.fallbacks += 1
-        if group_size:
-            self.grouped_jobs += 1
-            if group_lead:
-                self.groups += 1
-                if runtime_hit:
-                    self.runtime_hits += 1
-            elif shared_setup:
-                self.setup_reuse += 1
+        if group_lead:
+            self.groups += 1
+            if runtime_hit:
+                self.runtime_hits += 1
+        elif shared_setup:
+            self.setup_reuse += 1
         self.last_seen = time.time()
 
     def record_failure(self, jobs: int = 1) -> None:
@@ -152,7 +148,6 @@ class PlanStats:
             self.deciders[name] = self.deciders.get(name, 0) + value
         self.fallbacks += other.fallbacks
         self.groups += other.groups
-        self.grouped_jobs += other.grouped_jobs
         self.setup_reuse += other.setup_reuse
         self.runtime_hits += other.runtime_hits
         self.last_seen = max(self.last_seen, other.last_seen)
@@ -167,7 +162,6 @@ class PlanStats:
             "deciders": dict(self.deciders),
             "fallbacks": self.fallbacks,
             "groups": self.groups,
-            "grouped_jobs": self.grouped_jobs,
             "setup_reuse": self.setup_reuse,
             "runtime_hits": self.runtime_hits,
             "last_seen": round(self.last_seen, 3),
@@ -181,7 +175,6 @@ class PlanStats:
             max_ms=float(record.get("max_ms", 0.0)),
             fallbacks=int(record.get("fallbacks", 0)),
             groups=int(record.get("groups", 0)),
-            grouped_jobs=int(record.get("grouped_jobs", 0)),
             setup_reuse=int(record.get("setup_reuse", 0)),
             runtime_hits=int(record.get("runtime_hits", 0)),
             last_seen=float(record.get("last_seen", 0.0)),
@@ -204,21 +197,11 @@ class PlanTelemetry:
 
     The plan's serialized form rides along with its stats so a persisted
     table can be rendered without the original :class:`Plan` objects.
-
-    :meth:`summary` rows are cached: :meth:`record` and
-    :meth:`record_failure` mark their plan's row stale, and the next
-    :meth:`summary` rebuilds only the stale rows; a new plan,
-    :meth:`merge` or :meth:`prune` drops the cached rows.  So every
-    change must go through those methods (not through a
-    :class:`PlanStats` obtained from :meth:`get`).
     """
 
     def __init__(self) -> None:
         self._stats: dict[str, PlanStats] = {}
         self._plans: dict[str, dict[str, Any]] = {}
-        self._summary: dict[str, dict[str, Any]] | None = None
-        #: plans recorded since the cached rows were built
-        self._stale: set[str] = set()
 
     def __len__(self) -> int:
         return len(self._stats)
@@ -242,34 +225,29 @@ class PlanTelemetry:
         verdict: str,
         decider: str | None = None,
         fallback: bool = False,
-        group_size: int = 0,
         group_lead: bool = False,
         shared_setup: bool = False,
         runtime_hit: bool = False,
     ) -> None:
         self._row_for(plan).record(
             elapsed_ms, verdict, decider=decider, fallback=fallback,
-            group_size=group_size, group_lead=group_lead,
-            shared_setup=shared_setup, runtime_hit=runtime_hit,
+            group_lead=group_lead, shared_setup=shared_setup,
+            runtime_hit=runtime_hit,
         )
 
     def record_failure(self, plan, jobs: int = 1) -> None:
         self._row_for(plan).record_failure(jobs)
 
     def _row_for(self, plan) -> PlanStats:
-        """The plan's stats, created on its first record; its summary
-        row is stale from here on."""
+        """The plan's stats, created on its first record."""
         key = plan.telemetry_key
         stats = self._stats.get(key)
         if stats is None:
             stats = self._stats[key] = PlanStats()
             self._plans[key] = plan.to_dict()
-            self._summary = None  # rows stay in key order
-        self._stale.add(key)
         return stats
 
     def merge(self, other: "PlanTelemetry") -> None:
-        self._summary = None
         for key, stats in other.items():
             mine = self._stats.get(key)
             if mine is None:
@@ -304,8 +282,6 @@ class PlanTelemetry:
         for key in stale:
             del self._stats[key]
             self._plans.pop(key, None)
-        if stale:
-            self._summary = None
         return len(stale)
 
     @classmethod
@@ -332,23 +308,9 @@ class PlanTelemetry:
         return telemetry
 
     def summary(self) -> dict[str, Any]:
-        """Compact per-plan rows for ``EngineStats.as_dict`` and JSON
-        consumers (one entry per plan, no histograms).
-
-        A row is rebuilt only after its plan changed; each call returns
-        fresh dicts, so a caller may keep or mutate its copy."""
-        if self._summary is None:
-            self._summary = self._summary_rows()
-        else:
-            for key in self._stale:
-                self._summary[key] = self._summary_row(self._stats[key])
-        self._stale.clear()
-        return {
-            key: {**row, "verdicts": dict(row["verdicts"])}
-            for key, row in self._summary.items()
-        }
-
-    def _summary_rows(self) -> dict[str, dict[str, Any]]:
+        """Compact per-plan rows, in key order, for JSON consumers such
+        as ``repro stats --plans --json`` (one entry per plan, no
+        histograms)."""
         return {
             key: self._summary_row(stats)
             for key, stats in sorted(self._stats.items())
@@ -368,7 +330,6 @@ class PlanTelemetry:
             row["top_decider"] = stats.top_decider
         if stats.groups:
             row["groups"] = stats.groups
-            row["grouped_jobs"] = stats.grouped_jobs
             row["setup_reuse"] = stats.setup_reuse
             row["runtime_hits"] = stats.runtime_hits
         return row

@@ -11,6 +11,7 @@ from repro.dtd import parse_dtd
 from repro.engine import (
     BatchEngine,
     DecisionCache,
+    EngineStats,
     Job,
     SchemaRegistry,
     decision_key,
@@ -455,6 +456,29 @@ class TestGroupedScheduler:
         assert report.stats.plan_groups == 0
         assert report.stats.group_sizes == []
 
+    @pytest.mark.parametrize("values,q,expected", [
+        ([], 0.5, 0),
+        ([], 0.9, 0),
+        ([3], 0.0, 3),
+        ([3], 0.5, 3),
+        ([3], 0.9, 3),
+        ([5, 1], 0.5, 1),
+        ([5, 1], 0.75, 5),
+        ([4, 1, 3, 2], 0.0, 1),
+        ([4, 1, 3, 2], 0.5, 2),
+        ([4, 1, 3, 2], 0.9, 4),
+        ([4, 1, 3, 2], 1.0, 4),
+    ])
+    def test_group_size_and_dwell_quantiles(self, values, q, expected):
+        # both quantiles take the sorted value at rank q*n rounded half
+        # up; with nothing recorded they read 0 and 0.0
+        groups = EngineStats(group_sizes=list(values)).jobs_per_group(q)
+        dwell = EngineStats(
+            chunk_dwell_ms=[float(value) for value in values]
+        ).dwell_percentile(q)
+        assert groups == expected and type(groups) is int
+        assert dwell == float(expected) and type(dwell) is float
+
     def test_worker_crash_surfaces_per_job_error_without_poisoning(self, registry):
         # two plan groups (different schemas); the first dispatched
         # chunk's worker dies, the second chunk still answers
@@ -790,7 +814,7 @@ class TestWorkerDeathRecovery:
         (stats,) = [
             stats for key, stats in engine.telemetry.items() if "neg" in key
         ]
-        assert stats.grouped_jobs == 3
+        assert stats.count == 3
         assert stats.groups == 1
         assert stats.setup_reuse == 2
 
@@ -893,16 +917,6 @@ class TestEngineLifecycle:
             process.join(timeout=10)
             assert not process.is_alive()
 
-    def test_inline_executor_closed_guards(self, registry):
-        from repro.engine import InlineExecutor
-
-        executor = InlineExecutor(registry)
-        executor.close()
-        with pytest.raises(EngineError, match="closed"):
-            executor.submit(object(), None)
-        with pytest.raises(EngineError, match="closed"):
-            list(executor.drain())
-
     def test_pool_drain_after_close_raises(self, registry):
         from repro.engine import PersistentPoolExecutor
 
@@ -912,7 +926,9 @@ class TestEngineLifecycle:
         with pytest.raises(EngineError, match="closed"):
             list(executor.drain())
 
-    def test_affinity_flip_resets_pool_and_is_counted(self, registry):
+    def test_executor_settings_are_read_only_and_keep_the_warm_pool(
+        self, registry
+    ):
         # the pool is built from affinity and lane_queue_depth, so neither
         # can flip once the engine exists: the assignment is refused and
         # the warm pool is kept, with no reset to count
@@ -937,20 +953,22 @@ class TestEngineLifecycle:
         assert "executor_resets" not in second.stats.as_dict()
         engine.close()
 
-    def test_affinity_flip_resets_inline_executor(self, registry):
-        # with workers=1 heavy chunk tails run on the engine-lifetime
-        # inline executor; a refused flip leaves its warm runtime in place
+    def test_affinity_is_read_only_and_keeps_the_engine_runtime(
+        self, registry
+    ):
+        # with workers=1 heavy chunks run on the engine's own runtime; a
+        # refused flip leaves that warm runtime in place
         heavy = TestWorkerDeathRecovery.HEAVY
         engine = BatchEngine(registry=registry, workers=1, affinity=False)
         engine.run([Job(q, "disjfree") for q in heavy[:3]])
-        old_inline = engine._inline_executor
-        assert old_inline is not None
+        old_runtime = engine._runtime
+        assert old_runtime is not None
         with pytest.raises(AttributeError):
             engine.affinity = True
         assert engine.affinity is False
         second = engine.run([Job(q, "disjfree") for q in heavy[3:]])
         assert second.stats.errors == 0
-        assert engine._inline_executor is old_inline
+        assert engine._runtime is old_runtime
         engine.close()
 
 

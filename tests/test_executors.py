@@ -1,5 +1,5 @@
 """Tests for the execution layer (:mod:`repro.engine.executors`):
-worker runtimes, the inline executor, and the persistent affinity pool.
+worker runtimes and the persistent affinity pool.
 
 The pool tests run real forked lanes; they use small workloads so the
 whole file stays in tier-1 time.
@@ -14,7 +14,6 @@ from repro.engine import SchemaRegistry, schema_fingerprint
 from repro.engine.executors import (
     ChunkOutcome,
     ChunkTask,
-    InlineExecutor,
     PersistentPoolExecutor,
     WorkerRuntime,
 )
@@ -88,7 +87,6 @@ class TestWorkerRuntime:
         assert cold.runtime_hit is False
         assert warm.runtime_hit is True
         assert warm.error is None
-        assert runtime.context_hits == 1
         assert runtime.schemas == 1
 
     def test_caching_off_rebuilds_per_chunk(self, registry):
@@ -98,7 +96,6 @@ class TestWorkerRuntime:
         runtime.run_chunk(first, dtd)
         warm = runtime.run_chunk(second, dtd)   # stateless: DTD every chunk
         assert warm.runtime_hit is False
-        assert runtime.context_hits == 0
         assert runtime.schemas == 0
 
     def test_missing_schema_is_a_chunk_error(self, registry):
@@ -160,7 +157,6 @@ class TestWorkerRuntime:
         outcome = runtime.run_chunk(again, ddtd)
         assert outcome.error is None
         assert outcome.runtime_hit is False  # rebuilt after eviction
-        assert runtime.context_hits == 0
         with pytest.raises(EngineError, match="context_capacity"):
             WorkerRuntime(context_capacity=0)
 
@@ -181,24 +177,6 @@ class TestWorkerRuntime:
                 assert [o[:3] for o in warm.outcomes] == [
                     o[:3] for o in cold.outcomes
                 ]
-
-
-class TestInlineExecutor:
-    def test_drain_executes_in_order_with_persistent_runtime(self, registry):
-        executor = InlineExecutor()
-        first, dtd = _chunk_task(registry, "disjfree", HEAVY[:2], task_id=1)
-        second, _ = _chunk_task(registry, "disjfree", HEAVY[2:], task_id=2)
-        executor.submit(first, dtd)
-        executor.submit(second, dtd)
-        drained = list(executor.drain())
-        assert [task.task_id for task, _outcome in drained] == [1, 2]
-        assert drained[1][1].runtime_hit is True
-        assert executor.stats().runtime_context_hits == 1
-        # runtime survives the drain: a later chunk still hits
-        third, _ = _chunk_task(registry, "disjfree", HEAVY[:1], task_id=3)
-        executor.submit(third, dtd)
-        (_, outcome), = list(executor.drain())
-        assert outcome.runtime_hit is True
 
 
 class TestPersistentPoolExecutor:
@@ -226,10 +204,7 @@ class TestPersistentPoolExecutor:
         assert len(lanes) == 1
         assert sum(outcome.dtd_shipped for _t, outcome in drained) == 1
         assert sum(outcome.runtime_hit for _t, outcome in drained) == 2
-        stats = executor.stats()
-        assert stats.dtd_ships == 1
-        assert stats.runtime_context_hits == 2
-        assert stats.lane_respawns == 0
+        assert executor.stats().lane_respawns == 0
 
     def test_stateless_ships_dtd_every_chunk(self, registry):
         executor = PersistentPoolExecutor(2, affinity=False)
@@ -244,7 +219,7 @@ class TestPersistentPoolExecutor:
             executor.close()
         assert all(outcome.error is None for _t, outcome in drained)
         assert all(outcome.dtd_shipped for _t, outcome in drained)
-        assert executor.stats().runtime_context_hits == 0
+        assert not any(outcome.runtime_hit for _t, outcome in drained)
 
     def test_deep_preferred_lane_spills_over(self, registry):
         # every chunk prefers the same lane (one fingerprint); with a
@@ -260,10 +235,10 @@ class TestPersistentPoolExecutor:
         finally:
             executor.close()
         assert all(outcome.error is None for _t, outcome in drained)
-        assert executor.stats().affinity_spills >= 1
+        assert any(outcome.spilled for _t, outcome in drained)
         assert {outcome.lane for _t, outcome in drained} == {0, 1}
         # a spilled chunk lands on a lane without the schema: it ships
-        assert executor.stats().dtd_ships >= 2
+        assert sum(outcome.dtd_shipped for _t, outcome in drained) >= 2
 
     def test_verdicts_survive_lane_death_with_one_retry(
         self, registry, tmp_path, monkeypatch
@@ -303,9 +278,7 @@ class TestPersistentPoolExecutor:
         assert outcome.error is None
         assert outcome.retried is True
         assert [entry[0] for entry in outcome.outcomes] == [True, True, False]
-        stats = executor.stats()
-        assert stats.chunk_retries == 1
-        assert stats.lane_respawns == 1
+        assert executor.stats().lane_respawns == 1
 
     def test_recovery_ship_counts_as_first_touch(self, registry, tmp_path,
                                                  monkeypatch):
@@ -389,7 +362,7 @@ class TestPersistentPoolExecutor:
         assert drained[2].outcomes[0][0] is True
         # both in-flight chunks were retried once (the healthy one was
         # queued behind the killer); only the poison chunk failed
-        assert executor.stats().chunk_retries == 2
+        assert drained[2].retried is True
         assert executor.stats().lane_respawns >= 2
 
     def test_chunk_reaches_its_lane_while_the_caller_is_busy(self, registry):
@@ -443,7 +416,6 @@ class TestPersistentPoolExecutor:
             executor.close()
         assert sorted(done.task_id for done, _outcome in drained) == [0, 1, 2]
         assert all(outcome.error is None for _t, outcome in drained)
-        assert executor.stats().dispatched == 3
 
     def test_lanes_fork_lazily(self, registry):
         # a light run must not pay for the whole pool: only the lane a

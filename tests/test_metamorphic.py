@@ -46,16 +46,6 @@ text -> eps
 """
 
 
-class _KeyedPlan:
-    """The two members of :class:`Plan` that telemetry reads."""
-
-    def __init__(self, key: str) -> None:
-        self.telemetry_key = key
-
-    def to_dict(self) -> dict:
-        return {"key": self.telemetry_key}
-
-
 def _schemas():
     return {"tiny": parse_dtd(TINY_DTD), "doc": parse_dtd(DOC_DTD)}
 
@@ -271,7 +261,7 @@ class TestGroupedScheduling:
             stats for key, stats in engine.telemetry.items() if "neg" in key
         ]
         assert stats.groups == 1
-        assert stats.grouped_jobs == 3
+        assert stats.count == 3
         assert stats.setup_reuse == 2
 
     def test_grouped_pool_matches_inline_grouped(self):
@@ -302,7 +292,7 @@ class TestGroupedScheduling:
         rows = {
             key.split("|")[1]: stats for key, stats in engine.telemetry.items()
         }
-        assert {name: (row.groups, row.grouped_jobs, row.setup_reuse)
+        assert {name: (row.groups, row.count, row.setup_reuse)
                 for name, row in rows.items()} == {
             "neg,qual": (1, 2, 1),
             "neg,qual,union": (1, 1, 0),
@@ -460,7 +450,7 @@ class TestEngineTelemetry:
         engine = BatchEngine(registry=_registry())
         report = engine.run(_corpus(60))
         assert len(engine.telemetry) >= 1
-        summary = report.stats.plans
+        summary = engine.telemetry.summary()
         assert summary
         total = sum(row["count"] for row in summary.values())
         # cache hits and coalesced jobs do not execute a plan
@@ -507,84 +497,6 @@ class TestEngineTelemetry:
         assert rebuilt.to_dict() == engine.telemetry.to_dict()
         table = engine.telemetry.table()
         assert "mean_ms" in table and "fb%" in table
-
-    def test_summary_cache_follows_every_change(self):
-        telemetry = PlanTelemetry()
-        first, second = _KeyedPlan("first|row"), _KeyedPlan("second|row")
-        telemetry.record(first, 0.3, "sat", decider="downward")
-        seen = [telemetry.summary()]
-
-        def check() -> None:
-            rows = telemetry.summary()
-            assert rows == telemetry._summary_rows()
-            assert rows != seen[-1]  # each step below changes the table
-            seen.append(rows)
-
-        telemetry.record(first, 2.0, "unsat", decider="bounded", fallback=True)
-        check()
-        telemetry.record(second, 0.1, "sat")
-        check()
-        telemetry.record_failure(second, jobs=2)
-        check()
-        other = PlanTelemetry()
-        other.record(first, 40.0, "unknown", decider="bounded")
-        other.record(_KeyedPlan("third|row"), 1.0, "sat")
-        telemetry.merge(other)
-        check()
-        telemetry.get("second|row").last_seen -= 3600.0
-        assert telemetry.prune(max_age_s=60.0) == 1
-        check()
-        assert set(telemetry.summary()) == {"first|row", "third|row"}
-
-    def test_warm_all_hit_run_reuses_the_summary(self, monkeypatch):
-        engine = BatchEngine(registry=_registry())
-        jobs = _corpus(60)
-        engine.run(jobs)
-        builds = []
-        original = PlanTelemetry._summary_rows
-
-        def counted(telemetry):
-            builds.append(1)
-            return original(telemetry)
-
-        monkeypatch.setattr(PlanTelemetry, "_summary_rows", counted)
-        report = engine.run(jobs)
-        assert report.stats.cache_hits == len(jobs)
-        assert report.stats.decide_calls == 0
-        assert builds == []
-        assert report.stats.plans == original(engine.telemetry)
-
-    def test_run_deciding_one_plan_rebuilds_one_row(self, monkeypatch):
-        engine = BatchEngine(registry=_registry())
-        engine.run(_corpus(60) + [("A[not(B)]", "tiny")])
-        assert len(engine.telemetry) > 1
-        rebuilt = []
-        original = PlanTelemetry._summary_row
-
-        def counted(stats):
-            rebuilt.append(stats)
-            return original(stats)
-
-        monkeypatch.setattr(PlanTelemetry, "_summary_row", staticmethod(counted))
-        # a question not asked before, under a plan already recorded
-        report = engine.run([("A[not(C)]", "tiny")])
-        assert report.stats.decide_calls == 1
-        assert len(rebuilt) == 1
-        assert report.stats.plans == engine.telemetry._summary_rows()
-
-    def test_runs_never_share_a_plans_dict(self):
-        engine = BatchEngine(registry=_registry())
-        jobs = _corpus(60)
-        engine.run(jobs)
-        first = engine.run(jobs).stats.plans
-        key = next(iter(first))
-        expected = engine.telemetry._summary_rows()
-        first[key]["count"] = -1
-        first[key]["verdicts"]["sat"] = 10**6
-        first.pop(key)
-        second = engine.run(jobs).stats
-        assert second.plans == expected
-        assert second.as_dict()["plans"] == expected
 
 
 class TestStatePersistence:

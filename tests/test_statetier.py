@@ -39,6 +39,7 @@ from repro.engine.statetier import (
     resolve_tier_path,
 )
 from repro.errors import EngineError
+from repro.sat.telemetry import PlanTelemetry
 from repro.xpath import parse_query
 
 #: a JSON state dir as the retired JSON writer left it: ``save_state``
@@ -419,6 +420,40 @@ class TestWarmStart:
         assert "cost_model" not in payload
         assert len(payload["processes"]) == 1
 
+    def test_the_plan_table_lives_only_in_the_telemetry(self, tmp_path, capsys):
+        # no run's stats, and no engine_stats row saved from them, repeat
+        # the per-plan table: `stats --plans --json` builds its rows from
+        # the tier's telemetry rows
+        tier_path = str(tmp_path / "tier")
+        engine = BatchEngine(registry=_registry(), state_tier=tier_path)
+        report = engine.run(_jobs())
+        assert "plans" not in report.stats.as_dict()
+        engine.save_state()
+        telemetry = engine.telemetry
+        engine.close()
+        with StateTier(tier_path) as tier:
+            (saved,) = tier.engine_stats_rows().values()
+        assert saved["jobs"] == len(_jobs())
+        assert "plans" not in saved
+
+        assert main(["stats", "--plans", "--state-tier", tier_path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "plans" not in payload["engine"]
+        assert all("plans" not in row for row in payload["processes"].values())
+        expected = telemetry.summary()
+        assert set(payload["plans"]) == set(expected)
+        for key, row in payload["plans"].items():
+            assert row.pop("plan") == telemetry.plan_record(key)
+            # the tier keeps total_ms to 4 decimals, so a mean rounded
+            # to 4 decimals may differ in its last digit
+            assert row.pop("mean_ms") == pytest.approx(
+                expected[key].pop("mean_ms"), abs=1e-4
+            )
+            assert row == expected[key]
+        assert {key: row["count"] for key, row in payload["plans"].items()} == {
+            key: stats.count for key, stats in telemetry.items()
+        }
+
 
 def _writer_key(writer: int, index: int) -> tuple[str, str, str]:
     """A decision key only writer ``writer`` saves."""
@@ -529,6 +564,28 @@ class TestLegacyMigration:
         assert _verdicts(report) == baseline
         assert report.stats.planner_invocations == 0
         warm.close()
+
+    def test_a_telemetry_row_with_grouped_jobs_still_loads(self):
+        # the fixture's rows carry grouped_jobs, a count that equalled
+        # `count` and is no longer kept: they load with their counts, and
+        # write back without the key
+        with open(os.path.join(LEGACY_FIXTURE, "telemetry.json")) as handle:
+            record = json.load(handle)
+        rows = record["plans"]
+        assert all("grouped_jobs" in row["stats"] for row in rows.values())
+        telemetry = PlanTelemetry.from_dict(record)
+        assert {key: stats.count for key, stats in telemetry.items()} == {
+            key: row["stats"]["count"] for key, row in rows.items()
+        }
+        saved = telemetry.to_dict()
+        assert all(
+            "grouped_jobs" not in row["stats"] for row in saved["plans"].values()
+        )
+        assert PlanTelemetry.from_dict(saved).to_dict() == saved
+        assert any("groups" in row for row in telemetry.summary().values())
+        assert all(
+            "grouped_jobs" not in row for row in telemetry.summary().values()
+        )
 
     def test_migration_runs_only_once(self, tmp_path):
         state_dir = _legacy_copy(tmp_path)
